@@ -52,11 +52,11 @@ type ClusterConfig struct {
 // Cluster is the distributed serving tier behind the Store interface:
 // a client-side router over remote topkd members, each owning a
 // contiguous score band. Updates route by score to the owning band
-// (applied to every replica there); TopK/QueryBatch scatter to one
-// replica per band and k-way heap-merge the answers with the same
-// internal/merge code the local Sharded router uses, so a quiescent
-// cluster answers byte-identically to a single Index over the union of
-// the members' data.
+// (applied to every replica there); TopK/QueryBatch ask one replica of
+// the top score band first and walk down only while the answer is
+// short of k — bands the k-th score never reaches get no request — so
+// a quiescent cluster answers byte-identically to a single Index over
+// the union of the members' data.
 //
 // Operational semantics differ from the in-process backends — reads
 // fail over between replicas and degrade to partial answers when a
@@ -129,18 +129,20 @@ func (c *Cluster) ApplyBatch(ops []BatchOp) []error {
 
 // TopK returns the k highest-scoring points with position in [x1, x2]
 // in descending score order — the same answer as a single Index on the
-// same point set, scatter-gathered across the member fleet. A band
-// whose every replica is down contributes nothing: reads degrade to
-// partial answers rather than erroring (the Store read signature has
-// no error channel); watch Ejected and ReadFailovers to detect it.
+// same point set. The bands are asked from the top score band down,
+// each for the points still missing, and the walk stops once it holds
+// k. A band whose every replica is down contributes nothing: reads
+// degrade to partial answers rather than erroring (the Store read
+// signature has no error channel); watch Ejected and ReadFailovers to
+// detect it.
 func (c *Cluster) TopK(x1, x2 float64, k int) []Result {
 	return toResults(c.c.TopK(context.Background(), x1, x2, k))
 }
 
-// QueryBatch answers many queries at once: each band's replica gets
-// the whole query list in one request, then per-query answers are
-// heap-merged. Positionally aligned with qs, byte-identical to TopK
-// per query.
+// QueryBatch answers many queries at once with TopK's top-down walk:
+// each band asked gets one request holding every query still short of
+// its k. Positionally aligned with qs, byte-identical to TopK per
+// query.
 func (c *Cluster) QueryBatch(qs []Query) [][]Result {
 	if len(qs) == 0 {
 		return nil
@@ -203,6 +205,12 @@ func (c *Cluster) ReadFailovers() int64 { return c.c.ReadFailovers() }
 // by this gateway's client, keyed by member address. The serving layer
 // probes this to export topkd_cluster_rpc_duration_seconds.
 func (c *Cluster) RPCDurations() *obs.Vec { return c.c.RPCDurations() }
+
+// ReadBands returns the histogram of score bands asked per top-k read:
+// 1 when the top band alone held k qualifying points, Groups() when the
+// read walked every band. The serving layer probes this to export
+// topkd_cluster_read_bands.
+func (c *Cluster) ReadBands() *obs.CountHist { return c.c.ReadBands() }
 
 // Ejections returns how many ejection episodes the health checker has
 // begun (healthy→ejected transitions, not window extensions).

@@ -10,14 +10,17 @@ package topk_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -346,7 +349,7 @@ func TestClusterWholeBandDown(t *testing.T) {
 	}
 	defer cl.Close()
 	// Oracle over the surviving band only: the dark band contributes
-	// nothing, the rest must still merge exactly.
+	// nothing, the rest must still come back exactly.
 	var highPts []topk.Result
 	for _, p := range pts {
 		if p.Score >= cuts[0] {
@@ -358,10 +361,14 @@ func TestClusterWholeBandDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet.servers[0][0].Close()
-	got := cl.TopK(math.Inf(-1), math.Inf(1), 100)
-	want := survivors.TopK(math.Inf(-1), math.Inf(1), 100)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("partial read mismatch\ngot  %v\nwant %v", got, want)
+	// k=100 is answered by the live top band alone; k=len(pts) walks
+	// down into the dark band and gets nothing there.
+	for _, k := range []int{100, len(pts)} {
+		got := cl.TopK(math.Inf(-1), math.Inf(1), k)
+		want := survivors.TopK(math.Inf(-1), math.Inf(1), k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: partial read mismatch\ngot  %v\nwant %v", k, got, want)
+		}
 	}
 	if err := cl.Insert(42e6, cuts[0]-2); !errors.Is(err, topk.ErrNodeDown) {
 		t.Fatalf("write to dark band: %v, want ErrNodeDown", err)
@@ -371,6 +378,201 @@ func TestClusterWholeBandDown(t *testing.T) {
 	}
 	if err := cl.Insert(42e6, cuts[0]+2); err != nil {
 		t.Fatalf("write to live band: %v", err)
+	}
+}
+
+// memberCall is one member request a gateway sent: the member's base
+// URL, the path, and the k of every query it carried (one for
+// /v1/topk, one per query op for /v1/batch).
+type memberCall struct {
+	member, path string
+	ks           []int
+}
+
+// callLog is a RoundTripper recording every member request the gateway
+// sends.
+type callLog struct {
+	base  *http.Transport
+	mu    sync.Mutex
+	calls []memberCall
+}
+
+func (l *callLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	c := memberCall{member: r.URL.Scheme + "://" + r.URL.Host, path: r.URL.Path}
+	switch r.URL.Path {
+	case "/v1/topk":
+		k, err := strconv.Atoi(r.URL.Query().Get("k"))
+		if err != nil {
+			return nil, err
+		}
+		c.ks = []int{k}
+	case "/v1/batch":
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req struct{ Ops []struct{ K int } }
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		for _, op := range req.Ops {
+			c.ks = append(c.ks, op.K)
+		}
+	}
+	l.mu.Lock()
+	l.calls = append(l.calls, c)
+	l.mu.Unlock()
+	return l.base.RoundTrip(r)
+}
+
+// take returns the requests recorded since the last take.
+func (l *callLog) take() []memberCall {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.calls
+	l.calls = nil
+	return out
+}
+
+// TestClusterScoreOrderedWalk pins the read path's request pattern, not
+// just its answers: a read asks the top score band first, asks each
+// lower band only for the points still missing, and stops as soon as
+// it holds k — so a band the k-th score never reaches receives no
+// request. The fleet is lopsided on purpose: an empty top band, then
+// bands holding 10 %, 30 % and 60 % of the points.
+func TestClusterScoreOrderedWalk(t *testing.T) {
+	pts := uniformResults(103, 2000, 1e6) // scores uniform in [0, 1)
+	bands := []bandSpec{
+		{math.Inf(-1), 0.6, 1},
+		{0.6, 0.9, 1},
+		{0.9, 2, 1},
+		{2, math.Inf(1), 1}, // holds no point
+	}
+	fleet := bootFleet(t, pts, bands)
+	log := &callLog{base: &http.Transport{}}
+	defer log.base.CloseIdleConnections()
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second, Transport: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	oracle, err := topk.Load(testClusterCfg(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.take() // band discovery
+
+	// walk is the expected request sequence of one read: from the top
+	// band down, each band asked for k minus what the bands above it
+	// held in range.
+	walk := func(q topk.Query) (members []string, ks []int) {
+		got := 0
+		for b := len(bands) - 1; b >= 0 && got < q.K; b-- {
+			members = append(members, fleet.addrs[b])
+			ks = append(ks, q.K-got)
+			for _, p := range pts {
+				if bands[b].lo <= p.Score && p.Score < bands[b].hi && q.X1 <= p.X && p.X <= q.X2 && got < q.K {
+					got++
+				}
+			}
+		}
+		return members, ks
+	}
+
+	gen := workload.NewGen(104)
+	var qs []topk.Query
+	for _, q := range gen.Queries(48, 1e6, 0.001, 0.05, 48) {
+		qs = append(qs, topk.Query{X1: q.X1, X2: q.X2, K: q.K})
+	}
+	qs = append(qs,
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 1},   // the top non-empty band alone
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 500}, // two bands
+		topk.Query{X1: 4e5, X2: 6e5, K: 40},                   // about what the top non-empty band holds there
+		topk.Query{X1: 0, X2: 1e6, K: len(pts) + 7},           // every band
+		topk.Query{X1: 2e6, X2: 3e6, K: 5})                    // an empty range walks every band too
+	bandsBefore := cl.ReadBands().Snapshot()
+	asked := 0
+	for _, q := range qs {
+		got := cl.TopK(q.X1, q.X2, q.K)
+		if want := oracle.TopK(q.X1, q.X2, q.K); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopK(%v, %v, %d) diverged\ngot  %v\nwant %v", q.X1, q.X2, q.K, got, want)
+		}
+		wantMembers, wantKs := walk(q)
+		calls := log.take()
+		var members []string
+		var ks []int
+		for _, c := range calls {
+			if c.path != "/v1/topk" {
+				t.Fatalf("TopK sent %s to %s", c.path, c.member)
+			}
+			members = append(members, c.member)
+			ks = append(ks, c.ks...)
+		}
+		if !reflect.DeepEqual(members, wantMembers) || !reflect.DeepEqual(ks, wantKs) {
+			t.Fatalf("TopK(%v, %v, %d) asked %v for k=%v, want %v for k=%v", q.X1, q.X2, q.K, members, ks, wantMembers, wantKs)
+		}
+		asked += len(wantMembers)
+	}
+
+	// QueryBatch walks the same way: each band gets one request holding
+	// the queries still short of their k, in batch order, each asking
+	// for what it still misses.
+	if got, want := cl.QueryBatch(qs), oracle.QueryBatch(qs); !reflect.DeepEqual(got, want) {
+		t.Fatal("QueryBatch diverged from oracle")
+	}
+	wantKs := map[string][]int{}
+	for _, q := range qs {
+		members, ks := walk(q)
+		for i, m := range members {
+			wantKs[m] = append(wantKs[m], ks[i])
+		}
+		asked += len(members)
+	}
+	calls := log.take()
+	if len(calls) != len(bands) {
+		t.Fatalf("QueryBatch sent %d requests, want one per band reached (%d): %+v", len(calls), len(bands), calls)
+	}
+	for i, c := range calls {
+		if want := fleet.addrs[len(bands)-1-i]; c.member != want || c.path != "/v1/batch" {
+			t.Fatalf("QueryBatch request %d went to %s %s, want %s /v1/batch", i, c.member, c.path, want)
+		}
+		if !reflect.DeepEqual(c.ks, wantKs[c.member]) {
+			t.Fatalf("QueryBatch asked %s for k=%v, want %v", c.member, c.ks, wantKs[c.member])
+		}
+	}
+
+	// Every read observed how many bands it asked.
+	after := cl.ReadBands().Snapshot()
+	if reads, sum := after.Count-bandsBefore.Count, after.Sum-bandsBefore.Sum; reads != uint64(2*len(qs)) || sum != float64(asked) {
+		t.Fatalf("ReadBands recorded %d reads asking %v bands, want %d reads asking %d", reads, sum, 2*len(qs), asked)
+	}
+
+	// Count still asks every band: any band may hold points in range.
+	if got, want := cl.Count(0, 1e6), oracle.Count(0, 1e6); got != want {
+		t.Fatalf("Count = %d, oracle %d", got, want)
+	}
+	if calls := log.take(); len(calls) != len(bands) {
+		t.Fatalf("Count sent %d requests, want %d", len(calls), len(bands))
+	}
+
+	// A dark band is stepped over: the walk takes the rest from the
+	// bands below it, exactly as from a fleet without the band's points.
+	fleet.servers[2][0].Close()
+	var rest []topk.Result
+	for _, p := range pts {
+		if p.Score < 0.9 {
+			rest = append(rest, p)
+		}
+	}
+	survivors, err := topk.Load(testClusterCfg(), rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 300, len(pts)} {
+		if got, want := cl.TopK(0, 1e6, k), survivors.TopK(0, 1e6, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d past a dark band: got %d points, want %d", k, len(got), len(want))
+		}
 	}
 }
 

@@ -3,17 +3,19 @@ package main
 // E18: the cluster tier. An in-process multi-node cluster is booted
 // over httptest — each member owns a quantile score band of the same
 // point set, serving internal/serve's /v1 surface over a local Sharded
-// store, and a topk.Cluster gateway scatter-gathers across them — then
-// read throughput is measured through the gateway at 1/2/4/8 nodes and
-// compared against the direct-local baseline (the same data in one
-// in-process Sharded, no network).
+// store, and a topk.Cluster gateway reads them top score band first —
+// then read throughput is measured through the gateway at 1/2/4/8
+// nodes and compared against the direct-local baseline (the same data
+// in one in-process Sharded, no network).
 //
 // What the table shows: the absolute gateway-vs-local gap is the cost
 // of HTTP/JSON per query (loopback here; a real deployment pays real
 // network instead but gains real machines), and the trend across node
-// counts is the scatter-gather scaling shape — in-process members
-// share one CPU budget, so this measures coordination overhead growth,
-// not linear capacity growth (that requires actual hardware per node).
+// counts is the cost of the band walk — narrower bands hold fewer of a
+// range's points, so a read reaches more of them before it holds k.
+// In-process members share one CPU budget, so this measures
+// coordination overhead growth, not linear capacity growth (that
+// requires actual hardware per node).
 
 import (
 	"fmt"

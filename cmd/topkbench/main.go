@@ -43,7 +43,7 @@ var experiments = []experiment{
 	{"e15", "Serving layer (Store v1): TopK vs QueryBatch throughput", e15},
 	{"e16", "Shard lifecycle: delete-churn qps and shard count, merges on vs off", e16},
 	{"e17", "Snapshot routing: read qps under concurrent writers, snapshot vs rlock", e17},
-	{"e18", "Cluster tier: gateway scatter-gather qps vs node count, vs direct-local", e18},
+	{"e18", "Cluster tier: gateway qps vs node count (score-ordered band reads), vs direct-local", e18},
 	{"e19", "Write path: single-op insert qps, group commit on vs off, cluster tier", e19},
 }
 

@@ -8,8 +8,8 @@
 //     runs (-backend single),
 //   - or a CLUSTER GATEWAY (-gateway nodeA,nodeB,...): the same /v1
 //     surface backed by a topk.Cluster that score-routes writes to
-//     remote member topkd processes and scatter-gathers reads across
-//     them. Members declare their score band with -range lo:hi and the
+//     remote member topkd processes and reads them top score band
+//     first. Members declare their score band with -range lo:hi and the
 //     gateway discovers the fleet layout from each member's /v1/range.
 //
 // The API is versioned under /v1; the unversioned paths from the
@@ -69,7 +69,7 @@ func main() {
 	m := flag.Int("M", 0, "buffer-pool words (fleet total when sharded; 0 = default)")
 	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = adaptive, starting at min-split/2; negative disables merging)")
 	maintenance := flag.Duration("maintenance", 0, "background maintenance interval for the sharded backend (merge/split sweeps while idle; 0 disables)")
-	n := flag.Int("n", 0, "synthetic points to preload")
+	n := flag.Int("n", 0, "synthetic points to generate for the preload (a -range member keeps those in its band)")
 	seed := flag.Int64("seed", 1, "preload workload seed")
 	forcePolylog := flag.Bool("force-polylog", true, "pin the §3.3 small-k component instead of the automatic regime test")
 	polylogF := flag.Int("polylog-f", 8, "§3.3 tree fanout f (0 = the paper's √(B·lg n))")
@@ -113,9 +113,9 @@ func main() {
 		MaintenanceInterval: *maintenance,
 	}
 	var opts serve.Options
+	lo, hi := math.Inf(-1), math.Inf(1)
 	if *rangeFlag != "" {
-		lo, hi, err := parseRange(*rangeFlag)
-		if err != nil {
+		if lo, hi, err = parseRange(*rangeFlag); err != nil {
 			log.Fatalf("topkd: -range: %v", err)
 		}
 		opts.Lo, opts.Hi = lo, hi
@@ -130,14 +130,7 @@ func main() {
 			Logger:         logger,
 		})
 	} else {
-		var pts []topk.Result
-		if *n > 0 {
-			pts = make([]topk.Result, 0, *n)
-			for _, p := range workload.NewGen(*seed).Uniform(*n, 1e6) {
-				pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-			}
-		}
-		st, err = newStore(*backend, cfg, pts)
+		st, err = newStore(*backend, cfg, preload(*n, *seed, lo, hi))
 	}
 	if err != nil {
 		log.Fatalf("topkd: %v", err)
@@ -296,6 +289,21 @@ func serveLoop(ctx context.Context, srv *http.Server, ln net.Listener, drain tim
 		}
 		return err
 	}
+}
+
+// preload generates n synthetic points from seed and keeps those whose
+// score lies in the band [lo, hi). A gateway's reads rely on every
+// member holding only its own band, and members started with the same
+// -n and -seed then hold disjoint slices of one point set that together
+// tile it.
+func preload(n int, seed int64, lo, hi float64) []topk.Result {
+	var pts []topk.Result
+	for _, p := range workload.NewGen(seed).Uniform(n, 1e6) {
+		if lo <= p.Score && p.Score < hi {
+			pts = append(pts, topk.Result{X: p.X, Score: p.Score})
+		}
+	}
+	return pts
 }
 
 // newStore builds the chosen local backend behind the Store interface.

@@ -905,6 +905,32 @@ func TestShutdownFlushesAcceptedWrites(t *testing.T) {
 // TestValidateTraceSample: -trace-sample accepts exactly [0, 1] and
 // rejects NaN and out-of-range values at startup instead of silently
 // tracing nothing (or everything).
+// TestPreloadKeepsBand: a -range member preloads only its band's share
+// of the generated points, so members started with the same -n and
+// -seed hold disjoint slices that tile one point set — the invariant a
+// gateway's score-ordered reads rely on.
+func TestPreloadKeepsBand(t *testing.T) {
+	all := preload(500, 3, math.Inf(-1), math.Inf(1))
+	if len(all) != 500 {
+		t.Fatalf("unbanded preload kept %d of 500 points", len(all))
+	}
+	want := map[topk.Result]bool{}
+	for _, p := range all {
+		want[p] = true
+	}
+	for _, b := range [][2]float64{{math.Inf(-1), 0.3}, {0.3, 0.7}, {0.7, math.Inf(1)}} {
+		for _, p := range preload(500, 3, b[0], b[1]) {
+			if p.Score < b[0] || p.Score >= b[1] || !want[p] {
+				t.Fatalf("band [%v, %v) preloaded %v: outside the band or twice", b[0], b[1], p)
+			}
+			delete(want, p)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d points fell in no band", len(want))
+	}
+}
+
 func TestValidateTraceSample(t *testing.T) {
 	for _, v := range []float64{0, 0.5, 1} {
 		if err := validateTraceSample(v); err != nil {

@@ -1,7 +1,7 @@
 // Package benchgate turns the committed BENCH_*.json baselines into a
 // blocking CI check. cmd/topkbench -json writes one row per measured
 // configuration of the serving-layer experiments (e15 sharded reads,
-// e17 snapshot routing, e18 cluster scatter-gather); this gate diffs a
+// e17 snapshot routing, e18 cluster band reads); this gate diffs a
 // fresh run against the committed baseline and fails when a
 // configuration regressed:
 //

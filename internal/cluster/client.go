@@ -131,20 +131,21 @@ func (n *node) probe(ctx context.Context) error {
 	return n.get(ctx, "/v1/epoch", &e)
 }
 
-// topk runs one remote TopK. Bounds travel as URL query parameters, so
-// ±Inf survives (strconv round-trips "Inf", unlike JSON bodies) —
-// provided they are URL-escaped: a bare "+Inf" would decode as " Inf",
-// '+' being the form encoding of space.
-func (n *node) topk(ctx context.Context, x1, x2 float64, k int) ([]point.P, error) {
+// topk runs one remote TopK and appends its answer to dst; on error dst
+// comes back unchanged. Bounds travel as URL query parameters, so ±Inf
+// survives (strconv round-trips "Inf", unlike JSON bodies) — provided
+// they are URL-escaped: a bare "+Inf" would decode as " Inf", '+' being
+// the form encoding of space.
+func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) ([]point.P, error) {
 	q := url.Values{}
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
 	q.Set("k", strconv.Itoa(k))
 	var r topkResp
 	if err := n.get(ctx, "/v1/topk?"+q.Encode(), &r); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return toPoints(r.Results), nil
+	return appendPoints(dst, r.Results), nil
 }
 
 // count runs one remote Count.

@@ -5,15 +5,18 @@
 // Where internal/shard partitions the POSITION axis across in-process
 // EM machines, the cluster partitions the SCORE axis across network
 // processes: an update routes to the single member (replica group)
-// owning its score, and a range read fans out to every group — any
-// band may hold qualifying points for any position interval — with the
-// per-member answers k-way heap-merged by the same internal/merge code
-// the local shard router uses. Score partitioning is what makes the
-// fleet-wide duplicate-SCORE check free: equal scores always route to
-// the same member, whose local store rejects the duplicate
-// authoritatively; the gateway additionally keeps its own
-// position/score sets so duplicates it has seen fail fast without a
-// network round trip.
+// owning its score, and a top-k read walks the groups from the top
+// score band down. Every point of a band outranks every point of the
+// bands below it, so the per-band answers concatenate in walk order
+// with no merge, and the walk stops as soon as it holds k points: the
+// k-th score lies in a band already asked, and the bands below it are
+// never contacted. Count still asks every group — any band may hold
+// qualifying points for any position interval. Score partitioning is
+// also what makes the fleet-wide duplicate-SCORE check free: equal
+// scores always route to the same member, whose local store rejects
+// the duplicate authoritatively; the gateway additionally keeps its
+// own position/score sets so duplicates it has seen fail fast without
+// a network round trip.
 //
 // Members with an identical declared band form a REPLICA GROUP. Reads
 // prefer healthy replicas round-robin and fail over to alternates when
@@ -50,10 +53,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/point"
 )
-
-// parallel runs fns concurrently and re-raises worker panics on the
-// caller (merge.Parallel — the same runner the shard fan-out uses).
-func parallel(fns []func()) { merge.Parallel(fns) }
 
 // Config configures a Cluster client.
 type Config struct {
@@ -120,6 +119,10 @@ type Cluster struct {
 
 	// failovers counts reads that succeeded on an alternate replica.
 	failovers atomic.Int64
+
+	// readBands records how many bands each top-k read asked before it
+	// held k points or ran out of bands.
+	readBands obs.CountHist
 
 	// ejections / recoveries count ejection episodes beginning and
 	// ending (health.go); log receives the matching structured events.
@@ -209,7 +212,7 @@ func New(cfg Config) (*Cluster, error) {
 			ranges[i], errs[i] = n.fetchRange(ctx)
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: member %s: %w", c.nodes[i].addr, err)
@@ -341,37 +344,32 @@ func (c *Cluster) readFrom(ctx context.Context, g *group, call func(ctx context.
 }
 
 // TopK returns the k highest-scoring points with position in [x1, x2]
-// in descending score order: a scatter to one replica of every band (a
-// position interval can hold qualifying points in any score band) and
-// a k-way heap-merge of the per-band answers — the same merge the
-// local shard router uses, so the combined order is exactly an
-// Index's. A band whose every replica is down contributes nothing
-// (reads degrade to partial answers rather than failing; see
-// ReadFailovers and Ejected for the operator's view).
+// in descending score order, walking the bands from the top score band
+// down. Every point of a band outranks every point of the bands below
+// it, so appending each band's answer after those of the bands above
+// keeps the order without a merge, and each band is asked only for the
+// points still missing. Once the walk holds k points, the k-th score
+// lies in a band already asked and the lower bands are skipped without
+// a request: a k small against the range's population is answered by
+// the top band alone. The result is exactly an Index's over the union
+// of the bands. A band whose every replica is down contributes nothing
+// and the walk moves on (reads degrade to partial answers rather than
+// failing; see ReadFailovers and Ejected for the operator's view).
 func (c *Cluster) TopK(ctx context.Context, x1, x2 float64, k int) []point.P {
 	if k <= 0 || x1 > x2 || math.IsNaN(x1) || math.IsNaN(x2) {
 		return nil
 	}
-	lists := make([][]point.P, len(c.groups))
-	fns := make([]func(), len(c.groups))
-	for gi, g := range c.groups {
-		gi, g := gi, g
-		fns[gi] = func() {
-			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
-				res, err := n.topk(cctx, x1, x2, k)
-				if err != nil {
-					return err
-				}
-				lists[gi] = res
-				return nil
-			})
-		}
+	var out []point.P
+	asked := 0
+	for gi := len(c.groups) - 1; gi >= 0 && len(out) < k; gi-- {
+		asked++
+		_ = c.readFrom(ctx, c.groups[gi], func(cctx context.Context, n *node) (err error) {
+			out, err = n.topk(cctx, out, x1, x2, k-len(out))
+			return err
+		})
 	}
-	parallel(fns)
-	sp := obs.StartSpan(ctx, "merge", "")
-	res := merge.TopK(lists, k)
-	sp.End(nil)
-	return res
+	c.readBands.Observe(uint64(asked))
+	return out
 }
 
 // Query is one read of a QueryBatch.
@@ -380,57 +378,54 @@ type Query struct {
 	K      int
 }
 
-// QueryBatch answers qs as one batch: each band's replica receives the
-// whole (sanitized) query list in a single /v1/batch request, then
-// every query's per-band answers are heap-merged. Answers align
-// positionally with qs and match a loop of TopK calls; invalid queries
-// (k ≤ 0, inverted or NaN bounds) yield nil without touching the
-// network.
+// QueryBatch answers qs with the walk TopK makes, one /v1/batch request
+// per band asked: each band receives every query still short of its k,
+// asking for the points that query still misses, and a query leaves the
+// walk once it holds k points. Answers align positionally with qs and
+// match a loop of TopK calls; invalid queries (k ≤ 0, inverted or NaN
+// bounds) yield nil without touching the network.
 func (c *Cluster) QueryBatch(ctx context.Context, qs []Query) [][]point.P {
 	if len(qs) == 0 {
 		return nil
 	}
 	out := make([][]point.P, len(qs))
-	valid := make([]int, 0, len(qs))
-	wire := make([]wireOp, 0, len(qs))
+	open := make([]int, 0, len(qs)) // the queries still short of their k
 	for qi, q := range qs {
-		if q.K <= 0 || q.X1 > q.X2 || math.IsNaN(q.X1) || math.IsNaN(q.X2) {
-			continue
-		}
-		valid = append(valid, qi)
-		// JSON cannot carry ±Inf; the widest finite bounds select the
-		// same (finite) points.
-		wire = append(wire, wireOp{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K})
-	}
-	if len(valid) == 0 {
-		return out
-	}
-	lists := make([][][]point.P, len(qs))
-	for _, qi := range valid {
-		lists[qi] = make([][]point.P, len(c.groups))
-	}
-	fns := make([]func(), len(c.groups))
-	for gi, g := range c.groups {
-		gi, g := gi, g
-		fns[gi] = func() {
-			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
-				items, err := n.batch(cctx, wire)
-				if err != nil {
-					return err
-				}
-				for j, item := range items {
-					lists[valid[j]][gi] = toPoints(item.Results)
-				}
-				return nil
-			})
+		if q.K > 0 && q.X1 <= q.X2 && !math.IsNaN(q.X1) && !math.IsNaN(q.X2) {
+			open = append(open, qi)
 		}
 	}
-	parallel(fns)
-	sp := obs.StartSpan(ctx, "merge", "")
-	for _, qi := range valid {
-		out[qi] = merge.TopK(lists[qi], qs[qi].K)
+	wire := make([]wireOp, 0, len(open))
+	asked := 0
+	for gi := len(c.groups) - 1; gi >= 0 && len(open) > 0; gi-- {
+		asked++
+		wire = wire[:0]
+		for _, qi := range open {
+			q := qs[qi]
+			// JSON cannot carry ±Inf; the widest finite bounds select the
+			// same (finite) points.
+			wire = append(wire, wireOp{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K - len(out[qi])})
+		}
+		_ = c.readFrom(ctx, c.groups[gi], func(cctx context.Context, n *node) error {
+			items, err := n.batch(cctx, wire)
+			if err != nil {
+				return err
+			}
+			for j, item := range items {
+				out[open[j]] = appendPoints(out[open[j]], item.Results)
+			}
+			return nil
+		})
+		short := open[:0]
+		for _, qi := range open {
+			if gi > 0 && len(out[qi]) < qs[qi].K {
+				short = append(short, qi)
+			} else {
+				c.readBands.Observe(uint64(asked))
+			}
+		}
+		open = short
 	}
-	sp.End(nil)
 	return out
 }
 
@@ -455,7 +450,7 @@ func (c *Cluster) Count(ctx context.Context, x1, x2 float64) int {
 			})
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 	total := 0
 	for _, cnt := range counts {
 		total += cnt
@@ -584,7 +579,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], perWire[gi], res) })
 	}
 	if len(fns) > 0 {
-		parallel(fns)
+		merge.Parallel(fns)
 	}
 	return res
 }
@@ -623,7 +618,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire 
 			}
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 	for _, err := range errs {
 		if err != nil {
 			fail(fmt.Errorf("cluster: band [%g, %g) write failed (replicas may need reload): %w", g.lo, g.hi, err))
@@ -718,7 +713,7 @@ func (c *Cluster) Stats(ctx context.Context) Stats {
 			per[i], ok[i] = s, true
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 	var out Stats
 	for i := range per {
 		if !ok[i] {
@@ -757,12 +752,18 @@ func (c *Cluster) adminFanOut(ctx context.Context, call func(*node, context.Cont
 			}
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 }
 
 // RPCDurations returns the per-member RPC latency histograms — every
 // member request this client issued, keyed by member address.
 func (c *Cluster) RPCDurations() *obs.Vec { return c.rpc }
+
+// ReadBands returns the histogram of bands asked per top-k read (one
+// observation per TopK call and per QueryBatch query): 1 when the top
+// band alone held k qualifying points, Groups() when the walk reached
+// the bottom band.
+func (c *Cluster) ReadBands() *obs.CountHist { return &c.readBands }
 
 // ScrapeMetrics fetches every member's raw /v1/metrics page in
 // parallel — the federation leg of the gateway's /v1/metrics/fleet.
@@ -786,7 +787,7 @@ func (c *Cluster) ScrapeMetrics(ctx context.Context) ([]obs.MetricsPage, int) {
 			pages[i] = &obs.MetricsPage{Node: n.addr, Body: body}
 		}
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 	out := make([]obs.MetricsPage, 0, len(pages))
 	for _, p := range pages {
 		if p != nil {

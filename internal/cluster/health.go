@@ -26,6 +26,8 @@ package cluster
 import (
 	"context"
 	"time"
+
+	"repro/internal/merge"
 )
 
 // markFailed records one failed interaction with the node, ejecting it
@@ -145,7 +147,7 @@ func (c *Cluster) probeAll() {
 			}
 		})
 	}
-	parallel(fns)
+	merge.Parallel(fns)
 }
 
 // Close stops the background health prober, if one was started, and

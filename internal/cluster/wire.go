@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/point"
@@ -126,17 +127,18 @@ func errFromCode(code, msg string) error {
 	}
 }
 
-// toPoints decodes wire results into points. Empty in, nil out, so the
-// gateway agrees byte-for-byte with local backends on no-hit queries.
-func toPoints(rs []resultJSON) []point.P {
+// appendPoints decodes wire results onto dst. Nil and empty in, nil
+// out, so the gateway agrees byte-for-byte with local backends on
+// no-hit queries.
+func appendPoints(dst []point.P, rs []resultJSON) []point.P {
 	if len(rs) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]point.P, len(rs))
-	for i, r := range rs {
-		out[i] = point.P{X: r.X, Score: r.Score}
+	dst = slices.Grow(dst, len(rs))
+	for _, r := range rs {
+		dst = append(dst, point.P{X: r.X, Score: r.Score})
 	}
-	return out
+	return dst
 }
 
 // sanitizeBound maps an infinite query bound to the widest finite

@@ -1,17 +1,16 @@
-// Package merge holds the scatter-gather primitives shared by every
-// fan-out layer of the serving stack: the k-way heap-merge that
-// combines per-partition descending-score answers into the global top
-// k, and the parallel runner that executes per-partition work with
-// panic propagation.
+// Package merge holds the scatter-gather primitives of the serving
+// stack's fan-out layers: the k-way heap-merge that combines
+// per-partition descending-score answers into the global top k, and
+// the parallel runner that executes per-partition work with panic
+// propagation.
 //
-// Two layers use it. internal/shard fans a query out to the local
-// range-partitioned shards and merges their answers; internal/cluster
-// fans the same query out to remote topkd member nodes over HTTP and
-// merges THEIR answers. Both merges are byte-identical to what a
-// single sequential Index would report, because scores are distinct by
-// the paper's standing assumption, so the merged descending order is
-// unique — factoring the code here keeps the two layers provably
-// identical instead of coincidentally similar.
+// internal/shard fans a query out to the local POSITION-partitioned
+// shards and merges their answers; the merge is byte-identical to what
+// a single sequential Index would report, because scores are distinct
+// by the paper's standing assumption, so the merged descending order
+// is unique. internal/cluster partitions the SCORE axis instead, so
+// its per-band answers concatenate in band order and need no merge; it
+// uses only the parallel runner, for counts, writes and admin fan-outs.
 package merge
 
 import (

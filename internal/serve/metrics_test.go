@@ -363,9 +363,17 @@ func TestMetricsWellFormed(t *testing.T) {
 			"topkd_cluster_nodes_ejected",
 			"topkd_cluster_read_failovers_total",
 			"topkd_cluster_rpc_duration_seconds",
+			"topkd_cluster_read_bands",
 		} {
 			if fams[name] == nil {
 				t.Errorf("gateway missing family %s", name)
+			}
+		}
+		// driveTraffic's two reads (a TopK and a one-query batch) each
+		// asked at least one band.
+		for _, s := range fams["topkd_cluster_read_bands"].samples {
+			if s.labels["le"] == "+Inf" && s.value != 2 {
+				t.Errorf("read_bands observed %v reads, want 2", s.value)
 			}
 		}
 		// Per-member RPC histograms: both members must appear after the

@@ -463,6 +463,10 @@ func New(st topk.Store, opt Options) http.Handler {
 			obs.WriteHistogramVec(&b, "topkd_cluster_rpc_duration_seconds",
 				"Member RPC latency by member address, as seen by this gateway's cluster client.", "member", rv.RPCDurations())
 		}
+		if rb, ok := probe[interface{ ReadBands() *obs.CountHist }](st); ok {
+			obs.WriteCountHistogram(&b, "topkd_cluster_read_bands",
+				"Score bands asked per top-k read, walking down from the top band until k points are held (value histogram).", rb.ReadBands())
+		}
 		obs.WriteRuntimeMetrics(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = w.Write([]byte(b.String()))

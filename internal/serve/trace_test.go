@@ -4,7 +4,7 @@ package serve
 // gateway-issued trace ID must surface in the member processes'
 // request logs AND in the gateway's own span tree, proving the ID
 // propagated client → gateway → member RPC → member middleware and
-// that the gateway recorded one span per member hop plus the merge.
+// that the gateway recorded one span per member hop it made.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,12 +51,15 @@ func TestTraceDifferential(t *testing.T) {
 	var gwLog, m0Log, m1Log syncBuffer
 	gwObs := debugTelemetry(&gwLog, 1) // sample every request
 	memberObs := []*obs.Telemetry{debugTelemetry(&m0Log, 0), debugTelemetry(&m1Log, 0)}
+	memberLogs := []*syncBuffer{&m0Log, &m1Log}
 	gw, shutdown := bootTestGateway(t, gwObs, memberObs)
 	defer shutdown()
 
-	run := func(clientID string) {
+	// Each member holds 200 of the 400 points, so k=5 is answered by the
+	// top band (member 1) alone while k=300 walks down into member 0.
+	run := func(clientID string, k int, wantMembers []int) {
 		t.Helper()
-		req, err := http.NewRequest("GET", gw.URL+"/v1/topk?x1=0&x2=1000000&k=5", nil)
+		req, err := http.NewRequest("GET", fmt.Sprintf("%s/v1/topk?x1=0&x2=1000000&k=%d", gw.URL, k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,50 +79,51 @@ func TestTraceDifferential(t *testing.T) {
 			t.Fatalf("gateway echoed %q, want the client's %q", id, clientID)
 		}
 
-		// Differential leg 1: the ID reached both members' request logs
-		// (every band answers a TopK fan-out).
-		for i, lg := range []*syncBuffer{&m0Log, &m1Log} {
-			if !strings.Contains(lg.String(), "trace="+id) {
-				t.Errorf("member %d request log does not carry trace %s:\n%s", i, id, lg.String())
-			}
-		}
-		// ...and the gateway's own log.
-		if !strings.Contains(gwLog.String(), "trace="+id) {
-			t.Errorf("gateway request log does not carry trace %s", id)
-		}
-
-		// Differential leg 2: the gateway's span tree for the same ID
-		// has one member-RPC span per band plus the merge span — and,
-		// since /v1/trace stitches, each RPC span must carry the
-		// member's own handler subtree spliced beneath it. The member
-		// middleware finishes its trace a beat after its response body
-		// is on the wire, so poll briefly before judging.
+		// The middleware finishes its trace, then logs the request, a
+		// beat after the response body is on the wire — at the gateway
+		// and at every member alike — so poll briefly before judging.
+		logged := func(lg *syncBuffer) bool { return strings.Contains(lg.String(), "trace="+id) }
 		var tree obs.TraceJSON
-		stitched := false
 		for deadline := time.Now().Add(5 * time.Second); ; {
-			if code := getJSON(t, gw.URL+"/v1/trace/"+id, &tree); code != 200 {
-				t.Fatalf("trace lookup status %d", code)
-			}
-			stitched = true
+			done := getJSON(t, gw.URL+"/v1/trace/"+id, &tree) == 200 && logged(&gwLog)
 			for _, sp := range tree.Root.Children {
 				if sp.Addr != "" && len(sp.Children) == 0 {
-					stitched = false
+					done = false
 				}
 			}
-			if stitched || time.Now().After(deadline) {
+			for _, i := range wantMembers {
+				done = done && logged(memberLogs[i])
+			}
+			if done || time.Now().After(deadline) {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
+
+		// Differential leg 1: the ID reached the gateway's request log
+		// and that of every member the read asked, and no other.
+		if !logged(&gwLog) {
+			t.Errorf("gateway request log does not carry trace %s", id)
+		}
+		for i, lg := range memberLogs {
+			if asked := slices.Contains(wantMembers, i); logged(lg) != asked {
+				t.Errorf("member %d (asked: %v) request log and trace %s disagree:\n%s", i, asked, id, lg.String())
+			}
+		}
+
+		// Differential leg 2: the gateway's span tree for the same ID
+		// has one member-RPC span per band asked — and no merge span,
+		// since the band answers concatenate — and, since /v1/trace
+		// stitches, each RPC span must carry the member's own handler
+		// subtree spliced beneath it.
 		if tree.ID != id {
 			t.Fatalf("trace tree ID %q, want %q", tree.ID, id)
 		}
 		rpcAddrs := map[string]bool{}
-		merges := 0
 		for _, sp := range tree.Root.Children {
 			switch {
 			case sp.Name == "merge":
-				merges++
+				t.Error("span tree has a merge span; band answers concatenate")
 			case sp.Addr != "":
 				if !strings.Contains(sp.Name, "/v1/topk") {
 					t.Errorf("member span %q, want a /v1/topk RPC", sp.Name)
@@ -146,11 +151,8 @@ func TestTraceDifferential(t *testing.T) {
 				}
 			}
 		}
-		if len(rpcAddrs) != 2 {
-			t.Errorf("span tree covers %d members, want 2: %+v", len(rpcAddrs), tree.Root.Children)
-		}
-		if merges != 1 {
-			t.Errorf("span tree has %d merge spans, want 1", merges)
+		if len(rpcAddrs) != len(wantMembers) {
+			t.Errorf("span tree covers %d members, want %d: %+v", len(rpcAddrs), len(wantMembers), tree.Root.Children)
 		}
 		if tree.Root.DurationUS <= 0 {
 			t.Errorf("root span duration %dus, want > 0", tree.Root.DurationUS)
@@ -158,9 +160,11 @@ func TestTraceDifferential(t *testing.T) {
 	}
 
 	// Gateway-issued ID (sampled at the gateway)...
-	run("")
+	run("", 5, []int{1})
 	// ...and a client-supplied ID, adopted end to end.
-	run("client-supplied-trace-0042")
+	run("client-supplied-trace-0042", 5, []int{1})
+	// A read the top band cannot fill alone walks into the band below.
+	run("client-supplied-trace-0043", 300, []int{0, 1})
 }
 
 // TestTraceNotFound: unknown IDs are a structured 404, and members

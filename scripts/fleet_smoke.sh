@@ -78,7 +78,8 @@ for pair in '1 10' '2 50' '3 90'; do
 		fail "insert x=$x score=$score rejected" "$scratch"/*.log
 done
 
-# One traced query fanning out to every band.
+# One traced query walking every band: each band holds one point in
+# range, so k=3 is not filled before the bottom band.
 trace_id="fleet-smoke-trace"
 curl -fsS -H "X-Topkd-Trace: $trace_id" \
 	"$gw/v1/topk?x1=0&x2=100&k=3" >"$scratch/topk.json"
