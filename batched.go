@@ -34,11 +34,6 @@ type BatchedConfig struct {
 	// MaxPending is the backpressure bound: a producer observing more
 	// pending ops tries to drive a commit itself. 0 means 4×MaxBatch.
 	MaxPending int
-	// DisableTelemetry turns off the batcher's write-path telemetry
-	// (group-size/flush-latency histograms, flush-reason counters).
-	// Exists so the instrumentation-overhead experiment (e15) can
-	// difference the two configurations; serving always leaves it on.
-	DisableTelemetry bool
 }
 
 // BatcherStats snapshots the group-commit counters of a Batched store.
@@ -99,7 +94,6 @@ func (f Future) Wait() error { return f.f.Wait() }
 type Batched struct {
 	inner Store
 	b     *ingest.Batcher
-	buf   []BatchOp // flush conversion buffer; flushes are serialized by the commit slot
 }
 
 // Batched is a Store; compile-time assertion (works over any Store:
@@ -115,54 +109,41 @@ func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 	if cfg.MaxBatch < 0 || cfg.Stripes < 0 || cfg.MaxPending < 0 {
 		return nil, fmt.Errorf("%w: negative batcher bound", ErrConfig)
 	}
-	bt := &Batched{inner: st}
-	bt.b = ingest.New(ingest.Options{
-		Flush:            bt.flush,
-		MaxBatch:         cfg.MaxBatch,
-		Window:           cfg.Window,
-		Stripes:          cfg.Stripes,
-		MaxPending:       cfg.MaxPending,
-		DisableTelemetry: cfg.DisableTelemetry,
-	})
-	return bt, nil
-}
-
-// flush commits one group via the inner store's ApplyBatch. Calls are
-// serialized by the batcher's commit slot, so the conversion buffer is
-// safely reused across flushes.
-func (bt *Batched) flush(ops []ingest.Op) []error {
-	buf := bt.buf[:0]
-	for _, op := range ops {
-		buf = append(buf, BatchOp{Delete: op.Delete, X: op.X, Score: op.Score})
-	}
-	bt.buf = buf
-	return bt.inner.ApplyBatch(buf)
+	// Each group commits as one inner ApplyBatch over the batcher's own
+	// group buffer: no store keeps the ops slice past the call.
+	return &Batched{inner: st, b: ingest.New(ingest.Options{
+		Flush:      st.ApplyBatch,
+		MaxBatch:   cfg.MaxBatch,
+		Window:     cfg.Window,
+		Stripes:    cfg.Stripes,
+		MaxPending: cfg.MaxPending,
+	})}, nil
 }
 
 // Insert adds (pos, score) through the group-commit path, parking
 // until the group commits. The error contract matches the inner
 // store's Insert exactly.
 func (bt *Batched) Insert(pos, score float64) error {
-	return bt.b.Do(ingest.Op{X: pos, Score: score})
+	return bt.b.Do(BatchOp{X: pos, Score: score})
 }
 
 // Delete removes (pos, score) through the group-commit path, parking
 // until the group commits. It reports whether the point was present,
 // matching the inner store's Delete contract.
 func (bt *Batched) Delete(pos, score float64) bool {
-	return bt.b.Do(ingest.Op{Delete: true, X: pos, Score: score}) == nil
+	return bt.b.Do(BatchOp{Delete: true, X: pos, Score: score}) == nil
 }
 
 // SubmitInsert enqueues an insert and returns immediately; the Future
 // resolves when the op's group commits.
 func (bt *Batched) SubmitInsert(pos, score float64) Future {
-	return Future{f: bt.b.Submit(ingest.Op{X: pos, Score: score})}
+	return Future{f: bt.b.Submit(BatchOp{X: pos, Score: score})}
 }
 
 // SubmitDelete enqueues a delete and returns immediately; the Future
 // resolves to nil if the point was present, ErrNotFound otherwise.
 func (bt *Batched) SubmitDelete(pos, score float64) Future {
-	return Future{f: bt.b.Submit(ingest.Op{Delete: true, X: pos, Score: score})}
+	return Future{f: bt.b.Submit(BatchOp{Delete: true, X: pos, Score: score})}
 }
 
 // Flush drives one group commit now, draining every pending op. Useful
@@ -213,8 +194,9 @@ func (bt *Batched) BatcherStats() BatcherStats {
 }
 
 // IngestTelemetry returns the batcher's write-path telemetry — group
-// sizes, flush latency, flush-reason counters, backpressure waits.
-// The serving layer probes this to export the topkd_ingest_* families.
+// sizes, flush latency, flush-reason counters, backpressure waits;
+// never nil. The serving layer probes this to export the
+// topkd_ingest_* families.
 func (bt *Batched) IngestTelemetry() *ingest.Telemetry { return bt.b.Telemetry() }
 
 // Unwrap returns the inner store, so serving-layer probes for

@@ -1,6 +1,7 @@
 package topk
 
-// One testing.B benchmark per experiment of EXPERIMENTS.md (E1–E13).
+// One testing.B benchmark per experiment E1–E13 of the experiments
+// table in cmd/topkbench/main.go.
 // Each bench reports ios/op — block transfers on the simulated disk, the
 // unit of every bound in the paper — alongside Go's ns/op. The richer
 // parameter sweeps (tables with multiple n, k, B rows) live in
@@ -381,10 +382,7 @@ func BenchmarkE13RAMQuery(b *testing.B) {
 // (qps alongside ns/op).
 func BenchmarkShardedTopK(b *testing.B) {
 	gen := workload.NewGen(22)
-	pts := make([]Result, 0, 1<<14)
-	for _, p := range gen.Uniform(1<<14, 1e6) {
-		pts = append(pts, Result{X: p.X, Score: p.Score})
-	}
+	pts := gen.Uniform(1<<14, 1e6)
 	// Narrow, serving-shaped queries: most land on one shard, so
 	// throughput can scale with goroutines instead of every query
 	// fanning out to (and briefly locking) the whole fleet.
@@ -396,7 +394,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 		}, pts)
 		for _, g := range []int{1, 4, 16, 64} {
 			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, g), func(b *testing.B) {
-				res := workload.RunConcurrent(g, b.N, queries, func(q workload.QuerySpec) {
+				res := workload.RunConcurrent(g, b.N, queries, func(q Query) {
 					idx.TopK(q.X1, q.X2, q.K)
 				})
 				b.ReportMetric(res.QPS(), "qps")
@@ -408,7 +406,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 // benchStores builds both Store backends over the same load for the
 // batch-path benchmarks.
 func benchStores(b *testing.B, n int) map[string]Store {
-	pts := toResults(workload.NewGen(23).Uniform(n, 1e6))
+	pts := workload.NewGen(23).Uniform(n, 1e6)
 	return map[string]Store{
 		"index": mustLoad(b, Config{BlockWords: benchB, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}, pts),
 		"sharded": mustLoadSharded(b, ShardedConfig{
@@ -427,11 +425,7 @@ func benchStores(b *testing.B, n int) map[string]Store {
 func BenchmarkQueryBatch(b *testing.B) {
 	const batch = 16
 	gen := workload.NewGen(24)
-	specs := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
-	qs := make([]Query, len(specs))
-	for i, q := range specs {
-		qs[i] = Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
+	qs := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 	for name, st := range benchStores(b, 1<<14) {
 		b.Run(name, func(b *testing.B) {
 			start := time.Now()
@@ -483,7 +477,7 @@ var _ = point.P{} // keep the import for helper extensions
 // smoke test so the delete/merge path cannot silently rot.
 func BenchmarkChurnLifecycle(b *testing.B) {
 	gen := workload.NewGen(26)
-	pts := toResults(gen.Uniform(1<<12, 1e6))
+	pts := gen.Uniform(1<<12, 1e6)
 	specs := gen.Queries(64, 1e6, 0.0005, 0.02, 32)
 	for _, mode := range []struct {
 		name     string

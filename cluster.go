@@ -120,11 +120,7 @@ func (c *Cluster) Delete(pos, score float64) bool {
 // follow the Store contract, with ErrNodeDown for every op of a band
 // whose replica group was ejected, unreachable, or disagreed.
 func (c *Cluster) ApplyBatch(ops []BatchOp) []error {
-	cops := make([]cluster.Op, len(ops))
-	for i, op := range ops {
-		cops[i] = cluster.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return c.c.ApplyBatch(context.Background(), cops)
+	return c.c.ApplyBatch(context.Background(), ops)
 }
 
 // TopK returns the k highest-scoring points with position in [x1, x2]
@@ -136,7 +132,7 @@ func (c *Cluster) ApplyBatch(ops []BatchOp) []error {
 // signature has no error channel); watch Ejected and ReadFailovers to
 // detect it.
 func (c *Cluster) TopK(x1, x2 float64, k int) []Result {
-	return toResults(c.c.TopK(context.Background(), x1, x2, k))
+	return nilIfEmpty(c.c.TopK(context.Background(), x1, x2, k))
 }
 
 // QueryBatch answers many queries at once with TopK's top-down walk:
@@ -144,19 +140,7 @@ func (c *Cluster) TopK(x1, x2 float64, k int) []Result {
 // its k. Positionally aligned with qs, byte-identical to TopK per
 // query.
 func (c *Cluster) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	cqs := make([]cluster.Query, len(qs))
-	for i, q := range qs {
-		cqs[i] = cluster.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := c.c.QueryBatch(context.Background(), cqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
+	return c.c.QueryBatch(context.Background(), qs)
 }
 
 // Count returns the number of live points with position in [x1, x2],
@@ -261,32 +245,12 @@ func (b boundCluster) Insert(pos, score float64) error {
 func (b boundCluster) Delete(pos, score float64) bool {
 	return b.outer.c.Delete(b.ctx, point.P{X: pos, Score: score})
 }
-func (b boundCluster) ApplyBatch(ops []BatchOp) []error {
-	cops := make([]cluster.Op, len(ops))
-	for i, op := range ops {
-		cops[i] = cluster.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return b.outer.c.ApplyBatch(b.ctx, cops)
-}
+func (b boundCluster) ApplyBatch(ops []BatchOp) []error { return b.outer.c.ApplyBatch(b.ctx, ops) }
 func (b boundCluster) TopK(x1, x2 float64, k int) []Result {
-	return toResults(b.outer.c.TopK(b.ctx, x1, x2, k))
+	return nilIfEmpty(b.outer.c.TopK(b.ctx, x1, x2, k))
 }
-func (b boundCluster) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	cqs := make([]cluster.Query, len(qs))
-	for i, q := range qs {
-		cqs[i] = cluster.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := b.outer.c.QueryBatch(b.ctx, cqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
-}
-func (b boundCluster) Count(x1, x2 float64) int { return b.outer.c.Count(b.ctx, x1, x2) }
+func (b boundCluster) QueryBatch(qs []Query) [][]Result { return b.outer.c.QueryBatch(b.ctx, qs) }
+func (b boundCluster) Count(x1, x2 float64) int         { return b.outer.c.Count(b.ctx, x1, x2) }
 func (b boundCluster) Stats() Stats {
 	s := b.outer.c.Stats(b.ctx)
 	return Stats{Reads: s.Reads, Writes: s.Writes, BlocksLive: s.BlocksLive, BlocksPeak: s.BlocksPeak}

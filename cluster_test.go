@@ -87,20 +87,14 @@ func bootFleet(t *testing.T, pts []topk.Result, bands []bandSpec) *testFleet {
 
 // uniformResults draws n contract-valid points.
 func uniformResults(seed int64, n int, domain float64) []topk.Result {
-	out := make([]topk.Result, 0, n)
-	for _, p := range workload.NewGen(seed).Uniform(n, domain) {
-		out = append(out, topk.Result{X: p.X, Score: p.Score})
-	}
-	return out
+	return workload.NewGen(seed).Uniform(n, domain)
 }
 
 // checkClusterQueries compares TopK per query AND one QueryBatch over
 // all queries against the oracle, byte-identically.
-func checkClusterQueries(t *testing.T, cl *topk.Cluster, oracle *topk.Index, qs []workload.QuerySpec) {
+func checkClusterQueries(t *testing.T, cl *topk.Cluster, oracle *topk.Index, qs []topk.Query) {
 	t.Helper()
-	batch := make([]topk.Query, len(qs))
-	for i, q := range qs {
-		batch[i] = topk.Query{X1: q.X1, X2: q.X2, K: q.K}
+	for _, q := range qs {
 		got := cl.TopK(q.X1, q.X2, q.K)
 		want := oracle.TopK(q.X1, q.X2, q.K)
 		if !reflect.DeepEqual(got, want) {
@@ -110,8 +104,8 @@ func checkClusterQueries(t *testing.T, cl *topk.Cluster, oracle *topk.Index, qs 
 			t.Fatalf("Count(%v, %v) = %d, oracle %d", q.X1, q.X2, gc, wc)
 		}
 	}
-	gotB := cl.QueryBatch(batch)
-	wantB := oracle.QueryBatch(batch)
+	gotB := cl.QueryBatch(qs)
+	wantB := oracle.QueryBatch(qs)
 	if !reflect.DeepEqual(gotB, wantB) {
 		t.Fatalf("QueryBatch diverged from oracle")
 	}
@@ -155,9 +149,9 @@ func TestClusterMatchesIndex(t *testing.T) {
 	// Full-range and oversized-k queries interleave every band's
 	// answers through the shared merge.
 	qs = append(qs,
-		workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 100},
-		workload.QuerySpec{X1: 0, X2: 1e6, K: len(pts) + 500},
-		workload.QuerySpec{X1: 2e5, X2: 7e5, K: 1})
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 100},
+		topk.Query{X1: 0, X2: 1e6, K: len(pts) + 500},
+		topk.Query{X1: 2e5, X2: 7e5, K: 1})
 	checkClusterQueries(t, cl, oracle, qs)
 
 	// Updates through the gateway: inserts and deletes mirror onto the
@@ -289,7 +283,7 @@ func TestClusterNodeDownReadFailover(t *testing.T) {
 	}
 	gen := workload.NewGen(96)
 	qs := gen.Queries(32, 1e6, 0.001, 0.05, 32)
-	qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 200})
+	qs = append(qs, topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 200})
 	checkClusterQueries(t, cl, oracle, qs)
 
 	// Kill one replica of band 0 mid-run. Round-robin read preference
@@ -481,10 +475,7 @@ func TestClusterScoreOrderedWalk(t *testing.T) {
 	}
 
 	gen := workload.NewGen(104)
-	var qs []topk.Query
-	for _, q := range gen.Queries(48, 1e6, 0.001, 0.05, 48) {
-		qs = append(qs, topk.Query{X1: q.X1, X2: q.X2, K: q.K})
-	}
+	qs := gen.Queries(48, 1e6, 0.001, 0.05, 48)
 	qs = append(qs,
 		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 1},   // the top non-empty band alone
 		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 500}, // two bands
@@ -737,8 +728,8 @@ func TestClusterConcurrentChurn(t *testing.T) {
 	gen := workload.NewGen(100)
 	qs := gen.Queries(48, 1e6, 0.001, 0.05, 32)
 	qs = append(qs,
-		workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: len(all)},
-		workload.QuerySpec{X1: 4e6, X2: 6e6, K: 500})
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: len(all)},
+		topk.Query{X1: 4e6, X2: 6e6, K: 500})
 	checkClusterQueries(t, cl, oracle, qs)
 	if ej := cl.Ejected(); ej != 0 {
 		t.Fatalf("healthy fleet reports %d ejected nodes", ej)
@@ -845,5 +836,37 @@ func TestClusterEjectionRecoveryEpisodes(t *testing.T) {
 		if !strings.Contains(log, want) {
 			t.Errorf("structured log missing %q:\n%s", want, log)
 		}
+	}
+}
+
+// TestClusterCrossBandDuplicatePosition: one position with scores in
+// two different bands routes to two different members, and neither
+// member can see the other's point. Only the gateway's position
+// registry catches the duplicate, so the Cluster rejects the second
+// insert exactly like an Index does.
+func TestClusterCrossBandDuplicatePosition(t *testing.T) {
+	fleet := bootFleet(t, nil, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	oracle, err := topk.New(testClusterCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []topk.Store{cl, oracle} {
+		if err := st.Insert(42, 0.25); err != nil {
+			t.Fatalf("%T: first insert: %v", st, err)
+		}
+		if err := st.Insert(42, 0.75); !errors.Is(err, topk.ErrDuplicatePosition) {
+			t.Fatalf("%T: same position in the other band: %v, want ErrDuplicatePosition", st, err)
+		}
+		if n := st.Len(); n != 1 {
+			t.Fatalf("%T: Len = %d after the rejected insert, want 1", st, n)
+		}
+	}
+	if got, want := cl.TopK(0, 100, 5), oracle.TopK(0, 100, 5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK = %v, oracle %v", got, want)
 	}
 }

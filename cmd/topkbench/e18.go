@@ -67,10 +67,7 @@ func e18(quick bool) {
 		ops = 1200
 	}
 	gen := workload.NewGen(81)
-	pts := make([]topk.Result, 0, n)
-	for _, p := range gen.Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := gen.Uniform(n, 1e6)
 	cfg := topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}
 	queries := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 

@@ -88,10 +88,9 @@ func e19(quick bool) {
 	// write bottleneck.
 	cfg := topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 512}
 	gen := workload.NewGen(91)
-	pts := make([]topk.Result, 0, n)
+	pts := gen.Uniform(n, 1e6)
 	minS, maxS := 1.0, 0.0
-	for _, p := range gen.Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
+	for _, p := range pts {
 		minS = min(minS, p.Score)
 		maxS = max(maxS, p.Score)
 	}

@@ -210,13 +210,14 @@ func e5(quick bool) {
 	violations, checks := 0, 0
 	var live []point.P
 	for i, u := range gen.Mix(ops, 400, 0.45, 1e6) {
-		if u.Insert != nil {
-			p.Insert(*u.Insert)
-			live = append(live, *u.Insert)
+		pt := u.Point()
+		if !u.Delete {
+			p.Insert(pt)
+			live = append(live, pt)
 		} else {
-			p.Delete(*u.Delete)
+			p.Delete(pt)
 			for j := range live {
-				if live[j] == *u.Delete {
+				if live[j] == pt {
 					live = append(live[:j], live[j+1:]...)
 					break
 				}
@@ -620,10 +621,7 @@ func e15(quick bool) {
 		ops = 4000
 	}
 	gen := workload.NewGen(51)
-	pts := make([]topk.Result, 0, n)
-	for _, p := range gen.Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := gen.Uniform(n, 1e6)
 	cfg := topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}
 	sharded, err := topk.LoadSharded(topk.ShardedConfig{Config: cfg, Shards: 8}, pts)
 	if err != nil {
@@ -635,7 +633,7 @@ func e15(quick bool) {
 		g := g
 		var st topk.Store = sharded
 		perCall := benchRun("e15", fmt.Sprintf("sharded TopK g=%d", g), func() workload.Throughput {
-			return workload.RunConcurrent(g, ops, queries, func(q workload.QuerySpec) {
+			return workload.RunConcurrent(g, ops, queries, func(q topk.Query) {
 				st.TopK(q.X1, q.X2, q.K)
 			})
 		})
@@ -665,12 +663,12 @@ func e15(quick bool) {
 	var st topk.Store = sharded
 	g := 16
 	off := benchRun("e15", "obs-off TopK g=16", func() workload.Throughput {
-		return workload.RunConcurrent(g, ops, queries, func(q workload.QuerySpec) {
+		return workload.RunConcurrent(g, ops, queries, func(q topk.Query) {
 			st.TopK(q.X1, q.X2, q.K)
 		})
 	})
 	on := benchRun("e15", "obs-on TopK g=16", func() workload.Throughput {
-		return workload.RunConcurrent(g, ops, queries, func(q workload.QuerySpec) {
+		return workload.RunConcurrent(g, ops, queries, func(q topk.Query) {
 			done := tel.TimeOp("topk")
 			st.TopK(q.X1, q.X2, q.K)
 			done()
@@ -681,40 +679,29 @@ func e15(quick bool) {
 	fmt.Printf("obs overhead at g=16: off %.0f qps, on %.0f qps (%.1f%% — budget 5%%)\n",
 		off.QPS(), on.QPS(), overhead)
 
-	// Write-path telemetry overhead: the write path topkd mounts —
-	// topk.Batched over a sharded store — driven by 16 concurrent
-	// writers inserting fresh points, telemetry off vs on. Telemetry
-	// costs one value-histogram observation, one latency observation
-	// and one atomic reason increment PER GROUP (not per op), so it
-	// amortizes across the group against the real ApplyBatch flush;
-	// the budget is the same ≤5%. Each leg gets its own backend (same
-	// seed load) and a disjoint fresh key range, so the two runs do
-	// identical insert work.
-	ingestLeg := func(name string, disable bool, base float64) workload.Throughput {
-		backend, err := topk.LoadSharded(topk.ShardedConfig{Config: cfg, Shards: 8}, pts)
-		if err != nil {
-			panic(err)
-		}
-		bt, err := topk.NewBatched(backend, topk.BatchedConfig{DisableTelemetry: disable})
-		if err != nil {
-			panic(err)
-		}
-		defer bt.Close()
-		var seq atomic.Int64
-		return benchRun("e15", name, func() workload.Throughput {
-			return workload.RunConcurrent(g, ops, queries, func(q workload.QuerySpec) {
-				i := float64(seq.Add(1))
-				if err := bt.Insert(base+i, base+i); err != nil {
-					panic(err)
-				}
-			})
-		})
+	// The write path topkd mounts — topk.Batched over a sharded store,
+	// write-path telemetry always on — driven by 16 concurrent writers
+	// inserting fresh points outside the preload's key range.
+	backend, err := topk.LoadSharded(topk.ShardedConfig{Config: cfg, Shards: 8}, pts)
+	if err != nil {
+		panic(err)
 	}
-	ingOff := ingestLeg("ingest-telemetry off g=16", true, 2e6)
-	ingOn := ingestLeg("ingest-telemetry on g=16", false, 8e6)
-	ingOverhead := 100 * (ingOff.QPS() - ingOn.QPS()) / ingOff.QPS()
-	fmt.Printf("ingest telemetry overhead at g=16: off %.0f qps, on %.0f qps (%.1f%% — budget 5%%)\n",
-		ingOff.QPS(), ingOn.QPS(), ingOverhead)
+	bt, err := topk.NewBatched(backend, topk.BatchedConfig{})
+	if err != nil {
+		panic(err)
+	}
+	defer bt.Close()
+	var seq atomic.Int64
+	const base = 8e6
+	ins := benchRun("e15", "batched insert g=16", func() workload.Throughput {
+		return workload.RunConcurrent(g, ops, queries, func(topk.Query) {
+			i := float64(seq.Add(1))
+			if err := bt.Insert(base+i, base+i); err != nil {
+				panic(err)
+			}
+		})
+	})
+	fmt.Printf("batched insert at g=16: %.0f qps\n", ins.QPS())
 }
 
 // ---------------------------------------------------------------- E16
@@ -738,10 +725,7 @@ func e16(quick bool) {
 		ops = 3000
 	}
 	gen := workload.NewGen(61)
-	pts := make([]topk.Result, 0, n)
-	for _, p := range gen.Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := gen.Uniform(n, 1e6)
 	cfg := topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}
 	queries := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 
@@ -778,7 +762,7 @@ func e16(quick bool) {
 		if err := st.CheckInvariants(); err != nil {
 			panic(err)
 		}
-		res := workload.RunConcurrent(8, ops, queries, func(q workload.QuerySpec) {
+		res := workload.RunConcurrent(8, ops, queries, func(q topk.Query) {
 			st.TopK(q.X1, q.X2, q.K)
 		})
 		mode := "enabled"
@@ -792,20 +776,11 @@ func e16(quick bool) {
 
 // ---------------------------------------------------------------- E17
 
-// e17 measures what the epoch-snapshot refactor bought: query
-// throughput while concurrent writers churn the fleet hard enough to
-// keep triggering splits, merges and rebalances.
-//
-// "snapshot" is the shipped read path — TopK pins an immutable
-// topology snapshot and holds no topology lock during fan-out.
-// "rlock" emulates the pre-refactor discipline through a wrapper
-// RWMutex: every read holds a read lock for its whole fan-out and
-// every topology change takes the write lock, so a single rebalance
-// stalls behind in-flight reads and (Go RWMutexes prefer writers)
-// stalls every read arriving after it. The emulation reproduces the
-// contention shape, not the old code byte for byte; the acceptance
-// bar is that snapshot reads under writers are no worse than the
-// lock-based routing they replaced.
+// e17 measures the snapshot read path under churn: query throughput
+// while concurrent writers churn the fleet hard enough to keep
+// triggering splits, merges and rebalances. TopK pins an immutable
+// topology snapshot and holds no topology lock during fan-out, so the
+// acceptance bar is that read qps holds as writers rise.
 func e17(quick bool) {
 	n := 1 << 15
 	readOps := 20000
@@ -814,10 +789,7 @@ func e17(quick bool) {
 		readOps = 4000
 	}
 	gen := workload.NewGen(71)
-	pts := make([]topk.Result, 0, n)
-	for _, p := range gen.Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := gen.Uniform(n, 1e6)
 	cfg := topk.ShardedConfig{
 		Config:   topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
 		Shards:   8,
@@ -825,78 +797,54 @@ func e17(quick bool) {
 	}
 	queries := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 
-	fmt.Printf("%10s %8s %12s %8s\n", "routing", "writers", "qps (g=8)", "epoch")
+	fmt.Printf("%8s %12s %8s\n", "writers", "qps (g=8)", "epoch")
 	for _, writers := range []int{0, 2, 8} {
-		for _, mode := range []string{"snapshot", "rlock"} {
-			st, err := topk.LoadSharded(cfg, pts)
-			if err != nil {
-				panic(err)
-			}
-			var gate sync.RWMutex // the rlock emulation; unused by snapshot mode
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					// Disjoint position/score bands per writer, outside the
-					// preload domain, so churn never collides with reads'
-					// data or other writers.
-					wgen := workload.NewGen(int64(100 + w))
-					lo := 2e6 + float64(w)*1e6
-					round := 0
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						ins := make([]topk.BatchOp, 0, 64)
-						del := make([]topk.BatchOp, 0, 64)
-						for _, p := range wgen.Uniform(64, 1e6) {
-							ins = append(ins, topk.BatchOp{X: lo + p.X, Score: 2 + float64(w) + p.Score/2})
-							del = append(del, topk.BatchOp{Delete: true, X: lo + p.X, Score: 2 + float64(w) + p.Score/2})
-						}
-						st.ApplyBatch(ins)
-						st.ApplyBatch(del)
-						if round++; round%8 == 0 {
-							// The lifecycle event that made the old read lock
-							// hurt: a full re-partition.
-							if mode == "rlock" {
-								gate.Lock()
-								st.Rebalance(8)
-								gate.Unlock()
-							} else {
-								st.Rebalance(8)
-							}
-						}
-					}
-				}(w)
-			}
-			read := func(q workload.QuerySpec) {
-				if mode == "rlock" {
-					gate.RLock()
-					defer gate.RUnlock()
-				}
-				st.TopK(q.X1, q.X2, q.K)
-			}
-			// The rlock emulation under writer churn runs at ~60 qps by
-			// design — it exists to show the contrast, not to be measured
-			// precisely. Full readOps there would take minutes per config;
-			// a tenth still saturates the lock and stabilizes the rate.
-			ops := readOps
-			if mode == "rlock" && writers > 0 {
-				ops = readOps / 10
-			}
-			res := benchRun("e17", fmt.Sprintf("%s w=%d", mode, writers), func() workload.Throughput {
-				return workload.RunConcurrent(8, ops, queries, read)
-			})
-			close(stop)
-			wg.Wait()
-			// Epoch counts the topology snapshots the run published — the
-			// rebalances the readers raced.
-			fmt.Printf("%10s %8d %12.0f %8d\n", mode, writers, res.QPS(), st.Epoch())
+		st, err := topk.LoadSharded(cfg, pts)
+		if err != nil {
+			panic(err)
 		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Disjoint position/score bands per writer, outside the
+				// preload domain, so churn never collides with reads'
+				// data or other writers.
+				wgen := workload.NewGen(int64(100 + w))
+				lo := 2e6 + float64(w)*1e6
+				round := 0
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ins := make([]topk.BatchOp, 0, 64)
+					del := make([]topk.BatchOp, 0, 64)
+					for _, p := range wgen.Uniform(64, 1e6) {
+						ins = append(ins, topk.BatchOp{X: lo + p.X, Score: 2 + float64(w) + p.Score/2})
+						del = append(del, topk.BatchOp{Delete: true, X: lo + p.X, Score: 2 + float64(w) + p.Score/2})
+					}
+					st.ApplyBatch(ins)
+					st.ApplyBatch(del)
+					if round++; round%8 == 0 {
+						st.Rebalance(8) // a full re-partition under the readers
+					}
+				}
+			}(w)
+		}
+		res := benchRun("e17", fmt.Sprintf("snapshot w=%d", writers), func() workload.Throughput {
+			return workload.RunConcurrent(8, readOps, queries, func(q topk.Query) {
+				st.TopK(q.X1, q.X2, q.K)
+			})
+		})
+		close(stop)
+		wg.Wait()
+		// Epoch counts the topology snapshots the run published — the
+		// rebalances the readers raced.
+		fmt.Printf("%8d %12.0f %8d\n", writers, res.QPS(), st.Epoch())
 	}
-	fmt.Println("shape check: snapshot qps holds as writers rise; rlock qps dips when rebalances queue behind reads.")
+	fmt.Println("shape check: snapshot qps holds as writers rise.")
 }

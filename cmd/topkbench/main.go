@@ -1,9 +1,10 @@
-// Command topkbench regenerates every experiment in EXPERIMENTS.md
-// (E1–E13), the empirical validation of the paper's claims. The paper
-// is a theory paper with no measurement section of its own, so each
-// experiment realizes one theorem/lemma as a measured table: I/O counts
-// from the simulated external-memory disk against the bound's predicted
-// shape, and the headline comparison against the Sheng–Tao baseline.
+// Command topkbench regenerates every experiment in the experiments
+// table below: E1–E14 are the empirical validation of the paper's
+// claims, E15–E19 measure the serving stack. The paper is a theory
+// paper with no measurement section of its own, so each of E1–E14
+// realizes one theorem/lemma as a measured table: I/O counts from the
+// simulated external-memory disk against the bound's predicted shape,
+// and the headline comparison against the Sheng–Tao baseline.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ var experiments = []experiment{
 	{"e14", "Ablations: pool size, φ, adaptive selection, sketch base", e14},
 	{"e15", "Serving layer (Store v1): TopK vs QueryBatch throughput", e15},
 	{"e16", "Shard lifecycle: delete-churn qps and shard count, merges on vs off", e16},
-	{"e17", "Snapshot routing: read qps under concurrent writers, snapshot vs rlock", e17},
+	{"e17", "Snapshot routing: read qps under concurrent writers", e17},
 	{"e18", "Cluster tier: gateway qps vs node count (score-ordered band reads), vs direct-local", e18},
 	{"e19", "Write path: single-op insert qps, group commit on vs off, cluster tier", e19},
 }

@@ -12,8 +12,7 @@
 //     first. Members declare their score band with -range lo:hi and the
 //     gateway discovers the fleet layout from each member's /v1/range.
 //
-// The API is versioned under /v1; the unversioned paths from the
-// first release are kept as thin aliases of the same handlers.
+// Every route is versioned under /v1; any other path is a 404.
 //
 //	$ topkd -addr :8080 -shards 8 -n 100000 -maintenance 30s
 //	$ curl -s 'localhost:8080/v1/topk?x1=100&x2=200&k=3'
@@ -300,7 +299,7 @@ func preload(n int, seed int64, lo, hi float64) []topk.Result {
 	var pts []topk.Result
 	for _, p := range workload.NewGen(seed).Uniform(n, 1e6) {
 		if lo <= p.Score && p.Score < hi {
-			pts = append(pts, topk.Result{X: p.X, Score: p.Score})
+			pts = append(pts, p)
 		}
 	}
 	return pts

@@ -72,91 +72,99 @@ func decodeErr(t *testing.T, resp *http.Response, wantStatus int) errBody {
 	return eb
 }
 
-// TestEndpoints drives the /v1 surface end to end, on both route
-// prefixes — the unversioned paths must behave as thin aliases.
+// TestEndpoints drives the /v1 surface end to end.
 func TestEndpoints(t *testing.T) {
-	for _, prefix := range []string{"/v1", ""} {
-		t.Run("prefix="+prefix, func(t *testing.T) {
-			srv := testServer(t)
+	srv := testServer(t)
 
-			for i := 0; i < 20; i++ {
-				body := fmt.Sprintf(`{"x":%d,"score":%d.5}`, i*10, i)
-				resp, err := http.Post(srv.URL+prefix+"/insert", "application/json", strings.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var out struct {
-					OK bool `json:"ok"`
-					N  int  `json:"n"`
-				}
-				decode(t, resp, &out)
-				if !out.OK || out.N != i+1 {
-					t.Fatalf("insert %d: %+v", i, out)
-				}
-			}
-
-			resp, err := http.Get(srv.URL + prefix + "/topk?x1=0&x2=95&k=3")
+	const prefix = "/v1"
+	t.Run("prefix="+prefix, func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			body := fmt.Sprintf(`{"x":%d,"score":%d.5}`, i*10, i)
+			resp, err := http.Post(srv.URL+prefix+"/insert", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tk struct {
-				Results []struct {
-					X     float64 `json:"x"`
-					Score float64 `json:"score"`
-				} `json:"results"`
+			var out struct {
+				OK bool `json:"ok"`
+				N  int  `json:"n"`
 			}
-			decode(t, resp, &tk)
-			if len(tk.Results) != 3 || tk.Results[0].X != 90 || tk.Results[0].Score != 9.5 {
-				t.Fatalf("topk: %+v", tk)
+			decode(t, resp, &out)
+			if !out.OK || out.N != i+1 {
+				t.Fatalf("insert %d: %+v", i, out)
 			}
+		}
 
-			resp, err = http.Get(srv.URL + prefix + "/count?x1=0&x2=95")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cnt struct {
-				Count int `json:"count"`
-			}
-			decode(t, resp, &cnt)
-			if cnt.Count != 10 {
-				t.Fatalf("count = %d, want 10", cnt.Count)
-			}
+		resp, err := http.Get(srv.URL + prefix + "/topk?x1=0&x2=95&k=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tk struct {
+			Results []struct {
+				X     float64 `json:"x"`
+				Score float64 `json:"score"`
+			} `json:"results"`
+		}
+		decode(t, resp, &tk)
+		if len(tk.Results) != 3 || tk.Results[0].X != 90 || tk.Results[0].Score != 9.5 {
+			t.Fatalf("topk: %+v", tk)
+		}
 
-			resp, err = http.Post(srv.URL+prefix+"/delete", "application/json", strings.NewReader(`{"x":90,"score":9.5}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var del struct {
-				Found bool `json:"found"`
-				N     int  `json:"n"`
-			}
-			decode(t, resp, &del)
-			if !del.Found || del.N != 19 {
-				t.Fatalf("delete: %+v", del)
-			}
-			resp, err = http.Post(srv.URL+prefix+"/delete", "application/json", strings.NewReader(`{"x":90,"score":9.5}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decode(t, resp, &del)
-			if del.Found {
-				t.Fatal("second delete reported found")
-			}
+		resp, err = http.Get(srv.URL + prefix + "/count?x1=0&x2=95")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cnt struct {
+			Count int `json:"count"`
+		}
+		decode(t, resp, &cnt)
+		if cnt.Count != 10 {
+			t.Fatalf("count = %d, want 10", cnt.Count)
+		}
 
-			resp, err = http.Get(srv.URL + prefix + "/stats")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st struct {
-				N      int   `json:"n"`
-				Shards int   `json:"shards"`
-				Writes int64 `json:"writes"`
-			}
-			decode(t, resp, &st)
-			if st.N != 19 || st.Shards < 1 {
-				t.Fatalf("stats: %+v", st)
-			}
-		})
+		resp, err = http.Post(srv.URL+prefix+"/delete", "application/json", strings.NewReader(`{"x":90,"score":9.5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var del struct {
+			Found bool `json:"found"`
+			N     int  `json:"n"`
+		}
+		decode(t, resp, &del)
+		if !del.Found || del.N != 19 {
+			t.Fatalf("delete: %+v", del)
+		}
+		resp, err = http.Post(srv.URL+prefix+"/delete", "application/json", strings.NewReader(`{"x":90,"score":9.5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode(t, resp, &del)
+		if del.Found {
+			t.Fatal("second delete reported found")
+		}
+
+		resp, err = http.Get(srv.URL + prefix + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			N      int   `json:"n"`
+			Shards int   `json:"shards"`
+			Writes int64 `json:"writes"`
+		}
+		decode(t, resp, &st)
+		if st.N != 19 || st.Shards < 1 {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
+
+	// Routes live under /v1 only: the unversioned path is a 404.
+	resp, err := http.Get(srv.URL + "/topk?x1=0&x2=95&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /topk status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -649,11 +657,6 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// The unversioned alias serves the same handler.
-	if alias := fetch(srv.URL + "/metrics"); !strings.Contains(alias, "topkd_points_live") {
-		t.Fatalf("alias metrics: %s", alias)
-	}
-
 	// The single backend has no shard topology: fleet metrics only.
 	single := httptest.NewServer(newServer(newTestStore(t, "single")))
 	defer single.Close()

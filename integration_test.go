@@ -127,10 +127,10 @@ func TestIntegrationLargeBlocks(t *testing.T) {
 func TestIntegrationHotelScenario(t *testing.T) {
 	gen := workload.NewGen(112)
 	hotels, pts := gen.Hotels(3000)
-	idx := mustLoad(t, Config{BlockWords: 32, ForcePolylog: true, PolylogF: 4, PolylogLeafCap: 128}, toResults(pts))
+	idx := mustLoad(t, Config{BlockWords: 32, ForcePolylog: true, PolylogF: 4, PolylogLeafCap: 128}, pts)
 	oracle := verify.NewOracle(pts)
 
-	got := toPoints(idx.TopK(100, 200, 10))
+	got := idx.TopK(100, 200, 10)
 	want := oracle.TopK(100, 200, 10)
 	if err := verify.DiffTopK(got, want); err != nil {
 		t.Fatalf("hotel query: %v", err)
@@ -147,7 +147,7 @@ func TestIntegrationHotelScenario(t *testing.T) {
 		oracle.Insert(np)
 	}
 	for _, band := range [][2]float64{{50, 90}, {100, 200}, {140, 400}} {
-		got := toPoints(idx.TopK(band[0], band[1], 10))
+		got := idx.TopK(band[0], band[1], 10)
 		if err := verify.DiffTopK(got, oracle.TopK(band[0], band[1], 10)); err != nil {
 			t.Fatalf("band %v after repricing: %v", band, err)
 		}
@@ -172,7 +172,7 @@ func TestIntegrationEventWindow(t *testing.T) {
 		}
 		if i%500 == 499 {
 			now := p.X
-			got := toPoints(idx.TopK(now-100, now, 8))
+			got := idx.TopK(now-100, now, 8)
 			if err := verify.DiffTopK(got, oracle.TopK(now-100, now, 8)); err != nil {
 				t.Fatalf("window query at event %d: %v", i, err)
 			}

@@ -9,16 +9,17 @@
 //     Boundaries, Epoch, Stats, String) must route through the
 //     snapshot pin — a call to snapshot() or fanOut() somewhere in the
 //     method — and must not acquire Router.mu in any mode. A read that
-//     takes the topology lock re-creates the pre-PR-4 contention the
-//     refactor removed (~200 vs ~18k qps under churn in e17); a read
-//     that skips the pin races lifecycle passes.
+//     takes the topology lock serializes behind every split, merge and
+//     rebalance, and a queued rebalance in turn stalls every read
+//     arriving after it; a read that skips the pin races lifecycle
+//     passes.
 //
 //  2. No function in the package may call the fan-out/merge machinery
-//     (Router.fanOut, mergeTopK, or merge.TopK directly) while holding
+//     (Router.fanOut, Router.fanOutTopo or merge.TopK) while holding
 //     Router.mu. Holding the topology lock across a fan-out blocks
 //     every lifecycle pass for the duration of the slowest shard —
 //     update paths that hold the read lock coordinate through
-//     runParallel instead, which stays legal.
+//     merge.Parallel instead, which stays legal.
 package snapshotpin
 
 import (
@@ -92,7 +93,7 @@ func isFanOutOrMerge(pass *analysis.Pass, fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if fn.Pkg().Path() == pass.Pkg.Path() && (fn.Name() == "fanOut" || fn.Name() == "fanOutTopo" || fn.Name() == "mergeTopK") {
+	if fn.Pkg().Path() == pass.Pkg.Path() && (fn.Name() == "fanOut" || fn.Name() == "fanOutTopo") {
 		return true
 	}
 	return analysis.PathHasSuffix(fn.Pkg().Path(), "internal/merge") && fn.Name() == "TopK"

@@ -29,8 +29,6 @@ func (r *Router) fanOut(per func(int)) {
 	}
 }
 
-func mergeTopK(a, b []int) []int { return append(a, b...) }
-
 // TopK takes the topology lock instead of pinning — both halves of the
 // read discipline broken.
 func (r *Router) TopK() []int { // want "read method TopK never pins the topology snapshot"
@@ -57,7 +55,7 @@ func (r *Router) QueryBatch() int {
 func (r *Router) rebalance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cur.shards = mergeTopK(r.cur.shards, nil) // want "rebalance calls mergeTopK while holding the topology lock"
+	r.cur.shards = merge.TopK(r.cur.shards, nil) // want "rebalance calls TopK while holding the topology lock"
 }
 
 // badMerge reaches the shared merge layer directly under the read lock.

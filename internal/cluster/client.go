@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/point"
+	"repro/internal/wire"
 )
 
 // node is one member process of the cluster.
@@ -145,7 +146,10 @@ func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) (
 	if err := n.get(ctx, "/v1/topk?"+q.Encode(), &r); err != nil {
 		return dst, err
 	}
-	return appendPoints(dst, r.Results), nil
+	if len(dst) == 0 {
+		return r.Results, nil // the decoded slice is the answer; no copy
+	}
+	return append(dst, r.Results...), nil
 }
 
 // count runs one remote Count.
@@ -162,7 +166,7 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 
 // batch runs one remote /v1/batch, returning the per-op items aligned
 // with ops.
-func (n *node) batch(ctx context.Context, ops []wireOp) ([]wireItem, error) {
+func (n *node) batch(ctx context.Context, ops []wire.Op) ([]wire.Item, error) {
 	var r batchResp
 	if err := n.post(ctx, "/v1/batch", batchReq{Ops: ops}, &r); err != nil {
 		return nil, err

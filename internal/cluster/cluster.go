@@ -52,6 +52,7 @@ import (
 	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/point"
+	"repro/internal/wire"
 )
 
 // Config configures a Cluster client.
@@ -372,19 +373,13 @@ func (c *Cluster) TopK(ctx context.Context, x1, x2 float64, k int) []point.P {
 	return out
 }
 
-// Query is one read of a QueryBatch.
-type Query struct {
-	X1, X2 float64
-	K      int
-}
-
 // QueryBatch answers qs with the walk TopK makes, one /v1/batch request
 // per band asked: each band receives every query still short of its k,
 // asking for the points that query still misses, and a query leaves the
 // walk once it holds k points. Answers align positionally with qs and
 // match a loop of TopK calls; invalid queries (k ≤ 0, inverted or NaN
 // bounds) yield nil without touching the network.
-func (c *Cluster) QueryBatch(ctx context.Context, qs []Query) [][]point.P {
+func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -395,24 +390,24 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []Query) [][]point.P {
 			open = append(open, qi)
 		}
 	}
-	wire := make([]wireOp, 0, len(open))
+	reqs := make([]wire.Op, 0, len(open))
 	asked := 0
 	for gi := len(c.groups) - 1; gi >= 0 && len(open) > 0; gi-- {
 		asked++
-		wire = wire[:0]
+		reqs = reqs[:0]
 		for _, qi := range open {
 			q := qs[qi]
 			// JSON cannot carry ±Inf; the widest finite bounds select the
 			// same (finite) points.
-			wire = append(wire, wireOp{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K - len(out[qi])})
+			reqs = append(reqs, wire.Op{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K - len(out[qi])})
 		}
 		_ = c.readFrom(ctx, c.groups[gi], func(cctx context.Context, n *node) error {
-			items, err := n.batch(cctx, wire)
+			items, err := n.batch(cctx, reqs)
 			if err != nil {
 				return err
 			}
 			for j, item := range items {
-				out[open[j]] = appendPoints(out[open[j]], item.Results)
+				out[open[j]] = append(out[open[j]], item.Results...)
 			}
 			return nil
 		})
@@ -458,13 +453,6 @@ func (c *Cluster) Count(ctx context.Context, x1, x2 float64) int {
 	return total
 }
 
-// Op is one batched update: an insert of P, or a delete when Delete is
-// set.
-type Op struct {
-	Delete bool
-	P      point.P
-}
-
 // Insert adds p under the Store error contract, routed by score to the
 // owning band and applied to every replica there. Check order matches
 // the local backends: ErrInvalidPoint, then ErrDuplicatePosition
@@ -473,7 +461,7 @@ type Op struct {
 // authoritative). ErrNodeDown when the owning band cannot take the
 // write.
 func (c *Cluster) Insert(ctx context.Context, p point.P) error {
-	return c.ApplyBatch(ctx, []Op{{P: p}})[0]
+	return c.ApplyBatch(ctx, []point.Op{{X: p.X, Score: p.Score}})[0]
 }
 
 // Delete removes p, reporting whether it was present. A delete the
@@ -481,7 +469,7 @@ func (c *Cluster) Insert(ctx context.Context, p point.P) error {
 // Store signature cannot distinguish outage from absence; use
 // ApplyBatch to observe ErrNodeDown explicitly.
 func (c *Cluster) Delete(ctx context.Context, p point.P) bool {
-	return c.ApplyBatch(ctx, []Op{{Delete: true, P: p}})[0] == nil
+	return c.ApplyBatch(ctx, []point.Op{{Delete: true, X: p.X, Score: p.Score}})[0] == nil
 }
 
 // pending is one batch op that passed the gateway-side checks and is
@@ -514,13 +502,13 @@ type pending struct {
 // the gateway never papers over that: the ops report ErrNodeDown and
 // the operator reloads the failed replica (DESIGN.md, failure
 // semantics).
-func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
+func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 	if len(ops) == 0 {
 		return nil
 	}
 	res := make([]error, len(ops))
 	perGroup := make([][]pending, len(c.groups))
-	perWire := make([][]wireOp, len(c.groups))
+	perWire := make([][]wire.Op, len(c.groups))
 
 	// Gateway-side pass, in batch order under one registry lock:
 	// reject inserts duplicating anything this gateway knows, and
@@ -529,7 +517,8 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 	// same order authoritatively).
 	c.dupMu.Lock()
 	for i, op := range ops {
-		if !op.P.Finite() {
+		p := op.Point()
+		if !p.Finite() {
 			if op.Delete {
 				// A non-finite point can never be live (inserts reject
 				// them), so the exact-match answer is known without a
@@ -541,32 +530,32 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 			}
 			continue
 		}
-		gi := c.locate(op.P.Score)
+		gi := c.locate(p.Score)
 		if op.Delete {
-			_, hp := c.positions[op.P.X]
+			_, hp := c.positions[p.X]
 			if hp {
-				delete(c.positions, op.P.X)
+				delete(c.positions, p.X)
 			}
-			_, hs := c.scores[op.P.Score]
+			_, hs := c.scores[p.Score]
 			if hs {
-				delete(c.scores, op.P.Score)
+				delete(c.scores, p.Score)
 			}
-			perGroup[gi] = append(perGroup[gi], pending{op: i, p: op.P, hadPos: hp, hadScore: hs})
-			perWire[gi] = append(perWire[gi], wireOp{Op: "delete", X: op.P.X, Score: op.P.Score})
+			perGroup[gi] = append(perGroup[gi], pending{op: i, p: p, hadPos: hp, hadScore: hs})
+			perWire[gi] = append(perWire[gi], wire.Op{Op: "delete", X: p.X, Score: p.Score})
 			continue
 		}
-		if _, dup := c.positions[op.P.X]; dup {
+		if _, dup := c.positions[p.X]; dup {
 			res[i] = core.ErrDuplicatePosition
 			continue
 		}
-		if _, dup := c.scores[op.P.Score]; dup {
+		if _, dup := c.scores[p.Score]; dup {
 			res[i] = core.ErrDuplicateScore
 			continue
 		}
-		c.positions[op.P.X] = struct{}{}
-		c.scores[op.P.Score] = struct{}{}
-		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: op.P})
-		perWire[gi] = append(perWire[gi], wireOp{Op: "insert", X: op.P.X, Score: op.P.Score})
+		c.positions[p.X] = struct{}{}
+		c.scores[p.Score] = struct{}{}
+		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: p})
+		perWire[gi] = append(perWire[gi], wire.Op{Op: "insert", X: p.X, Score: p.Score})
 	}
 	c.dupMu.Unlock()
 
@@ -589,7 +578,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 // ejected replica fails the whole sub-batch up front (writing around a
 // downed replica would silently diverge the group), and any transport
 // failure or cross-replica disagreement reports ErrNodeDown.
-func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire []wireOp, res []error) {
+func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs []wire.Op, res []error) {
 	fail := func(err error) {
 		c.rollback(pds, res)
 		for _, pd := range pds {
@@ -602,7 +591,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire 
 			return
 		}
 	}
-	items := make([][]wireItem, len(g.nodes))
+	items := make([][]wire.Item, len(g.nodes))
 	errs := make([]error, len(g.nodes))
 	fns := make([]func(), len(g.nodes))
 	for ri, n := range g.nodes {
@@ -610,7 +599,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire 
 		fns[ri] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
-			items[ri], errs[ri] = n.batch(cctx, wire)
+			items[ri], errs[ri] = n.batch(cctx, reqs)
 			if errs[ri] != nil && errors.Is(errs[ri], ErrNodeDown) {
 				c.markFailed(n)
 			} else {

@@ -1,19 +1,21 @@
 package cluster
 
-// This file is the wire half of the client tier: the JSON types
-// mirroring internal/serve's /v1 responses, and the mapping from the
-// structured error envelope back to the library's sentinel errors, so
-// a rejection that crossed the network is indistinguishable (via
-// errors.Is) from one raised by a local backend.
+// This file is the wire half of the client tier: the decoders for
+// internal/serve's /v1 responses that only the client reads (the
+// /v1/batch shapes both ends speak live in internal/wire), and the
+// mapping from the structured error envelope back to the library's
+// sentinel errors, so a rejection that crossed the network is
+// indistinguishable (via errors.Is) from one raised by a local
+// backend.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/point"
+	"repro/internal/wire"
 )
 
 // ErrNodeDown reports that a member node could not serve a request:
@@ -22,16 +24,11 @@ import (
 // topk.ErrNodeDown; match with errors.Is.
 var ErrNodeDown = errors.New("cluster: node down")
 
-// resultJSON is one reported point. (Single-point /v1/insert and
-// /v1/delete have no wire types here: every gateway update travels
-// through /v1/batch, one request per band sub-batch.)
-type resultJSON struct {
-	X     float64 `json:"x"`
-	Score float64 `json:"score"`
-}
-
+// topkResp is GET /v1/topk. (Single-point /v1/insert and /v1/delete
+// have no decoders here: every gateway update travels through
+// /v1/batch, one request per band sub-batch.)
 type topkResp struct {
-	Results []resultJSON `json:"results"`
+	Results []point.P `json:"results"`
 }
 
 type countResp struct {
@@ -70,41 +67,18 @@ type epochResp struct {
 	Epoch int64 `json:"epoch"`
 }
 
-// wireOp is one element of a POST /v1/batch request.
-type wireOp struct {
-	Op    string  `json:"op"`
-	X     float64 `json:"x,omitempty"`
-	Score float64 `json:"score,omitempty"`
-	X1    float64 `json:"x1,omitempty"`
-	X2    float64 `json:"x2,omitempty"`
-	K     int     `json:"k,omitempty"`
-}
-
-// wireErr is the structured error envelope's payload.
-type wireErr struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// wireItem is one element of a /v1/batch response.
-type wireItem struct {
-	OK      bool         `json:"ok"`
-	Error   *wireErr     `json:"error,omitempty"`
-	Results []resultJSON `json:"results,omitempty"`
-}
-
 type batchReq struct {
-	Ops []wireOp `json:"ops"`
+	Ops []wire.Op `json:"ops"`
 }
 
 type batchResp struct {
-	Results []wireItem `json:"results"`
-	N       int        `json:"n"`
+	Results []wire.Item `json:"results"`
+	N       int         `json:"n"`
 }
 
 // errBody is the structured error envelope.
 type errBody struct {
-	Error wireErr `json:"error"`
+	Error wire.Error `json:"error"`
 }
 
 // errFromCode maps a structured error code back to the sentinel the
@@ -125,20 +99,6 @@ func errFromCode(code, msg string) error {
 	default:
 		return fmt.Errorf("cluster: member rejected request: %s (%s)", msg, code)
 	}
-}
-
-// appendPoints decodes wire results onto dst. Nil and empty in, nil
-// out, so the gateway agrees byte-for-byte with local backends on
-// no-hit queries.
-func appendPoints(dst []point.P, rs []resultJSON) []point.P {
-	if len(rs) == 0 {
-		return dst
-	}
-	dst = slices.Grow(dst, len(rs))
-	for _, r := range rs {
-		dst = append(dst, point.P{X: r.X, Score: r.Score})
-	}
-	return dst
 }
 
 // sanitizeBound maps an infinite query bound to the widest finite

@@ -109,11 +109,11 @@ func TestIncrementalMixedWorkload(t *testing.T) {
 	ix := New(newDisk(32), testOpts())
 	oracle := verify.NewOracle(nil)
 	for i, u := range gen.Mix(3000, 500, 0.4, 1e5) {
-		if u.Insert != nil {
-			ix.Insert(*u.Insert)
-			oracle.Insert(*u.Insert)
+		if p := u.Point(); !u.Delete {
+			ix.Insert(p)
+			oracle.Insert(p)
 		} else {
-			if got, want := ix.Delete(*u.Delete), oracle.Delete(*u.Delete); got != want {
+			if got, want := ix.Delete(p), oracle.Delete(p); got != want {
 				t.Fatalf("op %d: delete %v vs %v", i, got, want)
 			}
 		}

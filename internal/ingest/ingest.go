@@ -37,15 +37,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Op is one coalesced write: an insert of (X, Score), or a delete when
-// Delete is set. It mirrors topk.BatchOp without importing the root
-// package (the root package is the one importing us).
-type Op struct {
-	Delete   bool
-	X, Score float64
-}
+	"repro/internal/point"
+)
 
 // Future is the per-op outcome handle. The submitting caller parks on
 // Wait; the serving layer's async-ack mode polls Ready/Err instead and
@@ -112,7 +106,7 @@ type Options struct {
 	// serialized by the commit slot, so Flush may reuse internal
 	// buffers across calls. The ops slice is owned by the Batcher and
 	// invalid after Flush returns.
-	Flush func(ops []Op) []error
+	Flush func(ops []point.Op) []error
 	// MaxBatch is the size trigger: the background flusher commits
 	// immediately once this many ops are pending instead of waiting
 	// out the window. It is a trigger, not a hard group ceiling — ops
@@ -132,10 +126,6 @@ type Options struct {
 	// more pending ops tries to drive a commit itself instead of
 	// queueing further. Default 4×MaxBatch.
 	MaxPending int
-	// DisableTelemetry turns off the write-path histograms and
-	// flush-reason counters (Telemetry() returns nil). Used by the e15
-	// overhead experiment to measure the on-vs-off delta.
-	DisableTelemetry bool
 }
 
 func (o Options) withDefaults() Options {
@@ -164,7 +154,7 @@ func (o Options) withDefaults() Options {
 // stripes — contention is the whole reason the buffers are striped.
 type stripe struct {
 	mu   sync.Mutex
-	ops  []Op
+	ops  []point.Op
 	futs []*Future
 	_    [8]uint64
 }
@@ -210,12 +200,10 @@ type Batcher struct {
 
 	// Group assembly buffers, reused across commits; guarded by slot
 	// ownership, not a mutex.
-	gops  []Op
+	gops  []point.Op
 	gfuts []*Future
 
-	// tel is the write-path telemetry, nil when disabled. Never
-	// reassigned after New, so reads need no synchronization.
-	tel *Telemetry
+	tel Telemetry
 }
 
 // New returns a running Batcher over opt.Flush.
@@ -233,9 +221,6 @@ func New(opt Options) *Batcher {
 		stop: make(chan struct{}),
 		fin:  make(chan struct{}),
 	}
-	if !opt.DisableTelemetry {
-		b.tel = &Telemetry{}
-	}
 	b.slot <- struct{}{}
 	if opt.Window > 0 {
 		go b.run()
@@ -249,7 +234,7 @@ func New(opt Options) *Batcher {
 // commits when a parked caller drives the slot, when the background
 // flusher's window or size trigger fires, or at Close — whichever
 // comes first.
-func (b *Batcher) Submit(op Op) *Future {
+func (b *Batcher) Submit(op point.Op) *Future {
 	f := &Future{b: b, done: make(chan struct{})}
 	n := b.enqueue(op, f)
 	if b.closed.Load() {
@@ -267,13 +252,9 @@ func (b *Batcher) Submit(op Op) *Future {
 	default:
 	}
 	if n >= int64(b.opt.MaxPending) {
-		if b.tel != nil {
-			start := time.Now()
-			b.tryCommit(ReasonBackpressure)
-			b.tel.BackpressureWait.Observe(time.Since(start))
-		} else {
-			b.tryCommit(ReasonBackpressure)
-		}
+		start := time.Now()
+		b.tryCommit(ReasonBackpressure)
+		b.tel.BackpressureWait.Observe(time.Since(start))
 	}
 	return f
 }
@@ -286,7 +267,7 @@ func (b *Batcher) Submit(op Op) *Future {
 // unannotated method below.
 //
 //topk:nomalloc
-func (b *Batcher) enqueue(op Op, f *Future) int64 {
+func (b *Batcher) enqueue(op point.Op, f *Future) int64 {
 	s := &b.strs[rand.Uint32()&b.mask]
 	s.mu.Lock()
 	i := len(s.ops)
@@ -304,7 +285,7 @@ func (b *Batcher) enqueue(op Op, f *Future) int64 {
 
 // grow is the cold append path, taken while a stripe's buffers are
 // still warming up to the process's steady-state group size.
-func (s *stripe) grow(op Op, f *Future) {
+func (s *stripe) grow(op point.Op, f *Future) {
 	s.ops = append(s.ops, op)
 	s.futs = append(s.futs, f)
 }
@@ -312,7 +293,7 @@ func (s *stripe) grow(op Op, f *Future) {
 // Do submits op and waits for its group to commit — the synchronous
 // write path. It returns exactly the error an unbatched call would
 // have: nil, or the backend's sentinel for this op.
-func (b *Batcher) Do(op Op) error { return b.Submit(op).Wait() }
+func (b *Batcher) Do(op point.Op) error { return b.Submit(op).Wait() }
 
 // Commit drives one group commit now: acquire the slot, drain every
 // stripe, flush, deliver. A no-op when nothing is pending.
@@ -360,10 +341,7 @@ func (b *Batcher) commitSlotHeld(reason FlushReason) {
 	}
 	b.pending.Add(-int64(len(ops)))
 
-	var flushStart time.Time
-	if b.tel != nil {
-		flushStart = time.Now()
-	}
+	flushStart := time.Now()
 	var errs []error
 	func() {
 		defer func() {
@@ -390,17 +368,17 @@ func (b *Batcher) commitSlotHeld(reason FlushReason) {
 		}
 		return
 	}
-	for i, f := range futs {
-		f.err = errs[i]
-		close(f.done)
-	}
+	// Count the group before waking its callers, so a caller that
+	// reads Stats or Telemetry after its op completes sees the flush.
 	b.flushes.Add(1)
 	b.flushed.Add(int64(len(ops)))
 	if g := int64(len(ops)); g > b.maxGroup.Load() {
 		b.maxGroup.Store(g) // serialized by the slot; no CAS loop needed
 	}
-	if b.tel != nil {
-		b.tel.observeFlush(reason, len(ops), time.Since(flushStart))
+	b.tel.observeFlush(reason, len(ops), time.Since(flushStart))
+	for i, f := range futs {
+		f.err = errs[i]
+		close(f.done)
 	}
 }
 
@@ -461,9 +439,8 @@ func (b *Batcher) Close() error {
 	return nil
 }
 
-// Telemetry returns the batcher's write-path telemetry, or nil when
-// Options.DisableTelemetry was set.
-func (b *Batcher) Telemetry() *Telemetry { return b.tel }
+// Telemetry returns the batcher's write-path telemetry.
+func (b *Batcher) Telemetry() *Telemetry { return &b.tel }
 
 // Stats snapshots the lifetime counters.
 func (b *Batcher) Stats() Stats {

@@ -7,20 +7,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/point"
 )
 
 // collectFlush is a Flush backend that records every group and returns
 // a per-op error computed by errFor (nil errFor = all nil).
 type collectFlush struct {
 	mu     sync.Mutex
-	groups [][]Op
-	errFor func(Op) error
+	groups [][]point.Op
+	errFor func(point.Op) error
 }
 
-func (c *collectFlush) flush(ops []Op) []error {
+func (c *collectFlush) flush(ops []point.Op) []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.groups = append(c.groups, append([]Op(nil), ops...))
+	c.groups = append(c.groups, append([]point.Op(nil), ops...))
 	errs := make([]error, len(ops))
 	if c.errFor != nil {
 		for i, op := range ops {
@@ -42,7 +44,7 @@ func (c *collectFlush) total() int {
 
 func TestDoDeliversPerOpErrors(t *testing.T) {
 	errOdd := errors.New("odd score")
-	c := &collectFlush{errFor: func(op Op) error {
+	c := &collectFlush{errFor: func(op point.Op) error {
 		if int(op.Score)%2 == 1 {
 			return errOdd
 		}
@@ -51,7 +53,7 @@ func TestDoDeliversPerOpErrors(t *testing.T) {
 	b := New(Options{Flush: c.flush})
 	defer b.Close()
 	for i := 0; i < 50; i++ {
-		err := b.Do(Op{X: float64(i), Score: float64(i)})
+		err := b.Do(point.Op{X: float64(i), Score: float64(i)})
 		if i%2 == 1 {
 			if !errors.Is(err, errOdd) {
 				t.Fatalf("op %d: got %v, want errOdd", i, err)
@@ -69,7 +71,7 @@ func TestDoDeliversPerOpErrors(t *testing.T) {
 // however the ops were grouped.
 func TestConcurrentSyncErrorFidelity(t *testing.T) {
 	errNeg := errors.New("negative")
-	c := &collectFlush{errFor: func(op Op) error {
+	c := &collectFlush{errFor: func(op point.Op) error {
 		if op.X < 0 {
 			return errNeg
 		}
@@ -89,7 +91,7 @@ func TestConcurrentSyncErrorFidelity(t *testing.T) {
 				if i%3 == 0 {
 					x = -x - 1
 				}
-				err := b.Do(Op{X: x})
+				err := b.Do(point.Op{X: x})
 				want := x < 0
 				if got := errors.Is(err, errNeg); got != want {
 					bad.Add(1)
@@ -114,7 +116,7 @@ func TestWindowTriggerCommitsAsyncOps(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: 2 * time.Millisecond})
 	defer b.Close()
-	f := b.Submit(Op{X: 1})
+	f := b.Submit(point.Op{X: 1})
 	select {
 	case <-f.Done():
 	case <-time.After(2 * time.Second):
@@ -132,7 +134,7 @@ func TestSizeTriggerBeatsWindow(t *testing.T) {
 	defer b.Close()
 	futs := make([]*Future, 16)
 	for i := range futs {
-		futs[i] = b.Submit(Op{X: float64(i)})
+		futs[i] = b.Submit(point.Op{X: float64(i)})
 	}
 	for i, f := range futs {
 		select {
@@ -150,7 +152,7 @@ func TestCloseFlushesPartFilledStripe(t *testing.T) {
 	b := New(Options{Flush: c.flush, Window: time.Hour, MaxBatch: 1 << 20})
 	futs := make([]*Future, 5)
 	for i := range futs {
-		futs[i] = b.Submit(Op{X: float64(i)})
+		futs[i] = b.Submit(point.Op{X: float64(i)})
 	}
 	if got := c.total(); got != 0 {
 		t.Fatalf("flushed %d ops before Close, want 0 (window is an hour)", got)
@@ -167,7 +169,7 @@ func TestCloseFlushesPartFilledStripe(t *testing.T) {
 		}
 	}
 	// After Close the batcher passes through: each Submit commits.
-	f := b.Submit(Op{X: 99})
+	f := b.Submit(point.Op{X: 99})
 	select {
 	case <-f.Done():
 	case <-time.After(2 * time.Second):
@@ -194,7 +196,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			var tail []*Future
 			for i := 0; i < per; i++ {
-				op := Op{X: float64(w*per + i), Delete: i%5 == 0}
+				op := point.Op{X: float64(w*per + i), Delete: i%5 == 0}
 				if i%2 == 0 {
 					if err := b.Do(op); err != nil {
 						t.Errorf("do: %v", err)
@@ -230,7 +232,7 @@ func TestConcurrentStress(t *testing.T) {
 // commit — the group-commit property itself.
 func TestGroupsFormUnderConcurrency(t *testing.T) {
 	c := &collectFlush{}
-	slow := func(ops []Op) []error {
+	slow := func(ops []point.Op) []error {
 		time.Sleep(time.Millisecond)
 		return c.flush(ops)
 	}
@@ -243,7 +245,7 @@ func TestGroupsFormUnderConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := b.Do(Op{X: float64(w*per + i)}); err != nil {
+				if err := b.Do(point.Op{X: float64(w*per + i)}); err != nil {
 					t.Errorf("do: %v", err)
 				}
 			}
@@ -258,9 +260,9 @@ func TestGroupsFormUnderConcurrency(t *testing.T) {
 // A backend that violates the one-error-per-op contract must fail the
 // whole group loudly rather than misattribute outcomes.
 func TestShortFlushFailsGroup(t *testing.T) {
-	b := New(Options{Flush: func(ops []Op) []error { return nil }, Window: -1})
+	b := New(Options{Flush: func(ops []point.Op) []error { return nil }, Window: -1})
 	defer b.Close()
-	err := b.Do(Op{X: 1})
+	err := b.Do(point.Op{X: 1})
 	if err == nil {
 		t.Fatal("want a contract-violation error, got nil")
 	}
@@ -271,7 +273,7 @@ func TestShortFlushFailsGroup(t *testing.T) {
 // wedge later writers.
 func TestFlushPanicReleasesSlot(t *testing.T) {
 	var calls atomic.Int64
-	b := New(Options{Flush: func(ops []Op) []error {
+	b := New(Options{Flush: func(ops []point.Op) []error {
 		if calls.Add(1) == 1 {
 			panic("poisoned")
 		}
@@ -284,11 +286,11 @@ func TestFlushPanicReleasesSlot(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_ = b.Do(Op{X: 1})
+		_ = b.Do(point.Op{X: 1})
 	}()
 	// The slot must still work.
 	done := make(chan error, 1)
-	go func() { done <- b.Do(Op{X: 2}) }()
+	go func() { done <- b.Do(point.Op{X: 2}) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -307,7 +309,7 @@ func TestSyncPathIgnoresWindow(t *testing.T) {
 	defer b.Close()
 	start := time.Now()
 	for i := 0; i < 100; i++ {
-		if err := b.Do(Op{X: float64(i)}); err != nil {
+		if err := b.Do(point.Op{X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,13 +320,13 @@ func TestSyncPathIgnoresWindow(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	// Smoke: Options defaults round stripes up to a power of two.
-	b := New(Options{Flush: func(ops []Op) []error { return make([]error, len(ops)) }, Stripes: 5, Window: -1})
+	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) }, Stripes: 5, Window: -1})
 	defer b.Close()
 	if got := len(b.strs); got != 8 {
 		t.Fatalf("stripes = %d, want 8", got)
 	}
 	for i := 0; i < 3; i++ {
-		if err := b.Do(Op{X: float64(i)}); err != nil {
+		if err := b.Do(point.Op{X: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

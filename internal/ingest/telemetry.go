@@ -84,12 +84,8 @@ func (t *Telemetry) ReasonCounts() []ReasonCount {
 	return out
 }
 
-// observeFlush records one committed group. Nil-safe so the commit
-// path can call it unconditionally.
+// observeFlush records one committed group.
 func (t *Telemetry) observeFlush(reason FlushReason, size int, d time.Duration) {
-	if t == nil {
-		return
-	}
 	t.GroupSize.Observe(uint64(size))
 	t.FlushLatency.Observe(d)
 	t.reasons[reason].Add(1)

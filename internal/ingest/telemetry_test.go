@@ -3,6 +3,8 @@ package ingest
 import (
 	"testing"
 	"time"
+
+	"repro/internal/point"
 )
 
 // reasonCount pulls one reason's counter out of the snapshot.
@@ -24,7 +26,7 @@ func TestReasonSlotWinner(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: -1})
 	defer b.Close()
-	if err := b.Do(Op{X: 1, Score: 1}); err != nil {
+	if err := b.Do(point.Op{X: 1, Score: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reasonCount(t, b.Telemetry(), "slot_winner"); got != 1 {
@@ -39,7 +41,7 @@ func TestReasonSize(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, MaxBatch: 1, Window: time.Hour})
 	defer b.Close()
-	f := b.Submit(Op{X: 1, Score: 1})
+	f := b.Submit(point.Op{X: 1, Score: 1})
 	select {
 	case <-f.Done():
 	case <-time.After(5 * time.Second):
@@ -56,7 +58,7 @@ func TestReasonDeadline(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: 2 * time.Millisecond})
 	defer b.Close()
-	f := b.Submit(Op{X: 1, Score: 1})
+	f := b.Submit(point.Op{X: 1, Score: 1})
 	select {
 	case <-f.Done():
 	case <-time.After(5 * time.Second):
@@ -73,7 +75,7 @@ func TestReasonBackpressure(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: -1, MaxPending: 1})
 	defer b.Close()
-	f := b.Submit(Op{X: 1, Score: 1})
+	f := b.Submit(point.Op{X: 1, Score: 1})
 	if !f.Ready() {
 		t.Fatal("backpressure commit should have resolved the op synchronously")
 	}
@@ -92,7 +94,7 @@ func TestReasonDirect(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: -1})
 	b.Close()
-	f := b.Submit(Op{X: 1, Score: 1})
+	f := b.Submit(point.Op{X: 1, Score: 1})
 	if !f.Ready() {
 		t.Fatal("post-Close submit should commit immediately")
 	}
@@ -109,7 +111,7 @@ func TestReasonExplicit(t *testing.T) {
 	b := New(Options{Flush: c.flush, Window: -1})
 	defer b.Close()
 	for i := 0; i < 3; i++ {
-		b.Submit(Op{X: float64(i), Score: float64(i)})
+		b.Submit(point.Op{X: float64(i), Score: float64(i)})
 	}
 	b.Commit()
 	tel := b.Telemetry()
@@ -150,37 +152,19 @@ func TestReasonString(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabled: DisableTelemetry nils the surface without
-// changing batching behavior.
-func TestTelemetryDisabled(t *testing.T) {
-	c := &collectFlush{}
-	b := New(Options{Flush: c.flush, Window: -1, DisableTelemetry: true, MaxPending: 1})
-	defer b.Close()
-	if b.Telemetry() != nil {
-		t.Fatal("Telemetry() should be nil when disabled")
-	}
-	if err := b.Do(Op{X: 1, Score: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// The backpressure path must also tolerate the nil telemetry.
-	if f := b.Submit(Op{X: 2, Score: 2}); !f.Ready() {
-		t.Fatal("backpressure commit with telemetry disabled")
-	}
-}
-
 // TestEnqueueZeroAllocs is the testing leg of the //topk:nomalloc
 // contract on the warm enqueue path: once a stripe's buffers have
 // reached steady-state capacity, enqueue performs no allocation —
-// with telemetry enabled, since none of it sits on this path.
+// telemetry is always on, but none of it sits on this path.
 func TestEnqueueZeroAllocs(t *testing.T) {
-	b := New(Options{Flush: func(ops []Op) []error { return make([]error, len(ops)) },
+	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) },
 		Window: -1, Stripes: 1, MaxPending: 1 << 20})
 	defer b.Close()
 
 	// Warm the stripe past any size this test reaches, then drain it:
 	// commitSlotHeld truncates in place, so capacity is retained.
 	for i := 0; i < 1024; i++ {
-		b.Submit(Op{X: float64(i), Score: float64(i)})
+		b.Submit(point.Op{X: float64(i), Score: float64(i)})
 	}
 	b.Commit()
 
@@ -191,7 +175,7 @@ func TestEnqueueZeroAllocs(t *testing.T) {
 	}
 	next := 0
 	if allocs := testing.AllocsPerRun(runs, func() {
-		b.enqueue(Op{X: 1, Score: 2}, futs[next])
+		b.enqueue(point.Op{X: 1, Score: 2}, futs[next])
 		next++
 	}); allocs != 0 {
 		t.Errorf("warm enqueue allocates %.1f times per run; //topk:nomalloc promises 0", allocs)

@@ -43,6 +43,26 @@ func TestTopKMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTopKOrder pins the merge on a hand-built case: interleaved
+// lists, an empty list in the middle, a k below the total, and the
+// all-empty input, which must merge to nil rather than an empty slice.
+func TestTopKOrder(t *testing.T) {
+	lists := [][]point.P{
+		{{X: 1, Score: 9}, {X: 2, Score: 5}, {X: 3, Score: 1}},
+		{{X: 4, Score: 8}, {X: 5, Score: 7}, {X: 6, Score: 6}},
+		nil,
+		{{X: 7, Score: 10}},
+	}
+	got := TopK(lists, 5)
+	want := []point.P{{X: 7, Score: 10}, {X: 1, Score: 9}, {X: 4, Score: 8}, {X: 5, Score: 7}, {X: 6, Score: 6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK = %v, want %v", got, want)
+	}
+	if got := TopK([][]point.P{nil, nil}, 3); got != nil {
+		t.Fatalf("all-empty merge = %v, want nil", got)
+	}
+}
+
 // TestTopKIntoMatchesTopK runs the reusable merger against the TopK
 // wrapper over randomized partitions; the two paths share the loop but
 // differ in backing management, and both must agree element-for-element.

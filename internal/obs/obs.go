@@ -83,12 +83,15 @@ var endpointLabels = map[string]bool{
 }
 
 // EndpointLabel normalizes a request path to its histogram label:
-// "/v1/topk" and the legacy alias "/topk" → "topk", admin twins keep
-// their second segment ("stats_reset", "cache_drop"), trace lookups
-// drop their ID, and unknown paths collapse to "other".
+// "/v1/topk" → "topk", admin twins keep their second segment
+// ("stats_reset", "cache_drop"), trace lookups drop their ID, and
+// unknown paths — anything outside /v1/ included — collapse to
+// "other".
 func EndpointLabel(path string) string {
-	p := strings.TrimPrefix(path, "/")
-	p = strings.TrimPrefix(p, "v1/")
+	p, ok := strings.CutPrefix(path, "/v1/")
+	if !ok {
+		return "other"
+	}
 	seg := strings.SplitN(p, "/", 3)
 	label := seg[0]
 	if len(seg) > 1 && (seg[1] == "reset" || seg[1] == "drop" || seg[1] == "fleet") {

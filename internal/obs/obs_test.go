@@ -195,20 +195,21 @@ func TestTraceTree(t *testing.T) {
 	none.StartSpan("x", "").End(nil)
 }
 
-// TestEndpointLabel: versioned, legacy-alias and admin paths normalize
-// to the closed label set; junk collapses to "other".
+// TestEndpointLabel: /v1 and admin paths normalize to the closed label
+// set; unversioned paths and junk collapse to "other".
 func TestEndpointLabel(t *testing.T) {
 	cases := map[string]string{
 		"/v1/topk":        "topk",
-		"/topk":           "topk",
+		"/topk":           "other",
 		"/v1/stats/reset": "stats_reset",
 		"/v1/cache/drop":  "cache_drop",
 		"/v1/trace/abc12": "trace",
 		"/v1/metrics":     "metrics",
-		"/metrics":        "metrics",
+		"/metrics":        "other",
 		"/v1/epoch":       "epoch",
 		"/wp-admin.php":   "other",
 		"/":               "other",
+		"/v1":             "other",
 	}
 	for path, want := range cases {
 		if got := EndpointLabel(path); got != want {

@@ -1,5 +1,7 @@
-// Package point defines the element type shared by every structure in
-// the repository: a one-dimensional point with a real-valued score.
+// Package point defines the vocabulary shared by every layer of the
+// repository, from the EM structures to the HTTP wire: a
+// one-dimensional point with a real-valued score (P), an update that
+// inserts or deletes one (Op), and a top-k range query (Query).
 //
 // Following the paper (§2), a top-k query has a natural geometric
 // interpretation: map each element e to the planar point (e, score(e));
@@ -13,10 +15,28 @@ import (
 	"sort"
 )
 
-// P is an input element: position X with score Score.
+// P is an input element: position X with score Score. The JSON tags
+// are the wire spelling of a point in every /v1 request and response.
 type P struct {
-	X     float64
-	Score float64
+	X     float64 `json:"x"`
+	Score float64 `json:"score"`
+}
+
+// Op is one update: an insert of (X, Score), or a delete when Delete
+// is set.
+type Op struct {
+	Delete   bool
+	X, Score float64
+}
+
+// Point returns the point op inserts or deletes.
+func (op Op) Point() P { return P{X: op.X, Score: op.Score} }
+
+// Query is one top-k read: the K highest-scoring points with position
+// in [X1, X2].
+type Query struct {
+	X1, X2 float64
+	K      int
 }
 
 // Finite reports whether both coordinates are real numbers (no NaN,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	topk "repro"
+	"repro/internal/wire"
 )
 
 func batchedStore(t *testing.T, n int) *topk.Batched {
@@ -30,9 +31,9 @@ func batchedStore(t *testing.T, n int) *topk.Batched {
 
 // outcomeBody is the /v1/outcome/{id} response shape.
 type outcomeBody struct {
-	Done  bool     `json:"done"`
-	OK    bool     `json:"ok"`
-	Error *errJSON `json:"error"`
+	Done  bool        `json:"done"`
+	OK    bool        `json:"ok"`
+	Error *wire.Error `json:"error"`
 }
 
 // pollOutcome polls /v1/outcome/{id} until done (bounded).
@@ -95,7 +96,7 @@ func TestAsyncAckFlow(t *testing.T) {
 
 	// Unknown outcome IDs are structured 404s.
 	var e struct {
-		Error errJSON `json:"error"`
+		Error wire.Error `json:"error"`
 	}
 	if code := getJSON(t, srv.URL+"/v1/outcome/deadbeefdeadbeef", &e); code != http.StatusNotFound {
 		t.Fatalf("unknown outcome status = %d, want 404", code)
@@ -246,7 +247,7 @@ func TestAsyncAckErrorFidelity(t *testing.T) {
 	banded := httptest.NewServer(New(bt, Options{Lo: 10, Hi: 20, AsyncAck: true}))
 	defer banded.Close()
 	var e struct {
-		Error errJSON `json:"error"`
+		Error wire.Error `json:"error"`
 	}
 	if code := postJSON(t, banded.URL+"/v1/insert", `{"x": 1, "score": 50}`, &e); code != http.StatusBadRequest {
 		t.Fatalf("out-of-band async insert status = %d, want 400", code)

@@ -262,10 +262,7 @@ func scrape(t *testing.T, base string) map[string]*promFamily {
 func bootTestGateway(t *testing.T, gwObs *obs.Telemetry, memberObs []*obs.Telemetry) (*httptest.Server, func()) {
 	t.Helper()
 	n := 400
-	pts := make([]topk.Result, 0, n)
-	for _, p := range workload.NewGen(7).Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := workload.NewGen(7).Uniform(n, 1e6)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].Score < pts[j].Score })
 	cut := pts[n/2].Score
 	cfg := topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}

@@ -7,10 +7,8 @@
 // Handlers are written purely against the topk.Store interface, so the
 // backend is the caller's choice; backend-specific introspection
 // (shard counts, lifecycle counters, topology epoch) is probed through
-// optional interfaces. The API is versioned under /v1 with the
-// unversioned paths of the first release kept as thin aliases; newer
-// endpoints (/v1/epoch, /v1/range, /v1/stats/reset, /v1/cache/drop)
-// exist under /v1 only.
+// optional interfaces. Every route lives under /v1; any other path is
+// a 404.
 //
 // Errors are structured: {"error":{"code":"duplicate_position",
 // "message":"..."}} with the code derived from the topk sentinel
@@ -37,6 +35,7 @@ import (
 	topk "repro"
 	"repro/internal/ingest"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Options configures the handler tree beyond the Store itself.
@@ -83,47 +82,6 @@ func (o Options) inBand(score float64) bool {
 	return o.Lo <= score && score < o.Hi
 }
 
-// pointReq is the body of /v1/insert and /v1/delete.
-type pointReq struct {
-	X     float64 `json:"x"`
-	Score float64 `json:"score"`
-}
-
-// resultJSON mirrors topk.Result with lowercase keys.
-type resultJSON struct {
-	X     float64 `json:"x"`
-	Score float64 `json:"score"`
-}
-
-func toJSON(res []topk.Result) []resultJSON {
-	out := make([]resultJSON, len(res))
-	for i, p := range res {
-		out[i] = resultJSON{X: p.X, Score: p.Score}
-	}
-	return out
-}
-
-// batchOp is one element of a /v1/batch request: op is "insert",
-// "delete" (x, score) or "query" (x1, x2, k, optional offset).
-type batchOp struct {
-	Op     string  `json:"op"`
-	X      float64 `json:"x"`
-	Score  float64 `json:"score"`
-	X1     float64 `json:"x1"`
-	X2     float64 `json:"x2"`
-	K      int     `json:"k"`
-	Offset int     `json:"offset"`
-}
-
-// batchItem is one element of a /v1/batch response, aligned with the
-// request ops. Updates carry ok (+error when rejected); queries carry
-// their results.
-type batchItem struct {
-	OK      bool         `json:"ok"`
-	Error   *errJSON     `json:"error,omitempty"`
-	Results []resultJSON `json:"results,omitempty"`
-}
-
 // asyncWriter is the submit surface of a group-commit store
 // (topk.Batched): enqueue a write, get a pollable outcome future.
 type asyncWriter interface {
@@ -152,20 +110,13 @@ func New(st topk.Store, opt Options) http.Handler {
 	// usually) through the structured logger instead of dropping them.
 	writeJSON := func(w http.ResponseWriter, v any) { writeJSONLog(w, v, t.Log) }
 
-	// handle registers h under /v1/pattern and, as a compatibility
-	// alias, under the unversioned path of the first release.
+	// handle registers h under /v1/pattern.
 	handle := func(method, pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+pattern, h)
-		mux.HandleFunc(method+" "+pattern, h)
-	}
-	// handleV1 registers h under /v1 only — endpoints newer than the
-	// unversioned legacy surface get no alias.
-	handleV1 := func(method, pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" /v1"+pattern, h)
 	}
 
 	handle("POST", "/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req pointReq
+		var req topk.Result
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
@@ -201,7 +152,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	})
 
 	handle("POST", "/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req pointReq
+		var req topk.Result
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
@@ -222,7 +173,7 @@ func New(st topk.Store, opt Options) http.Handler {
 
 	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Ops []batchOp `json:"ops"`
+			Ops []wire.Op `json:"ops"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
@@ -264,9 +215,9 @@ func New(st topk.Store, opt Options) http.Handler {
 		if off < len(res) {
 			res = res[off:]
 		} else {
-			res = nil
+			res = []topk.Result{} // an empty page encodes as [], not null
 		}
-		writeJSON(w, map[string]any{"results": toJSON(res), "offset": off})
+		writeJSON(w, map[string]any{"results": res, "offset": off})
 	})
 
 	handle("GET", "/count", func(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +238,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// cluster health checker also uses it as its liveness probe.
 	// Backends without an epoch (a single Index) report 0 — the
 	// endpoint stays probeable on every backend.
-	handleV1("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
 		var e int64
 		if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
 			e = ep.Epoch()
@@ -298,7 +249,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// The member's score band, for gateway discovery. Open ends are
 	// null (JSON cannot carry ±Inf); an unbanded process reports both
 	// ends open.
-	handleV1("GET", "/range", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/range", func(w http.ResponseWriter, r *http.Request) {
 		var lo, hi *float64
 		if opt.banded() {
 			if !math.IsInf(opt.Lo, -1) {
@@ -324,7 +275,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// already evicted", not "never happened"; a member that has evicted
 	// (or never sampled) its half degrades that subtree gracefully —
 	// the RPC span stays, unspliced.
-	handleV1("GET", "/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		tr := t.Tracer.Get(id)
 		if tr == nil {
@@ -344,7 +295,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// means "unknown or already evicted". A resolved outcome reports
 	// done plus either ok or the same structured error the synchronous
 	// endpoint would have returned — error fidelity survives the 202.
-	handleV1("GET", "/outcome/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/outcome/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f, ok := outcomes.get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "outcome_not_found",
@@ -365,11 +316,11 @@ func New(st topk.Store, opt Options) http.Handler {
 	// Administrative twins of Store.ResetStats/DropCache, so remote
 	// operators (and the Cluster client, which must implement the full
 	// Store contract over the wire) can reach them.
-	handleV1("POST", "/stats/reset", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/stats/reset", func(w http.ResponseWriter, r *http.Request) {
 		st.ResetStats()
 		writeJSON(w, map[string]any{"ok": true})
 	})
-	handleV1("POST", "/cache/drop", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/cache/drop", func(w http.ResponseWriter, r *http.Request) {
 		st.DropCache()
 		writeJSON(w, map[string]any{"ok": true})
 	})
@@ -411,18 +362,17 @@ func New(st topk.Store, opt Options) http.Handler {
 			metric("topkd_ingest_pending", "gauge", "Writes enqueued in the ingest batcher and not yet committed.", s.Pending)
 		}
 		if it, ok := st.(interface{ IngestTelemetry() *ingest.Telemetry }); ok {
-			if tel := it.IngestTelemetry(); tel != nil {
-				obs.WriteCountHistogram(&b, "topkd_ingest_group_size",
-					"Ops per committed write group (value histogram, power-of-two buckets).", &tel.GroupSize)
-				obs.WriteHistogram(&b, "topkd_ingest_flush_duration_seconds",
-					"Backend flush latency per committed write group.", &tel.FlushLatency)
-				obs.WriteHistogram(&b, "topkd_ingest_backpressure_wait_seconds",
-					"Time producers spent driving commits because pending writes exceeded MaxPending.", &tel.BackpressureWait)
-				fmt.Fprintf(&b, "# HELP topkd_ingest_flushes_by_reason_total Write groups committed, by the trigger that drove the flush.\n"+
-					"# TYPE topkd_ingest_flushes_by_reason_total counter\n")
-				for _, rc := range tel.ReasonCounts() {
-					fmt.Fprintf(&b, "topkd_ingest_flushes_by_reason_total{reason=%q} %d\n", rc.Reason, rc.N)
-				}
+			tel := it.IngestTelemetry()
+			obs.WriteCountHistogram(&b, "topkd_ingest_group_size",
+				"Ops per committed write group (value histogram, power-of-two buckets).", &tel.GroupSize)
+			obs.WriteHistogram(&b, "topkd_ingest_flush_duration_seconds",
+				"Backend flush latency per committed write group.", &tel.FlushLatency)
+			obs.WriteHistogram(&b, "topkd_ingest_backpressure_wait_seconds",
+				"Time producers spent driving commits because pending writes exceeded MaxPending.", &tel.BackpressureWait)
+			fmt.Fprintf(&b, "# HELP topkd_ingest_flushes_by_reason_total Write groups committed, by the trigger that drove the flush.\n"+
+				"# TYPE topkd_ingest_flushes_by_reason_total counter\n")
+			for _, rc := range tel.ReasonCounts() {
+				fmt.Fprintf(&b, "topkd_ingest_flushes_by_reason_total{reason=%q} %d\n", rc.Reason, rc.N)
 			}
 		}
 		if asyncAck {
@@ -479,7 +429,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// per-member gauges by node address. One scrape yields true fleet
 	// p50/p95/p99 instead of N pages to combine client-side. The
 	// gateway's own process page stays at /v1/metrics.
-	handleV1("GET", "/metrics/fleet", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/metrics/fleet", func(w http.ResponseWriter, r *http.Request) {
 		ms, ok := probe[metricsScraper](st)
 		if !ok {
 			httpError(w, http.StatusNotFound, "not_gateway",
@@ -544,27 +494,26 @@ func New(st topk.Store, opt Options) http.Handler {
 				"pending":   s.Pending,
 			}
 			if it, ok := st.(interface{ IngestTelemetry() *ingest.Telemetry }); ok {
-				if tel := it.IngestTelemetry(); tel != nil {
-					reasons := map[string]int64{}
-					for _, rc := range tel.ReasonCounts() {
-						reasons[rc.Reason] = rc.N
+				tel := it.IngestTelemetry()
+				reasons := map[string]int64{}
+				for _, rc := range tel.ReasonCounts() {
+					reasons[rc.Reason] = rc.N
+				}
+				batcher["flush_reasons"] = reasons
+				if gs := tel.GroupSize.Snapshot(); gs.Count > 0 {
+					batcher["group_size"] = map[string]any{
+						"count": gs.Count,
+						"p50":   gs.Quantile(0.50),
+						"p95":   gs.Quantile(0.95),
+						"p99":   gs.Quantile(0.99),
 					}
-					batcher["flush_reasons"] = reasons
-					if gs := tel.GroupSize.Snapshot(); gs.Count > 0 {
-						batcher["group_size"] = map[string]any{
-							"count": gs.Count,
-							"p50":   gs.Quantile(0.50),
-							"p95":   gs.Quantile(0.95),
-							"p99":   gs.Quantile(0.99),
-						}
-					}
-					if fl := tel.FlushLatency.Snapshot(); fl.Count > 0 {
-						batcher["flush_latency"] = map[string]any{
-							"count":  fl.Count,
-							"p50_ms": float64(fl.Quantile(0.50)) / 1e6,
-							"p95_ms": float64(fl.Quantile(0.95)) / 1e6,
-							"p99_ms": float64(fl.Quantile(0.99)) / 1e6,
-						}
+				}
+				if fl := tel.FlushLatency.Snapshot(); fl.Count > 0 {
+					batcher["flush_latency"] = map[string]any{
+						"count":  fl.Count,
+						"p50_ms": float64(fl.Quantile(0.50)) / 1e6,
+						"p95_ms": float64(fl.Quantile(0.95)) / 1e6,
+						"p99_ms": float64(fl.Quantile(0.99)) / 1e6,
 					}
 				}
 			}
@@ -737,18 +686,18 @@ func bindStore(st topk.Store, r *http.Request) topk.Store {
 // offset highest-scoring qualifying points, the fetch is clamped to
 // min(n, offset+k), and a negative offset is a structured 400 for the
 // whole batch (like an unknown op — the request itself is malformed).
-func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry, ops []batchOp) ([]batchItem, error) {
+func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry, ops []wire.Op) ([]wire.Item, error) {
 	updates := make([]topk.BatchOp, 0, len(ops))
 	updateAt := make([]int, 0, len(ops))
 	queries := make([]topk.Query, 0)
 	queryAt := make([]int, 0)
 	queryOff := make([]int, 0)
-	bandErr := make(map[int]*errJSON)
+	bandErr := make(map[int]*wire.Error)
 	for i, op := range ops {
 		switch op.Op {
 		case "insert":
 			if !opt.inBand(op.Score) {
-				bandErr[i] = &errJSON{Code: "out_of_range",
+				bandErr[i] = &wire.Error{Code: "out_of_range",
 					Message: fmt.Sprintf("score %v outside this member's band [%v, %v)", op.Score, opt.Lo, opt.Hi)}
 				continue
 			}
@@ -768,9 +717,9 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 			return nil, fmt.Errorf("op %d: unknown op %q (want insert, delete or query)", i, op.Op)
 		}
 	}
-	items := make([]batchItem, len(ops))
+	items := make([]wire.Item, len(ops))
 	for i, e := range bandErr {
-		items[i] = batchItem{Error: e}
+		items[i] = wire.Item{Error: e}
 	}
 	applied := func() []error {
 		if len(updates) == 0 {
@@ -781,9 +730,9 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 	}()
 	for j, err := range applied {
 		if err != nil {
-			items[updateAt[j]] = batchItem{Error: toErrJSON(err)}
+			items[updateAt[j]] = wire.Item{Error: toErrJSON(err)}
 		} else {
-			items[updateAt[j]] = batchItem{OK: true}
+			items[updateAt[j]] = wire.Item{OK: true}
 		}
 	}
 	// Clamp only now: the batch's own inserts may have grown the live
@@ -805,7 +754,7 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		} else {
 			res = nil
 		}
-		items[queryAt[j]] = batchItem{OK: true, Results: toJSON(res)}
+		items[queryAt[j]] = wire.Item{OK: true, Results: res}
 	}
 	return items, nil
 }
@@ -916,12 +865,6 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any, log *slog.Logger)
 	}
 }
 
-// errJSON is the structured error body: {"error":{"code":..,"message":..}}.
-type errJSON struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
 // errCode maps a topk sentinel error to an HTTP status and a stable
 // machine-readable code.
 func errCode(err error) (int, string) {
@@ -943,9 +886,9 @@ func errCode(err error) (int, string) {
 	}
 }
 
-func toErrJSON(err error) *errJSON {
+func toErrJSON(err error) *wire.Error {
 	_, code := errCode(err)
-	return &errJSON{Code: code, Message: err.Error()}
+	return &wire.Error{Code: code, Message: err.Error()}
 }
 
 // writeErr renders a store error with its mapped status and code.
@@ -958,7 +901,7 @@ func httpError(w http.ResponseWriter, status int, code, format string, args ...a
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": errJSON{Code: code, Message: fmt.Sprintf(format, args...)},
+		"error": wire.Error{Code: code, Message: fmt.Sprintf(format, args...)},
 	})
 }
 

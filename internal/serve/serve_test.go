@@ -21,10 +21,7 @@ import (
 
 func testStore(t *testing.T, n int) topk.Store {
 	t.Helper()
-	pts := make([]topk.Result, 0, n)
-	for _, p := range workload.NewGen(7).Uniform(n, 1e6) {
-		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
-	}
+	pts := workload.NewGen(7).Uniform(n, 1e6)
 	st, err := topk.LoadSharded(topk.ShardedConfig{
 		Config: topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
 		Shards: 4,
@@ -98,9 +95,9 @@ func TestEpochEndpoint(t *testing.T) {
 	if out.Epoch != 0 {
 		t.Fatalf("single-backend epoch %d, want 0", out.Epoch)
 	}
-	// No unversioned alias for the new endpoints.
+	// Routes exist under /v1 only.
 	if code := getJSON(t, srv.URL+"/epoch", nil); code != 404 {
-		t.Fatalf("/epoch alias status %d, want 404", code)
+		t.Fatalf("/epoch status %d, want 404", code)
 	}
 }
 

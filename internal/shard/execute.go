@@ -7,10 +7,9 @@ package shard
 // shard is a sequential EM machine whose buffer-pool LRU state even
 // queries mutate; DESIGN.md Substitution 1).
 //
-// The k-way heap-merge that combines per-shard answers lives in
-// internal/merge, shared with the network cluster tier
-// (internal/cluster) so both layers combine partial answers with the
-// same provably-exact code.
+// The k-way heap-merge that combines per-shard answers (merge.TopK)
+// and the panic-propagating parallel runner (merge.Parallel) live in
+// internal/merge; the network cluster tier shares the runner.
 
 import (
 	"math"
@@ -19,15 +18,6 @@ import (
 	"repro/internal/merge"
 	"repro/internal/point"
 )
-
-// runParallel runs each fn in its own goroutine and waits for all,
-// re-raising worker panics on the caller's goroutine (merge.Parallel).
-func runParallel(fns []func()) { merge.Parallel(fns) }
-
-// mergeTopK k-way merges per-shard descending-score lists into the
-// global top k, preserving exact order (merge.TopK; scores are
-// distinct, so the merged order is unique).
-func mergeTopK(lists [][]point.P, k int) []point.P { return merge.TopK(lists, k) }
 
 // fanOut runs per once for every shard of the pinned snapshot
 // overlapping [x1, x2], taking each shard's mutex around its call.
@@ -69,7 +59,7 @@ func (r *Router) fanOutTopo(t *topology, lo, hi int, setup func(count int), per 
 			per(slot, s.ix)
 		})
 	}
-	runParallel(fns)
+	merge.Parallel(fns)
 }
 
 // TopK returns the k highest-scoring points with position in [x1, x2]
@@ -98,7 +88,7 @@ func (r *Router) TopK(x1, x2 float64, k int) []point.P {
 	r.fanOutTopo(t, lo, hi,
 		func(count int) { lists = make([][]point.P, count) },
 		func(slot int, ix *core.Index) { lists[slot] = ix.Query(x1, x2, k) })
-	return mergeTopK(lists, k)
+	return merge.TopK(lists, k)
 }
 
 // topKSingle answers a TopK whose interval one shard covers, on the
@@ -132,13 +122,6 @@ func (r *Router) Count(x1, x2 float64) int {
 	return total
 }
 
-// Query is one read of a QueryBatch: the k highest-scoring points
-// with position in [X1, X2].
-type Query struct {
-	X1, X2 float64
-	K      int
-}
-
 // QueryBatch answers qs as one batch over a SINGLE pinned snapshot,
 // amortizing the snapshot pin and goroutine setup that a loop of TopK
 // calls would pay per query. Work is grouped by shard — each shard's
@@ -147,7 +130,7 @@ type Query struct {
 // parallel. Answers are positionally aligned with qs and
 // byte-identical to calling TopK once per query on the same topology;
 // invalid queries (k ≤ 0, inverted or NaN bounds) yield nil.
-func (r *Router) QueryBatch(qs []Query) [][]point.P {
+func (r *Router) QueryBatch(qs []point.Query) [][]point.P {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -182,11 +165,11 @@ func (r *Router) QueryBatch(qs []Query) [][]point.P {
 		})
 	}
 	if len(fns) > 0 {
-		runParallel(fns)
+		merge.Parallel(fns)
 	}
 	for qi, ls := range lists {
 		if ls != nil {
-			out[qi] = mergeTopK(ls, qs[qi].K)
+			out[qi] = merge.TopK(ls, qs[qi].K)
 		}
 	}
 	return out

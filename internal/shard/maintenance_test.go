@@ -207,9 +207,9 @@ func TestMaintenanceConcurrentChurn(t *testing.T) {
 			gen := workload.NewGen(int64(300 + w))
 			lo := float64(w) * 1e6 / writers
 			for round := 0; round < 6; round++ {
-				var ops []Op
+				var ops []point.Op
 				for _, p := range gen.Uniform(40, 1e6/writers) {
-					ops = append(ops, Op{P: point.P{X: lo + p.X, Score: float64(w) + p.Score/2}})
+					ops = append(ops, point.Op{X: lo + p.X, Score: float64(w) + p.Score/2})
 				}
 				for i, err := range r.ApplyBatch(ops) {
 					if err != nil {
@@ -217,12 +217,12 @@ func TestMaintenanceConcurrentChurn(t *testing.T) {
 						return
 					}
 				}
-				var dels []Op
+				var dels []point.Op
 				for i, op := range ops {
 					if i%2 == 0 {
-						dels = append(dels, Op{Delete: true, P: op.P})
+						dels = append(dels, point.Op{Delete: true, X: op.X, Score: op.Score})
 					} else {
-						survivors[w] = append(survivors[w], op.P)
+						survivors[w] = append(survivors[w], op.Point())
 					}
 				}
 				for i, err := range r.ApplyBatch(dels) {
@@ -239,11 +239,7 @@ func TestMaintenanceConcurrentChurn(t *testing.T) {
 			defer func() { wg <- struct{}{} }()
 			gen := workload.NewGen(int64(400 + g))
 			for i := 0; i < 25; i++ {
-				specs := gen.Queries(8, 1e6, 0.001, 0.3, 50)
-				qs := make([]Query, len(specs))
-				for j, q := range specs {
-					qs[j] = Query{X1: q.X1, X2: q.X2, K: q.K}
-				}
+				qs := gen.Queries(8, 1e6, 0.001, 0.3, 50)
 				for j, res := range r.QueryBatch(qs) {
 					if len(res) > qs[j].K {
 						t.Errorf("answer longer than k: %d > %d", len(res), qs[j].K)

@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/em"
+	"repro/internal/merge"
 	"repro/internal/point"
 )
 
@@ -459,13 +460,6 @@ func (r *Router) deleteLocked(p point.P) (found, under bool) {
 	return true, r.mergeable(t, si, ln, r.n.Add(-1))
 }
 
-// Op is one batched update: an insert of P, or a delete of P when
-// Delete is set.
-type Op struct {
-	Delete bool
-	P      point.P
-}
-
 // ApplyBatch applies ops concurrently, grouping them by target shard
 // so each shard is locked once and ops on different shards run in
 // parallel goroutines. Per-shard order follows batch order, so a batch
@@ -481,7 +475,7 @@ type Op struct {
 // absent point; core.ErrInvalidPoint / core.ErrDuplicatePosition /
 // core.ErrDuplicateScore for rejected inserts. A rejected op never
 // mutates anything.
-func (r *Router) ApplyBatch(ops []Op) []error {
+func (r *Router) ApplyBatch(ops []point.Op) []error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -503,13 +497,13 @@ func (r *Router) ApplyBatch(ops []Op) []error {
 // maintained per op so it stays accurate even if a worker panics
 // mid-batch (internal invariant violations only; contract violations
 // are rejected per op).
-func (r *Router) applyBatchLocked(ops []Op, res []error) (over, under bool) {
+func (r *Router) applyBatchLocked(ops []point.Op, res []error) (over, under bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t := r.snapshot()
 	groups := make(map[int][]int, len(t.shards))
 	for i, op := range ops {
-		if !op.Delete && !op.P.Finite() {
+		if !op.Delete && !op.Point().Finite() {
 			// Reject inserts up front: a non-finite score would poison
 			// the score set. Non-finite deletes fall through instead —
 			// locate clamps NaN/±Inf to a shard and the exact-match
@@ -517,7 +511,7 @@ func (r *Router) applyBatchLocked(ops []Op, res []error) (over, under bool) {
 			res[i] = core.ErrInvalidPoint
 			continue
 		}
-		si := t.locate(op.P.X)
+		si := t.locate(op.X)
 		groups[si] = append(groups[si], i)
 	}
 	lens := make([]int, len(groups)) // final sizes of touched shards
@@ -532,16 +526,17 @@ func (r *Router) applyBatchLocked(ops []Op, res []error) (over, under bool) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			for _, i := range idxs {
+				p := ops[i].Point()
 				if ops[i].Delete {
-					if s.ix.Delete(ops[i].P) {
-						r.releaseScore(ops[i].P.Score)
+					if s.ix.Delete(p) {
+						r.releaseScore(p.Score)
 						r.n.Add(-1)
 					} else {
 						res[i] = core.ErrNotFound
 					}
 					continue
 				}
-				if _, err := r.insertShard(s, ops[i].P); err != nil {
+				if _, err := r.insertShard(s, p); err != nil {
 					res[i] = err
 				} else {
 					r.n.Add(1)
@@ -550,7 +545,7 @@ func (r *Router) applyBatchLocked(ops []Op, res []error) (over, under bool) {
 			lens[slot] = s.ix.Len()
 		})
 	}
-	runParallel(fns)
+	merge.Parallel(fns)
 	total := r.n.Load()
 	for slot, ln := range lens {
 		if r.overloaded(t, ln, total) {

@@ -28,7 +28,7 @@ func testOptions(maxShards int) Options {
 
 // checkQueries compares the router against the brute-force oracle on
 // the given queries, requiring exactly equal (ordered) answers.
-func checkQueries(t *testing.T, r *Router, all []point.P, qs []workload.QuerySpec) {
+func checkQueries(t *testing.T, r *Router, all []point.P, qs []point.Query) {
 	t.Helper()
 	for _, q := range qs {
 		got := r.TopK(q.X1, q.X2, q.K)
@@ -46,18 +46,18 @@ func checkQueries(t *testing.T, r *Router, all []point.P, qs []workload.QuerySpe
 }
 
 // straddlers builds queries guaranteed to cross every cut position.
-func straddlers(r *Router, xMax float64, maxK int, rng *rand.Rand) []workload.QuerySpec {
-	var qs []workload.QuerySpec
+func straddlers(r *Router, xMax float64, maxK int, rng *rand.Rand) []point.Query {
+	var qs []point.Query
 	for _, cut := range r.Boundaries() {
 		w := rng.Float64() * xMax / 4
 		qs = append(qs,
-			workload.QuerySpec{X1: cut - w, X2: cut + w, K: rng.Intn(maxK) + 1},
-			workload.QuerySpec{X1: cut, X2: cut + w, K: rng.Intn(maxK) + 1},
-			workload.QuerySpec{X1: cut - w, X2: cut, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut - w, X2: cut + w, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut, X2: cut + w, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut - w, X2: cut, K: rng.Intn(maxK) + 1},
 		)
 	}
 	// One query spanning every shard at once.
-	qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: maxK})
+	qs = append(qs, point.Query{X1: math.Inf(-1), X2: math.Inf(1), K: maxK})
 	return qs
 }
 
@@ -182,20 +182,12 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	r := Bulk(testOptions(4), base, 4)
 	seq := append([]point.P(nil), base...)
 
-	updates := gen.Mix(1500, 1000, 0.4, 1e6)
-	ops := make([]Op, len(updates))
-	for i, u := range updates {
-		if u.Delete != nil {
-			ops[i] = Op{Delete: true, P: *u.Delete}
-		} else {
-			ops[i] = Op{P: *u.Insert}
-		}
-	}
+	ops := gen.Mix(1500, 1000, 0.4, 1e6)
 	res := r.ApplyBatch(ops)
-	for i, u := range updates {
-		if u.Delete != nil {
+	for i, u := range ops {
+		if u.Delete {
 			for j, p := range seq {
-				if p == *u.Delete {
+				if p == u.Point() {
 					seq = append(seq[:j], seq[j+1:]...)
 					break
 				}
@@ -204,7 +196,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("op %d: batch delete of live point: %v", i, res[i])
 			}
 		} else {
-			seq = append(seq, *u.Insert)
+			seq = append(seq, u.Point())
 			if res[i] != nil {
 				t.Fatalf("op %d: insert: %v", i, res[i])
 			}
@@ -239,12 +231,12 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 			gen := workload.NewGen(int64(100 + w))
 			lo := float64(w) * 1e6 / writers
 			for round := 0; round < 6; round++ {
-				var ops []Op
+				var ops []point.Op
 				for _, p := range gen.Uniform(40, 1e6/writers) {
-					ops = append(ops, Op{P: point.P{
+					ops = append(ops, point.Op{
 						X:     lo + p.X,
 						Score: float64(w) + p.Score/2, // bands: [w, w+0.5)
-					}})
+					})
 				}
 				res := r.ApplyBatch(ops)
 				for i := range res {
@@ -254,10 +246,10 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 					}
 				}
 				// Delete half of what this writer just inserted.
-				var dels []Op
+				var dels []point.Op
 				for i, op := range ops {
 					if i%2 == 0 {
-						dels = append(dels, Op{Delete: true, P: op.P})
+						dels = append(dels, point.Op{Delete: true, X: op.X, Score: op.Score})
 					}
 				}
 				res = r.ApplyBatch(dels)
@@ -432,12 +424,12 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 	}
 	// The same rejections through the batch path, alongside an op that
 	// succeeds.
-	res := r.ApplyBatch([]Op{
-		{P: point.P{X: dup.X, Score: 654321}},
-		{P: point.P{X: 8e9, Score: dup.Score}},
-		{P: point.P{X: math.Inf(-1), Score: 2}},
-		{Delete: true, P: point.P{X: -4242, Score: 4242}},
-		{P: point.P{X: -3, Score: -3}},
+	res := r.ApplyBatch([]point.Op{
+		{X: dup.X, Score: 654321},
+		{X: 8e9, Score: dup.Score},
+		{X: math.Inf(-1), Score: 2},
+		{Delete: true, X: -4242, Score: 4242},
+		{X: -3, Score: -3},
 	})
 	want := []error{core.ErrDuplicatePosition, core.ErrDuplicateScore, core.ErrInvalidPoint, core.ErrNotFound, nil}
 	for i, err := range res {
@@ -466,7 +458,7 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 		if !r.Delete(point.P{X: -1, Score: -1}) {
 			t.Error("Delete after rejections")
 		}
-		res := r.ApplyBatch([]Op{{P: point.P{X: -2, Score: -2}}})
+		res := r.ApplyBatch([]point.Op{{X: -2, Score: -2}})
 		if len(res) != 1 || res[0] != nil {
 			t.Errorf("ApplyBatch after rejections: %v", res)
 		}
@@ -479,7 +471,7 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 	}
 
 	// A deleted score is free for reuse anywhere in the fleet.
-	if !r.Delete(point.P{X: dup.X, Score: dup.Score}) {
+	if !r.Delete(dup) {
 		t.Fatal("delete dup owner")
 	}
 	if err := r.Insert(point.P{X: 9e9, Score: dup.Score}); err != nil {
@@ -495,16 +487,12 @@ func TestQueryBatchMatchesTopK(t *testing.T) {
 	pts := gen.Clustered(5000, 3, 1e6)
 	r := Bulk(testOptions(6), pts, 6)
 	rng := rand.New(rand.NewSource(28))
-	specs := gen.Queries(60, 1e6, 0.001, 0.8, 200)
-	specs = append(specs, straddlers(r, 1e6, 200, rng)...)
-	qs := make([]Query, 0, len(specs)+3)
-	for _, q := range specs {
-		qs = append(qs, Query{X1: q.X1, X2: q.X2, K: q.K})
-	}
+	qs := gen.Queries(60, 1e6, 0.001, 0.8, 200)
+	qs = append(qs, straddlers(r, 1e6, 200, rng)...)
 	qs = append(qs,
-		Query{X1: 10, X2: 5, K: 3},
-		Query{X1: 0, X2: 1e6, K: 0},
-		Query{X1: math.NaN(), X2: 1, K: 3},
+		point.Query{X1: 10, X2: 5, K: 3},
+		point.Query{X1: 0, X2: 1e6, K: 0},
+		point.Query{X1: math.NaN(), X2: 1, K: 3},
 	)
 	got := r.QueryBatch(qs)
 	if len(got) != len(qs) {
@@ -784,10 +772,10 @@ func TestChurnLifecycle(t *testing.T) {
 
 	// Phase 3: mixed batches, deletes first so scores can recycle.
 	for round := 0; round < 4; round++ {
-		var dels []Op
+		var dels []point.Op
 		for i := 0; i < 100 && len(live) > 0; i++ {
 			j := rng.Intn(len(live))
-			dels = append(dels, Op{Delete: true, P: live[j]})
+			dels = append(dels, point.Op{Delete: true, X: live[j].X, Score: live[j].Score})
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
@@ -796,9 +784,9 @@ func TestChurnLifecycle(t *testing.T) {
 				t.Fatalf("batch delete %d: %v", i, err)
 			}
 		}
-		var ins []Op
+		var ins []point.Op
 		for _, p := range gen.Uniform(150, 1e6) {
-			ins = append(ins, Op{P: p})
+			ins = append(ins, point.Op{X: p.X, Score: p.Score})
 			live = append(live, p)
 		}
 		for i, err := range r.ApplyBatch(ins) {
@@ -815,23 +803,6 @@ func TestChurnLifecycle(t *testing.T) {
 	insertSome(2000)
 	deleteSome(len(live) / 2)
 	checkPhase("post-rebalance churn")
-}
-
-func TestMergeTopKOrder(t *testing.T) {
-	lists := [][]point.P{
-		{{X: 1, Score: 9}, {X: 2, Score: 5}, {X: 3, Score: 1}},
-		{{X: 4, Score: 8}, {X: 5, Score: 7}, {X: 6, Score: 6}},
-		nil,
-		{{X: 7, Score: 10}},
-	}
-	got := mergeTopK(lists, 5)
-	want := []point.P{{X: 7, Score: 10}, {X: 1, Score: 9}, {X: 4, Score: 8}, {X: 5, Score: 7}, {X: 6, Score: 6}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mergeTopK = %v, want %v", got, want)
-	}
-	if got := mergeTopK([][]point.P{nil, nil}, 3); got != nil {
-		t.Fatalf("all-empty merge = %v", got)
-	}
 }
 
 // TestRouterTopKAddsNoAllocs is the testing half of the

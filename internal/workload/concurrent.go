@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/point"
 )
 
 // This file is the concurrent side of the workload harness: a driver
@@ -44,7 +46,7 @@ var DefaultLevels = []int{1, 2, 4, 8, 16, 32, 64}
 // atomic cursor, and reports the measured throughput. do must be safe
 // for concurrent use (e.g. a topk.Sharded query; a bare topk.Index is
 // not eligible).
-func RunConcurrent(goroutines, totalOps int, qs []QuerySpec, do func(QuerySpec)) Throughput {
+func RunConcurrent(goroutines, totalOps int, qs []point.Query, do func(point.Query)) Throughput {
 	if goroutines < 1 {
 		goroutines = 1
 	}
@@ -74,7 +76,7 @@ func RunConcurrent(goroutines, totalOps int, qs []QuerySpec, do func(QuerySpec))
 // SweepConcurrency runs RunConcurrent once per level and returns the
 // per-level results, the table behind the serving-layer scaling
 // numbers (queries/sec at 1–64 goroutines).
-func SweepConcurrency(levels []int, opsPerLevel int, qs []QuerySpec, do func(QuerySpec)) []Throughput {
+func SweepConcurrency(levels []int, opsPerLevel int, qs []point.Query, do func(point.Query)) []Throughput {
 	if len(levels) == 0 {
 		levels = DefaultLevels
 	}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/point"
 )
 
 func TestRunConcurrentCompletesAllOps(t *testing.T) {
@@ -13,7 +15,7 @@ func TestRunConcurrentCompletesAllOps(t *testing.T) {
 		var calls atomic.Int64
 		seen := make(map[int]int)
 		var mu sync.Mutex
-		res := RunConcurrent(g, 500, qs, func(q QuerySpec) {
+		res := RunConcurrent(g, 500, qs, func(q point.Query) {
 			calls.Add(1)
 			mu.Lock()
 			seen[q.K]++
@@ -36,10 +38,10 @@ func TestRunConcurrentCompletesAllOps(t *testing.T) {
 
 func TestRunConcurrentDegenerate(t *testing.T) {
 	qs := NewGen(2).Queries(4, 1e6, 0.1, 0.2, 10)
-	if res := RunConcurrent(0, 0, qs, func(QuerySpec) {}); res.Ops != 0 || res.Goroutines != 1 {
+	if res := RunConcurrent(0, 0, qs, func(point.Query) {}); res.Ops != 0 || res.Goroutines != 1 {
 		t.Fatalf("degenerate: %+v", res)
 	}
-	res := RunConcurrent(4, 100, nil, func(QuerySpec) { t.Fatal("called with no queries") })
+	res := RunConcurrent(4, 100, nil, func(point.Query) { t.Fatal("called with no queries") })
 	if res.Ops != 0 {
 		t.Fatalf("no queries: %+v", res)
 	}
@@ -51,7 +53,7 @@ func TestRunConcurrentDegenerate(t *testing.T) {
 func TestSweepConcurrencyLevels(t *testing.T) {
 	qs := NewGen(3).Queries(8, 1e6, 0.01, 0.3, 20)
 	var total atomic.Int64
-	rs := SweepConcurrency([]int{1, 2, 4}, 200, qs, func(QuerySpec) { total.Add(1) })
+	rs := SweepConcurrency([]int{1, 2, 4}, 200, qs, func(point.Query) { total.Add(1) })
 	if len(rs) != 3 {
 		t.Fatalf("%d results", len(rs))
 	}
@@ -66,7 +68,7 @@ func TestSweepConcurrencyLevels(t *testing.T) {
 	if total.Load() != 600 {
 		t.Fatalf("total calls %d, want 600", total.Load())
 	}
-	if def := SweepConcurrency(nil, 10, qs, func(QuerySpec) {}); len(def) != len(DefaultLevels) {
+	if def := SweepConcurrency(nil, 10, qs, func(point.Query) {}); len(def) != len(DefaultLevels) {
 		t.Fatalf("default sweep ran %d levels", len(def))
 	}
 }

@@ -15,34 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// ToQueries converts generator QuerySpecs to topk.Query values.
-func ToQueries(qs []workload.QuerySpec) []topk.Query {
-	out := make([]topk.Query, len(qs))
-	for i, q := range qs {
-		out[i] = topk.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	return out
-}
-
-// ToBatchOps converts a Mix update stream to Store batch operations.
-func ToBatchOps(ups []workload.Update) []topk.BatchOp {
-	out := make([]topk.BatchOp, len(ups))
-	for i, u := range ups {
-		if u.Delete != nil {
-			out[i] = topk.BatchOp{Delete: true, X: u.Delete.X, Score: u.Delete.Score}
-		} else {
-			out[i] = topk.BatchOp{X: u.Insert.X, Score: u.Insert.Score}
-		}
-	}
-	return out
-}
-
 // ApplyUpdates drives an update stream through st.ApplyBatch in
 // chunks of batchSize (≤ 0 means one batch), returning the per-op
-// errors aligned with ups. Chunks are applied in order, so a Mix
+// errors aligned with ops. Chunks are applied in order, so a Mix
 // stream that deletes points it inserted earlier stays valid.
-func ApplyUpdates(st topk.Store, ups []workload.Update, batchSize int) []error {
-	ops := ToBatchOps(ups)
+func ApplyUpdates(st topk.Store, ops []topk.BatchOp, batchSize int) []error {
 	if batchSize <= 0 || batchSize > len(ops) {
 		batchSize = len(ops)
 	}
@@ -63,8 +40,8 @@ func ApplyUpdates(st topk.Store, ups []workload.Update, batchSize int) []error {
 // Cluster). It is the per-call twin of RunBatched, so the two compare
 // directly; being Store-only, the same driver measures a local fleet
 // or a network gateway.
-func RunTopK(st topk.Store, goroutines, totalOps int, qs []workload.QuerySpec) workload.Throughput {
-	return workload.RunConcurrent(goroutines, totalOps, qs, func(q workload.QuerySpec) {
+func RunTopK(st topk.Store, goroutines, totalOps int, qs []topk.Query) workload.Throughput {
+	return workload.RunConcurrent(goroutines, totalOps, qs, func(q topk.Query) {
 		st.TopK(q.X1, q.X2, q.K)
 	})
 }
@@ -76,7 +53,7 @@ func RunTopK(st topk.Store, goroutines, totalOps int, qs []workload.QuerySpec) w
 // counts individual queries (not batches), so it compares directly
 // with workload.RunConcurrent's one-query-per-op numbers — the delta
 // is what the single-lock-acquisition batch path buys.
-func RunBatched(st topk.Store, goroutines, totalOps, batchSize int, qs []workload.QuerySpec) workload.Throughput {
+func RunBatched(st topk.Store, goroutines, totalOps, batchSize int, qs []topk.Query) workload.Throughput {
 	if goroutines < 1 {
 		goroutines = 1
 	}
@@ -86,7 +63,6 @@ func RunBatched(st topk.Store, goroutines, totalOps, batchSize int, qs []workloa
 	if totalOps < 1 || len(qs) == 0 {
 		return workload.Throughput{Goroutines: goroutines}
 	}
-	tqs := ToQueries(qs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -106,7 +82,7 @@ func RunBatched(st topk.Store, goroutines, totalOps, batchSize int, qs []workloa
 				}
 				batch = batch[:0]
 				for i := lo; i < hi; i++ {
-					batch = append(batch, tqs[i%int64(len(tqs))])
+					batch = append(batch, qs[i%int64(len(qs))])
 				}
 				st.QueryBatch(batch)
 			}

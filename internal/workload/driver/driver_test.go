@@ -36,7 +36,7 @@ func TestApplyUpdatesAndRunBatched(t *testing.T) {
 			}
 			wantLen := 0
 			for _, u := range ups {
-				if u.Delete != nil {
+				if u.Delete {
 					wantLen--
 				} else {
 					wantLen++

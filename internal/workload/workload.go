@@ -163,51 +163,40 @@ func (g *Gen) Events(n int) ([]Event, []point.P) {
 	return es, pts
 }
 
-// QuerySpec is a random query drawn against a workload's x-domain.
-type QuerySpec struct {
-	X1, X2 float64
-	K      int
-}
-
-// Queries returns cnt random queries with selectivity in
-// [minSel, maxSel] (fraction of the x-domain) and k in [1, maxK].
-func (g *Gen) Queries(cnt int, xMax, minSel, maxSel float64, maxK int) []QuerySpec {
-	out := make([]QuerySpec, cnt)
+// Queries returns cnt random queries drawn against the x-domain
+// [0, xMax], with selectivity in [minSel, maxSel] (fraction of the
+// x-domain) and k in [1, maxK].
+func (g *Gen) Queries(cnt int, xMax, minSel, maxSel float64, maxK int) []point.Query {
+	out := make([]point.Query, cnt)
 	for i := range out {
 		sel := minSel + g.rng.Float64()*(maxSel-minSel)
 		w := sel * xMax
 		x1 := g.rng.Float64() * (xMax - w)
-		out[i] = QuerySpec{X1: x1, X2: x1 + w, K: g.rng.Intn(maxK) + 1}
+		out[i] = point.Query{X1: x1, X2: x1 + w, K: g.rng.Intn(maxK) + 1}
 	}
 	return out
 }
 
-// UpdateMix returns an interleaved stream of inserts and deletes over a
-// base set: ops[i].Insert is the point to add when Del is nil. The
-// stream keeps roughly steady live size.
-type Update struct {
-	Insert *point.P
-	Delete *point.P
-}
-
-// Mix produces ops updates, deleting uniformly from the live set with
-// probability delFrac once it exceeds warm points.
-func (g *Gen) Mix(ops int, warm int, delFrac float64, xMax float64) []Update {
+// Mix produces an interleaved stream of ops inserts and deletes,
+// deleting uniformly from the live set with probability delFrac once
+// it exceeds warm points, so the stream keeps a roughly steady live
+// size.
+func (g *Gen) Mix(ops int, warm int, delFrac float64, xMax float64) []point.Op {
 	var live []point.P
-	out := make([]Update, 0, ops)
+	out := make([]point.Op, 0, ops)
 	for len(out) < ops {
 		if len(live) > warm && g.rng.Float64() < delFrac {
 			j := g.rng.Intn(len(live))
 			p := live[j]
 			live = append(live[:j], live[j+1:]...)
-			out = append(out, Update{Delete: &p})
+			out = append(out, point.Op{Delete: true, X: p.X, Score: p.Score})
 			continue
 		}
 		p := g.fresh(func() (float64, float64) {
 			return g.rng.Float64() * xMax, g.rng.Float64()
 		})
 		live = append(live, p)
-		out = append(out, Update{Insert: &p})
+		out = append(out, point.Op{X: p.X, Score: p.Score})
 	}
 	return out
 }

@@ -128,7 +128,7 @@ func TestMixKeepsLiveSizeSteady(t *testing.T) {
 	live := 0
 	peak := 0
 	for _, u := range ups {
-		if u.Insert != nil {
+		if !u.Delete {
 			live++
 		} else {
 			live--
@@ -149,13 +149,13 @@ func TestMixDeletesOnlyLivePoints(t *testing.T) {
 	g := NewGen(8)
 	live := map[float64]bool{}
 	for _, u := range g.Mix(3000, 200, 0.5, 1e6) {
-		if u.Insert != nil {
-			live[u.Insert.X] = true
+		if !u.Delete {
+			live[u.X] = true
 		} else {
-			if !live[u.Delete.X] {
+			if !live[u.X] {
 				t.Fatal("delete of never-inserted point")
 			}
-			delete(live, u.Delete.X)
+			delete(live, u.X)
 		}
 	}
 }

@@ -102,11 +102,7 @@ func LoadSharded(cfg ShardedConfig, pts []Result) (*Sharded, error) {
 	if err := validatePoints(pts); err != nil {
 		return nil, err
 	}
-	ps := make([]point.P, len(pts))
-	for i, r := range pts {
-		ps[i] = point.P{X: r.X, Score: r.Score}
-	}
-	return &Sharded{r: shard.Bulk(opt, ps, opt.MaxShards)}, nil
+	return &Sharded{r: shard.Bulk(opt, pts, opt.MaxShards)}, nil
 }
 
 // Len returns the number of points currently stored.
@@ -140,7 +136,7 @@ func (s *Sharded) Delete(pos, score float64) bool {
 // in descending score order — the same answer, in the same order, as
 // Index.TopK on the same point set.
 func (s *Sharded) TopK(x1, x2 float64, k int) []Result {
-	return toResults(s.r.TopK(x1, x2, k))
+	return nilIfEmpty(s.r.TopK(x1, x2, k))
 }
 
 // QueryBatch answers qs as one batch over a single pinned topology
@@ -150,21 +146,7 @@ func (s *Sharded) TopK(x1, x2 float64, k int) []Result {
 // amortizing the per-shard lock acquisitions and goroutine setup a
 // loop of TopK calls would pay per query. Answers align positionally
 // with qs and are byte-identical to sequential TopK calls.
-func (s *Sharded) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	sqs := make([]shard.Query, len(qs))
-	for i, q := range qs {
-		sqs[i] = shard.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := s.r.QueryBatch(sqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
-}
+func (s *Sharded) QueryBatch(qs []Query) [][]Result { return s.r.QueryBatch(qs) }
 
 // Count returns the number of stored points with position in [x1, x2].
 func (s *Sharded) Count(x1, x2 float64) int { return s.r.Count(x1, x2) }
@@ -179,13 +161,7 @@ func (s *Sharded) Count(x1, x2 float64) int { return s.r.Count(x1, x2) }
 // deletes in their own batch first. Returns one error per op under
 // the Store contract (nil = applied, ErrNotFound for absent deletes,
 // Insert sentinels for rejected inserts).
-func (s *Sharded) ApplyBatch(ops []BatchOp) []error {
-	sops := make([]shard.Op, len(ops))
-	for i, op := range ops {
-		sops[i] = shard.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return s.r.ApplyBatch(sops)
-}
+func (s *Sharded) ApplyBatch(ops []BatchOp) []error { return s.r.ApplyBatch(ops) }
 
 // Rebalance re-partitions into up to target equal quantile shards,
 // preserving contents exactly. Inserts rebalance automatically via

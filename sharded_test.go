@@ -20,6 +20,28 @@ func testShardedConfig(shards int) ShardedConfig {
 	}
 }
 
+// TestShardedTopKAddsNoAllocs is the public twin of the router's
+// TestRouterTopKAddsNoAllocs: for an interval one shard covers,
+// Sharded.TopK hands the router's answer straight to the caller, so it
+// allocates no more than the router's own TopK.
+func TestShardedTopKAddsNoAllocs(t *testing.T) {
+	s := mustLoadSharded(t, testShardedConfig(4), workload.NewGen(31).Uniform(4000, 1e6))
+	cuts := s.Boundaries()
+	if len(cuts) < 2 {
+		t.Fatalf("bulk load produced %d cuts; need an interior shard", len(cuts))
+	}
+	x1, x2 := cuts[0], cuts[0]+(cuts[1]-cuts[0])/2
+	const k = 10
+	if got := s.TopK(x1, x2, k); len(got) != k { // also warms the shard's buffer pool
+		t.Fatalf("TopK over half a shard returned %d points, want %d", len(got), k)
+	}
+	router := testing.AllocsPerRun(100, func() { s.r.TopK(x1, x2, k) })
+	public := testing.AllocsPerRun(100, func() { s.TopK(x1, x2, k) })
+	if public > router {
+		t.Fatalf("Sharded.TopK allocates %.1f/op vs %.1f/op for the router's TopK; the public layer must add zero", public, router)
+	}
+}
+
 // TestShardedMatchesIndex is the acceptance test: on identical point
 // sets, Sharded must return byte-identical results to a single Index
 // for randomized queries, including boundary-straddling ones, under
@@ -27,7 +49,7 @@ func testShardedConfig(shards int) ShardedConfig {
 func TestShardedMatchesIndex(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		gen := workload.NewGen(int64(40 + shards))
-		pts := toResults(gen.Uniform(3000, 1e6))
+		pts := gen.Uniform(3000, 1e6)
 		single := mustLoad(t, Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}, pts)
 		sharded := mustLoadSharded(t, testShardedConfig(shards), pts)
 
@@ -53,15 +75,15 @@ func TestShardedMatchesIndex(t *testing.T) {
 
 		// Interleave updates through both and re-check.
 		for _, u := range gen.Mix(800, 600, 0.4, 1e6) {
-			if u.Delete != nil {
-				sok := single.Delete(u.Delete.X, u.Delete.Score)
-				dok := sharded.Delete(u.Delete.X, u.Delete.Score)
+			if u.Delete {
+				sok := single.Delete(u.X, u.Score)
+				dok := sharded.Delete(u.X, u.Score)
 				if sok != dok {
 					t.Fatalf("Delete divergence: single=%v sharded=%v", sok, dok)
 				}
 			} else {
-				mustInsert(t, single, u.Insert.X, u.Insert.Score)
-				mustInsert(t, sharded, u.Insert.X, u.Insert.Score)
+				mustInsert(t, single, u.X, u.Score)
+				mustInsert(t, sharded, u.X, u.Score)
 			}
 		}
 		if single.Len() != sharded.Len() {
@@ -125,7 +147,7 @@ func TestShardedApplyBatchAndConcurrentReads(t *testing.T) {
 // shards, not a single serialized one.
 func TestLoadShardedDefaults(t *testing.T) {
 	gen := workload.NewGen(31)
-	pts := toResults(gen.Uniform(4000, 1e6))
+	pts := gen.Uniform(4000, 1e6)
 	idx := mustLoadSharded(t, ShardedConfig{
 		Config: Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
 	}, pts)
@@ -147,7 +169,7 @@ func TestLoadShardedDefaults(t *testing.T) {
 // byte-identical to a sequential Index over the survivors.
 func TestMergeAfterHeavyDeletes(t *testing.T) {
 	gen := workload.NewGen(71)
-	pts := toResults(gen.Uniform(4000, 1e6))
+	pts := gen.Uniform(4000, 1e6)
 	sharded := mustLoadSharded(t, testShardedConfig(8), pts)
 	if sharded.NumShards() != 8 {
 		t.Fatalf("NumShards = %d, want 8", sharded.NumShards())
@@ -195,7 +217,7 @@ func TestMergeAfterHeavyDeletes(t *testing.T) {
 func TestMaintenancePassCoalescesStrandedFleet(t *testing.T) {
 	cfg := testShardedConfig(4) // MinSplit 256 → merge floor 128; Skew 2
 	gen := workload.NewGen(91)
-	pts := toResults(gen.Uniform(4000, 1e6))
+	pts := gen.Uniform(4000, 1e6)
 	sharded := mustLoadSharded(t, cfg, pts)
 	defer sharded.Close()
 	cuts := sharded.Boundaries()
@@ -305,7 +327,7 @@ func TestMaintenanceBackgroundLoopPublic(t *testing.T) {
 	cfg := testShardedConfig(8)
 	cfg.MaintenanceInterval = 2 * time.Millisecond
 	gen := workload.NewGen(93)
-	pts := toResults(gen.Uniform(4000, 1e6))
+	pts := gen.Uniform(4000, 1e6)
 	idx := mustLoadSharded(t, cfg, pts)
 	defer idx.Close()
 	for _, p := range pts[:3600] {
@@ -333,7 +355,7 @@ func TestMaintenanceBackgroundLoopPublic(t *testing.T) {
 
 func TestShardedStatsAndRebalance(t *testing.T) {
 	gen := workload.NewGen(9)
-	pts := toResults(gen.Clustered(2000, 3, 1e6))
+	pts := gen.Clustered(2000, 3, 1e6)
 	idx := mustLoadSharded(t, testShardedConfig(4), pts)
 	if idx.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", idx.NumShards())

@@ -37,10 +37,7 @@ var (
 
 // Query is one read of a QueryBatch: the K highest-scoring points
 // with position in [X1, X2].
-type Query struct {
-	X1, X2 float64
-	K      int
-}
+type Query = point.Query
 
 // Store is the serving interface implemented by both *Index (one
 // sequential EM machine) and *Sharded (a concurrent fleet of them).
@@ -105,10 +102,7 @@ var (
 
 // BatchOp is one operation of an ApplyBatch call: an insert of
 // (X, Score), or a delete when Delete is set.
-type BatchOp struct {
-	Delete   bool
-	X, Score float64
-}
+type BatchOp = point.Op
 
 // validatePoints checks a bulk-load input against the paper's
 // standing assumptions: finite coordinates, distinct positions,
@@ -117,7 +111,7 @@ func validatePoints(pts []Result) error {
 	seenX := make(map[float64]struct{}, len(pts))
 	seenS := make(map[float64]struct{}, len(pts))
 	for i, r := range pts {
-		if !(point.P{X: r.X, Score: r.Score}).Finite() {
+		if !r.Finite() {
 			return fmt.Errorf("topk: load point %d (%v, %v): %w", i, r.X, r.Score, ErrInvalidPoint)
 		}
 		if _, dup := seenX[r.X]; dup {

@@ -31,7 +31,7 @@ func storeBackends(t *testing.T, pts []Result) map[string]Store {
 // the guarantee that a rejected op mutates nothing.
 func TestStoreErrorPaths(t *testing.T) {
 	gen := workload.NewGen(61)
-	pts := toResults(gen.Uniform(2000, 1e6))
+	pts := gen.Uniform(2000, 1e6)
 	for name, st := range storeBackends(t, pts) {
 		t.Run(name, func(t *testing.T) {
 			n := st.Len()
@@ -93,7 +93,7 @@ func TestStoreErrorPaths(t *testing.T) {
 // target, where per-shard structures alone cannot see it.
 func TestShardedCrossShardDuplicateScore(t *testing.T) {
 	gen := workload.NewGen(62)
-	pts := toResults(gen.Uniform(4000, 1e6))
+	pts := gen.Uniform(4000, 1e6)
 	idx := mustLoadSharded(t, testShardedConfig(4), pts)
 	cuts := idx.Boundaries()
 	if len(cuts) != 3 {
@@ -121,7 +121,7 @@ func TestShardedCrossShardDuplicateScore(t *testing.T) {
 // queries straddle shard boundaries and degenerate queries.
 func TestQueryBatchDifferential(t *testing.T) {
 	gen := workload.NewGen(63)
-	pts := toResults(gen.Clustered(5000, 4, 1e6))
+	pts := gen.Clustered(5000, 4, 1e6)
 	backends := storeBackends(t, pts)
 
 	qs := workloadQueries(gen, backends["sharded"].(*Sharded))
@@ -159,10 +159,7 @@ func TestQueryBatchDifferential(t *testing.T) {
 // workloadQueries builds a batch mixing random queries, queries
 // pinned to every shard boundary, degenerate and NaN queries.
 func workloadQueries(gen *workload.Gen, sharded *Sharded) []Query {
-	var qs []Query
-	for _, q := range gen.Queries(40, 1e6, 0.001, 0.9, 200) {
-		qs = append(qs, Query{X1: q.X1, X2: q.X2, K: q.K})
-	}
+	qs := gen.Queries(40, 1e6, 0.001, 0.9, 200)
 	for _, cut := range sharded.Boundaries() {
 		qs = append(qs,
 			Query{X1: cut - 1e4, X2: cut + 1e4, K: 17},
@@ -185,7 +182,7 @@ func workloadQueries(gen *workload.Gen, sharded *Sharded) []Query {
 // writers and a rebalancer; every answer must be internally ordered
 // and every point must belong to its query range.
 func TestQueryBatchConcurrent(t *testing.T) {
-	idx := mustLoadSharded(t, testShardedConfig(8), toResults(workload.NewGen(64).Uniform(3000, 1e6)))
+	idx := mustLoadSharded(t, testShardedConfig(8), workload.NewGen(64).Uniform(3000, 1e6))
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -213,10 +210,7 @@ func TestQueryBatchConcurrent(t *testing.T) {
 			defer wg.Done()
 			gen := workload.NewGen(int64(200 + g))
 			for i := 0; i < 20; i++ {
-				var qs []Query
-				for _, q := range gen.Queries(8, 6e6, 0.01, 0.5, 30) {
-					qs = append(qs, Query{X1: q.X1, X2: q.X2, K: q.K})
-				}
+				qs := gen.Queries(8, 6e6, 0.01, 0.5, 30)
 				for qi, res := range idx.QueryBatch(qs) {
 					for j, p := range res {
 						if p.X < qs[qi].X1 || p.X > qs[qi].X2 {
@@ -246,19 +240,11 @@ func TestQueryBatchConcurrent(t *testing.T) {
 // backend is exactly the op-by-op loop.
 func TestIndexApplyBatchMatchesSequential(t *testing.T) {
 	gen := workload.NewGen(65)
-	base := toResults(gen.Uniform(1500, 1e6))
+	base := gen.Uniform(1500, 1e6)
 	batched := mustLoad(t, smallCfg(), base)
 	looped := mustLoad(t, smallCfg(), base)
 
-	ups := gen.Mix(1200, 800, 0.4, 1e6)
-	ops := make([]BatchOp, len(ups))
-	for i, u := range ups {
-		if u.Delete != nil {
-			ops[i] = BatchOp{Delete: true, X: u.Delete.X, Score: u.Delete.Score}
-		} else {
-			ops[i] = BatchOp{X: u.Insert.X, Score: u.Insert.Score}
-		}
-	}
+	ops := gen.Mix(1200, 800, 0.4, 1e6)
 	res := batched.ApplyBatch(ops)
 	for i, op := range ops {
 		var err error
@@ -290,7 +276,7 @@ func TestIndexApplyBatchMatchesSequential(t *testing.T) {
 // library has to hold the same line on its own).
 func TestOversizedKClamped(t *testing.T) {
 	gen := workload.NewGen(81)
-	pts := toResults(gen.Uniform(500, 1e6))
+	pts := gen.Uniform(500, 1e6)
 	for name, st := range storeBackends(t, pts) {
 		for _, k := range []int{501, 1 << 40, math.MaxInt} {
 			got := st.TopK(math.Inf(-1), math.Inf(1), k)
@@ -349,9 +335,9 @@ func TestChurnDifferential(t *testing.T) {
 			t.Fatalf("%s: Len %d vs %d", phase, sharded.Len(), single.Len())
 		}
 		qs := gen.Queries(50, 1e6, 0.001, 0.9, 150)
-		qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 5000})
+		qs = append(qs, Query{X1: math.Inf(-1), X2: math.Inf(1), K: 5000})
 		for _, cut := range sharded.Boundaries() {
-			qs = append(qs, workload.QuerySpec{X1: cut - 1e4, X2: cut + 1e4, K: 50})
+			qs = append(qs, Query{X1: cut - 1e4, X2: cut + 1e4, K: 50})
 		}
 		for _, q := range qs {
 			got, want := sharded.TopK(q.X1, q.X2, q.K), single.TopK(q.X1, q.X2, q.K)
@@ -367,7 +353,7 @@ func TestChurnDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	var live []Result
 
-	live = apply(toResults(gen.Uniform(5000, 1e6)), 0, rng, live) // grow: splits
+	live = apply(gen.Uniform(5000, 1e6), 0, rng, live) // grow: splits
 	if sharded.Splits() == 0 {
 		t.Fatalf("no splits during growth: %s", sharded)
 	}
@@ -386,7 +372,7 @@ func TestChurnDifferential(t *testing.T) {
 	sharded.Rebalance(0) // single is rebalance-free; contents must agree regardless
 	checkPhase("rebalance")
 
-	live = apply(toResults(gen.Uniform(2500, 1e6)), 0.3, rng, live) // refill churn
+	live = apply(gen.Uniform(2500, 1e6), 0.3, rng, live) // refill churn
 	checkPhase("refill")
 	_ = live
 }

@@ -81,11 +81,9 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// Result is one reported point.
-type Result struct {
-	X     float64
-	Score float64
-}
+// Result is one reported point. It is the same type as the engine's
+// internal point, so answers reach the caller without a conversion.
+type Result = point.P
 
 // Index is a dynamic top-k range reporting index. Create with New; an
 // Index is not safe for concurrent use (the EM model is sequential —
@@ -117,11 +115,7 @@ func Load(cfg Config, pts []Result) (*Index, error) {
 		return nil, err
 	}
 	d := em.NewDisk(em.Config{B: cfg.BlockWords, M: cfg.MemoryWords})
-	ps := make([]point.P, len(pts))
-	for i, r := range pts {
-		ps[i] = point.P{X: r.X, Score: r.Score}
-	}
-	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), ps)}, nil
+	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), pts)}, nil
 }
 
 func coreOptions(cfg Config) core.Options {
@@ -188,20 +182,16 @@ func (x *Index) TopK(x1, x2 float64, k int) []Result {
 	if math.IsNaN(x1) || math.IsNaN(x2) {
 		return nil
 	}
-	return toResults(x.ix.Query(x1, x2, k))
+	return nilIfEmpty(x.ix.Query(x1, x2, k))
 }
 
-// toResults converts internal points; empty in, nil out, so both
-// backends agree byte-for-byte on no-hit queries.
-func toResults(pts []point.P) []Result {
-	if len(pts) == 0 {
+// nilIfEmpty maps an empty answer to nil, so every backend agrees
+// byte-for-byte on no-hit queries.
+func nilIfEmpty(res []Result) []Result {
+	if len(res) == 0 {
 		return nil
 	}
-	out := make([]Result, len(pts))
-	for i, p := range pts {
-		out[i] = Result{X: p.X, Score: p.Score}
-	}
-	return out
+	return res
 }
 
 // QueryBatch answers qs as a sequential loop of TopK calls, aligned

@@ -16,14 +16,6 @@ func smallCfg() Config {
 	return Config{BlockWords: 32, ForcePolylog: true, PolylogF: 4, PolylogLeafCap: 64}
 }
 
-func toPoints(rs []Result) []point.P {
-	out := make([]point.P, len(rs))
-	for i, r := range rs {
-		out[i] = point.P{X: r.X, Score: r.Score}
-	}
-	return out
-}
-
 // Test-side constructors: the error returns are part of the API under
 // test, so every helper asserts them.
 func mustNew(t testing.TB, cfg Config) *Index {
@@ -103,10 +95,10 @@ func TestQuickstartFlow(t *testing.T) {
 func TestLoadMatchesOracle(t *testing.T) {
 	gen := workload.NewGen(1)
 	pts := gen.Uniform(2500, 1e5)
-	idx := mustLoad(t, smallCfg(), toResults(pts))
+	idx := mustLoad(t, smallCfg(), pts)
 	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(120, 1e5, 0.05, 0.6, 40) {
-		got := toPoints(idx.TopK(q.X1, q.X2, q.K))
+		got := idx.TopK(q.X1, q.X2, q.K)
 		if err := verify.DiffTopK(got, oracle.TopK(q.X1, q.X2, q.K)); err != nil {
 			t.Fatalf("query %+v: %v", q, err)
 		}
@@ -114,7 +106,7 @@ func TestLoadMatchesOracle(t *testing.T) {
 }
 
 func TestStatsMeterMoves(t *testing.T) {
-	idx := mustLoad(t, smallCfg(), toResults(workload.NewGen(2).Uniform(2000, 1e5)))
+	idx := mustLoad(t, smallCfg(), workload.NewGen(2).Uniform(2000, 1e5))
 	idx.ResetStats()
 	idx.DropCache()
 	before := idx.Stats()
@@ -170,7 +162,7 @@ func TestLoadValidatesPoints(t *testing.T) {
 }
 
 func TestRegimeAndThresholdExposed(t *testing.T) {
-	idx := mustLoad(t, smallCfg(), toResults(workload.NewGen(3).Uniform(500, 1e4)))
+	idx := mustLoad(t, smallCfg(), workload.NewGen(3).Uniform(500, 1e4))
 	if idx.KThreshold() <= 0 {
 		t.Fatal("threshold")
 	}
@@ -199,7 +191,7 @@ func TestReinsertionCycle(t *testing.T) {
 	}
 	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(40, 1e4, 0.1, 0.6, 12) {
-		got := toPoints(idx.TopK(q.X1, q.X2, q.K))
+		got := idx.TopK(q.X1, q.X2, q.K)
 		if err := verify.DiffTopK(got, oracle.TopK(q.X1, q.X2, q.K)); err != nil {
 			t.Fatalf("after cycles: %v", err)
 		}
@@ -242,7 +234,7 @@ func TestQuickPublicAPI(t *testing.T) {
 		}
 		x1 := float64(abs % 30000)
 		k := int(abs%9) + 1
-		got := toPoints(idx.TopK(x1, x1+25000, k))
+		got := idx.TopK(x1, x1+25000, k)
 		return verify.DiffTopK(got, oracle.TopK(x1, x1+25000, k)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
