@@ -567,6 +567,114 @@ func TestClusterScoreOrderedWalk(t *testing.T) {
 	}
 }
 
+// tearTopK is a RoundTripper in the style of callLog that keeps one
+// member's 200 status but rewrites every /v1/topk body it sends with
+// tear, counting the bodies it tore.
+type tearTopK struct {
+	base   *http.Transport
+	member string // the member's base URL
+	tear   func(body []byte) []byte
+	torn   atomic.Int64
+}
+
+func (tt *tearTopK) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := tt.base.RoundTrip(r)
+	if err != nil || resp.StatusCode != http.StatusOK || r.URL.Path != "/v1/topk" || r.URL.Scheme+"://"+r.URL.Host != tt.member {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	body = tt.tear(body)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	tt.torn.Add(1)
+	return resp, nil
+}
+
+// tornBodies are the ways a 200 /v1/topk body arrives broken. Each
+// applies to a body holding at least two points.
+var tornBodies = []struct {
+	name string
+	tear func(body []byte) []byte
+}{
+	{"cut inside a number", func(b []byte) []byte {
+		return b[:bytes.Index(b, []byte(`"score":`))+len(`"score":0.`)]
+	}},
+	{"cut after a point and its comma", func(b []byte) []byte { return b[:bytes.Index(b, []byte("},"))+2] }},
+	{"cut before the final brace", func(b []byte) []byte { return b[:bytes.LastIndexByte(b, '}')] }},
+	{"empty body", func([]byte) []byte { return nil }},
+	{"results an object", func([]byte) []byte { return []byte(`{"offset":0,"results":{}}`) }},
+	{"trailing garbage", func(b []byte) []byte { return append(b, "garbage"...) }},
+}
+
+// TestClusterTornTopKBody makes a member's broken 200 answer a tested
+// event: the gateway treats it as a failed node. With a healthy second
+// replica in the band, the read fails over and the answer is exact.
+// With the band's only replica torn, the band contributes nothing, as a
+// dark band does in TestClusterWholeBandDown, so no prefix of a torn
+// body reaches an answer.
+func TestClusterTornTopKBody(t *testing.T) {
+	pts := uniformResults(107, 1000, 1e6)
+	cuts := scoreQuantiles(pts, 2)
+	replicated := bootFleet(t, pts, []bandSpec{{math.Inf(-1), cuts[0], 1}, {cuts[0], math.Inf(1), 2}})
+	single := bootFleet(t, pts, []bandSpec{{math.Inf(-1), cuts[0], 1}, {cuts[0], math.Inf(1), 1}})
+	oracle, err := topk.Load(testClusterCfg(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every read asks the top band, whose first replica is torn; with it
+	// dark, the bottom band alone answers.
+	var low []topk.Result
+	for _, p := range pts {
+		if p.Score < cuts[0] {
+			low = append(low, p)
+		}
+	}
+	survivors, err := topk.Load(testClusterCfg(), low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateway := func(t *testing.T, fleet *testFleet, tear func([]byte) []byte) (*topk.Cluster, *tearTopK) {
+		tt := &tearTopK{base: &http.Transport{}, member: fleet.servers[1][0].URL, tear: tear}
+		t.Cleanup(tt.base.CloseIdleConnections)
+		cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second, Transport: tt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl, tt
+	}
+	ks := []int{5, 100, len(pts)}
+	for _, tb := range tornBodies {
+		t.Run(tb.name, func(t *testing.T) {
+			cl, tt := gateway(t, replicated, tb.tear)
+			for _, k := range ks {
+				got, want := cl.TopK(math.Inf(-1), math.Inf(1), k), oracle.TopK(math.Inf(-1), math.Inf(1), k)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("replicated band, k=%d: got %d points, want the oracle's %d", k, len(got), len(want))
+				}
+			}
+			if tt.torn.Load() == 0 || cl.ReadFailovers() == 0 {
+				t.Fatalf("replicated band: %d bodies torn, %d read failovers; want both above 0", tt.torn.Load(), cl.ReadFailovers())
+			}
+
+			cl, tt = gateway(t, single, tb.tear)
+			for _, k := range ks {
+				got, want := cl.TopK(math.Inf(-1), math.Inf(1), k), survivors.TopK(math.Inf(-1), math.Inf(1), k)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("single replica, k=%d: got %d points, want the survivors' %d", k, len(got), len(want))
+				}
+			}
+			if n := tt.torn.Load(); n != int64(len(ks)) {
+				t.Fatalf("single replica: %d bodies torn, want one per read (%d)", n, len(ks))
+			}
+		})
+	}
+}
+
 // TestClusterConfigValidation: the gateway refuses layouts it cannot
 // serve correctly.
 func TestClusterConfigValidation(t *testing.T) {

@@ -39,17 +39,17 @@ type node struct {
 	ejectedUntil time.Time
 }
 
-// get issues a GET and decodes the 200 body into out.
-func (n *node) get(ctx context.Context, path string, out any) error {
+// get issues a GET and hands the 200 body to read.
+func (n *node) get(ctx context.Context, path string, read func(io.Reader) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+path, nil)
 	if err != nil {
 		return fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
-	return n.do(req, out)
+	return n.do(req, read)
 }
 
-// post issues a POST with a JSON body and decodes the 200 body into out.
-func (n *node) post(ctx context.Context, path string, body, out any) error {
+// post issues a POST with a JSON body and hands the 200 body to read.
+func (n *node) post(ctx context.Context, path string, body any, read func(io.Reader) error) error {
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
@@ -61,13 +61,19 @@ func (n *node) post(ctx context.Context, path string, body, out any) error {
 		return fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return n.do(req, out)
+	return n.do(req, read)
 }
 
-// do executes the request. Transport failures and 5xx responses wrap
-// ErrNodeDown (the member is unreachable or broken); structured non-2xx
-// envelopes map back to the library sentinels (the member answered and
-// rejected — not a node failure).
+// jsonInto reads a body as one JSON value into out.
+func jsonInto(out any) func(io.Reader) error {
+	return func(body io.Reader) error { return json.NewDecoder(body).Decode(out) }
+}
+
+// do executes the request and hands a 200 body to read (nil: ignore
+// it). Transport failures and 5xx responses wrap ErrNodeDown (the
+// member is unreachable or broken), and so does a 200 whose body read
+// rejects; structured non-2xx envelopes map back to the library
+// sentinels (the member answered and rejected — not a node failure).
 //
 // Telemetry rides along here, on the one choke point every member
 // request passes through: the duration lands in the per-member latency
@@ -75,7 +81,7 @@ func (n *node) post(ctx context.Context, path string, body, out any) error {
 // outgoing request (the member's middleware adopts it, so both ends
 // retain the same trace) with one child span per RPC hung off the
 // gateway's root.
-func (n *node) do(req *http.Request, out any) (err error) {
+func (n *node) do(req *http.Request, read func(io.Reader) error) (err error) {
 	if tr := obs.FromContext(req.Context()); tr != nil {
 		req.Header.Set(obs.TraceHeader, tr.ID)
 	}
@@ -105,10 +111,10 @@ func (n *node) do(req *http.Request, out any) (err error) {
 		}
 		return fmt.Errorf("%s: %w: http %d: %s", n.addr, ErrNodeDown, resp.StatusCode, data)
 	}
-	if out == nil {
+	if read == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := read(resp.Body); err != nil {
 		// A 200 with an undecodable body is a broken member, not a
 		// rejection.
 		return fmt.Errorf("%s: %w: bad response body: %v", n.addr, ErrNodeDown, err)
@@ -119,7 +125,7 @@ func (n *node) do(req *http.Request, out any) (err error) {
 // fetchRange asks the member for its declared score band.
 func (n *node) fetchRange(ctx context.Context) (rangeResp, error) {
 	var r rangeResp
-	err := n.get(ctx, "/v1/range", &r)
+	err := n.get(ctx, "/v1/range", jsonInto(&r))
 	return r, err
 }
 
@@ -129,27 +135,47 @@ func (n *node) fetchRange(ctx context.Context) (rangeResp, error) {
 // trouble, never that the backend is the wrong flavor.
 func (n *node) probe(ctx context.Context) error {
 	var e epochResp
-	return n.get(ctx, "/v1/epoch", &e)
+	return n.get(ctx, "/v1/epoch", jsonInto(&e))
 }
 
+// bodyPool holds the buffers topk reads member bodies into. Only
+// buffers up to bodyPoolMax go back, so one giant answer does not pin
+// its buffer for the life of the process.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const bodyPoolMax = 1 << 20
+
 // topk runs one remote TopK and appends its answer to dst; on error dst
-// comes back unchanged. Bounds travel as URL query parameters, so ±Inf
-// survives (strconv round-trips "Inf", unlike JSON bodies) — provided
-// they are URL-escaped: a bare "+Inf" would decode as " Inf", '+' being
-// the form encoding of space.
+// comes back unchanged, so no prefix of a torn body reaches an answer.
+// The body is read whole, then scanned by wire.ParseTopK. Bounds travel
+// as URL query parameters, so ±Inf survives (strconv round-trips "Inf",
+// unlike JSON bodies) — provided they are URL-escaped: a bare "+Inf"
+// would decode as " Inf", '+' being the form encoding of space.
 func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) ([]point.P, error) {
 	q := url.Values{}
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
 	q.Set("k", strconv.Itoa(k))
-	var r topkResp
-	if err := n.get(ctx, "/v1/topk?"+q.Encode(), &r); err != nil {
+	out := dst
+	err := n.get(ctx, "/v1/topk?"+q.Encode(), func(body io.Reader) error {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= bodyPoolMax {
+				bodyPool.Put(buf)
+			}
+		}()
+		buf.Reset()
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		var err error
+		out, err = wire.ParseTopK(buf.Bytes(), dst)
+		return err
+	})
+	if err != nil {
 		return dst, err
 	}
-	if len(dst) == 0 {
-		return r.Results, nil // the decoded slice is the answer; no copy
-	}
-	return append(dst, r.Results...), nil
+	return out, nil
 }
 
 // count runs one remote Count.
@@ -158,7 +184,7 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
 	var r countResp
-	if err := n.get(ctx, "/v1/count?"+q.Encode(), &r); err != nil {
+	if err := n.get(ctx, "/v1/count?"+q.Encode(), jsonInto(&r)); err != nil {
 		return 0, err
 	}
 	return r.Count, nil
@@ -168,7 +194,7 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 // with ops.
 func (n *node) batch(ctx context.Context, ops []wire.Op) ([]wire.Item, error) {
 	var r batchResp
-	if err := n.post(ctx, "/v1/batch", batchReq{Ops: ops}, &r); err != nil {
+	if err := n.post(ctx, "/v1/batch", batchReq{Ops: ops}, jsonInto(&r)); err != nil {
 		return nil, err
 	}
 	if len(r.Results) != len(ops) {
@@ -180,7 +206,7 @@ func (n *node) batch(ctx context.Context, ops []wire.Op) ([]wire.Item, error) {
 // stats fetches the member's meter snapshot.
 func (n *node) stats(ctx context.Context) (statsResp, error) {
 	var r statsResp
-	err := n.get(ctx, "/v1/stats", &r)
+	err := n.get(ctx, "/v1/stats", jsonInto(&r))
 	return r, err
 }
 

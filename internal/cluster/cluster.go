@@ -804,7 +804,7 @@ func (c *Cluster) FetchTrace(ctx context.Context, addr, id string) (obs.TraceJSO
 	}
 	cctx, cancel := c.callCtx(ctx)
 	defer cancel()
-	err := target.get(cctx, "/v1/trace/"+url.PathEscape(id), &out)
+	err := target.get(cctx, "/v1/trace/"+url.PathEscape(id), jsonInto(&out))
 	return out, err
 }
 

@@ -1,12 +1,14 @@
 package cluster
 
 // This file is the wire half of the client tier: the decoders for
-// internal/serve's /v1 responses that only the client reads (the
-// /v1/batch shapes both ends speak live in internal/wire), and the
+// internal/serve's /v1 responses that only the client reads, and the
 // mapping from the structured error envelope back to the library's
 // sentinel errors, so a rejection that crossed the network is
 // indistinguishable (via errors.Is) from one raised by a local
-// backend.
+// backend. The shapes both ends speak live in internal/wire: the
+// /v1/batch op and item, and the /v1/topk body, which node.topk reads
+// with wire.ParseTopK rather than a reflective decoder because a wide
+// read carries thousands of points.
 
 import (
 	"errors"
@@ -14,7 +16,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/point"
 	"repro/internal/wire"
 )
 
@@ -24,13 +25,10 @@ import (
 // topk.ErrNodeDown; match with errors.Is.
 var ErrNodeDown = errors.New("cluster: node down")
 
-// topkResp is GET /v1/topk. (Single-point /v1/insert and /v1/delete
-// have no decoders here: every gateway update travels through
-// /v1/batch, one request per band sub-batch.)
-type topkResp struct {
-	Results []point.P `json:"results"`
-}
-
+// countResp is GET /v1/count. (GET /v1/topk is wire.TopK, read by
+// wire.ParseTopK; single-point /v1/insert and /v1/delete have no
+// decoders here: every gateway update travels through /v1/batch, one
+// request per band sub-batch.)
 type countResp struct {
 	Count int `json:"count"`
 }

@@ -1,8 +1,9 @@
 package polylog
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/aurs"
 	"repro/internal/em"
@@ -161,7 +162,7 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 		cands = append(cands, aurs.Select(slabs, c1, k))
 	}
 	if len(merged) >= k {
-		sort.Sort(sort.Reverse(sort.Float64Slice(merged)))
+		slices.SortFunc(merged, func(a, b float64) int { return cmp.Compare(b, a) })
 		cands = append(cands, merged[k-1])
 	}
 	if len(cands) == 0 || t.Count(x1, x2) < k {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -188,9 +189,10 @@ func New(st topk.Store, opt Options) http.Handler {
 	})
 
 	handle("GET", "/topk", func(w http.ResponseWriter, r *http.Request) {
-		x1, err1 := queryFloat(r, "x1")
-		x2, err2 := queryFloat(r, "x2")
-		k, err3 := queryInt(r, "k")
+		q := r.URL.Query()
+		x1, err1 := queryFloat(q, "x1")
+		x2, err2 := queryFloat(q, "x2")
+		k, err3 := queryInt(q, "k")
 		if err1 != nil || err2 != nil || err3 != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "need float x1, x2 and int k")
 			return
@@ -200,7 +202,7 @@ func New(st topk.Store, opt Options) http.Handler {
 		// pages of k without the server ever allocating beyond the live
 		// size (the clamp below caps offset+k at n first).
 		off := 0
-		if s := r.URL.Query().Get("offset"); s != "" {
+		if s := q.Get("offset"); s != "" {
 			var err error
 			if off, err = strconv.Atoi(s); err != nil || off < 0 {
 				httpError(w, http.StatusBadRequest, "bad_request", "offset must be a non-negative int")
@@ -217,12 +219,13 @@ func New(st topk.Store, opt Options) http.Handler {
 		} else {
 			res = []topk.Result{} // an empty page encodes as [], not null
 		}
-		writeJSON(w, map[string]any{"results": res, "offset": off})
+		writeJSON(w, wire.TopK{Offset: off, Results: res})
 	})
 
 	handle("GET", "/count", func(w http.ResponseWriter, r *http.Request) {
-		x1, err1 := queryFloat(r, "x1")
-		x2, err2 := queryFloat(r, "x2")
+		q := r.URL.Query()
+		x1, err1 := queryFloat(q, "x1")
+		x2, err2 := queryFloat(q, "x2")
 		if err1 != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "need float x1 and x2")
 			return
@@ -807,12 +810,14 @@ func WithRecover(next http.Handler) http.Handler {
 	})
 }
 
-func queryFloat(r *http.Request, key string) (float64, error) {
-	return strconv.ParseFloat(r.URL.Query().Get(key), 64)
+// queryFloat and queryInt read one parameter of a query string the
+// handler parsed once: r.URL.Query() parses the whole string per call.
+func queryFloat(q url.Values, key string) (float64, error) {
+	return strconv.ParseFloat(q.Get(key), 64)
 }
 
-func queryInt(r *http.Request, key string) (int, error) {
-	return strconv.Atoi(r.URL.Query().Get(key))
+func queryInt(q url.Values, key string) (int, error) {
+	return strconv.Atoi(q.Get(key))
 }
 
 // encBuf is a pooled response-encode buffer with a json.Encoder bound

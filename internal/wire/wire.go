@@ -1,8 +1,14 @@
-// Package wire declares the /v1/batch shapes that both ends of the
-// HTTP tier speak: internal/serve decodes Op and encodes Item and
-// Error, internal/cluster encodes Op and decodes Item and Error. A
-// point travels as point.P, whose JSON tags are the wire spelling, so
-// nothing here converts.
+// Package wire declares the /v1 bodies that both ends of the HTTP tier
+// speak: internal/serve decodes Op and encodes Item, Error and TopK;
+// internal/cluster encodes Op and decodes Item, Error and TopK. A point
+// travels as point.P, whose JSON tags are the wire spelling, so nothing
+// here converts.
+//
+// Everything is written by encoding/json. The gateway reads a member's
+// /v1/topk body with ParseTopK, which scans the spelling encoding/json
+// writes without reflection and hands any other body to json.Unmarshal:
+// a wide read returns thousands of points, and reflective decoding of
+// them was the largest share of the gateway's CPU.
 package wire
 
 import "repro/internal/point"
