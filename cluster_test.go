@@ -10,6 +10,7 @@ package topk_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 
 	topk "repro"
 	"repro/internal/serve"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -568,12 +570,12 @@ func TestClusterScoreOrderedWalk(t *testing.T) {
 }
 
 // tearTopK is a RoundTripper in the style of callLog that keeps one
-// member's 200 status but rewrites every /v1/topk body it sends with
-// tear, counting the bodies it tore.
+// member's 200 status but rewrites every /v1/topk response it sends
+// with tear, counting the bodies it tore.
 type tearTopK struct {
 	base   *http.Transport
 	member string // the member's base URL
-	tear   func(body []byte) []byte
+	tear   func(h http.Header, body []byte) []byte
 	torn   atomic.Int64
 }
 
@@ -587,27 +589,47 @@ func (tt *tearTopK) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	body = tt.tear(body)
+	body = tt.tear(resp.Header, body)
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	resp.ContentLength = int64(len(body))
 	tt.torn.Add(1)
 	return resp, nil
 }
 
-// tornBodies are the ways a 200 /v1/topk body arrives broken. Each
-// applies to a body holding at least two points.
+// tornBodies are the ways a 200 /v1/topk answer arrives broken. Each
+// applies to a points body (a little-endian uint64 count, then 16
+// bytes per point) holding at least two points.
 var tornBodies = []struct {
 	name string
-	tear func(body []byte) []byte
+	tear func(h http.Header, body []byte) []byte
 }{
-	{"cut inside a number", func(b []byte) []byte {
-		return b[:bytes.Index(b, []byte(`"score":`))+len(`"score":0.`)]
+	{"cut inside the count", func(_ http.Header, b []byte) []byte { return b[:4] }},
+	{"cut inside a number", func(_ http.Header, b []byte) []byte { return b[:8+16+12] }},
+	{"cut at a point boundary", func(_ http.Header, b []byte) []byte { return b[:8+16] }},
+	{"count larger than the body", func(_ http.Header, b []byte) []byte {
+		binary.LittleEndian.PutUint64(b, math.MaxUint64)
+		return b
 	}},
-	{"cut after a point and its comma", func(b []byte) []byte { return b[:bytes.Index(b, []byte("},"))+2] }},
-	{"cut before the final brace", func(b []byte) []byte { return b[:bytes.LastIndexByte(b, '}')] }},
-	{"empty body", func([]byte) []byte { return nil }},
-	{"results an object", func([]byte) []byte { return []byte(`{"offset":0,"results":{}}`) }},
-	{"trailing garbage", func(b []byte) []byte { return append(b, "garbage"...) }},
+	{"empty body", func(http.Header, []byte) []byte { return nil }},
+	{"trailing garbage", func(_ http.Header, b []byte) []byte { return append(b, "garbage"...) }},
+	// The right points, but not in the media type the gateway asked
+	// for: labelled as JSON, and as JSON.
+	{"points labelled as JSON", func(h http.Header, b []byte) []byte {
+		h.Set("Content-Type", "application/json")
+		return b
+	}},
+	{"a JSON answer", func(h http.Header, b []byte) []byte {
+		pts, err := wire.ParsePoints(b, nil)
+		if err != nil {
+			panic(err)
+		}
+		h.Set("Content-Type", "application/json")
+		j, err := json.Marshal(wire.TopK{Results: pts})
+		if err != nil {
+			panic(err)
+		}
+		return j
+	}},
 }
 
 // TestClusterTornTopKBody makes a member's broken 200 answer a tested
@@ -637,7 +659,7 @@ func TestClusterTornTopKBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gateway := func(t *testing.T, fleet *testFleet, tear func([]byte) []byte) (*topk.Cluster, *tearTopK) {
+	gateway := func(t *testing.T, fleet *testFleet, tear func(http.Header, []byte) []byte) (*topk.Cluster, *tearTopK) {
 		tt := &tearTopK{base: &http.Transport{}, member: fleet.servers[1][0].URL, tear: tear}
 		t.Cleanup(tt.base.CloseIdleConnections)
 		cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second, Transport: tt})

@@ -71,8 +71,9 @@ func jsonInto(out any) func(io.Reader) error {
 
 // do executes the request and hands a 200 body to read (nil: ignore
 // it). Transport failures and 5xx responses wrap ErrNodeDown (the
-// member is unreachable or broken), and so does a 200 whose body read
-// rejects; structured non-2xx envelopes map back to the library
+// member is unreachable or broken), and so does a 200 that is not of
+// the media type the request's Accept header asked for, or whose body
+// read rejects; structured non-2xx envelopes map back to the library
 // sentinels (the member answered and rejected — not a node failure).
 //
 // Telemetry rides along here, on the one choke point every member
@@ -111,6 +112,11 @@ func (n *node) do(req *http.Request, read func(io.Reader) error) (err error) {
 		}
 		return fmt.Errorf("%s: %w: http %d: %s", n.addr, ErrNodeDown, resp.StatusCode, data)
 	}
+	if accept := req.Header.Get("Accept"); accept != "" {
+		if ct := resp.Header.Get("Content-Type"); ct != accept {
+			return fmt.Errorf("%s: %w: content type %q, asked for %q", n.addr, ErrNodeDown, ct, accept)
+		}
+	}
 	if read == nil {
 		return nil
 	}
@@ -145,19 +151,33 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const bodyPoolMax = 1 << 20
 
+// acceptPoints is the Accept header of every member TopK, one slice
+// shared by all of them so the header costs a read no allocation of
+// its own; nothing writes to it.
+var acceptPoints = []string{wire.PointsType}
+
 // topk runs one remote TopK and appends its answer to dst; on error dst
 // comes back unchanged, so no prefix of a torn body reaches an answer.
-// The body is read whole, then scanned by wire.ParseTopK. Bounds travel
-// as URL query parameters, so ±Inf survives (strconv round-trips "Inf",
-// unlike JSON bodies) — provided they are URL-escaped: a bare "+Inf"
-// would decode as " Inf", '+' being the form encoding of space.
+// The member answers in the binary points body (wire.PointsType): the
+// gateway and its members ship from one build, so there is no JSON
+// fallback, and a 200 of any other type is a failed member. The body
+// is read whole into a pooled buffer, then decoded by wire.ParsePoints.
+// Bounds travel as URL query parameters, so ±Inf survives (strconv
+// round-trips "Inf", unlike JSON bodies) — provided they are
+// URL-escaped: a bare "+Inf" would decode as " Inf", '+' being the
+// form encoding of space.
 func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) ([]point.P, error) {
 	q := url.Values{}
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
 	q.Set("k", strconv.Itoa(k))
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/v1/topk?"+q.Encode(), nil)
+	if err != nil {
+		return dst, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
+	}
+	req.Header["Accept"] = acceptPoints
 	out := dst
-	err := n.get(ctx, "/v1/topk?"+q.Encode(), func(body io.Reader) error {
+	err = n.do(req, func(body io.Reader) error {
 		buf := bodyPool.Get().(*bytes.Buffer)
 		defer func() {
 			if buf.Cap() <= bodyPoolMax {
@@ -169,7 +189,7 @@ func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) (
 			return err
 		}
 		var err error
-		out, err = wire.ParseTopK(buf.Bytes(), dst)
+		out, err = wire.ParsePoints(buf.Bytes(), dst)
 		return err
 	})
 	if err != nil {

@@ -6,9 +6,9 @@ package cluster
 // sentinel errors, so a rejection that crossed the network is
 // indistinguishable (via errors.Is) from one raised by a local
 // backend. The shapes both ends speak live in internal/wire: the
-// /v1/batch op and item, and the /v1/topk body, which node.topk reads
-// with wire.ParseTopK rather than a reflective decoder because a wide
-// read carries thousands of points.
+// /v1/batch op and item, and the binary /v1/topk points body that
+// node.topk asks members for, because a wide read carries thousands of
+// points and decimal text was the largest cost of the hop.
 
 import (
 	"errors"
@@ -25,8 +25,8 @@ import (
 // topk.ErrNodeDown; match with errors.Is.
 var ErrNodeDown = errors.New("cluster: node down")
 
-// countResp is GET /v1/count. (GET /v1/topk is wire.TopK, read by
-// wire.ParseTopK; single-point /v1/insert and /v1/delete have no
+// countResp is GET /v1/count. (GET /v1/topk is the points body, read
+// by wire.ParsePoints; single-point /v1/insert and /v1/delete have no
 // decoders here: every gateway update travels through /v1/batch, one
 // request per band sub-batch.)
 type countResp struct {

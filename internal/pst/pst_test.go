@@ -520,3 +520,24 @@ func BenchmarkPSTQueryK64(b *testing.B) {
 		p.Query(x1, x1+2e4, 64)
 	}
 }
+
+// TestQueryReadsRepeat: one query, repeated from a dropped cache on a
+// pool far smaller than the blocks it touches, reads the same number
+// of blocks every time. The order of Query's block reads decides the
+// pool's hits and misses, so it must not depend on map iteration.
+func TestQueryReadsRepeat(t *testing.T) {
+	d := em.NewDisk(em.Config{B: 16, M: 8 * 16})
+	p := Bulk(d, Options{}, genPoints(5000, 3))
+	var first int64
+	for i := 0; i < 30; i++ {
+		d.DropCache()
+		before := d.Stats()
+		p.Query(1000, 15000, 100)
+		reads := d.Stats().Sub(before).Reads
+		if i == 0 {
+			first = reads
+		} else if reads != first {
+			t.Fatalf("repeat %d read %d blocks, the first run %d", i, reads, first)
+		}
+	}
+}

@@ -114,8 +114,13 @@ func (p *PST) Query(x1, x2 float64, k int) []point.P {
 		}
 	}
 
-	// Q1: pilot points on π1 ∪ π2.
-	for v := range onPath {
+	// Q1: pilot points on π1 ∪ π2. The paths are walked in slice order,
+	// never by ranging over the maps: the order of block reads decides
+	// the buffer pool's hits and misses, so it must repeat.
+	for _, v := range path1 {
+		collect(v)
+	}
+	for _, v := range path2 {
 		collect(v)
 	}
 
@@ -140,11 +145,14 @@ func (p *PST) Query(x1, x2 float64, k int) []point.P {
 		return lo >= x1 && hi <= math.Nextafter(x2, math.Inf(1))
 	}
 	var pi []vid
-	for v := range prime {
-		nd := p.tstore.Read(v.t)
-		for _, c := range p.vchildren(nd, v) {
-			if !prime[c] && !onPath[c] && covered(c) {
-				pi = append(pi, c)
+	// π'1 then π'2 without its first node, v*, which π'1 holds.
+	for _, below := range [2][]vid{path1[lca:], path2[lca+1:]} {
+		for _, v := range below {
+			nd := p.tstore.Read(v.t)
+			for _, c := range p.vchildren(nd, v) {
+				if !prime[c] && !onPath[c] && covered(c) {
+					pi = append(pi, c)
+				}
 			}
 		}
 	}

@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	topk "repro"
+	"repro/internal/wire"
 )
 
 // TestGoldenBytes pins the exact bytes of the /v1 response shapes the
 // cluster client and external callers decode: a top-k hit, an empty
-// top-k page (results [] rather than null), a mixed /v1/batch and the
-// structured error envelope. Any change to the wire spelling of a
-// point, a batch item or an error fails here.
+// top-k page (results [] rather than null), a mixed /v1/batch, the
+// structured error envelope, and the top-k hit again as the binary
+// points body a gateway asks its members for. Any change to the wire
+// spelling of a point, a batch item or an error fails here.
 func TestGoldenBytes(t *testing.T) {
 	idx, err := topk.Load(topk.Config{}, []topk.Result{
 		{X: 10, Score: 1.5}, {X: 20, Score: 2.5}, {X: 30, Score: 0.25},
@@ -25,12 +27,8 @@ func TestGoldenBytes(t *testing.T) {
 	srv := httptest.NewServer(New(LockedIndex(idx), Options{}))
 	defer srv.Close()
 
-	call := func(method, path, body string) (int, string) {
+	do := func(req *http.Request) (int, string, string) {
 		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +38,16 @@ func TestGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, string(b)
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
+	}
+	call := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, _, b := do(req)
+		return status, b
 	}
 	for _, c := range []struct {
 		name, method, path, body string
@@ -71,5 +78,19 @@ func TestGoldenBytes(t *testing.T) {
 		if status != c.status || got != c.want {
 			t.Errorf("%s: status %d, body\n%s\nwant status %d, body\n%s", c.name, status, got, c.status, c.want)
 		}
+	}
+
+	req, err := http.NewRequest("GET", srv.URL+"/v1/topk?x1=0&x2=25&k=2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", wire.PointsType)
+	want := "\x02\x00\x00\x00\x00\x00\x00\x00" + // count 2, little-endian
+		"\x00\x00\x00\x00\x00\x00\x34\x40" + // x 20
+		"\x00\x00\x00\x00\x00\x00\x04\x40" + // score 2.5
+		"\x00\x00\x00\x00\x00\x00\x24\x40" + // x 10
+		"\x00\x00\x00\x00\x00\x00\xf8\x3f" // score 1.5
+	if status, ct, got := do(req); status != 200 || ct != wire.PointsType || got != want {
+		t.Errorf("topk hit as points: status %d, Content-Type %q, body\n% x\nwant status 200, %q, body\n% x", status, ct, got, wire.PointsType, want)
 	}
 }

@@ -15,6 +15,10 @@
 // errors (duplicate_position and duplicate_score map to 409,
 // invalid_point and malformed requests to 400, out-of-band member
 // inserts to 400 out_of_range).
+//
+// Every body is JSON but one: GET /v1/topk with Accept:
+// application/x-topk-points answers in internal/wire's fixed-width
+// binary points body, the form a gateway asks its members for.
 package serve
 
 import (
@@ -218,6 +222,10 @@ func New(st topk.Store, opt Options) http.Handler {
 			res = res[off:]
 		} else {
 			res = []topk.Result{} // an empty page encodes as [], not null
+		}
+		if r.Header.Get("Accept") == wire.PointsType {
+			writePoints(w, res, t.Log)
+			return
 		}
 		writeJSON(w, wire.TopK{Offset: off, Results: res})
 	})
@@ -867,6 +875,34 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any, log *slog.Logger)
 	}
 	if e.buf.Cap() <= encPoolMax {
 		encPool.Put(e)
+	}
+}
+
+// pointsPool holds the buffers writePoints encodes into. Only buffers
+// up to pointsPoolMax go back: a 4,096-point page is 64 KiB, and one
+// page of a million points must not pin its buffer for the life of the
+// process.
+var pointsPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const pointsPoolMax = 1 << 20
+
+// pointsContentType is the Content-Type of every points body, one
+// slice shared by all of them so the header costs a read no
+// allocation of its own; nothing writes to it.
+var pointsContentType = []string{wire.PointsType}
+
+// writePoints renders a /v1/topk page as the binary points body
+// through a pooled buffer.
+func writePoints(w http.ResponseWriter, res []topk.Result, log *slog.Logger) {
+	bp := pointsPool.Get().(*[]byte)
+	b := wire.AppendPoints((*bp)[:0], res)
+	w.Header()["Content-Type"] = pointsContentType
+	if _, err := w.Write(b); err != nil {
+		log.Error("response write failed", slog.String("err", err.Error()))
+	}
+	if cap(b) <= pointsPoolMax {
+		*bp = b
+		pointsPool.Put(bp)
 	}
 }
 

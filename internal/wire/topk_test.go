@@ -1,8 +1,9 @@
 package wire_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 // switches between plain and exponent notation (1e-7 below 1e-6, 1e21
 // at the upper edge), the smallest subnormal, negative zero, both ends
 // of the float64 range, a non-terminating binary fraction and integers.
+// The points body must carry every one of them bit for bit.
 var edgeValues = []float64{1e-7, 1e20, 1e21, 5e-324, math.Copysign(0, -1),
 	math.MaxFloat64, -math.MaxFloat64, 0.1, 3, -42, 123456789, 2.5e-6}
 
@@ -48,10 +50,10 @@ func sameBits(got, want []point.P) bool {
 	return true
 }
 
-// TestParseTopKServeRoundTrip reads back what internal/serve's real
-// /v1/topk handler writes: every page parses to the store's own answer
-// bit for bit, and without an allocation, so every body took the
-// hand-scanned path rather than the encoding/json fallback.
+// TestParseTopKServeRoundTrip reads back with wire.ParsePoints what
+// internal/serve's real /v1/topk handler writes when asked for
+// wire.PointsType: every page parses to the store's own answer bit for
+// bit, and without an allocation into a dst with room for it.
 func TestParseTopKServeRoundTrip(t *testing.T) {
 	idx, err := topk.Load(topk.Config{}, edgePoints())
 	if err != nil {
@@ -76,10 +78,15 @@ func TestParseTopKServeRoundTrip(t *testing.T) {
 		q.Set("x2", strconv.FormatFloat(c.x2, 'g', -1, 64))
 		q.Set("k", strconv.Itoa(c.k))
 		q.Set("offset", strconv.Itoa(c.off))
+		req := httptest.NewRequest("GET", "/v1/topk?"+q.Encode(), nil)
+		req.Header.Set("Accept", wire.PointsType)
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/topk?"+q.Encode(), nil))
+		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			t.Fatalf("%v: status %d: %s", c, rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != wire.PointsType {
+			t.Fatalf("%v: Content-Type %q, want %q", c, ct, wire.PointsType)
 		}
 		body, err := io.ReadAll(rec.Body)
 		if err != nil {
@@ -90,16 +97,16 @@ func TestParseTopKServeRoundTrip(t *testing.T) {
 		if len(want) != c.wantSize {
 			t.Fatalf("%v: store answered %d points, want %d", c, len(want), c.wantSize)
 		}
-		got, err := wire.ParseTopK(body, nil)
+		got, err := wire.ParsePoints(body, nil)
 		if err != nil {
-			t.Fatalf("%v: %v on %s", c, err, body)
+			t.Fatalf("%v: %v on % x", c, err, body)
 		}
 		if !sameBits(got, want) {
-			t.Fatalf("%v: parsed %v from %s, want %v", c, got, body, want)
+			t.Fatalf("%v: parsed %v from % x, want %v", c, got, body, want)
 		}
 		dst := make([]point.P, 0, len(want))
-		if allocs := testing.AllocsPerRun(10, func() { dst, _ = wire.ParseTopK(body, dst[:0]) }); allocs != 0 {
-			t.Fatalf("%v: %.0f allocations parsing %s: not the hand-scanned path", c, allocs, body)
+		if allocs := testing.AllocsPerRun(10, func() { dst, _ = wire.ParsePoints(body, dst[:0]) }); allocs != 0 {
+			t.Fatalf("%v: %.0f allocations parsing %d points into a sized dst, want 0", c, allocs, len(want))
 		}
 	}
 }
@@ -131,33 +138,50 @@ func TestTopKEncodesLikeMap(t *testing.T) {
 	}
 }
 
-// canonicalBody is what encoding/json writes for a page of n points.
-func canonicalBody(tb testing.TB, n int) []byte {
-	tb.Helper()
-	res := make([]point.P, n)
-	for i := range res {
-		res[i] = point.P{X: float64(i)*1234.5678 + 0.1, Score: 1 / float64(i+3)}
-	}
-	body, err := json.Marshal(wire.TopK{Offset: 5, Results: res})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return body
+// withCount is a copy of body with its count field overwritten by n.
+func withCount(body []byte, n uint64) []byte {
+	out := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(out, n)
+	return out
 }
 
-// TestParseTopKZeroAllocs: a canonical body parses into a dst with room
-// for it without allocating.
+// tornPoints are bodies ParsePoints must refuse, cut from body, a
+// points body of at least one point: a byte short, a byte over, counts
+// one over and near 2^64, a bare count of 2^64-2, and nothing at all.
+func tornPoints(body []byte) [][]byte {
+	return [][]byte{
+		body[:len(body)-1],
+		append(body[:len(body):len(body)], 0),
+		withCount(body, binary.LittleEndian.Uint64(body)+1),
+		withCount(body, math.MaxUint64),
+		withCount(body[:8], math.MaxUint64-1),
+		nil,
+	}
+}
+
+// TestParseTopKZeroAllocs: a 512-point body parses into a dst with
+// room for it without allocating, and a torn body fails without
+// allocating, even when its count is near 2^64.
 func TestParseTopKZeroAllocs(t *testing.T) {
-	body := canonicalBody(t, 512)
-	dst := make([]point.P, 0, 512)
+	pts := make([]point.P, 512)
+	for i := range pts {
+		pts[i] = point.P{X: float64(i)*1234.5678 + 0.1, Score: 1 / float64(i+3)}
+	}
+	body := wire.AppendPoints(nil, pts)
+	dst := make([]point.P, 0, len(pts))
 	allocs := testing.AllocsPerRun(20, func() {
 		var err error
-		if dst, err = wire.ParseTopK(body, dst[:0]); err != nil || len(dst) != 512 {
+		if dst, err = wire.ParsePoints(body, dst[:0]); err != nil || len(dst) != len(pts) {
 			t.Fatalf("parsed %d points, err %v", len(dst), err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ParseTopK allocates %.1f times per 512-point body, want 0", allocs)
+		t.Fatalf("ParsePoints allocates %.1f times per 512-point body, want 0", allocs)
+	}
+	for _, torn := range tornPoints(body) {
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = wire.ParsePoints(torn, nil) }); allocs != 0 {
+			t.Fatalf("torn body of %d bytes: %.0f allocations, want 0", len(torn), allocs)
+		}
 	}
 }
 
@@ -165,75 +189,62 @@ func TestParseTopKZeroAllocs(t *testing.T) {
 // that does not parse leaves dst as it was.
 func TestParseTopKAppends(t *testing.T) {
 	head := []point.P{{X: 1, Score: 2}}
-	got, err := wire.ParseTopK([]byte(`{"offset":0,"results":[{"x":3,"score":4}]}`), head)
-	if err != nil || !sameBits(got, []point.P{{X: 1, Score: 2}, {X: 3, Score: 4}}) {
+	body := wire.AppendPoints(nil, []point.P{{X: 3, Score: 4}, {X: 5, Score: 6}})
+	got, err := wire.ParsePoints(body, head)
+	if err != nil || !sameBits(got, []point.P{{X: 1, Score: 2}, {X: 3, Score: 4}, {X: 5, Score: 6}}) {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	got, err = wire.ParseTopK([]byte(`{"offset":0,"results":[{"x":3,"score":4},`), head)
-	if err == nil || !sameBits(got, head) {
-		t.Fatalf("torn body: got %v, %v; want %v and an error", got, err, head)
+	for _, torn := range tornPoints(body) {
+		got, err := wire.ParsePoints(torn, head)
+		if err == nil || !sameBits(got, head) {
+			t.Fatalf("torn body % x: got %v, %v; want %v and an error", torn, got, err, head)
+		}
 	}
 }
 
-// FuzzParseTopK holds ParseTopK to encoding/json on arbitrary bytes:
-// the same points bit for bit when json.Unmarshal into wire.TopK
-// succeeds, the same error when it fails.
+// FuzzParseTopK holds ParsePoints, the gateway's /v1/topk decoder, to
+// this: for any bytes it either fails and leaves dst at its input
+// length, or consumes the whole body as 8+16·count bytes whose
+// AppendPoints re-encoding is the body itself.
 func FuzzParseTopK(f *testing.F) {
-	canonical := string(canonicalBody(f, 3))
-	for _, s := range []string{
-		canonical,
-		canonical + "\n",
-		`{"offset":0,"results":[]}`,
-		`{"offset":2,"results":[{"x":-0,"score":5e-324},{"x":1e+21,"score":-1.7976931348623157e+308}]}`,
-		// valid, not canonical
-		"{ \"offset\" : 0 ,\n\"results\" : [ {\"x\":1, \"score\":2} ] }",
-		`{"results":[{"score":2,"x":1}],"offset":0}`,
-		`{"offset":0,"results":[{"x":1,"score":2,"extra":true}],"n":3}`,
-		`{"offset":0,"results":null}`,
-		`{"offset":0,"results":[{"x":1E+2,"score":-0.0}]}`,
-		`{"OFFSET":0,"Results":[{"X":1,"Score":2}]}`,
-		// invalid
-		`{"offset":0,"results":[{"x":1,"score":2}]}garbage`,
-		`{"offset":0,"results":{}}`,
-		`{"offset":1.5,"results":[]}`,
-		`{"offset":0,"results":[{"x":1e400,"score":2}]}`,
-		`{"offset":0,"results":[{"x":01,"score":2}]}`,
-		"",
+	body := wire.AppendPoints(nil, edgePoints())
+	for _, s := range [][]byte{
+		body,
+		wire.AppendPoints(nil, nil),
+		wire.AppendPoints(nil, edgePoints()[:1]),
+		nil,
+		// truncated: inside the count, inside a point, at a point boundary
+		body[:1], body[:7], body[:8], body[:8+5], body[:8+8], body[:8+15], body[:8+16],
+		body[:len(body)/2], body[:len(body)-1],
+		// overlong
+		append(body[:len(body):len(body)], 0),
+		append(body[:len(body):len(body)], make([]byte, 16)...),
+		append(body[:len(body):len(body)], body...),
+		// lying counts
+		withCount(body, 0),
+		withCount(body, uint64(len(edgeValues)-1)),
+		withCount(body, uint64(len(edgeValues)+1)),
+		withCount(body, 1<<60),
+		withCount(body, math.MaxUint64),
+		withCount(body[:8], math.MaxUint64),
+		withCount(body[:8], 1),
 	} {
-		f.Add([]byte(s))
+		f.Add(s)
 	}
-	for _, cut := range []int{1, 10, 23, 30, len(canonical) / 2, len(canonical) - 1} {
-		f.Add([]byte(canonical[:cut]))
-	}
+	head := []point.P{{X: -1, Score: -2}}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var want wire.TopK
-		wantErr := json.Unmarshal(body, &want)
-		got, err := wire.ParseTopK(body, nil)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("ParseTopK(%q): error %v, json.Unmarshal: %v", body, err, wantErr)
+		got, err := wire.ParsePoints(body, head[:1:1])
+		if err != nil {
+			if !sameBits(got, head) {
+				t.Fatalf("ParsePoints(% x) failed with %v but returned %v, want dst %v", body, err, got, head)
+			}
+			return
 		}
-		if err == nil && !sameBits(got, want.Results) {
-			t.Fatalf("ParseTopK(%q) = %v, json.Unmarshal: %v", body, got, want.Results)
+		if !sameBits(got[:1], head) {
+			t.Fatalf("ParsePoints(% x) overwrote dst: %v", body, got)
 		}
-	})
-}
-
-// BenchmarkParseTopK compares ParseTopK with json.Unmarshal on a
-// canonical 4,096-point body, the size of a wide read's page.
-func BenchmarkParseTopK(b *testing.B) {
-	body := canonicalBody(b, 4096)
-	b.Run("ParseTopK", func(b *testing.B) {
-		b.ReportAllocs()
-		dst := make([]point.P, 0, 4096)
-		for i := 0; i < b.N; i++ {
-			dst, _ = wire.ParseTopK(body, dst[:0])
-		}
-	})
-	b.Run("json.Unmarshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var t wire.TopK
-			_ = json.Unmarshal(body, &t)
+		if re := wire.AppendPoints(nil, got[1:]); !bytes.Equal(re, body) {
+			t.Fatalf("ParsePoints(% x) = %v, which re-encodes as % x", body, got[1:], re)
 		}
 	})
 }

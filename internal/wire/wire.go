@@ -1,14 +1,15 @@
 // Package wire declares the /v1 bodies that both ends of the HTTP tier
-// speak: internal/serve decodes Op and encodes Item, Error and TopK;
-// internal/cluster encodes Op and decodes Item, Error and TopK. A point
-// travels as point.P, whose JSON tags are the wire spelling, so nothing
-// here converts.
+// speak: internal/serve decodes Op and encodes Item, Error, TopK and
+// the points body; internal/cluster encodes Op and decodes Item, Error
+// and the points body. A point travels as point.P, whose JSON tags are
+// the wire spelling, so nothing here converts.
 //
-// Everything is written by encoding/json. The gateway reads a member's
-// /v1/topk body with ParseTopK, which scans the spelling encoding/json
-// writes without reflection and hands any other body to json.Unmarshal:
-// a wide read returns thousands of points, and reflective decoding of
-// them was the largest share of the gateway's CPU.
+// Every body is JSON written by encoding/json but one: a gateway asks
+// its members for /v1/topk with Accept: PointsType, and they answer in
+// fixed-width binary (AppendPoints, ParsePoints). A wide read returns
+// thousands of points, and writing each float as decimal text at the
+// member and parsing it back at the gateway was the largest cost of
+// that hop. Every other client gets /v1/topk as TopK in JSON.
 package wire
 
 import "repro/internal/point"
