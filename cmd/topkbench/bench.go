@@ -47,16 +47,19 @@ var benchRows = map[string][]benchRow{}
 // concurrent background allocation (GC, other goroutines) leaks in, so
 // treat allocs/op as a trend signal, not an exact count.
 func benchRun(exp, name string, f func() workload.Throughput) workload.Throughput {
+	res, allocs := measureAllocs(f)
+	benchRecord(exp, name, res, allocs)
+	return res
+}
+
+// measureAllocs runs f and returns its result with the process-wide
+// Mallocs delta across the run divided by its ops.
+func measureAllocs(f func() workload.Throughput) (workload.Throughput, float64) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	res := f()
 	runtime.ReadMemStats(&m1)
-	ops := res.Ops
-	if ops < 1 {
-		ops = 1
-	}
-	benchRecord(exp, name, res, float64(m1.Mallocs-m0.Mallocs)/float64(ops))
-	return res
+	return res, float64(m1.Mallocs-m0.Mallocs) / float64(max(res.Ops, 1))
 }
 
 // benchRecord appends one already-measured row. Experiments that

@@ -835,13 +835,21 @@ func e17(quick bool) {
 				}
 			}(w)
 		}
-		res := benchRun("e17", fmt.Sprintf("snapshot w=%d", writers), func() workload.Throughput {
+		read := func() workload.Throughput {
 			return workload.RunConcurrent(8, readOps, queries, func(q topk.Query) {
 				st.TopK(q.X1, q.X2, q.K)
 			})
-		})
+		}
+		res := read()
 		close(stop)
 		wg.Wait()
+		// qps comes from the run under churn. allocs/op comes from a
+		// reader-only pass over the same queries on the final
+		// topology: a Mallocs delta taken while the writers run would
+		// also count their rebalances, whose share depends on how
+		// many CPUs the writers get.
+		_, allocs := measureAllocs(read)
+		benchRecord("e17", fmt.Sprintf("snapshot w=%d", writers), res, allocs)
 		// Epoch counts the topology snapshots the run published — the
 		// rebalances the readers raced.
 		fmt.Printf("%8d %12.0f %8d\n", writers, res.QPS(), st.Epoch())

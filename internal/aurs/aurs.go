@@ -19,8 +19,9 @@
 package aurs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Set is the paper's access interface to one L_i.
@@ -43,59 +44,79 @@ func Bound(c1 int) int { return c1 * c1 * (2 + 2*c1) }
 // parameter c1 ≥ 2 (the guarantee of the Rank operators). It panics if
 // k violates the precondition 1 ≤ k ≤ min|L_i|/c1 of §3.1 equation (2).
 func Select(sets []Set, c1 int, k int) float64 {
+	var s Scratch
+	return s.Select(sets, c1, k)
+}
+
+// Scratch holds Select's working lists between calls, so a caller that
+// keeps one selects without allocating once the lists have grown to
+// its set counts. The zero value is ready; a Scratch is not safe for
+// concurrent use.
+type Scratch struct {
+	maxima  []setMax
+	active  []Set
+	idx     []int
+	markers []marker
+	pivots  []pivot
+}
+
+type setMax struct {
+	i   int
+	max float64
+}
+
+type marker struct {
+	set    int
+	value  float64
+	weight int
+}
+
+type pivot struct {
+	value  float64
+	weight int
+}
+
+// Select is the package's Select on the scratch's lists.
+func (s *Scratch) Select(sets []Set, c1 int, k int) float64 {
 	if c1 < 2 {
 		panic("aurs: c1 must be ≥ 2")
 	}
 	if len(sets) == 0 {
 		panic("aurs: no sets")
 	}
-	for _, s := range sets {
-		if k < 1 || k > s.Len()/c1 {
+	for _, set := range sets {
+		if k < 1 || k > set.Len()/c1 {
 			panic("aurs: k outside [1, min|L_i|/c1]")
 		}
 	}
 	m := len(sets)
 	if k >= m {
-		return selectCore(sets, c1, k)
+		return s.selectCore(sets, c1, k)
 	}
 	// Case k < m: prune with Max.
-	type sm struct {
-		i   int
-		max float64
+	s.maxima = s.maxima[:0]
+	for i, set := range sets {
+		s.maxima = append(s.maxima, setMax{i, set.Max()})
 	}
-	sms := make([]sm, m)
-	for i, s := range sets {
-		sms[i] = sm{i, s.Max()}
+	slices.SortFunc(s.maxima, func(a, b setMax) int { return cmp.Compare(b.max, a.max) })
+	vPrime := s.maxima[k-1].max
+	s.active = s.active[:0]
+	for _, e := range s.maxima[:k] {
+		s.active = append(s.active, sets[e.i])
 	}
-	sort.Slice(sms, func(a, b int) bool { return sms[a].max > sms[b].max })
-	vPrime := sms[k-1].max
-	active := make([]Set, 0, k)
-	for _, e := range sms[:k] {
-		active = append(active, sets[e.i])
-	}
-	v := selectCore(active, c1, k)
+	v := s.selectCore(s.active, c1, k)
 	return math.Max(v, vPrime)
 }
 
 // selectCore is the main (k ≥ m) algorithm.
-func selectCore(sets []Set, c1 int, k int) float64 {
+func (s *Scratch) selectCore(sets []Set, c1 int, k int) float64 {
 	m := len(sets)
 	c := float64(c1)
 
-	type pivot struct {
-		value  float64
-		weight int
-	}
-	var pivots []pivot
-
-	type marker struct {
-		set    int
-		value  float64
-		weight int
-	}
-	active := make([]int, m)
-	for i := range active {
-		active[i] = i
+	s.pivots = s.pivots[:0]
+	active := s.idx[:0]
+	for i := range m {
+		active = append(active, i)
 	}
 	rounds := 1
 	for p := c1; p < m; p *= c1 {
@@ -118,32 +139,35 @@ func selectCore(sets []Set, c1 int, k int) float64 {
 		}
 		prevCeil = curCeil
 
-		markers := make([]marker, 0, len(active))
+		s.markers = s.markers[:0]
 		for _, i := range active {
-			markers = append(markers, marker{set: i, value: sets[i].Rank(rho), weight: w})
+			s.markers = append(s.markers, marker{set: i, value: sets[i].Rank(rho), weight: w})
 		}
-		sort.Slice(markers, func(a, b int) bool { return markers[a].value > markers[b].value })
+		slices.SortFunc(s.markers, func(a, b marker) int { return cmp.Compare(b.value, a.value) })
 
 		keep := int(math.Ceil(float64(m) / math.Pow(c, float64(j))))
-		if keep > len(markers) {
-			keep = len(markers)
+		if keep > len(s.markers) {
+			keep = len(s.markers)
 		}
 		if keep < 1 {
 			keep = 1
 		}
-		next := make([]int, 0, keep)
-		for _, mk := range markers[:keep] {
-			pivots = append(pivots, pivot{value: mk.value, weight: mk.weight})
-			next = append(next, mk.set)
+		// The kept markers' sets become the next round's active set;
+		// active is read only to build the markers, so it is
+		// rewritten in place.
+		active = active[:0]
+		for _, mk := range s.markers[:keep] {
+			s.pivots = append(s.pivots, pivot{value: mk.value, weight: mk.weight})
+			active = append(active, mk.set)
 		}
-		active = next
 		cj *= c
 	}
+	s.idx = active
 
 	// Weighted selection (CPU; the pivot list has O(m) entries).
-	sort.Slice(pivots, func(a, b int) bool { return pivots[a].value > pivots[b].value })
+	slices.SortFunc(s.pivots, func(a, b pivot) int { return cmp.Compare(b.value, a.value) })
 	prefix := 0
-	for _, p := range pivots {
+	for _, p := range s.pivots {
 		prefix += p.weight
 		if prefix >= k {
 			return p.value

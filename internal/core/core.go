@@ -324,8 +324,7 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 		// Fewer than k points in range: report them all. The three-
 		// sided query with τ = −∞ reads exactly the in-range points.
 		out := ix.tree.Report3Sided(x1, x2, math.Inf(-1))
-		point.SortByScoreDesc(out)
-		return out
+		return topCopy(out, len(out))
 	}
 	// Reduction: τ has between k and O(k) in-range points at or above
 	// it; fetch them with a three-sided query and keep the top k.
@@ -334,14 +333,21 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 		// Defensive: approximate selection under-delivered (cannot
 		// happen for in-regime parameters; see polylog docs). Degrade
 		// to the exact path.
-		out = ix.tree.Query(x1, x2, k)
-		return out
+		return ix.tree.Query(x1, x2, k)
 	}
-	point.SortByScoreDesc(out)
-	if k < len(out) {
-		out = out[:k]
+	return topCopy(out, k)
+}
+
+// topCopy sorts a three-sided report by descending score and returns a
+// copy of its first k points. The report lives in the PST's query
+// scratch, and the shard layer hands an answer to its caller after
+// releasing the shard, so the answer must not alias it.
+func topCopy(ps []point.P, k int) []point.P {
+	if len(ps) == 0 {
+		return nil
 	}
-	return out
+	point.SortByScoreDesc(ps)
+	return append(make([]point.P, 0, k), ps[:k]...)
 }
 
 // smallSelect runs approximate range k-selection on the active small-k

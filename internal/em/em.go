@@ -19,10 +19,7 @@
 // on a shared Disk so one experiment has a single, coherent I/O meter.
 package em
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Word is the machine word of the model. The paper requires a word of
 // Ω(lg n) bits; 64 bits comfortably covers every input size used here.
@@ -104,12 +101,18 @@ type Handle int64
 // NilHandle is the zero, never-allocated handle.
 const NilHandle Handle = 0
 
-// resident is one buffer-pool entry: an object currently in memory.
-type resident struct {
-	key   poolKey
-	span  int // blocks occupied while resident
-	dirty bool
+// slot is one buffer-pool entry: an object currently in memory. Slots
+// live in Disk.slots and are linked into the LRU list by index, so a
+// miss reuses a freed slot instead of allocating an entry.
+type slot struct {
+	key        poolKey
+	span       int // blocks occupied while resident
+	dirty      bool
+	prev, next int32 // LRU neighbours (prev toward the front); none at the ends
 }
+
+// none is the nil slot index.
+const none int32 = -1
 
 type poolKey struct {
 	store  int32
@@ -125,9 +128,15 @@ type Disk struct {
 	stats  Stats
 	frames int // pool capacity in blocks
 
-	used    int // blocks currently resident
-	lru     *list.List
-	present map[poolKey]*list.Element
+	// The buffer pool: an LRU list linked by index over slots, most
+	// recently used at head. Freed slots chain through next from free.
+	// Every resident object spans at least one block, so the slice
+	// never grows past the largest frame count the pool has had.
+	used       int // blocks currently resident
+	slots      []slot
+	head, tail int32
+	free       int32
+	present    map[poolKey]int32
 
 	nextStore int32
 	spanOf    map[poolKey]int // live object spans, for space accounting
@@ -139,8 +148,10 @@ func NewDisk(cfg Config) *Disk {
 	return &Disk{
 		cfg:     cfg,
 		frames:  cfg.M / cfg.B,
-		lru:     list.New(),
-		present: make(map[poolKey]*list.Element),
+		head:    none,
+		tail:    none,
+		free:    none,
+		present: make(map[poolKey]int32),
 		spanOf:  make(map[poolKey]int),
 	}
 }
@@ -170,8 +181,8 @@ func (d *Disk) Resize(m int) {
 	}
 	d.cfg.M = m
 	d.frames = m / d.cfg.B
-	for d.used > d.frames && d.lru.Len() > 0 {
-		d.evictOne()
+	for d.used > d.frames && d.tail != none {
+		d.evict(d.tail)
 	}
 }
 
@@ -186,8 +197,8 @@ func (d *Disk) ResetMeter() {
 // objects), so the next access to any object is a cold read. Benches call
 // this to measure cold-cache query costs.
 func (d *Disk) DropCache() {
-	for d.lru.Len() > 0 {
-		d.evictOne()
+	for d.tail != none {
+		d.evict(d.tail)
 	}
 }
 
@@ -199,23 +210,80 @@ func (d *Disk) SpanFor(words int) int {
 	return (words + d.cfg.B - 1) / d.cfg.B
 }
 
-func (d *Disk) evictOne() {
-	back := d.lru.Back()
-	if back == nil {
-		panic("em: buffer pool empty during eviction")
+// unlink takes slot i out of the LRU list.
+//
+//topk:nomalloc
+func (d *Disk) unlink(i int32) {
+	s := &d.slots[i]
+	if s.prev != none {
+		d.slots[s.prev].next = s.next
+	} else {
+		d.head = s.next
 	}
-	r := back.Value.(*resident)
-	if r.dirty && !d.cfg.WriteThrough {
-		d.stats.Writes += int64(r.span)
+	if s.next != none {
+		d.slots[s.next].prev = s.prev
+	} else {
+		d.tail = s.prev
 	}
-	d.used -= r.span
-	delete(d.present, r.key)
-	d.lru.Remove(back)
+}
+
+// pushFront links slot i in as the most recently used.
+//
+//topk:nomalloc
+func (d *Disk) pushFront(i int32) {
+	s := &d.slots[i]
+	s.prev, s.next = none, d.head
+	if d.head != none {
+		d.slots[d.head].prev = i
+	} else {
+		d.tail = i
+	}
+	d.head = i
+}
+
+// admit makes key resident in a free slot at the front of the list.
+// The slot slice grows only while the pool has never held this many
+// objects at once; after that every miss reuses a freed slot.
+func (d *Disk) admit(key poolKey, span int, dirty bool) {
+	i := d.free
+	if i == none {
+		d.slots = append(d.slots, slot{})
+		i = int32(len(d.slots) - 1)
+	} else {
+		d.free = d.slots[i].next
+	}
+	d.slots[i] = slot{key: key, span: span, dirty: dirty}
+	d.pushFront(i)
+	d.present[key] = i
+	d.used += span
+}
+
+// drop removes slot i from the pool without charging anything and
+// returns it to the free list.
+//
+//topk:nomalloc
+func (d *Disk) drop(i int32) {
+	d.unlink(i)
+	s := &d.slots[i]
+	delete(d.present, s.key)
+	d.used -= s.span
+	s.next = d.free
+	d.free = i
+}
+
+// evict drops slot i, writing it back if it is dirty.
+//
+//topk:nomalloc
+func (d *Disk) evict(i int32) {
+	if s := &d.slots[i]; s.dirty && !d.cfg.WriteThrough {
+		d.stats.Writes += int64(s.span)
+	}
+	d.drop(i)
 }
 
 func (d *Disk) ensureRoom(span int) {
-	for d.used+span > d.frames && d.lru.Len() > 0 {
-		d.evictOne()
+	for d.used+span > d.frames && d.tail != none {
+		d.evict(d.tail)
 	}
 }
 
@@ -232,54 +300,53 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 		}
 		return
 	}
-	if el, ok := d.present[key]; ok {
-		r := el.Value.(*resident)
-		if r.span != span {
-			// Object grew or shrank while resident; adjust occupancy.
-			d.ensureRoomExcept(span-r.span, el)
-			d.used += span - r.span
-			r.span = span
-		}
-		if dirty {
-			if d.cfg.WriteThrough {
-				d.stats.Writes += int64(span)
-			} else {
-				r.dirty = true
-			}
-		}
-		d.lru.MoveToFront(el)
+	if i, ok := d.present[key]; ok {
+		d.hit(i, span, dirty)
 		return
 	}
 	d.ensureRoom(span)
 	d.stats.Reads += int64(span)
-	r := &resident{key: key, span: span}
+	if dirty && d.cfg.WriteThrough {
+		d.stats.Writes += int64(span)
+	}
+	d.admit(key, span, dirty && !d.cfg.WriteThrough)
+}
+
+// hit is touch on a resident object: adjust its occupancy if it grew
+// or shrank, apply the write policy, and move it to the front.
+//
+//topk:nomalloc
+func (d *Disk) hit(i int32, span int, dirty bool) {
+	if old := d.slots[i].span; old != span {
+		// Object grew or shrank while resident; adjust occupancy.
+		d.ensureRoomExcept(span-old, i)
+		d.used += span - old
+		d.slots[i].span = span
+	}
 	if dirty {
 		if d.cfg.WriteThrough {
 			d.stats.Writes += int64(span)
 		} else {
-			r.dirty = true
+			d.slots[i].dirty = true
 		}
 	}
-	d.present[key] = d.lru.PushFront(r)
-	d.used += span
+	if d.head != i {
+		d.unlink(i)
+		d.pushFront(i)
+	}
 }
 
-func (d *Disk) ensureRoomExcept(extra int, keep *list.Element) {
-	for d.used+extra > d.frames && d.lru.Len() > 1 {
-		back := d.lru.Back()
-		if back == keep {
-			back = back.Prev()
-			if back == nil {
-				return
-			}
+// ensureRoomExcept evicts from the back until extra more blocks fit,
+// never evicting keep.
+//
+//topk:nomalloc
+func (d *Disk) ensureRoomExcept(extra int, keep int32) {
+	for d.used+extra > d.frames && d.head != d.tail {
+		victim := d.tail
+		if victim == keep {
+			victim = d.slots[victim].prev
 		}
-		r := back.Value.(*resident)
-		if r.dirty && !d.cfg.WriteThrough {
-			d.stats.Writes += int64(r.span)
-		}
-		d.used -= r.span
-		delete(d.present, r.key)
-		d.lru.Remove(back)
+		d.evict(victim)
 	}
 }
 
@@ -302,12 +369,10 @@ func (d *Disk) createFresh(key poolKey, span int) {
 		panic("em: double allocation of handle")
 	}
 	d.ensureRoom(span)
-	r := &resident{key: key, span: span, dirty: !d.cfg.WriteThrough}
 	if d.cfg.WriteThrough {
 		d.stats.Writes += int64(span)
 	}
-	d.present[key] = d.lru.PushFront(r)
-	d.used += span
+	d.admit(key, span, !d.cfg.WriteThrough)
 }
 
 func (d *Disk) resize(key poolKey, span int) {
@@ -324,11 +389,8 @@ func (d *Disk) release(key poolKey) {
 	delete(d.spanOf, key)
 	d.stats.Frees++
 	d.stats.BlocksLive -= int64(span)
-	if el, ok := d.present[key]; ok {
-		r := el.Value.(*resident)
-		d.used -= r.span
-		delete(d.present, key)
-		d.lru.Remove(el)
+	if i, ok := d.present[key]; ok {
+		d.drop(i)
 	}
 }
 

@@ -43,9 +43,10 @@
 package flgroup
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/em"
@@ -70,6 +71,14 @@ type Group struct {
 	mxb    em.Handle // per-set maxima (float64 bits)
 
 	wG, wL int // bit widths for global and local ranks
+
+	// qs is Select's working memory, reused across queries (a Group
+	// is single-threaded, like the structure that owns it): the
+	// queried sets' pivot ranks and the sketch merge's lists.
+	qs struct {
+		ranked [][]int
+		merge  sketch.Scratch
+	}
 }
 
 // Bound returns the approximation constant c2: a query's result has rank
@@ -230,16 +239,29 @@ func (g *Group) Select(a1, a2, k int) float64 {
 	if k < 1 {
 		panic("flgroup: k must be ≥ 1")
 	}
-	s := g.decodeSketches(g.blocks.Read(g.skb))
-	ranked := make([][]int, 0, a2-a1+1)
-	for i := a1 - 1; i < a2; i++ {
-		gr := make([]int, len(s.piv[i]))
-		for j, p := range s.piv[i] {
-			gr[j] = p.G
+	r := bitpack.NewReader(g.blocks.Read(g.skb))
+	ranked := g.qs.ranked[:0]
+	for i := 0; i < a2; i++ {
+		size := int(r.Get(g.wL))
+		np := sketch.NumPivots(size, g.base)
+		if i < a1-1 {
+			r.Seek(r.Pos() + np*(g.wG+g.wL))
+			continue
 		}
-		ranked = append(ranked, gr)
+		if len(ranked) < cap(ranked) {
+			ranked = ranked[:len(ranked)+1]
+		} else {
+			ranked = append(ranked, nil)
+		}
+		gr := ranked[len(ranked)-1][:0]
+		for range np {
+			gr = append(gr, int(r.Get(g.wG)))
+			r.Get(g.wL)
+		}
+		ranked[len(ranked)-1] = gr
 	}
-	gstar := sketch.MergeRanked(ranked, g.base, k)
+	g.qs.ranked = ranked
+	gstar := g.qs.merge.MergeRanked(ranked, g.base, k)
 	if gstar == 0 {
 		return math.Inf(-1)
 	}
@@ -250,6 +272,14 @@ func (g *Group) Select(a1, a2, k int) float64 {
 	return v
 }
 
+// nextSize reads the next set's size from a compressed sketch set and
+// skips that set's pivots.
+func (g *Group) nextSize(r *bitpack.Reader) int {
+	size := int(r.Get(g.wL))
+	r.Seek(r.Pos() + sketch.NumPivots(size, g.base)*(g.wG+g.wL))
+	return size
+}
+
 // MaxIn returns the maximum of G_{α1} ∪ … ∪ G_{α2} in O(1) I/Os (one
 // block holding per-set maxima), with ok=false when the union is empty.
 func (g *Group) MaxIn(a1, a2 int) (float64, bool) {
@@ -257,10 +287,10 @@ func (g *Group) MaxIn(a1, a2 int) (float64, bool) {
 		panic("flgroup: bad set range")
 	}
 	mx := g.blocks.Read(g.mxb)
-	s := g.decodeSketches(g.blocks.Read(g.skb))
+	r := bitpack.NewReader(g.blocks.Read(g.skb))
 	best, ok := 0.0, false
-	for i := a1 - 1; i < a2; i++ {
-		if s.sizes[i] == 0 {
+	for i := 0; i < a2; i++ {
+		if g.nextSize(r) == 0 || i < a1-1 {
 			continue
 		}
 		v := math.Float64frombits(mx[i])
@@ -273,10 +303,12 @@ func (g *Group) MaxIn(a1, a2 int) (float64, bool) {
 
 // CountIn returns |G_{α1} ∪ … ∪ G_{α2}| in one block read.
 func (g *Group) CountIn(a1, a2 int) int {
-	s := g.decodeSketches(g.blocks.Read(g.skb))
+	r := bitpack.NewReader(g.blocks.Read(g.skb))
 	n := 0
-	for i := a1 - 1; i < a2; i++ {
-		n += s.sizes[i]
+	for i := 0; i < a2; i++ {
+		if size := g.nextSize(r); i >= a1-1 {
+			n += size
+		}
 	}
 	return n
 }
@@ -307,13 +339,13 @@ func (g *Group) Contains(i int, v float64) bool { return g.gis[i-1].Contains(v) 
 // subtree when refilling G_u after a deletion.
 func (g *Group) SelectExact(r int) (float64, bool) { return g.g.SelectDesc(r) }
 
-// TopIn returns the m largest elements of G_{α1} ∪ … ∪ G_{α2} in
-// descending order. It costs O((α2−α1+1)·(m + log_B l)) I/Os (per-set
-// B-tree walks) and exists for the degenerate-regime fallback of the
-// §3.3 query, where subtrees are too small for the AURS precondition;
-// in-regime queries never call it.
-func (g *Group) TopIn(a1, a2, m int) []float64 {
-	var out []float64
+// AppendTopIn appends to dst the m largest elements of G_{α1} ∪ … ∪
+// G_{α2} in descending order. It costs O((α2−α1+1)·(m + log_B l)) I/Os
+// (per-set B-tree walks) and exists for the degenerate-regime fallback
+// of the §3.3 query, where subtrees are too small for the AURS
+// precondition; in-regime queries never call it.
+func (g *Group) AppendTopIn(dst []float64, a1, a2, m int) []float64 {
+	n0 := len(dst)
 	for i := a1 - 1; i < a2; i++ {
 		take := m
 		if n := g.gis[i].Len(); take > n {
@@ -321,14 +353,14 @@ func (g *Group) TopIn(a1, a2, m int) []float64 {
 		}
 		for r := 1; r <= take; r++ {
 			v, _ := g.gis[i].SelectDesc(r)
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	if len(out) > m {
-		out = out[:m]
+	slices.SortFunc(dst[n0:], func(a, b float64) int { return cmp.Compare(b, a) })
+	if len(dst) > n0+m {
+		dst = dst[:n0+m]
 	}
-	return out
+	return dst
 }
 
 // --- updates ----------------------------------------------------------

@@ -79,7 +79,7 @@ func TestTopIn(t *testing.T) {
 		a1 := rng.Intn(5) + 1
 		a2 := a1 + rng.Intn(5-a1+1)
 		mm := rng.Intn(30) + 1
-		got := g.TopIn(a1, a2, mm)
+		got := g.AppendTopIn(nil, a1, a2, mm)
 		var want []float64
 		for i := a1 - 1; i < a2; i++ {
 			want = append(want, m.sets[i]...)
@@ -103,7 +103,7 @@ func TestTopInMoreThanAvailable(t *testing.T) {
 	g := New(em.NewDisk(em.Config{B: 64, M: 32 * 64}), 2, 8)
 	g.Insert(1, 3)
 	g.Insert(2, 5)
-	got := g.TopIn(1, 2, 10)
+	got := g.AppendTopIn(nil, 1, 2, 10)
 	if len(got) != 2 || got[0] != 5 || got[1] != 3 {
 		t.Fatalf("TopIn over-ask: %v", got)
 	}

@@ -12,6 +12,11 @@
 // with pilot representatives as keys) can expose itself as a heap
 // without materializing one.
 //
+// One concrete binary max-heap over []Entry (Init, Down, Pop) backs
+// everything here: SelectTop's frontier, External's make-heap and the
+// serving stack's k-way merge (internal/merge), so no caller goes
+// through container/heap's interface boxing.
+//
 // The package also provides External, a concrete array-embedded binary
 // max-heap stored in disk blocks with Floyd's linear-time make-heap, the
 // "linear-time make-heap algorithm" of footnote 4, used to concatenate
@@ -19,7 +24,6 @@
 package heap
 
 import (
-	stdheap "container/heap"
 	"sort"
 
 	"repro/internal/em"
@@ -33,51 +37,110 @@ type Entry struct {
 
 // Source exposes a max-heap-ordered forest: every child's key is ≤ its
 // parent's. Implementations charge their own I/Os (typically one block
-// read per Children call).
+// read per Children call). Both methods append to a buffer the caller
+// owns and return it, so a caller with warm buffers allocates nothing.
 type Source interface {
-	// Roots returns the forest's root entries.
-	Roots() []Entry
-	// Children returns the child entries of ref.
-	Children(ref int64) []Entry
+	// Roots appends the forest's root entries to buf.
+	Roots(buf []Entry) []Entry
+	// Children appends the child entries of ref to buf.
+	Children(ref int64, buf []Entry) []Entry
 }
 
-// pq is an in-memory max-PQ of entries (CPU-side, free in the model).
-type pq []Entry
-
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].Key > p[j].Key }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(Entry)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	x := old[n-1]
-	*p = old[:n-1]
-	return x
+// Init orders h as a max-heap by Key (Floyd's bottom-up make-heap).
+//
+//topk:nomalloc
+func Init(h []Entry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		Down(h, i)
+	}
 }
 
-// SelectTop returns the t largest entries reachable from src, in
-// descending key order (fewer if the heap is smaller). It expands
-// exactly one node per emitted entry, so the I/O cost is O(t) times the
-// per-node access cost of src.
+// Down restores the heap order below index i after h[i] shrank.
+//
+//topk:nomalloc
+func Down(h []Entry, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		big := l
+		if r := l + 1; r < len(h) && h[r].Key > h[l].Key {
+			big = r
+		}
+		if h[big].Key <= h[i].Key {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// up restores the heap order above index i after h[i] grew.
+//
+//topk:nomalloc
+func up(h []Entry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[i].Key <= h[p].Key {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// Pop removes the maximum of the non-empty heap h, returning it and
+// the shortened heap.
+//
+//topk:nomalloc
+func Pop(h []Entry) (Entry, []Entry) {
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	Down(h, 0)
+	return top, h
+}
+
+// Selector holds best-first selection's frontier heap between calls.
+// The zero value is ready; a Selector is not safe for concurrent use.
+type Selector struct {
+	frontier []Entry
+}
+
+// SelectTop appends to dst the t largest entries reachable from src, in
+// descending key order (fewer if the heap is smaller), and returns it.
+// It expands exactly one node per emitted entry, so the I/O cost is
+// O(t) times the per-node access cost of src. Once dst and the
+// frontier have grown to the query's size, a call allocates nothing.
+func (s *Selector) SelectTop(dst []Entry, src Source, t int) []Entry {
+	if t <= 0 {
+		return dst
+	}
+	h := src.Roots(s.frontier[:0])
+	Init(h)
+	for emitted := 0; emitted < t && len(h) > 0; emitted++ {
+		var e Entry
+		e, h = Pop(h)
+		dst = append(dst, e)
+		n := len(h)
+		h = src.Children(e.Ref, h)
+		for i := n; i < len(h); i++ {
+			up(h, i)
+		}
+	}
+	s.frontier = h[:0]
+	return dst
+}
+
+// SelectTop is Selector.SelectTop into fresh buffers: the t largest
+// entries reachable from src, in descending key order.
 func SelectTop(src Source, t int) []Entry {
 	if t <= 0 {
 		return nil
 	}
-	var frontier pq
-	for _, e := range src.Roots() {
-		frontier = append(frontier, e)
-	}
-	stdheap.Init(&frontier)
-	out := make([]Entry, 0, t)
-	for len(out) < t && frontier.Len() > 0 {
-		e := stdheap.Pop(&frontier).(Entry)
-		out = append(out, e)
-		for _, c := range src.Children(e.Ref) {
-			stdheap.Push(&frontier, c)
-		}
-	}
-	return out
+	var s Selector
+	return s.SelectTop(make([]Entry, 0, t), src, t)
 }
 
 // Forest merges several sources into one (the trivial side of Figure 2:
@@ -97,24 +160,29 @@ func SplitRef(ref int64) (source int, sourceRef int64) {
 }
 
 // Roots implements Source.
-func (f *Forest) Roots() []Entry {
-	var out []Entry
+func (f *Forest) Roots(buf []Entry) []Entry {
 	for i, s := range f.Sources {
-		for _, e := range s.Roots() {
-			out = append(out, Entry{Ref: int64(i)<<forestShift | e.Ref, Key: e.Key})
-		}
+		n := len(buf)
+		buf = s.Roots(buf)
+		tag(buf[n:], int64(i)<<forestShift)
 	}
-	return out
+	return buf
 }
 
 // Children implements Source.
-func (f *Forest) Children(ref int64) []Entry {
+func (f *Forest) Children(ref int64, buf []Entry) []Entry {
 	i := ref >> forestShift
-	var out []Entry
-	for _, e := range f.Sources[i].Children(ref & (1<<forestShift - 1)) {
-		out = append(out, Entry{Ref: i<<forestShift | e.Ref, Key: e.Key})
+	n := len(buf)
+	buf = f.Sources[i].Children(ref&(1<<forestShift-1), buf)
+	tag(buf[n:], i<<forestShift)
+	return buf
+}
+
+// tag ORs bits into the refs of es, namespacing them by their source.
+func tag(es []Entry, bits int64) {
+	for j := range es {
+		es[j].Ref |= bits
 	}
-	return out
 }
 
 // External is an array-embedded binary max-heap on disk. The entry array
@@ -145,9 +213,7 @@ func NewExternal(d *em.Disk, name string, entries []Entry) *External {
 	}
 	buf := append([]Entry(nil), entries...)
 	// Floyd's make-heap in memory (CPU free), then write out in chunks.
-	for i := len(buf)/2 - 1; i >= 0; i-- {
-		siftDown(buf, i)
-	}
+	Init(buf)
 	for i := 0; i < len(buf); i += h.chunk {
 		end := i + h.chunk
 		if end > len(buf) {
@@ -156,24 +222,6 @@ func NewExternal(d *em.Disk, name string, entries []Entry) *External {
 		h.ids = append(h.ids, h.store.Alloc(append([]Entry(nil), buf[i:end]...)))
 	}
 	return h
-}
-
-func siftDown(buf []Entry, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(buf) && buf[l].Key > buf[m].Key {
-			m = l
-		}
-		if r < len(buf) && buf[r].Key > buf[m].Key {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		buf[i], buf[m] = buf[m], buf[i]
-		i = m
-	}
 }
 
 // Len returns the number of entries.
@@ -185,24 +233,19 @@ func (h *External) at(i int) Entry {
 }
 
 // Roots implements Source: refs are array indices.
-func (h *External) Roots() []Entry {
+func (h *External) Roots(buf []Entry) []Entry {
 	if h.n == 0 {
-		return nil
+		return buf
 	}
-	e := h.at(0)
-	return []Entry{{Ref: 0, Key: e.Key}}
+	return append(buf, Entry{Ref: 0, Key: h.at(0).Key})
 }
 
 // Children implements Source.
-func (h *External) Children(ref int64) []Entry {
-	var out []Entry
-	for _, c := range []int64{2*ref + 1, 2*ref + 2} {
-		if c < int64(h.n) {
-			e := h.at(int(c))
-			out = append(out, Entry{Ref: c, Key: e.Key})
-		}
+func (h *External) Children(ref int64, buf []Entry) []Entry {
+	for c := 2*ref + 1; c <= 2*ref+2 && c < int64(h.n); c++ {
+		buf = append(buf, Entry{Ref: c, Key: h.at(int(c)).Key})
 	}
-	return out
+	return buf
 }
 
 // Payload returns the entry stored at heap position ref (its original
@@ -235,7 +278,7 @@ func (h *External) CheckHeapOrder() bool {
 // then descends into the original sources.
 func Concat(d *em.Disk, name string, sources []Source) *ConcatHeap {
 	f := &Forest{Sources: sources}
-	roots := f.Roots()
+	roots := f.Roots(nil)
 	return &ConcatHeap{top: NewExternal(d, name, roots), forest: f}
 }
 
@@ -251,24 +294,19 @@ type ConcatHeap struct {
 const concatLow = int64(1) << 62
 
 // Roots implements Source.
-func (c *ConcatHeap) Roots() []Entry { return c.top.Roots() }
+func (c *ConcatHeap) Roots(buf []Entry) []Entry { return c.top.Roots(buf) }
 
 // Children implements Source. A top-layer node's children are its two
 // heap children plus the forest children of the root it carries.
-func (c *ConcatHeap) Children(ref int64) []Entry {
-	if ref >= concatLow {
-		var out []Entry
-		for _, e := range c.forest.Children(ref - concatLow) {
-			out = append(out, Entry{Ref: e.Ref + concatLow, Key: e.Key})
-		}
-		return out
+func (c *ConcatHeap) Children(ref int64, buf []Entry) []Entry {
+	if ref < concatLow {
+		buf = c.top.Children(ref, buf)
+		ref = c.top.Payload(ref).Ref + concatLow
 	}
-	out := c.top.Children(ref)
-	carried := c.top.Payload(ref)
-	for _, e := range c.forest.Children(carried.Ref) {
-		out = append(out, Entry{Ref: e.Ref + concatLow, Key: e.Key})
-	}
-	return out
+	n := len(buf)
+	buf = c.forest.Children(ref-concatLow, buf)
+	tag(buf[n:], concatLow)
+	return buf
 }
 
 // Free releases the materialized top layer.

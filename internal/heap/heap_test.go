@@ -24,31 +24,26 @@ func newMemTree(n int, seed int64) *memTree {
 		keys[i] = rng.Float64()
 		es[i] = Entry{Key: keys[i]}
 	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(es, i)
-	}
+	Init(es)
 	for j := range keys {
 		keys[j] = es[j].Key
 	}
 	return &memTree{keys: keys}
 }
 
-func (m *memTree) Roots() []Entry {
+func (m *memTree) Roots(buf []Entry) []Entry {
 	if len(m.keys) == 0 {
-		return nil
+		return buf
 	}
-	return []Entry{{Ref: 0, Key: m.keys[0]}}
+	return append(buf, Entry{Ref: 0, Key: m.keys[0]})
 }
 
-func (m *memTree) Children(ref int64) []Entry {
+func (m *memTree) Children(ref int64, buf []Entry) []Entry {
 	m.expanded++
-	var out []Entry
-	for _, c := range []int64{2*ref + 1, 2*ref + 2} {
-		if c < int64(len(m.keys)) {
-			out = append(out, Entry{Ref: c, Key: m.keys[c]})
-		}
+	for c := 2*ref + 1; c <= 2*ref+2 && c < int64(len(m.keys)); c++ {
+		buf = append(buf, Entry{Ref: c, Key: m.keys[c]})
 	}
-	return out
+	return buf
 }
 
 func sortedDesc(keys []float64) []float64 {
@@ -218,9 +213,7 @@ func TestQuickSelectTop(t *testing.T) {
 		for j, k := range raw {
 			es[j] = Entry{Key: k}
 		}
-		for i := len(es)/2 - 1; i >= 0; i-- {
-			siftDown(es, i)
-		}
+		Init(es)
 		for j := range m.keys {
 			m.keys[j] = es[j].Key
 		}
@@ -261,6 +254,24 @@ func TestQuickMakeHeapValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectTopWarmAllocatesNothing: a Selector whose frontier has
+// grown once, selecting into a destination with room, allocates
+// nothing.
+func TestSelectTopWarmAllocatesNothing(t *testing.T) {
+	m := newMemTree(4096, 8)
+	var s Selector
+	dst := s.SelectTop(nil, m, 256)
+	want := sortedDesc(m.keys)[:256]
+	if allocs := testing.AllocsPerRun(50, func() { dst = s.SelectTop(dst[:0], m, 256) }); allocs != 0 {
+		t.Fatalf("warm SelectTop allocates %.1f/op", allocs)
+	}
+	for i, e := range dst {
+		if e.Key != want[i] {
+			t.Fatalf("entry %d key %v want %v", i, e.Key, want[i])
+		}
 	}
 }
 

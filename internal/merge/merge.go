@@ -17,29 +17,24 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/heap"
 	"repro/internal/point"
 )
 
-// cursor is one per-list read head in the k-way merge: the next
-// candidate's score plus where it lives. Concrete and word-sized on
-// purpose — the previous implementation adapted the generic
-// heap.Forest, whose container/heap-style interface boxed every
-// pushed entry into an interface value, allocating once per merged
-// point. The cursor heap keeps the whole merge in two reusable
-// slices.
-type cursor struct {
-	key  float64
-	list int32
-	idx  int32
+// Merger owns the reusable backing of a k-way merge: a max-heap of
+// per-list read heads. Each head is a heap.Entry keyed by the next
+// candidate's score, with the list index in the high 32 bits of Ref
+// and the position within the list in the low 32, so the merge runs
+// on the same concrete heap as the engine's selection and never boxes
+// an entry into an interface. A Merger is not safe for concurrent use;
+// TopK draws them from a pool, long-lived callers (the shard router's
+// fan-out) can hold their own.
+type Merger struct {
+	heap []heap.Entry
 }
 
-// Merger owns the reusable backing of a k-way merge: the cursor heap.
-// A Merger is not safe for concurrent use; TopK draws them from a
-// pool, long-lived callers (the shard router's fan-out) can hold
-// their own.
-type Merger struct {
-	heap []cursor
-}
+// cursor packs a read head's list and position into a heap.Entry Ref.
+func cursor(list, idx int) int64 { return int64(list)<<32 | int64(idx) }
 
 // NewMerger returns an empty Merger; backing grows on first use and
 // is reused afterwards.
@@ -74,7 +69,7 @@ func (m *Merger) TopKInto(dst []point.P, lists [][]point.P, k int) []point.P {
 		dst = make([]point.P, 0, k)
 	}
 	if cap(m.heap) < len(lists) {
-		m.heap = make([]cursor, 0, len(lists))
+		m.heap = make([]heap.Entry, 0, len(lists))
 	}
 	return m.mergeLoop(dst[:k], lists)
 }
@@ -90,51 +85,24 @@ func (m *Merger) mergeLoop(dst []point.P, lists [][]point.P) []point.P {
 	for i := range lists {
 		if len(lists[i]) > 0 {
 			h = h[:len(h)+1]
-			h[len(h)-1] = cursor{key: lists[i][0].Score, list: int32(i), idx: 0}
+			h[len(h)-1] = heap.Entry{Ref: cursor(i, 0), Key: lists[i][0].Score}
 		}
 	}
-	// Floyd heapify: sift down every internal node.
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
+	heap.Init(h)
 	n := 0
 	for n < len(dst) && len(h) > 0 {
-		top := h[0]
-		dst[n] = lists[top.list][top.idx]
+		list, idx := int(h[0].Ref>>32), int(uint32(h[0].Ref))
+		dst[n] = lists[list][idx]
 		n++
-		if next := top.idx + 1; int(next) < len(lists[top.list]) {
-			h[0] = cursor{key: lists[top.list][next].Score, list: top.list, idx: next}
+		if next := idx + 1; next < len(lists[list]) {
+			h[0] = heap.Entry{Ref: cursor(list, next), Key: lists[list][next].Score}
+			heap.Down(h, 0)
 		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(h, 0)
+			_, h = heap.Pop(h)
 		}
 	}
 	m.heap = h[:0]
 	return dst[:n]
-}
-
-// siftDown restores the max-heap property below index i.
-//
-//topk:nomalloc
-func siftDown(h []cursor, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		big := l
-		if r := l + 1; r < len(h) && h[r].key > h[l].key {
-			big = r
-		}
-		if h[big].key <= h[i].key {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
 }
 
 // TopK k-way merges per-partition descending-score lists into the

@@ -94,27 +94,21 @@ func (t *Tree) leafDelete(h em.Handle, p point.P) bool {
 	return false
 }
 
-// leafInRange returns the leaf's points with x ∈ [x1, x2], reading only
-// overlapping chunks.
-func (t *Tree) leafInRange(h em.Handle, x1, x2 float64) []point.P {
+// leafInRange appends to dst the leaf's points with x ∈ [x1, x2],
+// reading only overlapping chunks.
+func (t *Tree) leafInRange(dst []point.P, h em.Handle, x1, x2 float64) []point.P {
 	nd := t.store.Read(h)
-	var out []point.P
 	for j, ch := range nd.kids {
-		clo := nd.kidLo[j]
-		chi := nd.hi
-		if j+1 < len(nd.kids) {
-			chi = nd.kidLo[j+1]
-		}
-		if chi <= x1 || clo > x2 {
+		if clo, chi := kidSlab(nd, j); chi <= x1 || clo > x2 {
 			continue
 		}
 		for _, p := range t.chunks.Read(ch) {
 			if p.In(x1, x2) {
-				out = append(out, p)
+				dst = append(dst, p)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // leafAll returns every point of the leaf.
@@ -127,15 +121,29 @@ func (t *Tree) leafAll(h em.Handle) []point.P {
 	return out
 }
 
-// leafCount counts the leaf's points in [x1, x2].
+// leafCount counts the leaf's points in [x1, x2], reading the chunks
+// leafInRange reads.
 func (t *Tree) leafCount(h em.Handle, x1, x2 float64) int {
-	return len(t.leafInRange(h, x1, x2))
+	nd := t.store.Read(h)
+	n := 0
+	for j, ch := range nd.kids {
+		if clo, chi := kidSlab(nd, j); chi <= x1 || clo > x2 {
+			continue
+		}
+		for _, p := range t.chunks.Read(ch) {
+			if p.In(x1, x2) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // leafSelect returns the point of exact score-rank k among the leaf's
 // points in [x1, x2].
 func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (point.P, bool) {
-	in := t.leafInRange(h, x1, x2)
+	t.qs.in = t.leafInRange(t.qs.in[:0], h, x1, x2)
+	in := t.qs.in
 	if len(in) < k || k < 1 {
 		return point.P{}, false
 	}

@@ -30,7 +30,7 @@
 // contains a child subtree of weight ≥ b/4 = f·l·B/4 ≫ c2·l (footnote
 // 6). At test scales with tiny subtrees the precondition can fail; the
 // query then falls back to an exact merge of the pieces' top-k lists
-// (flgroup.TopIn), preserving correctness at a higher I/O cost. The
+// (flgroup.AppendTopIn), preserving correctness at a higher I/O cost. The
 // fallback is counted and reported so experiments can confirm it never
 // fires in-regime.
 package polylog
@@ -121,6 +121,8 @@ type Tree struct {
 	// Fallbacks counts queries that left the AURS fast path (degenerate
 	// regime detection, experiment E11).
 	Fallbacks int
+
+	qs queryScratch
 }
 
 // New returns an empty structure.

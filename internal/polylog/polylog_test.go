@@ -353,3 +353,37 @@ func BenchmarkPolylogSelect(b *testing.B) {
 		tr.SelectApprox(x1, x1+2e4, 8)
 	}
 }
+
+// TestWarmSelectAllocatesNothing: with the tree's query scratch grown,
+// SelectApprox and Count allocate nothing, both on the AURS fast path
+// (multi-slabs) and when the degenerate-regime fallbacks fire.
+func TestWarmSelectAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		opt       Options
+		x1, x2    float64
+		k         int
+		fallbacks bool
+	}{
+		{"in regime", Options{L: 4, F: 4, LeafCap: 400}, 1000, 14000, 3, false},
+		{"fallbacks", smallOpts(8), 2000, 2900, 8, true},
+	} {
+		tr := Bulk(newDisk(64), tc.opt, genPoints(4000, 13))
+		tr.Fallbacks = 0
+		if _, ok := tr.SelectApprox(tc.x1, tc.x2, tc.k); !ok {
+			t.Fatalf("%s: selection found fewer than k points", tc.name)
+		}
+		if len(tr.qs.slabs) == 0 {
+			t.Fatalf("%s: the query reached no multi-slab; it does not test the AURS path", tc.name)
+		}
+		if fired := tr.Fallbacks > 0; fired != tc.fallbacks {
+			t.Fatalf("%s: fallbacks fired %d times", tc.name, tr.Fallbacks)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tr.SelectApprox(tc.x1, tc.x2, tc.k) }); allocs != 0 {
+			t.Errorf("%s: warm SelectApprox allocates %.1f/op", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tr.Count(tc.x1, tc.x2) }); allocs != 0 {
+			t.Errorf("%s: Count allocates %.1f/op", tc.name, allocs)
+		}
+	}
+}

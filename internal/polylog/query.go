@@ -7,61 +7,75 @@ import (
 
 	"repro/internal/aurs"
 	"repro/internal/em"
+	"repro/internal/flgroup"
 	"repro/internal/point"
 )
 
 // piece is one canonical element of the range decomposition: either a
-// multi-slab [a1,a2] at an internal node (leaf == NilHandle means
-// unused) or a boundary leaf.
+// multi-slab [a1,a2] of an internal node's children or a boundary leaf.
 type piece struct {
 	node   em.Handle
 	a1, a2 int  // 1-based child range (multi-slabs)
 	isLeaf bool // boundary leaf: select within [x1,x2] directly
 }
 
-// decompose returns the canonical pieces covering [x1, x2]: maximal
-// multi-slabs at the nodes of the two boundary paths, plus the (at most
-// two) boundary leaves.
-func (t *Tree) decompose(x1, x2 float64) []piece {
-	var pieces []piece
-	var walk func(h em.Handle)
-	walk = func(h em.Handle) {
-		nd := t.store.Read(h)
-		if nd.leaf {
-			pieces = append(pieces, piece{node: h, isLeaf: true})
-			return
-		}
-		// Contiguous run of fully-covered children → one multi-slab;
-		// partially covered children → recurse.
-		runStart := -1
-		flush := func(end int) {
-			if runStart >= 0 {
-				pieces = append(pieces, piece{node: h, a1: runStart + 1, a2: end})
-				runStart = -1
-			}
-		}
-		for j := range nd.kids {
-			clo := nd.kidLo[j]
-			chi := nd.hi
-			if j+1 < len(nd.kids) {
-				chi = nd.kidLo[j+1]
-			}
-			switch {
-			case chi <= x1 || clo > x2:
-				flush(j)
-			case clo >= x1 && chi <= math.Nextafter(x2, math.Inf(1)):
-				if runStart < 0 {
-					runStart = j
-				}
-			default:
-				flush(j)
-				walk(nd.kids[j])
-			}
-		}
-		flush(len(nd.kids))
+// queryScratch is a Tree's working memory for SelectApprox (and, on
+// the update path, leafSelect). A Tree is single-threaded by contract
+// and every use resets what it takes, so the buffers grow to the
+// largest query the structure has answered and are reused after that.
+// None of it is charged to the I/O meter.
+type queryScratch struct {
+	pieces []piece
+	in     []point.P // one boundary leaf's in-range points
+	slabs  []slabSet
+	sets   []aurs.Set // pointers into slabs, as AURS takes them
+	cands  []float64
+	merged []float64
+	aurs   aurs.Scratch
+}
+
+// decompose appends to pieces the canonical pieces covering [x1, x2]
+// below h: maximal multi-slabs at the nodes of the two boundary paths,
+// plus the (at most two) boundary leaves.
+func (t *Tree) decompose(pieces []piece, h em.Handle, x1, x2 float64) []piece {
+	nd := t.store.Read(h)
+	if nd.leaf {
+		return append(pieces, piece{node: h, isLeaf: true})
 	}
-	walk(t.root)
+	// Contiguous run of fully-covered children → one multi-slab;
+	// partially covered children → recurse.
+	runStart := -1
+	for j := range nd.kids {
+		clo, chi := kidSlab(nd, j)
+		disjoint := chi <= x1 || clo > x2
+		if !disjoint && clo >= x1 && chi <= math.Nextafter(x2, math.Inf(1)) {
+			if runStart < 0 {
+				runStart = j
+			}
+			continue
+		}
+		if runStart >= 0 {
+			pieces = append(pieces, piece{node: h, a1: runStart + 1, a2: j})
+			runStart = -1
+		}
+		if !disjoint {
+			pieces = t.decompose(pieces, nd.kids[j], x1, x2)
+		}
+	}
+	if runStart >= 0 {
+		pieces = append(pieces, piece{node: h, a1: runStart + 1, a2: len(nd.kids)})
+	}
 	return pieces
+}
+
+// kidSlab returns the slab [lo, hi) of nd's j-th child (a subtree for
+// an internal node, a chunk for a leaf).
+func kidSlab(nd *node, j int) (float64, float64) {
+	hi := nd.hi
+	if j+1 < len(nd.kids) {
+		hi = nd.kidLo[j+1]
+	}
+	return nd.kidLo[j], hi
 }
 
 // slabSet adapts a multi-slab piece to the aurs.Set interface: Len and
@@ -70,30 +84,21 @@ func (t *Tree) decompose(x1, x2 float64) []piece {
 // ∪G_ui, which agrees with the subtree union up to rank c2·l — the
 // region AURS probes under its precondition (footnote 6 of the paper).
 type slabSet struct {
-	g      *aursGroup
+	fl     *flgroup.Group
 	a1, a2 int
 }
 
-type aursGroup struct {
-	fl interface {
-		CountIn(a1, a2 int) int
-		MaxIn(a1, a2 int) (float64, bool)
-		Select(a1, a2, k int) float64
-		Bound() int
-	}
-}
+func (s *slabSet) Len() int { return s.fl.CountIn(s.a1, s.a2) }
 
-func (s slabSet) Len() int { return s.g.fl.CountIn(s.a1, s.a2) }
-
-func (s slabSet) Max() float64 {
-	v, ok := s.g.fl.MaxIn(s.a1, s.a2)
+func (s *slabSet) Max() float64 {
+	v, ok := s.fl.MaxIn(s.a1, s.a2)
 	if !ok {
 		return math.Inf(-1)
 	}
 	return v
 }
 
-func (s slabSet) Rank(rho float64) float64 {
+func (s *slabSet) Rank(rho float64) float64 {
 	k := int(math.Ceil(rho))
 	if k < 1 {
 		k = 1
@@ -101,7 +106,7 @@ func (s slabSet) Rank(rho float64) float64 {
 	if n := s.Len(); k > n {
 		k = n
 	}
-	return s.g.fl.Select(s.a1, s.a2, k)
+	return s.fl.Select(s.a1, s.a2, k)
 }
 
 // SelectApprox performs approximate range k-selection: it returns a
@@ -119,7 +124,8 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 	if x1 > x2 || t.n == 0 {
 		return 0, false
 	}
-	pieces := t.decompose(x1, x2)
+	qs := &t.qs
+	qs.pieces = t.decompose(qs.pieces[:0], t.root, x1, x2)
 
 	// Every candidate emitted below has rank ≥ k within its own piece
 	// group, which is what makes max{candidates} a valid lower bound;
@@ -127,54 +133,50 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 	// merged group so that collectively small pieces still produce a
 	// rank-≥-k candidate when they hold the answer together.
 	c1 := 8 // flgroup Select bound for base 2
-	var slabs []aurs.Set
-	var cands []float64
-	var merged []float64
-	for _, pc := range pieces {
+	qs.slabs, qs.cands, qs.merged = qs.slabs[:0], qs.cands[:0], qs.merged[:0]
+	for _, pc := range qs.pieces {
 		if pc.isLeaf {
-			in := t.leafInRange(pc.node, x1, x2)
-			if len(in) >= k {
-				point.SortByScoreDesc(in)
-				cands = append(cands, in[k-1].Score)
+			qs.in = t.leafInRange(qs.in[:0], pc.node, x1, x2)
+			if len(qs.in) >= k {
+				point.SortByScoreDesc(qs.in)
+				qs.cands = append(qs.cands, qs.in[k-1].Score)
 			} else {
-				for _, p := range in {
-					merged = append(merged, p.Score)
+				for _, p := range qs.in {
+					qs.merged = append(qs.merged, p.Score)
 				}
 			}
 			continue
 		}
-		ss := slabSet{g: &aursGroup{fl: t.fl[pc.node]}, a1: pc.a1, a2: pc.a2}
+		ss := slabSet{fl: t.fl[pc.node], a1: pc.a1, a2: pc.a2}
 		n := ss.Len()
 		switch {
 		case n >= c1*k:
-			slabs = append(slabs, ss) // AURS precondition holds
+			qs.slabs = append(qs.slabs, ss) // AURS precondition holds
 		case n >= k:
 			// Too small for AURS but big enough to own the answer:
 			// probe its (f,c2l)-structure directly (rank ∈ [k, 8k]).
 			t.Fallbacks++
-			cands = append(cands, t.fl[pc.node].Select(pc.a1, pc.a2, k))
+			qs.cands = append(qs.cands, ss.fl.Select(pc.a1, pc.a2, k))
 		case n > 0:
 			t.Fallbacks++
-			merged = append(merged, t.fl[pc.node].TopIn(pc.a1, pc.a2, n)...)
+			qs.merged = ss.fl.AppendTopIn(qs.merged, pc.a1, pc.a2, n)
 		}
 	}
-	if len(slabs) > 0 {
-		cands = append(cands, aurs.Select(slabs, c1, k))
+	if len(qs.slabs) > 0 {
+		qs.sets = qs.sets[:0]
+		for i := range qs.slabs {
+			qs.sets = append(qs.sets, &qs.slabs[i])
+		}
+		qs.cands = append(qs.cands, qs.aurs.Select(qs.sets, c1, k))
 	}
-	if len(merged) >= k {
-		slices.SortFunc(merged, func(a, b float64) int { return cmp.Compare(b, a) })
-		cands = append(cands, merged[k-1])
+	if len(qs.merged) >= k {
+		slices.SortFunc(qs.merged, func(a, b float64) int { return cmp.Compare(b, a) })
+		qs.cands = append(qs.cands, qs.merged[k-1])
 	}
-	if len(cands) == 0 || t.Count(x1, x2) < k {
+	if len(qs.cands) == 0 || t.Count(x1, x2) < k {
 		return 0, false
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c > best {
-			best = c
-		}
-	}
-	return best, true
+	return slices.Max(qs.cands), true
 }
 
 // Count returns |S ∩ [x1,x2]| using subtree weights plus boundary-leaf
@@ -183,31 +185,26 @@ func (t *Tree) Count(x1, x2 float64) int {
 	if x1 > x2 {
 		return 0
 	}
-	total := 0
-	var walk func(h em.Handle)
-	walk = func(h em.Handle) {
-		nd := t.store.Read(h)
-		if nd.leaf {
-			total += t.leafCount(h, x1, x2)
-			return
-		}
-		for j, kid := range nd.kids {
-			clo := nd.kidLo[j]
-			chi := nd.hi
-			if j+1 < len(nd.kids) {
-				chi = nd.kidLo[j+1]
-			}
-			if chi <= x1 || clo > x2 {
-				continue
-			}
-			if clo >= x1 && chi <= math.Nextafter(x2, math.Inf(1)) {
-				total += t.store.Read(kid).weight
-				continue
-			}
-			walk(kid)
-		}
+	return t.count(t.root, x1, x2)
+}
+
+func (t *Tree) count(h em.Handle, x1, x2 float64) int {
+	nd := t.store.Read(h)
+	if nd.leaf {
+		return t.leafCount(h, x1, x2)
 	}
-	walk(t.root)
+	total := 0
+	for j, kid := range nd.kids {
+		clo, chi := kidSlab(nd, j)
+		if chi <= x1 || clo > x2 {
+			continue
+		}
+		if clo >= x1 && chi <= math.Nextafter(x2, math.Inf(1)) {
+			total += t.store.Read(kid).weight
+			continue
+		}
+		total += t.count(kid, x1, x2)
+	}
 	return total
 }
 

@@ -135,7 +135,8 @@ func (p *PST) checkV(v vid, ancestorMin float64) (float64, error) {
 	belowMax := math.Inf(-1)
 	belowNonEmpty := false
 	childNonEmpty := false
-	for _, c := range p.vchildren(nd, v) {
+	kids, n := p.vchildren(nd, v)
+	for _, c := range kids[:n] {
 		cn := p.tstore.Peek(c.t)
 		if cn.vs[c.idx].size > 0 {
 			childNonEmpty = true

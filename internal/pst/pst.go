@@ -153,6 +153,8 @@ type PST struct {
 	updatesSince int
 
 	tok *tokens // nil unless Options.TrackTokens
+
+	qs queryScratch
 }
 
 // New returns an empty PST on d.
@@ -206,18 +208,18 @@ func (p *PST) lgN() int {
 
 // --- T̂ navigation helpers -------------------------------------------
 
-// vchildren returns the T̂ children of v. Crossing from a slab leaf of
-// T(u) into the child T-node costs one tnode read, charged via the
-// store; staying inside T(u) is free (nd is already loaded).
-func (p *PST) vchildren(nd *tnode, v vid) []vid {
+// vchildren returns the T̂ children of v and how many there are (at
+// most two). It reads nothing: a slab leaf's child is the root of the
+// child T-node's secondary tree, addressed by the handle nd holds.
+func (p *PST) vchildren(nd *tnode, v vid) ([2]vid, int) {
 	m := nd.vs[v.idx]
 	if m.left >= 0 {
-		return []vid{{v.t, m.left}, {v.t, m.right}}
+		return [2]vid{{v.t, m.left}, {v.t, m.right}}, 2
 	}
 	if m.kid >= 0 {
-		return []vid{{nd.kids[m.kid], 0}}
+		return [2]vid{{nd.kids[m.kid], 0}}, 1
 	}
-	return nil
+	return [2]vid{}, 0
 }
 
 // vparent returns the T̂ parent of v (reading the parent tnode when v is
@@ -267,25 +269,19 @@ func routeKid(nd *tnode, x float64) int {
 	return lo
 }
 
-// descendVS walks the secondary tree of nd toward x, returning the
-// vmeta indices from the root of T(u) to the slab leaf (all in memory).
-func descendVS(nd *tnode, x float64) []int {
-	var path []int
-	i := 0
-	for {
-		path = append(path, i)
-		m := nd.vs[i]
-		if m.left < 0 {
-			return path
-		}
-		// Left child covers [lo,mid), right [mid,hi).
-		mid := nd.vs[m.left].hi
-		if x < nd.kidLo[mid] {
-			i = m.left
-		} else {
-			i = m.right
-		}
+// nextVS steps the walk of nd's secondary tree toward x: it returns
+// the child of node i on the way to x's slab leaf, or -1 at the leaf.
+// Starting from 0 (the root of T(u)), the walk is all in memory.
+func nextVS(nd *tnode, i int, x float64) int {
+	m := nd.vs[i]
+	if m.left < 0 {
+		return -1
 	}
+	// Left child covers [lo,mid), right [mid,hi).
+	if x < nd.kidLo[nd.vs[m.left].hi] {
+		return m.left
+	}
+	return m.right
 }
 
 // readPilot loads the pilot set of v.

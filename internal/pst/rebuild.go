@@ -176,7 +176,8 @@ func (p *PST) fillPilot(v vid) {
 		if p.pullUpOnce(v) {
 			return // drained: nothing left below
 		}
-		for _, c := range p.vchildren(p.tstore.Read(v.t), v) {
+		kids, n := p.vchildren(p.tstore.Read(v.t), v)
+		for _, c := range kids[:n] {
 			p.fillPilot(c)
 		}
 	}

@@ -85,7 +85,7 @@ func (p *PST) placePoint(pt point.P) {
 	h := p.root
 	for {
 		nd := p.tstore.Read(h)
-		for _, idx := range descendVS(nd, pt.X) {
+		for idx := 0; idx >= 0; idx = nextVS(nd, idx, pt.X) {
 			m := nd.vs[idx]
 			takeHere := nd.level == 0 || pt.Score >= m.rep ||
 				(m.size < p.opt.PilotB && !p.anyChildNonempty(nd, vid{h, idx}))
@@ -117,7 +117,7 @@ func (p *PST) Delete(pt point.P) bool {
 	h := p.root
 	for {
 		nd := p.tstore.Read(h)
-		for _, idx := range descendVS(nd, pt.X) {
+		for idx := 0; idx >= 0; idx = nextVS(nd, idx, pt.X) {
 			m := nd.vs[idx]
 			if m.size == 0 || pt.Score < m.rep {
 				continue
@@ -168,7 +168,8 @@ func (p *PST) pushDown(v vid) {
 	p.writePilot(nd, v.idx, keep)
 	p.tstore.Write(v.t, nd)
 
-	kids := p.vchildren(nd, v)
+	kidArr, nk := p.vchildren(nd, v)
+	kids := kidArr[:nk]
 	if len(kids) == 0 {
 		panic("pst: pilot overflow at a leaf")
 	}
@@ -201,7 +202,8 @@ func (p *PST) pushDown(v vid) {
 // anyChildNonempty reports whether a T̂ child of v has a non-empty
 // pilot. nd must be the loaded record of v.t.
 func (p *PST) anyChildNonempty(nd *tnode, v vid) bool {
-	for _, c := range p.vchildren(nd, v) {
+	kids, n := p.vchildren(nd, v)
+	for _, c := range kids[:n] {
 		var sz int
 		if c.t == v.t {
 			sz = nd.vs[c.idx].size
@@ -230,7 +232,8 @@ func (p *PST) pullUpOnce(v vid) (drained bool) {
 	if need <= 0 {
 		return false
 	}
-	kids := p.vchildren(nd, v)
+	kidArr, nk := p.vchildren(nd, v)
+	kids := kidArr[:nk]
 	type src struct {
 		c  vid
 		ps []point.P
@@ -296,7 +299,8 @@ func (p *PST) fixUnderflow(v vid) {
 	for round := 0; round < 2; round++ {
 		drained := p.pullUpOnce(v)
 		nd = p.tstore.Read(v.t)
-		for _, c := range p.vchildren(nd, v) {
+		kids, n := p.vchildren(nd, v)
+		for _, c := range kids[:n] {
 			p.fixUnderflow(c)
 		}
 		nd = p.tstore.Read(v.t)

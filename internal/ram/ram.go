@@ -284,18 +284,16 @@ func (s *src) entryOf(nd *node, out *[]heap.Entry) {
 	s.entryOf(nd.right, out)
 }
 
-func (s *src) Roots() []heap.Entry {
-	var out []heap.Entry
-	s.entryOf(s.t.root, &out)
-	return out
+func (s *src) Roots(buf []heap.Entry) []heap.Entry {
+	s.entryOf(s.t.root, &buf)
+	return buf
 }
 
-func (s *src) Children(ref int64) []heap.Entry {
+func (s *src) Children(ref int64, buf []heap.Entry) []heap.Entry {
 	nd := s.nodes[ref]
-	var out []heap.Entry
-	s.entryOf(nd.left, &out)
-	s.entryOf(nd.right, &out)
-	return out
+	s.entryOf(nd.left, &buf)
+	s.entryOf(nd.right, &buf)
+	return buf
 }
 
 // Query returns the k highest-scoring points in [x1,x2], descending,

@@ -29,8 +29,10 @@
 package sketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -158,6 +160,20 @@ func Merge(sketches []Sketch, k int) float64 {
 	return math.Inf(-1)
 }
 
+// Scratch holds MergeRanked's working lists between calls, so a caller
+// that keeps one merges without allocating once the lists have grown.
+// The zero value is ready; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	cands []rankedCand
+	est   []int
+}
+
+type rankedCand struct {
+	grank int
+	si    int
+	j     int
+}
+
 // MergeRanked is Merge for rank-encoded sketches, the compressed form of
 // §4.1: pivots are identified by their global rank in the ground set G
 // (1 = largest) instead of by value, which is all a compressed sketch
@@ -168,25 +184,24 @@ func Merge(sketches []Sketch, k int) float64 {
 //
 // The algorithm is Merge with the sweep order reversed: ascending global
 // rank is descending value.
-func MergeRanked(ranked [][]int, base, k int) int {
+func (s *Scratch) MergeRanked(ranked [][]int, base, k int) int {
 	if k < 1 {
 		panic("sketch: k must be ≥ 1")
 	}
-	type cand struct {
-		grank int
-		si    int
-		j     int
-	}
-	var cands []cand
+	s.cands = s.cands[:0]
 	for si, piv := range ranked {
 		for j, g := range piv {
-			cands = append(cands, cand{g, si, j + 1})
+			s.cands = append(s.cands, rankedCand{g, si, j + 1})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].grank < cands[b].grank })
-	est := make([]int, len(ranked))
+	slices.SortFunc(s.cands, func(a, b rankedCand) int { return cmp.Compare(a.grank, b.grank) })
+	if cap(s.est) < len(ranked) {
+		s.est = make([]int, len(ranked))
+	}
+	est := s.est[:len(ranked)]
+	clear(est)
 	total := 0
-	for _, c := range cands {
+	for _, c := range s.cands {
 		w := WindowLo(c.j, base)
 		if w > est[c.si] {
 			total += w - est[c.si]

@@ -61,7 +61,20 @@ sed -i "s/^$marker\$/\tvar leak int\n\tgateLeak = \\&leak\n\th := m.heap[:0]/" "
 expect_findings "planted heap escape in //topk:nomalloc mergeLoop (escapecheck)" \
 	"$topkvet" escapecheck ./internal/merge/
 
-# 3. By-value copy of an atomic-bearing struct: atomicfield must flag
+# 3. Static allocation site in the buffer pool's annotated hit path:
+#    every block read of the engine goes through it.
+em_go="$scratch/repo/internal/em/em.go"
+hit_marker='	if old := d.slots\[i\].span; old != span {'
+copy_tree
+grep -q "^$hit_marker\$" "$em_go" || {
+	echo "gate-negative: pool hit marker line not found; update this script" >&2
+	exit 1
+}
+sed -i "s/^$hit_marker\$/\t_ = make([]int, 1)\n\tif old := d.slots[i].span; old != span {/" "$em_go"
+expect_findings "planted make in //topk:nomalloc pool hit (allocfree)" \
+	"$topkvet" ./internal/em/
+
+# 4. By-value copy of an atomic-bearing struct: atomicfield must flag
 #    the planted accessor returning a histogram stripe by value.
 copy_tree
 cat >>"$scratch/repo/internal/obs/hist.go" <<'EOF'
