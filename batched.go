@@ -31,9 +31,6 @@ type BatchedConfig struct {
 	// Stripes is the enqueue-buffer stripe count (rounded up to a
 	// power of two). 0 means 8.
 	Stripes int
-	// MaxPending is the backpressure bound: a producer observing more
-	// pending ops tries to drive a commit itself. 0 means 4×MaxBatch.
-	MaxPending int
 }
 
 // BatcherStats snapshots the group-commit counters of a Batched store.
@@ -106,17 +103,16 @@ func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 	if st == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrConfig)
 	}
-	if cfg.MaxBatch < 0 || cfg.Stripes < 0 || cfg.MaxPending < 0 {
+	if cfg.MaxBatch < 0 || cfg.Stripes < 0 {
 		return nil, fmt.Errorf("%w: negative batcher bound", ErrConfig)
 	}
 	// Each group commits as one inner ApplyBatch over the batcher's own
 	// group buffer: no store keeps the ops slice past the call.
 	return &Batched{inner: st, b: ingest.New(ingest.Options{
-		Flush:      st.ApplyBatch,
-		MaxBatch:   cfg.MaxBatch,
-		Window:     cfg.Window,
-		Stripes:    cfg.Stripes,
-		MaxPending: cfg.MaxPending,
+		Flush:    st.ApplyBatch,
+		MaxBatch: cfg.MaxBatch,
+		Window:   cfg.Window,
+		Stripes:  cfg.Stripes,
 	})}, nil
 }
 

@@ -331,7 +331,3 @@ func newStore(backend string, cfg topk.ShardedConfig, pts []topk.Result) (topk.S
 		return nil, fmt.Errorf("unknown backend %q (want sharded or single)", backend)
 	}
 }
-
-// newServer returns the topkd handler tree over st with no member
-// band — the shape every pre-cluster test mounts.
-func newServer(st topk.Store) http.Handler { return serve.New(st, serve.Options{}) }

@@ -40,7 +40,7 @@ func newTestStore(t *testing.T, backend string) topk.Store {
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(newServer(newTestStore(t, "sharded")))
+	srv := httptest.NewServer(serve.New(newTestStore(t, "sharded"), serve.Options{}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -373,7 +373,7 @@ func TestDuplicateInsert(t *testing.T) {
 // the sequential backend behind a mutex serves the same API (minus
 // the shards gauge in /v1/stats).
 func TestSingleBackend(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestStore(t, "single")))
+	srv := httptest.NewServer(serve.New(newTestStore(t, "single"), serve.Options{}))
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v1/insert", "application/json", strings.NewReader(`{"x":1,"score":2}`))
 	if err != nil {
@@ -658,7 +658,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// The single backend has no shard topology: fleet metrics only.
-	single := httptest.NewServer(newServer(newTestStore(t, "single")))
+	single := httptest.NewServer(serve.New(newTestStore(t, "single"), serve.Options{}))
 	defer single.Close()
 	sbody := fetch(single.URL + "/v1/metrics")
 	if !strings.Contains(sbody, "topkd_points_live") {
@@ -714,7 +714,7 @@ func TestStatsLifecycleCounters(t *testing.T) {
 		}
 	}
 
-	single := httptest.NewServer(newServer(newTestStore(t, "single")))
+	single := httptest.NewServer(serve.New(newTestStore(t, "single"), serve.Options{}))
 	defer single.Close()
 	resp, err = http.Get(single.URL + "/v1/stats")
 	if err != nil {
@@ -776,7 +776,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	gw := httptest.NewServer(newServer(cl))
+	gw := httptest.NewServer(serve.New(cl, serve.Options{}))
 	defer gw.Close()
 
 	// Writes through the gateway land on the right members.

@@ -4,14 +4,16 @@
 //
 // The paper leans on such trees throughout §3 and §4: a B-tree on G to
 // convert a global rank to an element (§4.1), B-trees on each G_i for
-// local-rank selection (§4.2), score B-trees for the update algorithm of
-// §3.3, and "a (slightly augmented) B-tree" for range-maximum queries on
-// G_{u1} ∪ … ∪ G_{uf}. This package provides all of those capabilities:
+// local-rank selection (§4.2) and score B-trees for the update algorithm
+// of §3.3. This package provides those capabilities:
 //
 //   - Insert / Delete / Contains           O(log_B n)
 //   - RankDesc (rank = |{e' ≥ e}|, as defined in §3.1)
 //   - SelectDesc (element of a given descending rank)
-//   - CountRange, MaxInRange (the augmented range-max of §3.3)
+//
+// The range maximum over G_{u1} ∪ … ∪ G_{uf} that §3.3 asks of "a
+// (slightly augmented) B-tree" comes from package flgroup's maxima block
+// (Group.MaxIn) instead.
 //
 // Keys are assumed distinct, matching the paper's distinct-score
 // assumption.
@@ -438,49 +440,6 @@ func (t *Tree) SelectDesc(r int) (float64, bool) {
 			}
 			idx -= c
 		}
-	}
-}
-
-// CountRange returns |{e : lo ≤ e ≤ hi}|.
-func (t *Tree) CountRange(lo, hi float64) int {
-	if lo > hi {
-		return 0
-	}
-	return t.CountGE(lo) - t.CountGE(math.Nextafter(hi, math.Inf(1)))
-}
-
-// MaxInRange returns the largest key in [lo, hi], if any. This is the
-// "slightly augmented" range-max capability §3.3 requires of the B-tree
-// on G_{u1} ∪ … ∪ G_{uf}; with max-key routers it descends one path.
-func (t *Tree) MaxInRange(lo, hi float64) (float64, bool) {
-	if t.n == 0 || lo > hi {
-		return 0, false
-	}
-	h := t.root
-	// cand tracks the best predecessor-of-hi seen on the descent: when we
-	// descend into child i, the max key of child i-1 (router i-1, which is
-	// < hi by choice of i) is the answer should child i hold nothing ≤ hi.
-	cand, haveCand := 0.0, false
-	for {
-		nd := t.store.Read(h)
-		if nd.leaf {
-			i := leafInsertPos(nd, math.Nextafter(hi, math.Inf(1))) - 1
-			if i >= 0 {
-				if nd.keys[i] >= lo {
-					return nd.keys[i], true
-				}
-				return 0, false
-			}
-			if haveCand && cand >= lo {
-				return cand, true
-			}
-			return 0, false
-		}
-		i := childFor(nd, hi)
-		if i > 0 {
-			cand, haveCand = nd.keys[i-1], true
-		}
-		h = nd.kids[i]
 	}
 }
 

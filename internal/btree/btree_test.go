@@ -199,70 +199,6 @@ func TestDeleteAllThenReuse(t *testing.T) {
 	}
 }
 
-func TestCountRange(t *testing.T) {
-	tr := newTestTree(16)
-	fill(t, tr, permutedInts(200, 9))
-	cases := []struct {
-		lo, hi float64
-		want   int
-	}{
-		{0, 199, 200}, {50, 59, 10}, {50, 50, 1}, {50.5, 50.9, 0},
-		{-10, -1, 0}, {199, 300, 1}, {150, 100, 0}, {-5, 1000, 200},
-	}
-	for _, c := range cases {
-		if got := tr.CountRange(c.lo, c.hi); got != c.want {
-			t.Errorf("CountRange(%v,%v)=%d, want %d", c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
-func TestMaxInRange(t *testing.T) {
-	tr := newTestTree(8)
-	fill(t, tr, []float64{2, 4, 8, 16, 32, 64, 128, 256, 512})
-	cases := []struct {
-		lo, hi float64
-		want   float64
-		ok     bool
-	}{
-		{0, 1000, 512, true}, {3, 100, 64, true}, {5, 7, 0, false},
-		{8, 8, 8, true}, {9, 15, 0, false}, {100, 50, 0, false},
-		{513, 1000, 0, false}, {0, 2, 2, true}, {33, 63, 0, false},
-		{17, 32, 32, true},
-	}
-	for _, c := range cases {
-		got, ok := tr.MaxInRange(c.lo, c.hi)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("MaxInRange(%v,%v)=%v,%v want %v,%v", c.lo, c.hi, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestMaxInRangeDense(t *testing.T) {
-	tr := newTestTree(8)
-	fill(t, tr, permutedInts(300, 10))
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		lo := rng.Float64()*320 - 10
-		hi := lo + rng.Float64()*100
-		got, ok := tr.MaxInRange(lo, hi)
-		want, wok := bruteMaxInRange(300, lo, hi)
-		if ok != wok || (ok && got != want) {
-			t.Fatalf("MaxInRange(%v,%v)=%v,%v want %v,%v", lo, hi, got, ok, want, wok)
-		}
-	}
-}
-
-func bruteMaxInRange(n int, lo, hi float64) (float64, bool) {
-	best, ok := 0.0, false
-	for i := 0; i < n; i++ {
-		k := float64(i)
-		if k >= lo && k <= hi && (!ok || k > best) {
-			best, ok = k, true
-		}
-	}
-	return best, ok
-}
-
 func TestAscendRange(t *testing.T) {
 	tr := newTestTree(8)
 	fill(t, tr, permutedInts(100, 12))

@@ -81,8 +81,6 @@ func (r Regime) String() string {
 type Options struct {
 	// Regime selects the small-k component.
 	Regime Regime
-	// KThreshold overrides the B·lg n dispatch threshold (0 = paper's).
-	KThreshold int
 	// PST passes through to the §2 structure.
 	PST pst.Options
 	// PolylogF / PolylogLeafCap override §3.3 shape parameters (0 =
@@ -144,12 +142,7 @@ func lg(x int) int {
 
 // KThreshold returns the current dispatch threshold B·lg N (queries
 // with k at or above it go to the §2 structure).
-func (ix *Index) KThreshold() int {
-	if ix.opt.KThreshold > 0 {
-		return ix.opt.KThreshold
-	}
-	return ix.d.B() * lg(ix.N)
-}
+func (ix *Index) KThreshold() int { return ix.d.B() * lg(ix.N) }
 
 // CurrentRegime reports which small-k component is active.
 func (ix *Index) CurrentRegime() Regime { return ix.regime }

@@ -39,11 +39,6 @@ type Config struct {
 	B int
 	// M is the memory size in words. The buffer pool has M/B frames.
 	M int
-	// WriteThrough, if set, charges write I/Os at write time instead of
-	// at eviction time. Accounting totals are identical for workloads
-	// that eventually evict everything; write-back (the default) matches
-	// the model's "write B words in memory to a disk block" phrasing.
-	WriteThrough bool
 }
 
 func (c Config) withDefaults() Config {
@@ -275,7 +270,7 @@ func (d *Disk) drop(i int32) {
 //
 //topk:nomalloc
 func (d *Disk) evict(i int32) {
-	if s := &d.slots[i]; s.dirty && !d.cfg.WriteThrough {
+	if s := &d.slots[i]; s.dirty {
 		d.stats.Writes += int64(s.span)
 	}
 	d.drop(i)
@@ -287,9 +282,9 @@ func (d *Disk) ensureRoom(span int) {
 	}
 }
 
-// touch makes the object resident, charging read I/Os on a miss and
-// write I/Os per the write policy. span is the object's current span;
-// dirty marks the access as a mutation.
+// touch makes the object resident, charging read I/Os on a miss. span
+// is the object's current span; dirty marks the access as a mutation,
+// charged as write I/Os when the object is evicted (write-back).
 func (d *Disk) touch(key poolKey, span int, dirty bool) {
 	if span > d.frames {
 		// An object larger than memory cannot be cached; every access
@@ -306,14 +301,11 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 	}
 	d.ensureRoom(span)
 	d.stats.Reads += int64(span)
-	if dirty && d.cfg.WriteThrough {
-		d.stats.Writes += int64(span)
-	}
-	d.admit(key, span, dirty && !d.cfg.WriteThrough)
+	d.admit(key, span, dirty)
 }
 
 // hit is touch on a resident object: adjust its occupancy if it grew
-// or shrank, apply the write policy, and move it to the front.
+// or shrank, mark it dirty on a mutation, and move it to the front.
 //
 //topk:nomalloc
 func (d *Disk) hit(i int32, span int, dirty bool) {
@@ -324,11 +316,7 @@ func (d *Disk) hit(i int32, span int, dirty bool) {
 		d.slots[i].span = span
 	}
 	if dirty {
-		if d.cfg.WriteThrough {
-			d.stats.Writes += int64(span)
-		} else {
-			d.slots[i].dirty = true
-		}
+		d.slots[i].dirty = true
 	}
 	if d.head != i {
 		d.unlink(i)
@@ -351,9 +339,8 @@ func (d *Disk) ensureRoomExcept(extra int, keep int32) {
 }
 
 // createFresh registers a newly allocated object: it is written in memory
-// and will be charged as a write on eviction (write-back) or now
-// (write-through). It does not charge a read: the object was produced in
-// memory, not loaded.
+// and will be charged as a write on eviction. It does not charge a read:
+// the object was produced in memory, not loaded.
 func (d *Disk) createFresh(key poolKey, span int) {
 	d.stats.Allocs++
 	d.stats.BlocksLive += int64(span)
@@ -369,10 +356,7 @@ func (d *Disk) createFresh(key poolKey, span int) {
 		panic("em: double allocation of handle")
 	}
 	d.ensureRoom(span)
-	if d.cfg.WriteThrough {
-		d.stats.Writes += int64(span)
-	}
-	d.admit(key, span, !d.cfg.WriteThrough)
+	d.admit(key, span, true)
 }
 
 func (d *Disk) resize(key poolKey, span int) {
@@ -445,8 +429,8 @@ func (s *Store[T]) Read(h Handle) T {
 	return v
 }
 
-// Write replaces the object's value, charging I/Os per the write policy
-// and re-deriving its span from the new size.
+// Write replaces the object's value, marking it dirty (a write I/O per
+// block on eviction) and re-deriving its span from the new size.
 func (s *Store[T]) Write(h Handle, v T) {
 	if _, ok := s.objs[h]; !ok {
 		panic(fmt.Sprintf("em: %s: write of dead handle %d", s.name, h))
@@ -484,14 +468,4 @@ func (s *Store[T]) Peek(h Handle) T {
 		panic(fmt.Sprintf("em: %s: peek of dead handle %d", s.name, h))
 	}
 	return v
-}
-
-// Handles returns all live handles in unspecified order (meter-free;
-// for checkers and rebuilds that already account their cost).
-func (s *Store[T]) Handles() []Handle {
-	hs := make([]Handle, 0, len(s.objs))
-	for h := range s.objs {
-		hs = append(hs, h)
-	}
-	return hs
 }

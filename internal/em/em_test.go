@@ -76,22 +76,6 @@ func TestReadHitMissAccounting(t *testing.T) {
 	}
 }
 
-func TestWriteThrough(t *testing.T) {
-	d := NewDisk(Config{B: 8, M: 64, WriteThrough: true})
-	s := recStore(d)
-	h := s.Alloc(rec{words: 8})
-	base := d.Stats()
-	s.Write(h, rec{words: 8, tag: 9})
-	got := d.Stats().Sub(base)
-	if got.Writes != 1 {
-		t.Fatalf("write-through write charged %d writes, want 1", got.Writes)
-	}
-	d.DropCache()
-	if extra := d.Stats().Sub(base).Writes; extra != 1 {
-		t.Fatalf("drop-cache double-charged writes: %d", extra)
-	}
-}
-
 func TestMultiBlockObjectCosts(t *testing.T) {
 	d := NewDisk(Config{B: 8, M: 64}) // 8 frames
 	s := recStore(d)

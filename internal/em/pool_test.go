@@ -62,7 +62,7 @@ func (d *refDisk) DropCache() {
 func (d *refDisk) evictOne() {
 	back := d.lru.Back()
 	r := back.Value.(*refResident)
-	if r.dirty && !d.cfg.WriteThrough {
+	if r.dirty {
 		d.stats.Writes += int64(r.span)
 	}
 	d.used -= r.span
@@ -92,25 +92,14 @@ func (d *refDisk) touch(key poolKey, span int, dirty bool) {
 			r.span = span
 		}
 		if dirty {
-			if d.cfg.WriteThrough {
-				d.stats.Writes += int64(span)
-			} else {
-				r.dirty = true
-			}
+			r.dirty = true
 		}
 		d.lru.MoveToFront(el)
 		return
 	}
 	d.ensureRoom(span)
 	d.stats.Reads += int64(span)
-	r := &refResident{key: key, span: span}
-	if dirty {
-		if d.cfg.WriteThrough {
-			d.stats.Writes += int64(span)
-		} else {
-			r.dirty = true
-		}
-	}
+	r := &refResident{key: key, span: span, dirty: dirty}
 	d.present[key] = d.lru.PushFront(r)
 	d.used += span
 }
@@ -122,7 +111,7 @@ func (d *refDisk) ensureRoomExcept(extra int, keep *list.Element) {
 			back = back.Prev()
 		}
 		r := back.Value.(*refResident)
-		if r.dirty && !d.cfg.WriteThrough {
+		if r.dirty {
 			d.stats.Writes += int64(r.span)
 		}
 		d.used -= r.span
@@ -143,10 +132,7 @@ func (d *refDisk) createFresh(key poolKey, span int) {
 		return
 	}
 	d.ensureRoom(span)
-	r := &refResident{key: key, span: span, dirty: !d.cfg.WriteThrough}
-	if d.cfg.WriteThrough {
-		d.stats.Writes += int64(span)
-	}
+	r := &refResident{key: key, span: span, dirty: true}
 	d.present[key] = d.lru.PushFront(r)
 	d.used += span
 }
@@ -209,89 +195,87 @@ func (d *Disk) residents(t *testing.T) []refResident {
 
 // TestPoolMatchesReference drives the pool and the reference with the
 // same seeded traces of Alloc, Read, Write, Update and Free, mixed
-// with Resize, DropCache and ResetMeter, under both write policies.
-// Objects span 1 to frames+1 blocks, so both the streaming path (an
-// object larger than the pool) and growth while resident
-// (ensureRoomExcept) run. After every step the meters must be equal
-// and the residents must be the same, in the same LRU order.
+// with Resize, DropCache and ResetMeter. Objects span 1 to frames+1
+// blocks, so both the streaming path (an object larger than the pool)
+// and growth while resident (ensureRoomExcept) run. After every step
+// the meters must be equal and the residents must be the same, in the
+// same LRU order.
 func TestPoolMatchesReference(t *testing.T) {
 	const b, frames = 4, 8
-	for _, wt := range []bool{false, true} {
-		for seed := int64(1); seed <= 25; seed++ {
-			cfg := Config{B: b, M: frames * b, WriteThrough: wt}
-			d, ref := NewDisk(cfg), newRefDisk(cfg)
-			s := recStore(d)
-			rng := rand.New(rand.NewSource(seed))
-			size := func() int { return 1 + rng.Intn((frames+1)*b) }
-			var live []Handle
-			maxFrames := frames
-			pick := func() (int, Handle) {
-				i := rng.Intn(len(live))
-				return i, live[i]
+	for seed := int64(1); seed <= 50; seed++ {
+		cfg := Config{B: b, M: frames * b}
+		d, ref := NewDisk(cfg), newRefDisk(cfg)
+		s := recStore(d)
+		rng := rand.New(rand.NewSource(seed))
+		size := func() int { return 1 + rng.Intn((frames+1)*b) }
+		var live []Handle
+		maxFrames := frames
+		pick := func() (int, Handle) {
+			i := rng.Intn(len(live))
+			return i, live[i]
+		}
+		key := func(h Handle) poolKey { return poolKey{s.id, h} }
+		for step := 0; step < 2000; step++ {
+			op := rng.Intn(100)
+			if len(live) == 0 {
+				op = 0
 			}
-			key := func(h Handle) poolKey { return poolKey{s.id, h} }
-			for step := 0; step < 2000; step++ {
-				op := rng.Intn(100)
-				if len(live) == 0 {
-					op = 0
+			switch {
+			case op < 15: // Alloc
+				w := size()
+				h := s.Alloc(rec{words: w})
+				ref.createFresh(key(h), d.SpanFor(w))
+				live = append(live, h)
+			case op < 55: // Read
+				_, h := pick()
+				s.Read(h)
+				ref.touch(key(h), d.SpanFor(s.Peek(h).words), false)
+			case op < 70: // Write, usually resizing the object
+				_, h := pick()
+				w := size()
+				s.Write(h, rec{words: w})
+				ref.resize(key(h), d.SpanFor(w))
+				ref.touch(key(h), d.SpanFor(w), true)
+			case op < 78: // Update
+				_, h := pick()
+				old := s.Peek(h).words
+				w := size()
+				s.Update(h, func(r *rec) { r.words = w })
+				ref.touch(key(h), d.SpanFor(old), false)
+				ref.resize(key(h), d.SpanFor(w))
+				ref.touch(key(h), d.SpanFor(w), true)
+			case op < 90: // Free
+				i, h := pick()
+				s.Free(h)
+				ref.release(key(h))
+				live = append(live[:i], live[i+1:]...)
+			case op < 94:
+				m := (2 + rng.Intn(2*frames)) * b
+				d.Resize(m)
+				ref.Resize(m)
+				maxFrames = max(maxFrames, d.Frames())
+			case op < 97:
+				d.DropCache()
+				ref.DropCache()
+			default:
+				d.ResetMeter()
+				ref.ResetMeter()
+			}
+			if got, want := d.Stats(), ref.stats; got != want {
+				t.Fatalf("seed %d step %d (op %d): stats %v, reference %v", seed, step, op, got, want)
+			}
+			got, want := d.residents(t), ref.residents()
+			if len(got) != len(want) || d.used != ref.used {
+				t.Fatalf("seed %d step %d: %d residents using %d blocks, reference %d using %d",
+					seed, step, len(got), d.used, len(want), ref.used)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d: resident %d is %+v, reference %+v", seed, step, i, got[i], want[i])
 				}
-				switch {
-				case op < 15: // Alloc
-					w := size()
-					h := s.Alloc(rec{words: w})
-					ref.createFresh(key(h), d.SpanFor(w))
-					live = append(live, h)
-				case op < 55: // Read
-					_, h := pick()
-					s.Read(h)
-					ref.touch(key(h), d.SpanFor(s.Peek(h).words), false)
-				case op < 70: // Write, usually resizing the object
-					_, h := pick()
-					w := size()
-					s.Write(h, rec{words: w})
-					ref.resize(key(h), d.SpanFor(w))
-					ref.touch(key(h), d.SpanFor(w), true)
-				case op < 78: // Update
-					_, h := pick()
-					old := s.Peek(h).words
-					w := size()
-					s.Update(h, func(r *rec) { r.words = w })
-					ref.touch(key(h), d.SpanFor(old), false)
-					ref.resize(key(h), d.SpanFor(w))
-					ref.touch(key(h), d.SpanFor(w), true)
-				case op < 90: // Free
-					i, h := pick()
-					s.Free(h)
-					ref.release(key(h))
-					live = append(live[:i], live[i+1:]...)
-				case op < 94:
-					m := (2 + rng.Intn(2*frames)) * b
-					d.Resize(m)
-					ref.Resize(m)
-					maxFrames = max(maxFrames, d.Frames())
-				case op < 97:
-					d.DropCache()
-					ref.DropCache()
-				default:
-					d.ResetMeter()
-					ref.ResetMeter()
-				}
-				if got, want := d.Stats(), ref.stats; got != want {
-					t.Fatalf("writeThrough=%v seed %d step %d (op %d): stats %v, reference %v", wt, seed, step, op, got, want)
-				}
-				got, want := d.residents(t), ref.residents()
-				if len(got) != len(want) || d.used != ref.used {
-					t.Fatalf("writeThrough=%v seed %d step %d: %d residents using %d blocks, reference %d using %d",
-						wt, seed, step, len(got), d.used, len(want), ref.used)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("writeThrough=%v seed %d step %d: resident %d is %+v, reference %+v", wt, seed, step, i, got[i], want[i])
-					}
-				}
-				if len(d.slots) > maxFrames {
-					t.Fatalf("slot slice grew to %d slots; the pool never had more than %d frames", len(d.slots), maxFrames)
-				}
+			}
+			if len(d.slots) > maxFrames {
+				t.Fatalf("slot slice grew to %d slots; the pool never had more than %d frames", len(d.slots), maxFrames)
 			}
 		}
 	}

@@ -388,25 +388,24 @@ func (g *Group) fetchGlobal(i, r int, pref [][]int) (int, float64) {
 	return g.g.RankDesc(v), v
 }
 
-// repair fixes all invalidated pivots of sketch i (local rank outside
-// [base^(j−1), base^j)), replacing each with the element of local rank
-// ⌊(3/2)·base^(j−1)⌋ per §4.2.
+// replacePivot sets pivot j (1-based) of sketch i to the element of
+// local rank min(⌊(3/2)·base^(j−1)⌋, |G_i|), the §4.2 replacement that
+// takes Ω(base^(j−1)) updates to invalidate again. The rank is at least
+// 1 because base^(j−1) is.
+func (g *Group) replacePivot(s *sketches, i, j int, pref [][]int) {
+	target := min(3*sketch.WindowLo(j, g.base)/2, s.sizes[i])
+	gr, _ := g.fetchGlobal(i, target, pref)
+	s.piv[i][j-1] = pivotR{G: gr, L: target}
+}
+
+// repair replaces every invalidated pivot of sketch i: one whose local
+// rank has left its window [base^(j−1), base^j).
 func (g *Group) repair(s *sketches, i int, pref [][]int) {
 	for j := 1; j <= len(s.piv[i]); j++ {
 		lo := sketch.WindowLo(j, g.base)
-		L := s.piv[i][j-1].L
-		if L >= lo && L < lo*g.base {
-			continue
+		if L := s.piv[i][j-1].L; L < lo || L >= lo*g.base {
+			g.replacePivot(s, i, j, pref)
 		}
-		target := 3 * lo / 2
-		if target < 1 {
-			target = 1
-		}
-		if target > s.sizes[i] {
-			target = s.sizes[i]
-		}
-		gr, _ := g.fetchGlobal(i, target, pref)
-		s.piv[i][j-1] = pivotR{G: gr, L: target}
 	}
 }
 
@@ -541,16 +540,7 @@ func (g *Group) Delete(i int, v float64) bool {
 
 	// Replace a dangling pivot, then repair any invalidated ones.
 	if dangling > 0 {
-		lo := sketch.WindowLo(dangling, g.base)
-		target := 3 * lo / 2
-		if target < 1 {
-			target = 1
-		}
-		if target > s.sizes[i] {
-			target = s.sizes[i]
-		}
-		gr, _ := g.fetchGlobal(i, target, pref)
-		s.piv[i][dangling-1] = pivotR{G: gr, L: target}
+		g.replacePivot(s, i, dangling, pref)
 	}
 	g.repair(s, i, pref)
 	g.blocks.Write(g.skb, g.encodeSketches(s))

@@ -152,13 +152,6 @@ type Forest struct {
 
 const forestShift = 40 // source index in high bits, ref in low bits
 
-// SplitRef decomposes a Forest ref into its source index and the
-// source's own ref, for callers that need to map selected entries back
-// to the source they came from.
-func SplitRef(ref int64) (source int, sourceRef int64) {
-	return int(ref >> forestShift), ref & (1<<forestShift - 1)
-}
-
 // Roots implements Source.
 func (f *Forest) Roots(buf []Entry) []Entry {
 	for i, s := range f.Sources {

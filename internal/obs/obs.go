@@ -24,8 +24,6 @@ type Options struct {
 	// SampleRate is the fraction of header-less requests to trace
 	// (0 = only requests carrying X-Topkd-Trace; ≥ 1 = all).
 	SampleRate float64
-	// TraceRing caps the retained finished traces (default 256).
-	TraceRing int
 	// SlowQuery, when positive, logs requests at least this slow at
 	// warn level.
 	SlowQuery time.Duration
@@ -48,22 +46,21 @@ type Telemetry struct {
 	inflight atomic.Int64
 }
 
+// traceRing is how many finished traces a Telemetry retains.
+const traceRing = 256
+
 // New builds a Telemetry from o; the zero Options give a discard
-// logger, header-only tracing and a 256-trace ring.
+// logger and header-only tracing.
 func New(o Options) *Telemetry {
 	log := o.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	ring := o.TraceRing
-	if ring <= 0 {
-		ring = 256
-	}
 	return &Telemetry{
 		Log:       log,
 		HTTP:      NewVec(),
 		Ops:       NewVec(),
-		Tracer:    NewTracer(o.SampleRate, ring),
+		Tracer:    NewTracer(o.SampleRate, traceRing),
 		SlowQuery: o.SlowQuery,
 	}
 }

@@ -138,19 +138,51 @@ func TestVec(t *testing.T) {
 // TestRingEviction: the ring holds exactly its capacity, oldest out
 // first, and evicted IDs stop resolving.
 func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing[*Trace](3)
 	for i := 0; i < 5; i++ {
-		r.Put(&Trace{ID: fmt.Sprintf("t%d", i), root: &Span{}})
+		id := fmt.Sprintf("t%d", i)
+		r.Put(id, &Trace{ID: id, root: &Span{}})
 	}
 	for i := 0; i < 2; i++ {
-		if r.Get(fmt.Sprintf("t%d", i)) != nil {
+		if _, ok := r.Get(fmt.Sprintf("t%d", i)); ok {
 			t.Fatalf("t%d should have been evicted", i)
 		}
 	}
 	for i := 2; i < 5; i++ {
-		if r.Get(fmt.Sprintf("t%d", i)) == nil {
+		if tr, ok := r.Get(fmt.Sprintf("t%d", i)); !ok || tr.ID != fmt.Sprintf("t%d", i) {
 			t.Fatalf("t%d missing", i)
 		}
+	}
+	if got := r.Len(); got != 3 {
+		t.Fatalf("Len = %d, want 3", got)
+	}
+}
+
+// TestRingConcurrent: puts and lookups from several goroutines at once
+// lose no count — the ring ends full, with every put past its capacity
+// counted as an eviction.
+func TestRingConcurrent(t *testing.T) {
+	const workers, puts, size = 4, 200, 64
+	r := NewRing[int](size)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				id := fmt.Sprintf("w%d-%d", w, i)
+				r.Put(id, i)
+				r.Get(id)
+				r.Len()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := r.Len(); got != size {
+		t.Fatalf("Len = %d, want %d", got, size)
+	}
+	if got := r.Evictions(); got != workers*puts-size {
+		t.Fatalf("evictions = %d, want %d", got, workers*puts-size)
 	}
 }
 

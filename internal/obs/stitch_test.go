@@ -122,9 +122,10 @@ func TestSpanIDs(t *testing.T) {
 // TestRingEvictionsCounter: the ring counts every overwrite, including
 // same-ID replacement, and the tracer surfaces it.
 func TestRingEvictionsCounter(t *testing.T) {
-	r := NewRing(2)
+	r := NewRing[*Trace](2)
 	for i := 0; i < 5; i++ {
-		r.Put(&Trace{ID: fmt.Sprintf("t%d", i), root: &Span{}})
+		id := fmt.Sprintf("t%d", i)
+		r.Put(id, &Trace{ID: id, root: &Span{}})
 	}
 	if got := r.Evictions(); got != 3 {
 		t.Fatalf("evictions = %d, want 3", got)

@@ -224,50 +224,70 @@ func StartSpan(ctx context.Context, name, addr string) *Span {
 	return FromContext(ctx).StartSpan(name, addr)
 }
 
-// Ring is the bounded in-memory store of finished traces: fixed
-// capacity, oldest evicted first, ID-addressable.
-type Ring struct {
+// Ring is a bounded in-memory store addressed by ID: fixed capacity,
+// oldest evicted first. The tracer keeps finished traces in one, and
+// the serving layer keeps async-ack write outcomes in another.
+type Ring[T any] struct {
 	mu        sync.Mutex
-	buf       []*Trace
+	cap       int
+	entries   []ringEntry[T] // grows to cap, then wraps at next
 	next      int
-	byID      map[string]*Trace
+	byID      map[string]int // ID → index of its newest entry
 	evictions int64
 }
 
-// NewRing returns a ring holding up to n finished traces (minimum 1).
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]*Trace, n), byID: make(map[string]*Trace, n)}
+type ringEntry[T any] struct {
+	id string
+	v  T
 }
 
-// Put stores a finished trace, evicting the oldest when full.
-func (r *Ring) Put(t *Trace) {
+// NewRing returns a ring holding up to n values (minimum 1).
+func NewRing[T any](n int) *Ring[T] {
+	return &Ring[T]{cap: max(n, 1), byID: make(map[string]int)}
+}
+
+// Put stores v under id, evicting the oldest value when full.
+func (r *Ring[T]) Put(id string, v T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old := r.buf[r.next]; old != nil {
-		r.evictions++
-		if r.byID[old.ID] == old {
-			delete(r.byID, old.ID)
-		}
+	e := ringEntry[T]{id: id, v: v}
+	if len(r.entries) < r.cap {
+		r.byID[id] = len(r.entries)
+		r.entries = append(r.entries, e)
+		return
 	}
-	r.buf[r.next] = t
-	r.byID[t.ID] = t
-	r.next = (r.next + 1) % len(r.buf)
+	r.evictions++
+	if old := r.entries[r.next].id; r.byID[old] == r.next {
+		delete(r.byID, old)
+	}
+	r.entries[r.next] = e
+	r.byID[id] = r.next
+	r.next = (r.next + 1) % r.cap
 }
 
-// Get returns the trace with the given ID, or nil if it was never
-// sampled or has been evicted.
-func (r *Ring) Get(id string) *Trace {
+// Get returns the value stored under id; ok is false if it was never
+// stored or has been evicted.
+func (r *Ring[T]) Get(id string) (v T, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.byID[id]
+	i, ok := r.byID[id]
+	if !ok {
+		return v, false
+	}
+	return r.entries[i].v, true
 }
 
-// Evictions returns the number of finished traces overwritten by
-// newer ones — the counter that explains trace_not_found responses.
-func (r *Ring) Evictions() int64 {
+// Len returns the number of values that Get can still find.
+func (r *Ring[T]) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.byID)
+}
+
+// Evictions returns the number of values overwritten by newer ones —
+// the counter that explains trace_not_found and outcome_not_found
+// responses.
+func (r *Ring[T]) Evictions() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.evictions
@@ -278,13 +298,13 @@ type Tracer struct {
 	// Sample is the fraction of header-less requests to trace locally
 	// (0 = only propagated traces, ≥ 1 = every request).
 	Sample float64
-	ring   *Ring
+	ring   *Ring[*Trace]
 }
 
 // NewTracer returns a tracer sampling at the given rate with a ring of
 // ringSize finished traces.
 func NewTracer(sample float64, ringSize int) *Tracer {
-	return &Tracer{Sample: sample, ring: NewRing(ringSize)}
+	return &Tracer{Sample: sample, ring: NewRing[*Trace](ringSize)}
 }
 
 // sampled draws the local sampling decision for a request that arrived
@@ -312,11 +332,15 @@ func (tr *Tracer) Finish(t *Trace, status int) {
 	}
 	t.root.End(nil)
 	t.Status = status
-	tr.ring.Put(t)
+	tr.ring.Put(t.ID, t)
 }
 
-// Get retrieves a finished trace by ID.
-func (tr *Tracer) Get(id string) *Trace { return tr.ring.Get(id) }
+// Get retrieves a finished trace by ID, or nil if it was never sampled
+// or has been evicted.
+func (tr *Tracer) Get(id string) *Trace {
+	t, _ := tr.ring.Get(id)
+	return t
+}
 
 // RingEvictions returns how many finished traces the ring has evicted.
 func (tr *Tracer) RingEvictions() int64 { return tr.ring.Evictions() }

@@ -151,16 +151,6 @@ func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (point.P, bool) {
 	return in[k-1], true
 }
 
-// leafLen returns the number of points stored at the leaf.
-func (t *Tree) leafLen(h em.Handle) int {
-	nd := t.store.Read(h)
-	n := 0
-	for _, ch := range nd.kids {
-		n += len(t.chunks.Read(ch))
-	}
-	return n
-}
-
 // setLeafPoints bulk-loads pts (sorted by x) into half-full chunks of a
 // fresh leaf.
 func (t *Tree) setLeafPoints(h em.Handle, pts []point.P) {

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,6 +193,68 @@ func TestIngestTelemetryExported(t *testing.T) {
 	}
 	if b.OutcomeRing == nil || b.OutcomeRing.Occupancy < 5 {
 		t.Errorf("stats batcher.outcome_ring = %+v, want occupancy >= 5", b.OutcomeRing)
+	}
+}
+
+// TestOutcomeRingEviction: once more writes are acknowledged than the
+// outcome ring holds, polling the oldest ID is a structured 404, the
+// newest still resolves, and the occupancy and eviction counters on
+// /v1/metrics and /v1/stats account for the difference.
+func TestOutcomeRingEviction(t *testing.T) {
+	bt := batchedStore(t, 10)
+	h := New(bt, Options{AsyncAck: true})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	// Deletes of absent points: each resolves not_found and leaves the
+	// store as it was. They go straight to the handler to keep the
+	// 4,097 submissions cheap.
+	ids := make([]string, outcomeCap+1)
+	for i := range ids {
+		body := fmt.Sprintf(`{"x": %d, "score": %d}`, -1-i, -1-i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/delete", strings.NewReader(body)))
+		var ack struct {
+			Outcome string `json:"outcome"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusAccepted || err != nil || ack.Outcome == "" {
+			t.Fatalf("delete %d: status %d, body %s", i, rec.Code, rec.Body)
+		}
+		ids[i] = ack.Outcome
+	}
+
+	var e struct {
+		Error wire.Error `json:"error"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/outcome/"+ids[0], &e); code != http.StatusNotFound || e.Error.Code != "outcome_not_found" {
+		t.Fatalf("evicted outcome: status %d, code %q; want 404 outcome_not_found", code, e.Error.Code)
+	}
+	if out := pollOutcome(t, srv.URL, ids[len(ids)-1]); out.OK || out.Error == nil || out.Error.Code != "not_found" {
+		t.Fatalf("newest outcome = %+v, want not_found", out)
+	}
+
+	fams := scrape(t, srv.URL)
+	for name, want := range map[string]float64{
+		"topkd_outcome_ring_occupancy":       outcomeCap,
+		"topkd_outcome_ring_evictions_total": 1,
+	} {
+		if f := fams[name]; f == nil || len(f.samples) != 1 || f.samples[0].value != want {
+			t.Errorf("%s = %+v, want %v", name, f, want)
+		}
+	}
+	var stats struct {
+		Batcher struct {
+			OutcomeRing struct {
+				Occupancy int   `json:"occupancy"`
+				Evictions int64 `json:"evictions"`
+			} `json:"outcome_ring"`
+		} `json:"batcher"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	if r := stats.Batcher.OutcomeRing; r.Occupancy != outcomeCap || r.Evictions != 1 {
+		t.Errorf("stats batcher.outcome_ring = %+v, want occupancy %d, evictions 1", r, outcomeCap)
 	}
 }
 

@@ -69,12 +69,12 @@ type Options struct {
 	// so a misconfigured process degrades to correct sync serving
 	// rather than failing writes.
 	AsyncAck bool
-
-	// OutcomeCap bounds the async outcome ring: the newest OutcomeCap
-	// submissions stay queryable, older ones are evicted (a poll for an
-	// evicted ID is a 404, like an evicted trace). 0 means 4096.
-	OutcomeCap int
 }
+
+// outcomeCap bounds the async outcome ring: the newest outcomeCap
+// submissions stay queryable, older ones are evicted (a poll for an
+// evicted ID is a 404, like an evicted trace).
+const outcomeCap = 4096
 
 // banded reports whether a member band was configured.
 func (o Options) banded() bool { return o.Lo != 0 || o.Hi != 0 }
@@ -108,7 +108,13 @@ func New(st topk.Store, opt Options) http.Handler {
 	// itself, never an inner layer).
 	aw, _ := st.(asyncWriter)
 	asyncAck := opt.AsyncAck && aw != nil
-	outcomes := newOutcomeRing(opt.OutcomeCap)
+	outcomes := obs.NewRing[topk.Future](outcomeCap)
+	// addOutcome registers f under a fresh outcome ID and returns it.
+	addOutcome := func(f topk.Future) string {
+		id := fmt.Sprintf("%016x", rand.Uint64())
+		outcomes.Put(id, f)
+		return id
+	}
 	mux := http.NewServeMux()
 
 	// writeJSON logs encode failures (a client gone mid-response,
@@ -141,7 +147,7 @@ func New(st topk.Store, opt Options) http.Handler {
 				return aw.SubmitInsert(req.X, req.Score)
 			}()
 			writeJSONStatus(w, http.StatusAccepted,
-				map[string]any{"accepted": true, "outcome": outcomes.add(f)}, t.Log)
+				map[string]any{"accepted": true, "outcome": addOutcome(f)}, t.Log)
 			return
 		}
 		// Insert is atomic check-and-insert under the shard lock, so
@@ -168,7 +174,7 @@ func New(st topk.Store, opt Options) http.Handler {
 				return aw.SubmitDelete(req.X, req.Score)
 			}()
 			writeJSONStatus(w, http.StatusAccepted,
-				map[string]any{"accepted": true, "outcome": outcomes.add(f)}, t.Log)
+				map[string]any{"accepted": true, "outcome": addOutcome(f)}, t.Log)
 			return
 		}
 		st := bindStore(st, r)
@@ -244,9 +250,9 @@ func New(st topk.Store, opt Options) http.Handler {
 	})
 
 	// The topology epoch as a cheap change signal: gateways and caches
-	// poll it (or a Sharded owner watches WatchEpoch in-process) to
-	// detect member topology changes without paying for /v1/stats. The
-	// cluster health checker also uses it as its liveness probe.
+	// poll it to detect member topology changes without paying for
+	// /v1/stats. The cluster health checker also uses it as its
+	// liveness probe.
 	// Backends without an epoch (a single Index) report 0 — the
 	// endpoint stays probeable on every backend.
 	handle("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +313,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// done plus either ok or the same structured error the synchronous
 	// endpoint would have returned — error fidelity survives the 202.
 	handle("GET", "/outcome/{id}", func(w http.ResponseWriter, r *http.Request) {
-		f, ok := outcomes.get(r.PathValue("id"))
+		f, ok := outcomes.Get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "outcome_not_found",
 				"no outcome %q (unknown, or evicted from the ring)", r.PathValue("id"))
@@ -387,9 +393,8 @@ func New(st topk.Store, opt Options) http.Handler {
 			}
 		}
 		if asyncAck {
-			size, ev := outcomes.snapshot()
-			metric("topkd_outcome_ring_occupancy", "gauge", "Async-ack outcomes currently retained and queryable.", int64(size))
-			metric("topkd_outcome_ring_evictions_total", "counter", "Async-ack outcomes evicted from the bounded ring (the cause of outcome_not_found).", ev)
+			metric("topkd_outcome_ring_occupancy", "gauge", "Async-ack outcomes currently retained and queryable.", int64(outcomes.Len()))
+			metric("topkd_outcome_ring_evictions_total", "counter", "Async-ack outcomes evicted from the bounded ring (the cause of outcome_not_found).", outcomes.Evictions())
 		}
 		metric("topkd_trace_ring_evictions_total", "counter", "Finished traces evicted from the bounded ring (the cause of trace_not_found).", t.Tracer.RingEvictions())
 		if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
@@ -529,8 +534,7 @@ func New(st topk.Store, opt Options) http.Handler {
 				}
 			}
 			if asyncAck {
-				size, ev := outcomes.snapshot()
-				batcher["outcome_ring"] = map[string]any{"occupancy": size, "evictions": ev}
+				batcher["outcome_ring"] = map[string]any{"occupancy": outcomes.Len(), "evictions": outcomes.Evictions()}
 			}
 			out["batcher"] = batcher
 		}
@@ -620,55 +624,6 @@ func stitchMembers(ctx context.Context, tf traceFetcher, id string, tree *obs.Tr
 		}
 	}
 	obs.Stitch(&tree.Root, members)
-}
-
-// outcomeRing is the bounded registry of async-acked write outcomes,
-// the same eviction shape as the trace ring: the newest cap entries
-// stay queryable, older ones age out.
-type outcomeRing struct {
-	mu        sync.Mutex
-	cap       int
-	ids       []string // insertion order, oldest first
-	m         map[string]topk.Future
-	evictions int64
-}
-
-func newOutcomeRing(cap int) *outcomeRing {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &outcomeRing{cap: cap, m: make(map[string]topk.Future, cap)}
-}
-
-// add registers f and returns its outcome ID, evicting the oldest
-// entry when the ring is full.
-func (g *outcomeRing) add(f topk.Future) string {
-	id := fmt.Sprintf("%016x", rand.Uint64())
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.ids) >= g.cap {
-		delete(g.m, g.ids[0])
-		g.ids = g.ids[1:]
-		g.evictions++
-	}
-	g.ids = append(g.ids, id)
-	g.m[id] = f
-	return id
-}
-
-func (g *outcomeRing) get(id string) (topk.Future, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	f, ok := g.m[id]
-	return f, ok
-}
-
-// snapshot returns the ring's occupancy and lifetime eviction count —
-// the gauges that explain outcome_not_found responses.
-func (g *outcomeRing) snapshot() (size int, evictions int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.ids), g.evictions
 }
 
 // bindStore gives st the request's context when the backend can carry
@@ -768,16 +723,6 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		items[queryAt[j]] = wire.Item{OK: true, Results: res}
 	}
 	return items, nil
-}
-
-// ClampK caps a client k at the live size: k > n returns everything
-// anyway, and the selection paths preallocate k-sized buffers, so an
-// absurd client k must not size an allocation.
-func ClampK(st topk.Store, k int) int {
-	if n := st.Len(); k > n {
-		return n
-	}
-	return k
 }
 
 // ClampPage sizes the fetch for a paginated read: the offset points

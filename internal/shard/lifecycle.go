@@ -32,14 +32,14 @@ import (
 
 // splitSize reports whether a shard of size ln trips the split
 // policy's size thresholds (the shard-count cap is checked
-// separately): at least MinSplit points and more than SkewFactor times
-// the fair share n/MaxShards.
+// separately): at least MinSplit points and more than skew times the
+// fair share n/MaxShards.
 func (r *Router) splitSize(ln int, total int64) bool {
 	if ln < r.opt.MinSplit {
 		return false
 	}
 	fair := float64(total) / float64(r.opt.MaxShards)
-	return float64(ln) > r.opt.SkewFactor*fair
+	return float64(ln) > skew*fair
 }
 
 // overloaded applies the split policy to a shard of size ln with the
@@ -51,7 +51,7 @@ func (r *Router) overloaded(t *topology, ln int, total int64) bool {
 // underloaded applies the merge policy to a shard of size ln with the
 // given live total: below the merge floor (static MinMerge, or the
 // adaptive floor when MinMerge is 0) a shard always qualifies; above
-// it, only when it holds less than 1/SkewFactor of the fair share —
+// it, only when it holds less than 1/skew of the fair share —
 // the mirror image of the split trigger.
 func (r *Router) underloaded(t *topology, ln int, total int64) bool {
 	if r.opt.MinMerge < 0 || len(t.shards) <= 1 {
@@ -61,7 +61,7 @@ func (r *Router) underloaded(t *topology, ln int, total int64) bool {
 		return true
 	}
 	fair := float64(total) / float64(r.opt.MaxShards)
-	return float64(ln) < fair/r.opt.SkewFactor
+	return float64(ln) < fair/skew
 }
 
 // mergeable reports whether the shard at index si (now holding ln
@@ -225,11 +225,6 @@ func (r *Router) Rebalance(target int) {
 	r.publish(shards, retired)
 	r.observeFleetPeak()
 }
-
-// MergeFloor returns the effective merge floor currently in force:
-// Options.MinMerge when positive, else the adaptive floor maintained
-// by the maintenance loop (starting at MinSplit/2).
-func (r *Router) MergeFloor() int { return int(r.mergeFloor.Load()) }
 
 // updateMergeFloor re-derives the adaptive merge floor from observed
 // per-shard space overhead; it runs only in auto mode (MinMerge == 0)

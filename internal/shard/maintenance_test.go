@@ -141,11 +141,11 @@ func TestMaintenanceAdaptiveMergeFloor(t *testing.T) {
 	})
 	defer r.Close()
 	def := r.defaultFloor()
-	if got := r.MergeFloor(); got != def {
+	if got := int(r.mergeFloor.Load()); got != def {
 		t.Fatalf("initial floor = %d, want default %d", got, def)
 	}
 	r.updateMergeFloor()
-	if got := r.MergeFloor(); got <= def || got > base.MinSplit {
+	if got := int(r.mergeFloor.Load()); got <= def || got > base.MinSplit {
 		t.Fatalf("adaptive floor = %d, want in (%d, %d]", got, def, base.MinSplit)
 	}
 
@@ -159,7 +159,7 @@ func TestMaintenanceAdaptiveMergeFloor(t *testing.T) {
 	})
 	defer rb.Close()
 	rb.updateMergeFloor()
-	if got := rb.MergeFloor(); got != rb.defaultFloor() {
+	if got := int(rb.mergeFloor.Load()); got != rb.defaultFloor() {
 		t.Fatalf("balanced-fleet floor = %d, want default %d", got, rb.defaultFloor())
 	}
 
@@ -172,7 +172,7 @@ func TestMaintenanceAdaptiveMergeFloor(t *testing.T) {
 	})
 	defer rf.Close()
 	rf.updateMergeFloor()
-	if got := rf.MergeFloor(); got != 37 {
+	if got := int(rf.mergeFloor.Load()); got != 37 {
 		t.Fatalf("fixed floor moved: %d, want 37", got)
 	}
 }

@@ -42,7 +42,7 @@
 // Delete, ApplyBatch) with their fleet-wide duplicate-score registry.
 //
 // Shards split when insertion skew concentrates too large a share of
-// the live set in one of them (see Options.SkewFactor): the overloaded
+// the live set in one of them (see skew): the overloaded
 // shard's points are scanned out with core.Live, cut at the median
 // position, and rebuilt into two halves with core.Bulk — the cost is
 // amortized against the insertions that caused the overload, the same
@@ -66,6 +66,13 @@ import (
 	"repro/internal/point"
 )
 
+// skew is the split trigger: a shard splits when it holds more than
+// skew times the fair share n/MaxShards of the live set. Measuring
+// against the target fleet size rather than the current shard count
+// lets a fresh single-shard router split its way to a balanced fleet
+// as data arrives.
+const skew = 2.0
+
 // Options configures a Router. The zero value serves from up to 8
 // shards of paper-default EM machines.
 type Options struct {
@@ -82,19 +89,13 @@ type Options struct {
 	// MaxShards caps the shard count (default 8). Splitting stops at the
 	// cap; Bulk never creates more than this many shards.
 	MaxShards int
-	// SkewFactor triggers a split when one shard holds more than
-	// SkewFactor times the fair share n/MaxShards of the live set
-	// (default 2.0). Measuring against the target fleet size rather
-	// than the current shard count lets a fresh single-shard router
-	// split its way to a balanced fleet as data arrives.
-	SkewFactor float64
 	// MinSplit is the smallest shard size eligible for splitting
 	// (default 512), so tiny indexes stay on one machine.
 	MinSplit int
 	// MinMerge is the shard size below which a shard is
 	// unconditionally considered underloaded and eligible for merging
 	// with a neighbor. Above the floor, a shard is underloaded only
-	// when it holds less than 1/SkewFactor of the fair share
+	// when it holds less than 1/skew of the fair share
 	// n/MaxShards — the mirror image of the split trigger. The
 	// absolute floor matters after heavy deletes: the fair share
 	// itself shrinks with n, so without it a fleet of near-empty
@@ -104,8 +105,8 @@ type Options struct {
 	// 0 selects AUTO mode: the floor starts at the static default
 	// MinSplit/2 and, when the maintenance loop runs, is re-derived
 	// each tick from observed per-shard space overhead (never below
-	// the default, capped at MinSplit) — see Router.MergeFloor and
-	// updateMergeFloor in lifecycle.go.
+	// the default, capped at MinSplit) — see updateMergeFloor in
+	// lifecycle.go.
 	//
 	// Hysteresis against split/merge flapping is structural: a merge
 	// is skipped when the combined shard would itself satisfy the
@@ -128,9 +129,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxShards <= 0 {
 		o.MaxShards = 8
-	}
-	if o.SkewFactor <= 1 {
-		o.SkewFactor = 2.0
 	}
 	if o.MinSplit <= 0 {
 		o.MinSplit = 512
@@ -280,12 +278,6 @@ type Router struct {
 	// detonate when a later split or rebalance co-locates the pair.
 	scoreMu sync.Mutex
 	scores  map[float64]struct{}
-
-	// subMu guards the WatchEpoch subscriber set (topology.go). It is a
-	// leaf lock: publish notifies subscribers while holding mu in write
-	// mode, and nothing is acquired under it.
-	subMu sync.Mutex
-	subs  map[chan uint64]struct{}
 
 	// Background maintenance loop state (lifecycle.go).
 	maintStop chan struct{}

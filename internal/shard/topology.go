@@ -24,7 +24,6 @@ package shard
 // serialized between the pinned reader and anything else touching it.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -89,64 +88,6 @@ func (r *Router) publish(shards []*shard, retired em.Stats) {
 		epoch = old.epoch + 1
 	}
 	r.topo.Store(&topology{epoch: epoch, shards: shards, retired: retired})
-	r.notifyEpoch(uint64(epoch))
-}
-
-// notifyEpoch delivers e to every WatchEpoch subscriber without
-// blocking the publisher: each subscriber channel coalesces to the
-// latest epoch (buffer 1), because the feed's contract is "the
-// topology changed, re-read what you need", not a lossless event log.
-func (r *Router) notifyEpoch(e uint64) {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	for ch := range r.subs {
-		sendLatest(ch, e)
-	}
-}
-
-// sendLatest replaces a channel's buffered value with e. Caller holds
-// subMu, which serializes senders with each other and with the close
-// in the WatchEpoch unsubscribe goroutine.
-func sendLatest(ch chan uint64, e uint64) {
-	select {
-	case ch <- e:
-		return
-	default:
-	}
-	select {
-	case <-ch:
-	default:
-	}
-	select {
-	case ch <- e:
-	default:
-	}
-}
-
-// WatchEpoch returns a channel that delivers the topology epoch: the
-// current value immediately, then the latest epoch after each snapshot
-// publish (splits, merges, rebalances, stats resets). Intermediate
-// epochs are coalesced — a slow receiver sees the newest value, not a
-// backlog — so subscribers can never stall a lifecycle pass. The
-// channel is closed when ctx is cancelled. Gateways and caches use it
-// to detect member topology changes cheaply instead of polling Stats.
-func (r *Router) WatchEpoch(ctx context.Context) <-chan uint64 {
-	ch := make(chan uint64, 1)
-	r.subMu.Lock()
-	if r.subs == nil {
-		r.subs = make(map[chan uint64]struct{})
-	}
-	r.subs[ch] = struct{}{}
-	sendLatest(ch, uint64(r.Epoch()))
-	r.subMu.Unlock()
-	go func() {
-		<-ctx.Done()
-		r.subMu.Lock()
-		delete(r.subs, ch)
-		close(ch)
-		r.subMu.Unlock()
-	}()
-	return ch
 }
 
 // snapshot pins the current topology. The returned value is immutable;

@@ -135,9 +135,6 @@ func (t *Tree) Free() {
 // K returns the top-list capacity (max supported query k).
 func (t *Tree) K() int { return t.opt.K }
 
-// MaxK is an alias used by callers choosing a regime.
-func (t *Tree) MaxK() int { return t.opt.K }
-
 func routeKid(nd *node, x float64) int {
 	lo, hi := 0, len(nd.kids)-1
 	for lo < hi {
@@ -411,25 +408,6 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (point.P, bool) {
 	}
 	point.SortByScoreDesc(cands)
 	return cands[k-1], true
-}
-
-// All returns every live point (full scan; used by callers that rebuild
-// or verify, costing O(n/B) I/Os which such callers amortize).
-func (t *Tree) All() []point.P {
-	var out []point.P
-	var rec func(h em.Handle)
-	rec = func(h em.Handle) {
-		nd := t.store.Read(h)
-		if nd.leaf {
-			out = append(out, nd.pts...)
-			return
-		}
-		for _, kid := range nd.kids {
-			rec(kid)
-		}
-	}
-	rec(t.root)
-	return out
 }
 
 // Count returns |S ∩ [x1,x2]| in O(log_B n) node visits using subtree

@@ -23,9 +23,8 @@
 //	EST(x) < c·k and rank(x) < c²·EST(x) < c³·k. For -∞: EST(-∞) ≥
 //	|∪L_i|/c, so EST(-∞) < k implies rank(-∞) = |∪L_i| < c·k.
 //
-// The package also provides Tracked, a sketch with exact per-pivot local
-// ranks maintained incrementally under insertions and deletions — the
-// bookkeeping that §4.2/§4.3 perform on the compressed sketch set.
+// Package flgroup maintains the compressed, rank-encoded form of these
+// sketches under updates (§4.2/§4.3) and merges them with MergeRanked.
 package sketch
 
 import (
@@ -39,19 +38,10 @@ import (
 // DefaultBase is the rank-window base used by the paper.
 const DefaultBase = 2
 
-// Pivot is one sketch entry: an element and (when tracked) its exact
-// local rank.
-type Pivot struct {
-	Value float64
-	// Rank is the exact local rank |{e ∈ L : e ≥ Value}|. Static sketches
-	// built by Build carry the construction-time rank.
-	Rank int
-}
-
 // Sketch is a logarithmic sketch: Pivots[j-1] is the paper's Σ[j].
 type Sketch struct {
 	Base   int
-	Pivots []Pivot
+	Pivots []float64
 }
 
 // NumPivots returns the pivot count required for a set of size l:
@@ -86,8 +76,7 @@ func Build(sortedDesc []float64, base int) Sketch {
 	}
 	s := Sketch{Base: base}
 	for j := 1; j <= NumPivots(len(sortedDesc), base); j++ {
-		r := WindowLo(j, base)
-		s.Pivots = append(s.Pivots, Pivot{Value: sortedDesc[r-1], Rank: r})
+		s.Pivots = append(s.Pivots, sortedDesc[WindowLo(j, base)-1])
 	}
 	return s
 }
@@ -100,9 +89,9 @@ func Validate(s Sketch, sortedDesc []float64) error {
 		return fmt.Errorf("sketch: %d pivots, want %d for l=%d", len(s.Pivots), want, len(sortedDesc))
 	}
 	for j, p := range s.Pivots {
-		r := sort.Search(len(sortedDesc), func(i int) bool { return sortedDesc[i] <= p.Value })
-		if r >= len(sortedDesc) || sortedDesc[r] != p.Value {
-			return fmt.Errorf("sketch: pivot %d value %v not in set", j+1, p.Value)
+		r := sort.Search(len(sortedDesc), func(i int) bool { return sortedDesc[i] <= p })
+		if r >= len(sortedDesc) || sortedDesc[r] != p {
+			return fmt.Errorf("sketch: pivot %d value %v not in set", j+1, p)
 		}
 		rank := r + 1
 		lo := WindowLo(j+1, s.Base)
@@ -138,8 +127,8 @@ func Merge(sketches []Sketch, k int) float64 {
 		if s.Base != 0 {
 			base = s.Base
 		}
-		for j := range s.Pivots {
-			cands = append(cands, cand{s.Pivots[j].Value, si, j + 1})
+		for j, v := range s.Pivots {
+			cands = append(cands, cand{v, si, j + 1})
 		}
 	}
 	// Sweep candidates from largest to smallest, maintaining
@@ -213,119 +202,3 @@ func (s *Scratch) MergeRanked(ranked [][]int, base, k int) int {
 	}
 	return 0
 }
-
-// Tracked is a sketch whose pivots carry exact local ranks, updated
-// incrementally as the underlying set changes. It performs exactly the
-// in-memory bookkeeping of §4.2/§4.3: rank shifts on every update,
-// expansion/shrink when |L| crosses a power of the base, detection of
-// dangling and invalidated pivots. It does not access the set itself;
-// when a new or replacement pivot element is needed, the caller supplies
-// it (from a B-tree, per the paper).
-type Tracked struct {
-	Base   int
-	Size   int
-	Pivots []Pivot
-}
-
-// NewTracked returns an empty tracked sketch.
-func NewTracked(base int) *Tracked {
-	if base < 2 {
-		panic("sketch: base must be ≥ 2")
-	}
-	return &Tracked{Base: base}
-}
-
-// BuildTracked constructs a canonical tracked sketch for sortedDesc.
-func BuildTracked(sortedDesc []float64, base int) *Tracked {
-	s := Build(sortedDesc, base)
-	return &Tracked{Base: base, Size: len(sortedDesc), Pivots: s.Pivots}
-}
-
-// Sketch returns the static view for merging.
-func (t *Tracked) Sketch() Sketch { return Sketch{Base: t.Base, Pivots: t.Pivots} }
-
-// WantPivots returns the required pivot count for the current size.
-func (t *Tracked) WantPivots() int { return NumPivots(t.Size, t.Base) }
-
-// NoteInsert records the insertion of v into the set: ranks of pivots
-// with value ≤ v shift up by one. It returns true if the sketch must
-// expand (|L| reached a new power of the base); the caller then appends
-// the minimum element via AppendPivot.
-func (t *Tracked) NoteInsert(v float64) (expand bool) {
-	t.Size++
-	for i := range t.Pivots {
-		if t.Pivots[i].Value <= v {
-			t.Pivots[i].Rank++
-		}
-	}
-	return t.WantPivots() > len(t.Pivots)
-}
-
-// AppendPivot adds the expansion pivot: the element of local rank rank
-// (the paper uses the minimum, rank = |L|).
-func (t *Tracked) AppendPivot(v float64, rank int) {
-	t.Pivots = append(t.Pivots, Pivot{Value: v, Rank: rank})
-}
-
-// NoteDelete records the deletion of v: ranks of pivots with value < v
-// shift down by one. dangling is the 1-based index of the pivot whose
-// element was v itself (0 if none); the caller must replace it via
-// SetPivot. If the sketch must shrink, the last pivot is dropped first
-// (a dangling last pivot therefore reports 0 after the shrink).
-func (t *Tracked) NoteDelete(v float64) (dangling int) {
-	t.Size--
-	for i := range t.Pivots {
-		if t.Pivots[i].Value < v {
-			t.Pivots[i].Rank--
-		} else if t.Pivots[i].Value == v {
-			dangling = i + 1
-		}
-	}
-	if want := t.WantPivots(); want < len(t.Pivots) {
-		t.Pivots = t.Pivots[:want]
-		if dangling > want {
-			dangling = 0
-		}
-	}
-	return dangling
-}
-
-// SetPivot replaces pivot j (1-based) with the element v of local rank
-// rank. The paper repairs an invalidated Σ[j] with the element of rank
-// ⌊(3/2)·c^(j-1)⌋ so that Ω(c^(j-1)) updates are needed to invalidate it
-// again; RepairRank computes that target.
-func (t *Tracked) SetPivot(j int, v float64, rank int) {
-	t.Pivots[j-1] = Pivot{Value: v, Rank: rank}
-}
-
-// RepairRank returns the target local rank for repairing pivot j:
-// ⌊(3/2)·c^(j-1)⌋, clamped into [1, Size].
-func (t *Tracked) RepairRank(j int) int {
-	r := 3 * WindowLo(j, t.Base) / 2
-	if r < 1 {
-		r = 1
-	}
-	if r > t.Size {
-		r = t.Size
-	}
-	return r
-}
-
-// Invalidated returns the 1-based indices of pivots whose exact rank has
-// left its window [c^(j-1), c^j).
-func (t *Tracked) Invalidated() []int {
-	var out []int
-	for j := 1; j <= len(t.Pivots); j++ {
-		lo := WindowLo(j, t.Base)
-		r := t.Pivots[j-1].Rank
-		if r < lo || r >= lo*t.Base {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// WordSize returns the storage footprint in words: one value plus one
-// rank per pivot, plus the size counter. (The compressed bit-packed form
-// used inside a block is produced by package flgroup.)
-func (t *Tracked) WordSize() int { return 1 + 2*len(t.Pivots) }

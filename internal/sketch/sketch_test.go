@@ -62,12 +62,12 @@ func TestBuildValidate(t *testing.T) {
 func TestValidateRejectsBadPivot(t *testing.T) {
 	set := descSet(64, 1)
 	s := Build(set, 2)
-	s.Pivots[3].Value = set[0] // rank 1, outside window [8,16)
+	s.Pivots[3] = set[0] // rank 1, outside window [8,16)
 	if Validate(s, set) == nil {
 		t.Fatal("accepted pivot outside window")
 	}
 	s = Build(set, 2)
-	s.Pivots[0].Value = -1 // not in set
+	s.Pivots[0] = -1 // not in set
 	if Validate(s, set) == nil {
 		t.Fatal("accepted foreign pivot")
 	}
@@ -161,177 +161,6 @@ func TestMergePanicsOnBadK(t *testing.T) {
 	Merge(nil, 0)
 }
 
-func TestTrackedInsertShifts(t *testing.T) {
-	set := descSet(64, 5)
-	tr := BuildTracked(set, 2)
-	// Insert above the max: every pivot rank shifts.
-	before := make([]int, len(tr.Pivots))
-	for i, p := range tr.Pivots {
-		before[i] = p.Rank
-	}
-	tr.NoteInsert(2e6)
-	for i, p := range tr.Pivots {
-		if p.Rank != before[i]+1 {
-			t.Fatalf("pivot %d rank %d want %d", i, p.Rank, before[i]+1)
-		}
-	}
-	// Insert below the min: no rank shifts.
-	tr2 := BuildTracked(set, 2)
-	tr2.NoteInsert(-1)
-	for i, p := range tr2.Pivots {
-		if p.Rank != before[i] {
-			t.Fatalf("pivot %d shifted on low insert", i)
-		}
-	}
-}
-
-func TestTrackedExpansion(t *testing.T) {
-	set := descSet(7, 6) // next power of 2 is 8
-	tr := BuildTracked(set, 2)
-	if len(tr.Pivots) != 3 {
-		t.Fatalf("pivots=%d", len(tr.Pivots))
-	}
-	if !tr.NoteInsert(-5) {
-		t.Fatal("expansion not signalled at size 8")
-	}
-	tr.AppendPivot(-5, 8)
-	if len(tr.Pivots) != 4 || tr.WantPivots() != 4 {
-		t.Fatalf("after expand: %d pivots, want %d", len(tr.Pivots), tr.WantPivots())
-	}
-	if len(tr.Invalidated()) != 0 {
-		t.Fatalf("invalidated after legal expansion: %v", tr.Invalidated())
-	}
-}
-
-func TestTrackedShrink(t *testing.T) {
-	set := descSet(8, 7)
-	tr := BuildTracked(set, 2)
-	if len(tr.Pivots) != 4 {
-		t.Fatalf("pivots=%d", len(tr.Pivots))
-	}
-	tr.NoteDelete(set[5]) // size 8 -> 7: shrink to 3 pivots
-	if len(tr.Pivots) != 3 {
-		t.Fatalf("after shrink: %d pivots", len(tr.Pivots))
-	}
-}
-
-func TestTrackedDanglingPivot(t *testing.T) {
-	set := descSet(32, 8)
-	tr := BuildTracked(set, 2)
-	v := tr.Pivots[2].Value
-	d := tr.NoteDelete(v)
-	if d != 3 {
-		t.Fatalf("dangling=%d want 3", d)
-	}
-	// Replace with the paper's repair element.
-	rr := tr.RepairRank(3)
-	tr.SetPivot(3, set[rr-1], rr) // approximately; rank may be off by the delete
-	if tr.Size != 31 {
-		t.Fatalf("size=%d", tr.Size)
-	}
-}
-
-func TestTrackedDanglingLastPivotAfterShrink(t *testing.T) {
-	set := descSet(8, 9)
-	tr := BuildTracked(set, 2)
-	last := tr.Pivots[3].Value // rank 8; deleting it shrinks to 3 pivots
-	d := tr.NoteDelete(last)
-	if d != 0 {
-		t.Fatalf("dangling=%d want 0 (pivot dropped by shrink)", d)
-	}
-	if len(tr.Pivots) != 3 {
-		t.Fatalf("pivots=%d", len(tr.Pivots))
-	}
-}
-
-func TestRepairRankClamped(t *testing.T) {
-	tr := NewTracked(2)
-	tr.Size = 3
-	if got := tr.RepairRank(2); got != 3 {
-		t.Fatalf("clamped repair rank=%d want 3", got)
-	}
-	tr.Size = 100
-	if got := tr.RepairRank(3); got != 6 { // ⌊3/2·4⌋
-		t.Fatalf("repair rank=%d want 6", got)
-	}
-}
-
-// model maintains the real set alongside a Tracked sketch and repairs
-// pivots exactly as §4.2/§4.3 prescribe.
-type model struct {
-	set []float64 // descending
-	tr  *Tracked
-}
-
-func (m *model) rank(v float64) int {
-	return sort.Search(len(m.set), func(i int) bool { return m.set[i] <= v }) + 1
-}
-
-func (m *model) insert(v float64) {
-	if j := sort.Search(len(m.set), func(i int) bool { return m.set[i] <= v }); j < len(m.set) && m.set[j] == v {
-		return // distinct-value assumption: ignore duplicates
-	}
-	i := sort.Search(len(m.set), func(i int) bool { return m.set[i] < v })
-	m.set = append(m.set, 0)
-	copy(m.set[i+1:], m.set[i:])
-	m.set[i] = v
-	if m.tr.NoteInsert(v) {
-		m.tr.AppendPivot(m.set[len(m.set)-1], len(m.set))
-	}
-	m.repair()
-}
-
-func (m *model) delete(v float64) {
-	j := sort.Search(len(m.set), func(i int) bool { return m.set[i] <= v })
-	if j >= len(m.set) || m.set[j] != v {
-		return
-	}
-	m.set = append(m.set[:j], m.set[j+1:]...)
-	if d := m.tr.NoteDelete(v); d != 0 {
-		r := m.tr.RepairRank(d)
-		m.tr.SetPivot(d, m.set[r-1], r)
-	}
-	m.repair()
-}
-
-func (m *model) repair() {
-	for _, j := range m.tr.Invalidated() {
-		r := m.tr.RepairRank(j)
-		m.tr.SetPivot(j, m.set[r-1], r)
-	}
-}
-
-// Property: under arbitrary update sequences with §4-style repairs, the
-// tracked sketch stays a valid sketch of the set, and the tracked ranks
-// stay exact.
-func TestQuickTrackedStaysValid(t *testing.T) {
-	f := func(ops []int16, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := &model{set: descSet(16, seed), tr: nil}
-		m.tr = BuildTracked(m.set, 2)
-		for _, op := range ops {
-			if op%3 == 0 && len(m.set) > 4 {
-				m.delete(m.set[rng.Intn(len(m.set))])
-			} else {
-				m.insert(rng.Float64() * 1e6)
-			}
-			// Exactness of tracked ranks.
-			for _, p := range m.tr.Pivots {
-				if m.rank(p.Value) != p.Rank {
-					return false
-				}
-			}
-			if Validate(m.tr.Sketch(), m.set) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Merge never violates its rank guarantee on random inputs.
 func TestQuickMergeGuarantee(t *testing.T) {
 	f := func(sizes []uint8, kRaw uint16, seed int64) bool {
@@ -361,13 +190,6 @@ func TestQuickMergeGuarantee(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWordSize(t *testing.T) {
-	tr := BuildTracked(descSet(100, 10), 2)
-	if got, want := tr.WordSize(), 1+2*len(tr.Pivots); got != want {
-		t.Fatalf("WordSize=%d want %d", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/em"
@@ -22,15 +21,12 @@ type ShardedConfig struct {
 	// one shard and splits as skew develops; LoadSharded pre-partitions
 	// into this many quantile shards.
 	Shards int
-	// Skew is the split trigger: a shard splits when it holds more than
-	// Skew times its fair share of the live set (default 2.0).
-	Skew float64
 	// MinSplit is the smallest shard eligible for splitting (default
 	// 512), keeping small indexes on a single machine.
 	MinSplit int
 	// MinMerge is the merge trigger, the split's symmetric
 	// counterpart: after a delete leaves a shard holding fewer than
-	// MinMerge points — or less than 1/Skew of its fair share — the
+	// MinMerge points — or less than half its fair share — the
 	// shard is coalesced with its smaller adjacent neighbor, so a
 	// delete-heavy workload cannot strand the fleet as many near-empty
 	// shards each paying fixed per-shard overhead. Negative disables
@@ -60,7 +56,6 @@ func (cfg ShardedConfig) options() (shard.Options, error) {
 		Disk:                em.Config{B: cfg.BlockWords, M: cfg.MemoryWords},
 		Core:                coreOptions(cfg.Config),
 		MaxShards:           cfg.Shards,
-		SkewFactor:          cfg.Skew,
 		MinSplit:            cfg.MinSplit,
 		MinMerge:            cfg.MinMerge,
 		MaintenanceInterval: cfg.MaintenanceInterval,
@@ -186,16 +181,6 @@ func (s *Sharded) Close() error { return s.r.Close() }
 // stats resets), so operators can watch lifecycle activity cheaply;
 // cmd/topkd exports it under /v1/metrics and GET /v1/epoch.
 func (s *Sharded) Epoch() int64 { return s.r.Epoch() }
-
-// WatchEpoch returns a channel that delivers the topology epoch: the
-// current value immediately, then the latest epoch after every
-// snapshot publish. Deliveries are coalesced — a slow receiver
-// observes the newest epoch rather than a backlog, and a subscriber
-// can never stall a lifecycle pass. The channel closes when ctx is
-// cancelled. It is the minimal change feed gateways and caching tiers
-// poll-free detect member topology changes with; cmd/topkd serves the
-// same number under GET /v1/epoch for remote watchers.
-func (s *Sharded) WatchEpoch(ctx context.Context) <-chan uint64 { return s.r.WatchEpoch(ctx) }
 
 // Splits returns the number of automatic shard splits since creation.
 func (s *Sharded) Splits() int64 { return s.r.Splits() }

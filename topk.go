@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/em"
 	"repro/internal/point"
-	"repro/internal/pst"
 )
 
 // Config configures an Index. The zero value follows the paper's
@@ -57,9 +56,6 @@ type Config struct {
 	BlockWords int
 	// MemoryWords is M, the buffer-pool memory in words (default 16·B).
 	MemoryWords int
-	// Phi is the §2 query constant φ (default 16, the value Lemma 2
-	// proves correct; exposed for the E4 ablation).
-	Phi int
 	// ForcePolylog / ForceBaseline pin the small-k component instead of
 	// the paper's automatic B-vs-lg⁶n regime test. At most one may be
 	// set.
@@ -120,7 +116,6 @@ func Load(cfg Config, pts []Result) (*Index, error) {
 
 func coreOptions(cfg Config) core.Options {
 	opt := core.Options{
-		PST:            pst.Options{Phi: cfg.Phi},
 		PolylogF:       cfg.PolylogF,
 		PolylogLeafCap: cfg.PolylogLeafCap,
 	}
