@@ -172,8 +172,12 @@ func e19(quick bool) {
 	// noisy too. Per level, every mode gets its own fresh fleet (no
 	// mode inherits another's points or warmed batcher), and the
 	// measured attempts interleave across modes so all three sample the
-	// same noise windows; each mode keeps its best attempt. allocs/op
-	// is the Mallocs delta of the kept attempt.
+	// same noise windows; each mode keeps its best attempt's qps.
+	// allocs/op is the Mallocs delta summed over all attempts, divided
+	// by their ops: a member's shard rebuilds are lumps of allocations
+	// that land in whichever attempt crosses their trigger, so any one
+	// attempt's count (the fastest's, or the median's) swings from run
+	// to run, while the sum counts each lump once.
 	const attempts = 3
 	type modeRun struct {
 		name    string
@@ -200,7 +204,7 @@ func e19(quick bool) {
 		}
 		const nmodes = 3
 		var best [nmodes]workload.Throughput
-		var allocs [nmodes]float64
+		var mallocs [nmodes]uint64
 		names := [nmodes]string{"direct", "batched-sync", "batched-async"}
 		modes := []*modeRun{
 			mk("direct", func(cl *topk.Cluster) (func(int) workload.Throughput, func()) {
@@ -248,15 +252,15 @@ func e19(quick bool) {
 				runtime.ReadMemStats(&m1)
 				if best[k].Elapsed == 0 || r.QPS() > best[k].QPS() {
 					best[k] = r
-					allocs[k] = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
 				}
+				mallocs[k] += m1.Mallocs - m0.Mallocs
 			}
 		}
 		for _, m := range modes {
 			m.cleanup()
 		}
 		for k, name := range names {
-			benchRecord("e19", fmt.Sprintf("%s g=%d", name, g), best[k], allocs[k])
+			benchRecord("e19", fmt.Sprintf("%s g=%d", name, g), best[k], float64(mallocs[k])/float64(attempts*ops))
 		}
 		direct, syncRow, asyncRow := best[0], best[1], best[2]
 		fmt.Printf("%4d %12.0f %14.0f %15.0f %10.1fx %11.1fx\n",

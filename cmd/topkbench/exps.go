@@ -107,7 +107,8 @@ func e2(quick bool) {
 	const B = 64
 	fmt.Printf("%10s %14s %16s %12s %12s\n",
 		"n", "ours I/Os/op", "baseline I/Os/op", "logB n", "log²B n")
-	for _, n := range ns {
+	var first, last [4]float64
+	for i, n := range ns {
 		gen := workload.NewGen(int64(n))
 		pts := gen.Uniform(n+2000, 1e6)
 
@@ -133,8 +134,13 @@ func e2(quick bool) {
 
 		lb := logB(n, B)
 		fmt.Printf("%10d %14.1f %16.1f %12.2f %12.2f\n", n, ours, theirs, lb, lb*lb)
+		last = [4]float64{ours, theirs, lb, lb * lb}
+		if i == 0 {
+			first = last
+		}
 	}
-	fmt.Println("shape check: ours tracks log_B n; the [14]-style baseline grows with K = B·lg n per level.")
+	fmt.Printf("growth from n=%d to n=%d: ours ×%.2f, baseline ×%.2f, log_B n ×%.2f, log²_B n ×%.2f\n",
+		ns[0], ns[len(ns)-1], last[0]/first[0], last[1]/first[1], last[2]/first[2], last[3]/first[3])
 }
 
 // ---------------------------------------------------------------- E3

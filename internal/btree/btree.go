@@ -57,7 +57,7 @@ func (n *node) total() int {
 	return t
 }
 
-// Tree is an order-statistic external B-tree. Create with New.
+// Tree is an order-statistic external B-tree. Create with New or Bulk.
 type Tree struct {
 	store   *em.Store[*node]
 	root    em.Handle
@@ -67,26 +67,57 @@ type Tree struct {
 	height  int
 }
 
-// New creates an empty tree on d. Node capacities are derived from the
-// block size so each node fits in one block.
-func New(d *em.Disk, name string) *Tree {
-	leafCap := d.B() - 1
-	if leafCap < 4 {
-		leafCap = 4
-	}
-	kidCap := (d.B() - 1) / 3
-	if kidCap < 4 {
-		kidCap = 4
+// New creates an empty tree on d.
+func New(d *em.Disk, name string) *Tree { return Bulk(d, name, nil) }
+
+// Bulk builds a tree on d over asc, which must be strictly ascending.
+// It fills the leaves and then each internal level evenly up to
+// capacity, so every node but the root holds at least the minimum the
+// update paths keep, and it writes each node once: O(n/B) I/Os. Node
+// capacities are derived from the block size so each node fits in one
+// block.
+func Bulk(d *em.Disk, name string, asc []float64) *Tree {
+	for i := 1; i < len(asc); i++ {
+		if asc[i-1] >= asc[i] {
+			panic(fmt.Sprintf("btree: bulk input not strictly ascending at %d", i))
+		}
 	}
 	t := &Tree{
 		store:   em.NewStore(d, name, func(n *node) int { return n.size() }),
-		leafCap: leafCap,
-		kidCap:  kidCap,
+		n:       len(asc),
+		leafCap: max(d.B()-1, 4),
+		kidCap:  max((d.B()-1)/3, 4),
 		height:  1,
 	}
-	t.root = t.store.Alloc(&node{leaf: true})
+	// One level at a time: the nodes' handles, maximum keys and counts.
+	m := max(1, ceilDiv(len(asc), t.leafCap))
+	kids := make([]em.Handle, m)
+	keys := make([]float64, m)
+	counts := make([]int, m)
+	for j := range m {
+		lk := append([]float64(nil), asc[j*len(asc)/m:(j+1)*len(asc)/m]...)
+		nd := &node{leaf: true, keys: lk}
+		kids[j], keys[j], counts[j] = t.store.Alloc(nd), maxKeyOf(nd), len(lk)
+	}
+	for len(kids) > 1 {
+		m := ceilDiv(len(kids), t.kidCap)
+		for j := range m {
+			a, b := j*len(kids)/m, (j+1)*len(kids)/m
+			nd := &node{
+				keys:   append([]float64(nil), keys[a:b]...),
+				kids:   append([]em.Handle(nil), kids[a:b]...),
+				counts: append([]int(nil), counts[a:b]...),
+			}
+			kids[j], keys[j], counts[j] = t.store.Alloc(nd), maxKeyOf(nd), nd.total()
+		}
+		kids, keys, counts = kids[:m], keys[:m], counts[:m]
+		t.height++
+	}
+	t.root = kids[0]
 	return t
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Len returns the number of keys stored.
 func (t *Tree) Len() int { return t.n }
@@ -504,10 +535,16 @@ func (t *Tree) CheckInvariants() error {
 					return 0, 0, fmt.Errorf("leaf keys out of order")
 				}
 			}
+			if len(nd.keys) > t.leafCap || h != t.root && len(nd.keys) < t.minKeys() {
+				return 0, 0, fmt.Errorf("leaf holds %d keys, want [%d,%d]", len(nd.keys), t.minKeys(), t.leafCap)
+			}
 			return len(nd.keys), maxKeyOf(nd), nil
 		}
 		if len(nd.kids) != len(nd.keys) || len(nd.kids) != len(nd.counts) {
 			return 0, 0, fmt.Errorf("internal arity mismatch")
+		}
+		if len(nd.kids) > t.kidCap || h != t.root && len(nd.kids) < t.minKids() {
+			return 0, 0, fmt.Errorf("internal node has %d children, want [%d,%d]", len(nd.kids), t.minKids(), t.kidCap)
 		}
 		total := 0
 		for i, kid := range nd.kids {

@@ -49,12 +49,12 @@ func TestIOCountsPinned(t *testing.T) {
 		{"§2 wide", query(1e5, 6e5, 300), 3705, 0},
 		{"§2 whole line", query(0, 1e6, 1000), 7565, 0},
 		{"§2 narrow", query(2e5, 2.6e5, 250), 406, 0},
-		{"small k=1", query(1e5, 6e5, 1), 83, 0},
-		{"small k=10", query(3e5, 3.4e5, 10), 133, 0},
-		{"small k=60 whole line", query(0, 1e6, 60), 723, 0},
-		{"updates", updates, 234131, 141146},
+		{"small k=1", query(1e5, 6e5, 1), 90, 0},
+		{"small k=10", query(3e5, 3.4e5, 10), 109, 0},
+		{"small k=60 whole line", query(0, 1e6, 60), 697, 0},
+		{"updates", updates, 32877, 23966},
 		{"§2 after updates", query(1e5, 9e5, 400), 6168, 0},
-		{"small k after updates", query(1e5, 9e5, 20), 182, 0},
+		{"small k after updates", query(1e5, 9e5, 20), 159, 0},
 	}
 	for _, ph := range phases {
 		before := d.Stats()

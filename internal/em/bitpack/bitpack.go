@@ -18,15 +18,13 @@ func Width(n uint64) int {
 	return w
 }
 
-// Writer appends fixed- or variable-width fields to a word slice.
+// Writer appends fixed- or variable-width fields to a word slice. The
+// zero value is an empty writer.
 type Writer struct {
 	words []uint64
 	// bit is the write cursor within the last word, 0..63.
 	bit int
 }
-
-// NewWriter returns an empty Writer.
-func NewWriter() *Writer { return &Writer{} }
 
 // Put appends the low width bits of v.
 func (w *Writer) Put(v uint64, width int) {
@@ -46,6 +44,11 @@ func (w *Writer) Put(v uint64, width int) {
 	}
 	w.bit = (w.bit + width) % 64
 }
+
+// Reset empties the writer and makes it pack into buf's storage, so a
+// block can be re-encoded in place without allocating; Words then
+// aliases buf until it outgrows it.
+func (w *Writer) Reset(buf []uint64) { w.words, w.bit = buf[:0], 0 }
 
 // Bits returns the number of bits written so far.
 func (w *Writer) Bits() int {

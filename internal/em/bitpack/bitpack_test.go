@@ -23,7 +23,7 @@ func TestWidth(t *testing.T) {
 
 func TestRoundTripFixedWidth(t *testing.T) {
 	for _, width := range []int{1, 3, 7, 8, 13, 31, 32, 33, 63, 64} {
-		w := NewWriter()
+		var w Writer
 		var vals []uint64
 		rng := rand.New(rand.NewSource(int64(width)))
 		mask := ^uint64(0)
@@ -51,7 +51,7 @@ func TestRoundTripMixedWidths(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var fields []field
-	w := NewWriter()
+	var w Writer
 	for i := 0; i < 500; i++ {
 		width := rng.Intn(64) + 1
 		mask := ^uint64(0)
@@ -71,7 +71,7 @@ func TestRoundTripMixedWidths(t *testing.T) {
 }
 
 func TestBitsCount(t *testing.T) {
-	w := NewWriter()
+	var w Writer
 	if w.Bits() != 0 {
 		t.Fatalf("empty bits=%d", w.Bits())
 	}
@@ -89,7 +89,7 @@ func TestBitsCount(t *testing.T) {
 }
 
 func TestSeek(t *testing.T) {
-	w := NewWriter()
+	var w Writer
 	for i := uint64(0); i < 20; i++ {
 		w.Put(i, 9)
 	}
@@ -109,7 +109,7 @@ func TestPutRejectsOversizedValue(t *testing.T) {
 			t.Fatal("no panic for oversized value")
 		}
 	}()
-	NewWriter().Put(8, 3)
+	new(Writer).Put(8, 3)
 }
 
 func TestPutRejectsBadWidth(t *testing.T) {
@@ -120,13 +120,13 @@ func TestPutRejectsBadWidth(t *testing.T) {
 					t.Errorf("no panic for width %d", width)
 				}
 			}()
-			NewWriter().Put(0, width)
+			new(Writer).Put(0, width)
 		}()
 	}
 }
 
 func TestReadPastEndPanics(t *testing.T) {
-	w := NewWriter()
+	var w Writer
 	w.Put(3, 2)
 	r := NewReader(w.Words())
 	r.Get(2)
@@ -145,7 +145,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if len(widths) < n {
 			n = len(widths)
 		}
-		w := NewWriter()
+		var w Writer
 		vals := make([]uint64, n)
 		ws := make([]int, n)
 		for i := 0; i < n; i++ {
@@ -173,7 +173,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // Property: storage is tight — total words = ceil(total bits / 64).
 func TestQuickTightStorage(t *testing.T) {
 	f := func(widths []uint8) bool {
-		w := NewWriter()
+		var w Writer
 		bits := 0
 		for _, x := range widths {
 			width := int(x%64) + 1
@@ -189,14 +189,14 @@ func TestQuickTightStorage(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	w := NewWriter()
+	var w Writer
 	for i := 0; i < b.N; i++ {
 		w.Put(uint64(i)&1023, 10)
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	w := NewWriter()
+	var w Writer
 	for i := 0; i < 4096; i++ {
 		w.Put(uint64(i)&1023, 10)
 	}
@@ -208,5 +208,21 @@ func BenchmarkGet(b *testing.B) {
 			r.Seek(0)
 		}
 		r.Get(10)
+	}
+}
+
+func TestResetReusesStorage(t *testing.T) {
+	buf := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	var w Writer
+	w.Put(1, 64)
+	w.Reset(buf)
+	w.Put(5, 3)
+	w.Put(1, 1)
+	got := w.Words()
+	if len(got) != 1 || got[0] != 5|1<<3 || w.Bits() != 4 {
+		t.Fatalf("after Reset: words %x, %d bits", got, w.Bits())
+	}
+	if &got[0] != &buf[0] {
+		t.Fatal("Reset did not pack into the given storage")
 	}
 }

@@ -18,8 +18,10 @@ import (
 //   - the maxima block matches each G_i's maximum;
 //   - |G| equals Σ|G_i|.
 func (g *Group) CheckInvariants() error {
-	s := g.decodeSketches(g.blocks.Peek(g.skb))
-	pref := g.decodePrefix(g.blocks.Peek(g.pfb))
+	s := emptySketches(g.f)
+	g.decodeSketches(&s, g.blocks.Peek(g.skb))
+	pref := make([][]int, g.f)
+	g.decodePrefix(pref, g.blocks.Peek(g.pfb))
 	mx := g.blocks.Peek(g.mxb)
 
 	total := 0

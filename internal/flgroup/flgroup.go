@@ -54,7 +54,7 @@ import (
 	"repro/internal/sketch"
 )
 
-// Group is the (f,l)-structure. Create with New.
+// Group is the (f,l)-structure. Create with New or Bulk.
 type Group struct {
 	d    *em.Disk
 	f, l int
@@ -79,6 +79,14 @@ type Group struct {
 		ranked [][]int
 		merge  sketch.Scratch
 	}
+	// us is Insert's and Delete's working memory, reused across
+	// updates: the decoded sketch and prefix sets, and the writer that
+	// packs them back into their blocks' storage.
+	us struct {
+		s    sketches
+		pref [][]int
+		w    bitpack.Writer
+	}
 }
 
 // Bound returns the approximation constant c2: a query's result has rank
@@ -91,11 +99,29 @@ func New(d *em.Disk, f, l int) *Group {
 	return NewBase(d, f, l, sketch.DefaultBase)
 }
 
-// NewBase creates the structure with an explicit sketch base (for the
-// base ablation experiment).
+// NewBase creates an empty structure with an explicit sketch base (for
+// the base ablation experiment).
 func NewBase(d *em.Disk, f, l, base int) *Group {
+	return bulk(d, f, l, base, make([][]float64, f))
+}
+
+// Bulk builds the structure with the paper's sketch base over sets,
+// where sets[i] holds G_{i+1} in ascending order (at most l values; no
+// value in two sets). It bulk-loads the B-trees and encodes each
+// compressed block once, in O(fl/B) I/Os plus the sort of G.
+func Bulk(d *em.Disk, f, l int, sets [][]float64) *Group {
+	return bulk(d, f, l, sketch.DefaultBase, sets)
+}
+
+// bulk builds the structure over sets. Pivot j of Σ_i is the element
+// of local rank pivotRank, where a repair would put it, and prefix
+// entry r is the global rank of G_i's r-th largest element.
+func bulk(d *em.Disk, f, l, base int, sets [][]float64) *Group {
 	if f < 1 || l < 1 {
 		panic("flgroup: f and l must be positive")
+	}
+	if len(sets) != f {
+		panic(fmt.Sprintf("flgroup: %d sets for f=%d", len(sets), f))
 	}
 	logB := math.Log(float64(f)*float64(l)) / math.Log(float64(d.B()))
 	if logB < 1 {
@@ -108,28 +134,50 @@ func NewBase(d *em.Disk, f, l, base int) *Group {
 	if prefLen > l {
 		prefLen = l
 	}
+	var union []float64
+	for _, set := range sets {
+		if len(set) > l {
+			panic("flgroup: G_i larger than l")
+		}
+		union = append(union, set...)
+	}
+	slices.Sort(union)
 	g := &Group{
 		d: d, f: f, l: l, base: base,
 		prefLen: prefLen,
-		g:       btree.New(d, "flg.G"),
+		g:       btree.Bulk(d, "flg.G", union),
 		blocks:  em.NewStore(d, "flg.blk", func(w []uint64) int { return max(1, len(w)) }),
 		wG:      bitpack.Width(uint64(f*l + 1)),
 		wL:      bitpack.Width(uint64(l + 1)),
 	}
-	for i := 0; i < f; i++ {
-		g.gis = append(g.gis, btree.New(d, fmt.Sprintf("flg.G%d", i)))
+	// globalRank is the rank |{e' ≥ v}| in G of a member v.
+	globalRank := func(v float64) int {
+		i, _ := slices.BinarySearch(union, v)
+		return len(union) - i
 	}
-	g.skb = g.blocks.Alloc(g.encodeSketches(emptySketches(f)))
-	g.pfb = g.blocks.Alloc(g.encodePrefix(make([][]int, f)))
-	g.mxb = g.blocks.Alloc(make([]uint64, f))
+	g.us.s = emptySketches(f)
+	g.us.pref = make([][]int, f)
+	s, pref := &g.us.s, g.us.pref
+	mx := make([]uint64, f)
+	for i, set := range sets {
+		g.gis = append(g.gis, btree.Bulk(d, fmt.Sprintf("flg.G%d", i), set))
+		n := len(set)
+		s.sizes[i] = n
+		for j := 1; j <= sketch.NumPivots(n, base); j++ {
+			r := pivotRank(j, base, n)
+			s.piv[i] = append(s.piv[i], pivotR{G: globalRank(set[n-r]), L: r})
+		}
+		for r := 1; r <= min(prefLen, n); r++ {
+			pref[i] = append(pref[i], globalRank(set[n-r]))
+		}
+		if n > 0 {
+			mx[i] = math.Float64bits(set[n-1])
+		}
+	}
+	g.skb = g.blocks.Alloc(g.encodeSketches(nil, s))
+	g.pfb = g.blocks.Alloc(g.encodePrefix(nil, pref))
+	g.mxb = g.blocks.Alloc(mx)
 	return g
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // F and L return the structure's parameters.
@@ -153,15 +201,17 @@ type sketches struct {
 	piv   [][]pivotR
 }
 
-func emptySketches(f int) *sketches {
-	return &sketches{sizes: make([]int, f), piv: make([][]pivotR, f)}
+func emptySketches(f int) sketches {
+	return sketches{sizes: make([]int, f), piv: make([][]pivotR, f)}
 }
 
-// encodeSketches bit-packs the sketch set: per set, its size followed by
-// NumPivots(size) (G, L) pairs. Pivot counts are derived from sizes, so
-// no length fields are needed.
-func (g *Group) encodeSketches(s *sketches) []uint64 {
-	w := bitpack.NewWriter()
+// encodeSketches bit-packs the sketch set into buf's storage (growing
+// it if needed) and returns the packed words: per set, its size
+// followed by NumPivots(size) (G, L) pairs. Pivot counts are derived
+// from sizes, so no length fields are needed.
+func (g *Group) encodeSketches(buf []uint64, s *sketches) []uint64 {
+	w := &g.us.w
+	w.Reset(buf)
 	for i := 0; i < g.f; i++ {
 		w.Put(uint64(s.sizes[i]), g.wL)
 		for _, p := range s.piv[i] {
@@ -169,48 +219,52 @@ func (g *Group) encodeSketches(s *sketches) []uint64 {
 			w.Put(uint64(p.L), g.wL)
 		}
 	}
-	return append([]uint64(nil), w.Words()...)
+	return w.Words()
 }
 
-func (g *Group) decodeSketches(words []uint64) *sketches {
+// decodeSketches unpacks a compressed sketch set into s, whose f sets
+// keep their storage.
+func (g *Group) decodeSketches(s *sketches, words []uint64) {
 	r := bitpack.NewReader(words)
-	s := emptySketches(g.f)
 	for i := 0; i < g.f; i++ {
 		s.sizes[i] = int(r.Get(g.wL))
 		n := sketch.NumPivots(s.sizes[i], g.base)
+		s.piv[i] = s.piv[i][:0]
 		for j := 0; j < n; j++ {
 			s.piv[i] = append(s.piv[i], pivotR{G: int(r.Get(g.wG)), L: int(r.Get(g.wL))})
 		}
 	}
-	return s
 }
 
-// encodePrefix bit-packs the prefix set: per set, min(prefLen, |G_i|)
+// encodePrefix bit-packs the prefix set into buf's storage (growing it
+// if needed) and returns the packed words: per set, min(prefLen, |G_i|)
 // global ranks in decreasing-value order; the local rank of entry r is
 // implicitly r+1. Entry counts are derived from the sketch sizes, so a
 // small explicit count per set is stored to keep the block
 // self-contained.
-func (g *Group) encodePrefix(pref [][]int) []uint64 {
-	w := bitpack.NewWriter()
+func (g *Group) encodePrefix(buf []uint64, pref [][]int) []uint64 {
+	w := &g.us.w
+	w.Reset(buf)
 	for i := 0; i < g.f; i++ {
 		w.Put(uint64(len(pref[i])), g.wL)
 		for _, gr := range pref[i] {
 			w.Put(uint64(gr), g.wG)
 		}
 	}
-	return append([]uint64(nil), w.Words()...)
+	return w.Words()
 }
 
-func (g *Group) decodePrefix(words []uint64) [][]int {
+// decodePrefix unpacks a compressed prefix set into pref, whose f sets
+// keep their storage.
+func (g *Group) decodePrefix(pref [][]int, words []uint64) {
 	r := bitpack.NewReader(words)
-	pref := make([][]int, g.f)
 	for i := 0; i < g.f; i++ {
 		n := int(r.Get(g.wL))
+		pref[i] = pref[i][:0]
 		for j := 0; j < n; j++ {
 			pref[i] = append(pref[i], int(r.Get(g.wG)))
 		}
 	}
-	return pref
 }
 
 // SketchBits returns the bit size of the compressed sketch set and the
@@ -388,12 +442,16 @@ func (g *Group) fetchGlobal(i, r int, pref [][]int) (int, float64) {
 	return g.g.RankDesc(v), v
 }
 
+// pivotRank is the local rank at which pivot j (1-based) of a set of
+// size n is placed: min(⌊(3/2)·base^(j−1)⌋, n), the §4.2 replacement
+// that takes Ω(base^(j−1)) updates to invalidate again. The rank is at
+// least 1 because base^(j−1) is.
+func pivotRank(j, base, n int) int { return min(3*sketch.WindowLo(j, base)/2, n) }
+
 // replacePivot sets pivot j (1-based) of sketch i to the element of
-// local rank min(⌊(3/2)·base^(j−1)⌋, |G_i|), the §4.2 replacement that
-// takes Ω(base^(j−1)) updates to invalidate again. The rank is at least
-// 1 because base^(j−1) is.
+// local rank pivotRank.
 func (g *Group) replacePivot(s *sketches, i, j int, pref [][]int) {
-	target := min(3*sketch.WindowLo(j, g.base)/2, s.sizes[i])
+	target := pivotRank(j, g.base, s.sizes[i])
 	gr, _ := g.fetchGlobal(i, target, pref)
 	s.piv[i][j-1] = pivotR{G: gr, L: target}
 }
@@ -425,7 +483,11 @@ func (g *Group) Insert(i int, v float64) {
 	g.gis[i].Insert(v)
 
 	// Compressed sketch set: deduce the new one from (r_new, i) — §4.2.
-	s := g.decodeSketches(g.blocks.Read(g.skb))
+	// Both compressed blocks are decoded into the update scratch and
+	// re-encoded into their own storage.
+	skw := g.blocks.Read(g.skb)
+	s := &g.us.s
+	g.decodeSketches(s, skw)
 	for si := range s.piv {
 		for j := range s.piv[si] {
 			if s.piv[si][j].G >= rnew {
@@ -445,7 +507,9 @@ func (g *Group) Insert(i int, v float64) {
 
 	// Prefix set (Lemma 8): shift global ranks everywhere; splice v into
 	// P_i if it ranks inside the prefix.
-	pref := g.decodePrefix(g.blocks.Read(g.pfb))
+	pfw := g.blocks.Read(g.pfb)
+	pref := g.us.pref
+	g.decodePrefix(pref, pfw)
 	for si := range pref {
 		for j := range pref[si] {
 			if pref[si][j] >= rnew {
@@ -470,8 +534,8 @@ func (g *Group) Insert(i int, v float64) {
 
 	// Repair invalidated pivots of Σ_i, then persist everything.
 	g.repair(s, i, pref)
-	g.blocks.Write(g.skb, g.encodeSketches(s))
-	g.blocks.Write(g.pfb, g.encodePrefix(pref))
+	g.blocks.Write(g.skb, g.encodeSketches(skw, s))
+	g.blocks.Write(g.pfb, g.encodePrefix(pfw, pref))
 
 	// Maxima block.
 	mx := g.blocks.Read(g.mxb)
@@ -493,7 +557,9 @@ func (g *Group) Delete(i int, v float64) bool {
 	g.gis[i].Delete(v)
 
 	// §4.3: deduce the new compressed sketch set from (r_old, i).
-	s := g.decodeSketches(g.blocks.Read(g.skb))
+	skw := g.blocks.Read(g.skb)
+	s := &g.us.s
+	g.decodeSketches(s, skw)
 	dangling := 0
 	for j := range s.piv[i] {
 		if s.piv[i][j].G == rold {
@@ -519,7 +585,9 @@ func (g *Group) Delete(i int, v float64) bool {
 	}
 
 	// Prefix set: shift, remove v from P_i if present, refill the tail.
-	pref := g.decodePrefix(g.blocks.Read(g.pfb))
+	pfw := g.blocks.Read(g.pfb)
+	pref := g.us.pref
+	g.decodePrefix(pref, pfw)
 	for si := range pref {
 		for j := range pref[si] {
 			if si == i && pref[si][j] == rold {
@@ -543,8 +611,8 @@ func (g *Group) Delete(i int, v float64) bool {
 		g.replacePivot(s, i, dangling, pref)
 	}
 	g.repair(s, i, pref)
-	g.blocks.Write(g.skb, g.encodeSketches(s))
-	g.blocks.Write(g.pfb, g.encodePrefix(pref))
+	g.blocks.Write(g.skb, g.encodeSketches(skw, s))
+	g.blocks.Write(g.pfb, g.encodePrefix(pfw, pref))
 
 	// Maxima block.
 	mx := g.blocks.Read(g.mxb)

@@ -394,46 +394,53 @@ func TestQuickGroupModel(t *testing.T) {
 		if len(ops) > 120 {
 			ops = ops[:120]
 		}
-		rng := rand.New(rand.NewSource(seed))
 		g := New(newDisk(64), 4, 48)
 		m := &model{sets: make([][]float64, 4)}
-		seen := map[float64]bool{}
-		for _, op := range ops {
-			i := int(op)%4 + 1
-			if op%3 == 0 && len(m.sets[i-1]) > 0 {
-				v := m.sets[i-1][int(op/3)%len(m.sets[i-1])]
-				if !g.Delete(i, v) {
-					return false
-				}
-				m.delete(i, v)
-			} else if g.SizeOf(i) < 48 {
-				v := rng.Float64() * 1e9
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				g.Insert(i, v)
-				m.insert(i, v)
-			}
-		}
-		if g.CheckInvariants() != nil {
-			return false
-		}
-		un := m.unionLen(1, 4)
-		if un == 0 {
-			return true
-		}
-		k := int(uint64(seed)%uint64(un)) + 1
-		x := g.Select(1, 4, k)
-		r := un
-		if !math.IsInf(x, -1) {
-			r = m.unionRank(1, 4, x)
-		}
-		return r >= k && r <= g.Bound()*k
+		return runOps(g, m, ops, seed, map[float64]bool{})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runOps applies an op stream to g and its model m — each op deletes an
+// existing value or inserts a fresh one (seen holds every value used) —
+// then checks the invariants and one Select over all sets.
+func runOps(g *Group, m *model, ops []uint16, seed int64, seen map[float64]bool) bool {
+	rng := rand.New(rand.NewSource(seed))
+	f := g.F()
+	for _, op := range ops {
+		i := int(op)%f + 1
+		if op%3 == 0 && len(m.sets[i-1]) > 0 {
+			v := m.sets[i-1][int(op/3)%len(m.sets[i-1])]
+			if !g.Delete(i, v) {
+				return false
+			}
+			m.delete(i, v)
+		} else if g.SizeOf(i) < g.L() {
+			v := rng.Float64() * 1e9
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+			g.Insert(i, v)
+			m.insert(i, v)
+		}
+	}
+	if g.CheckInvariants() != nil {
+		return false
+	}
+	un := m.unionLen(1, f)
+	if un == 0 {
+		return true
+	}
+	k := int(uint64(seed)%uint64(un)) + 1
+	x := g.Select(1, f, k)
+	r := un
+	if !math.IsInf(x, -1) {
+		r = m.unionRank(1, f, x)
+	}
+	return r >= k && r <= g.Bound()*k
 }
 
 func TestSortStability(t *testing.T) {
@@ -490,5 +497,25 @@ func BenchmarkGroupSelect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Select(1, 8, i%1000+1)
+	}
+}
+
+// TestWarmUpdateAllocatesNothing pins the update scratch: once the
+// B-trees have room, an insert and the delete that undoes it decode
+// both compressed blocks and re-encode them into their own storage
+// without allocating.
+func TestWarmUpdateAllocatesNothing(t *testing.T) {
+	g := New(newDisk(64), 8, 200)
+	fillGroup(g, &model{sets: make([][]float64, 8)}, 100, 5)
+	for _, v := range []float64{-1, 5e8, 2e9} { // bottom, middle, top of G
+		if allocs := testing.AllocsPerRun(20, func() {
+			g.Insert(3, v)
+			g.Delete(3, v)
+		}); allocs != 0 {
+			t.Errorf("insert+delete of %v allocates %.1f/op", v, allocs)
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

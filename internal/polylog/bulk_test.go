@@ -1,0 +1,102 @@
+package polylog
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/point"
+)
+
+// height returns the number of levels of t's base tree, meter-free.
+func height(t *Tree) int {
+	h := 1
+	for nd := t.store.Peek(t.root); !nd.leaf; nd = t.store.Peek(nd.kids[0]) {
+		h++
+	}
+	return h
+}
+
+// TestBulk builds trees at least three levels deep and checks their
+// invariants, Count against brute force and SelectApprox against
+// SelectBound. An insert stream then forces leaf and internal splits,
+// each checked as it happens.
+func TestBulk(t *testing.T) {
+	for _, f := range []int{2, 4} {
+		for _, leafCap := range []int{8, 64} {
+			name := fmt.Sprintf("F=%d/LeafCap=%d", f, leafCap)
+			opt := Options{L: 4, F: f, LeafCap: leafCap}
+			n := leafCap * f * f * 3
+			pts := genPoints(n+n/2, int64(f*leafCap))
+			tr := Bulk(newDisk(32), opt, pts[:n])
+			if h := height(tr); h < 3 {
+				t.Fatalf("%s: height %d, want at least 3", name, h)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkQueries(t, name, tr, pts[:n])
+
+			leaves, internals := 0, 0
+			for i, p := range pts[n:] {
+				before := tr.store.Len()
+				beforeH := height(tr)
+				tr.Insert(p)
+				if tr.store.Len() == before {
+					continue
+				}
+				if height(tr) > beforeH || tr.store.Len() > before+1 {
+					internals++
+				} else {
+					leaves++
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("%s: after the split at insert %d: %v", name, i, err)
+				}
+			}
+			if leaves == 0 || internals == 0 {
+				t.Fatalf("%s: %d leaf-only and %d internal splits, want both", name, leaves, internals)
+			}
+			checkQueries(t, name+" after inserts", tr, pts)
+		}
+	}
+}
+
+// checkQueries compares Count with brute force and checks that
+// SelectApprox's rank falls in [k, SelectBound()·k], widened by the
+// fallback slack TestSelectApproxGuarantee allows.
+func checkQueries(t *testing.T, name string, tr *Tree, pts []point.P) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(pts))))
+	span := float64(4 * len(pts))
+	for i := range 120 {
+		x1 := rng.Float64() * span
+		x2 := x1 + rng.Float64()*span/2
+		if got, want := tr.Count(x1, x2), rankIn(pts, x1, x2, -1e18); got != want {
+			t.Fatalf("%s query %d: Count=%d want %d", name, i, got, want)
+		}
+		k := rng.Intn(tr.L()) + 1
+		tau, ok := tr.SelectApprox(x1, x2, k)
+		if !ok {
+			if in := rankIn(pts, x1, x2, -1e18); in >= k {
+				t.Fatalf("%s query %d: select failed with %d ≥ k=%d in range", name, i, in, k)
+			}
+			continue
+		}
+		if r := rankIn(pts, x1, x2, tau); r < k || r > (tr.SelectBound()+12)*k {
+			t.Fatalf("%s query %d: rank %d for k=%d", name, i, r, k)
+		}
+	}
+}
+
+func TestBulkEmptyAndSingle(t *testing.T) {
+	for _, pts := range [][]point.P{nil, {{X: 3, Score: 7}}} {
+		tr := Bulk(newDisk(32), smallOpts(4), pts)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != len(pts) || tr.Count(0, 10) != len(pts) {
+			t.Fatalf("n=%d: Len=%d Count=%d", len(pts), tr.Len(), tr.Count(0, 10))
+		}
+	}
+}

@@ -113,13 +113,6 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Live returns all live points (test helper; full scan).
 func (t *Tree) Live() []point.P {
 	var out []point.P

@@ -17,10 +17,9 @@ import (
 // leaves hold b = f·l·B points and need in-leaf approximate range
 // k-selection in O(log_B b) I/Os. Our leaf selection reads the
 // overlapping chunks and selects exactly in memory, costing
-// O(|leaf ∩ q|/B + log) I/Os — identical for boundary leaves, whose
-// qualifying portion a reporting query pays for anyway, and strictly
-// better on updates (the toplists reconstruction of our [14] substitute
-// would cost O(K/B) per update; see DESIGN.md substitution 3).
+// O(|leaf ∩ q|/B) I/Os, which a small-k query over a wide boundary
+// leaf pays in full; in exchange an update touches one chunk (see
+// DESIGN.md, Substitution 3).
 
 // chunkCap returns the points per chunk (one block).
 func (t *Tree) chunkCap() int {
@@ -149,30 +148,6 @@ func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (point.P, bool) {
 	}
 	point.SortByScoreDesc(in)
 	return in[k-1], true
-}
-
-// setLeafPoints bulk-loads pts (sorted by x) into half-full chunks of a
-// fresh leaf.
-func (t *Tree) setLeafPoints(h em.Handle, pts []point.P) {
-	nd := t.store.Read(h)
-	per := t.chunkCap() / 2
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < len(pts); i += per {
-		end := i + per
-		if end > len(pts) {
-			end = len(pts)
-		}
-		ch := t.chunks.Alloc(append([]point.P(nil), pts[i:end]...))
-		lo := nd.lo
-		if i > 0 {
-			lo = pts[i].X
-		}
-		nd.kids = append(nd.kids, ch)
-		nd.kidLo = append(nd.kidLo, lo)
-	}
-	t.store.Write(h, nd)
 }
 
 // freeLeafChunks releases the leaf's chunk records.

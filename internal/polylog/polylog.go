@@ -38,7 +38,7 @@ package polylog
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/em"
@@ -104,7 +104,7 @@ type node struct {
 
 func (n *node) size() int { return 8 + 2*len(n.kids) }
 
-// Tree is the §3.3 structure. Create with New.
+// Tree is the §3.3 structure. Create with New or Bulk.
 type Tree struct {
 	d     *em.Disk
 	opt   Options
@@ -126,27 +126,60 @@ type Tree struct {
 }
 
 // New returns an empty structure.
-func New(d *em.Disk, opt Options) *Tree {
+func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil) }
+
+// Bulk builds the structure over pts bottom-up, in sorting time: it
+// cuts the x-sorted points into equal leaves of about ¾·LeafCap, then
+// groups each level's nodes under parents — one root over at most 2F
+// children, else groups of about 3F/2 — building every node's
+// secondary structures once (see newLeaf and newInternal). Each level
+// keeps a quarter of its capacity as slack for the splits that updates
+// cause.
+func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 	opt = opt.withDefaults(d)
 	t := &Tree{
 		d: d, opt: opt,
-		store: em.NewStore(d, "pl.node", func(n *node) int { return n.size() }),
-		gu:    map[em.Handle]*btree.Tree{},
-		fl:    map[em.Handle]*flgroup.Group{},
+		store:  em.NewStore(d, "pl.node", func(n *node) int { return n.size() }),
+		gu:     map[em.Handle]*btree.Tree{},
+		fl:     map[em.Handle]*flgroup.Group{},
+		chunks: em.NewStore(d, "pl.chunk", func(ps []point.P) int { return 1 + point.WordSize*len(ps) }),
+		n:      len(pts),
 	}
-	t.chunks = em.NewStore(d, "pl.chunk", func(ps []point.P) int { return 1 + point.WordSize*len(ps) })
-	t.root = t.newLeaf(math.Inf(-1), math.Inf(1))
+	pts = slices.Clone(pts)
+	point.SortByX(pts)
+	for i := 1; i < len(pts); i++ {
+		if pts[i-1].X == pts[i].X {
+			panic(fmt.Sprintf("polylog: duplicate x %v", pts[i].X))
+		}
+	}
+	m := max(1, ceilDiv(len(pts), 3*opt.LeafCap/4))
+	level := make([]em.Handle, m)
+	for j := range m {
+		a, b := j*len(pts)/m, (j+1)*len(pts)/m
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if j > 0 {
+			lo = pts[a].X
+		}
+		if j < m-1 {
+			hi = pts[b].X
+		}
+		level[j] = t.newLeaf(lo, hi, pts[a:b])
+	}
+	for len(level) > 1 {
+		m := 1
+		if len(level) > 2*opt.F {
+			m = ceilDiv(len(level), 3*opt.F/2)
+		}
+		for j := range m {
+			level[j] = t.newInternal(level[j*len(level)/m : (j+1)*len(level)/m])
+		}
+		level = level[:m]
+	}
+	t.root = level[0]
 	return t
 }
 
-// Bulk builds the structure over pts.
-func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
-	t := New(d, opt)
-	for _, p := range pts {
-		t.Insert(p)
-	}
-	return t
-}
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Len returns the number of live points; L the query cap.
 func (t *Tree) Len() int { return t.n }
@@ -155,10 +188,65 @@ func (t *Tree) L() int   { return t.opt.L }
 // guCap is |G_u| at capacity.
 func (t *Tree) guCap() int { return c2 * t.opt.L }
 
-func (t *Tree) newLeaf(lo, hi float64) em.Handle {
-	h := t.store.Alloc(&node{leaf: true, lo: lo, hi: hi})
-	t.gu[h] = btree.New(t.d, fmt.Sprintf("pl.gu%d", h))
+// newLeaf allocates a leaf with slab [lo, hi) over pts (x-sorted), in
+// full chunks, and builds its G set: the top c2·l scores of pts.
+func (t *Tree) newLeaf(lo, hi float64, pts []point.P) em.Handle {
+	nd := &node{leaf: true, lo: lo, hi: hi, weight: len(pts)}
+	m := ceilDiv(len(pts), t.chunkCap())
+	for j := range m {
+		a, b := j*len(pts)/m, (j+1)*len(pts)/m
+		clo := lo
+		if j > 0 {
+			clo = pts[a].X
+		}
+		nd.kids = append(nd.kids, t.chunks.Alloc(slices.Clone(pts[a:b])))
+		nd.kidLo = append(nd.kidLo, clo)
+	}
+	h := t.store.Alloc(nd)
+	scores := make([]float64, len(pts))
+	for i, p := range pts {
+		scores[i] = p.Score
+	}
+	t.gu[h] = btree.Bulk(t.d, fmt.Sprintf("pl.gu%d", h), t.topScores(scores))
 	return h
+}
+
+// newInternal allocates an internal node over kids, consecutive nodes
+// of one level, links them to it and builds its secondary structures:
+// the flgroup over the children's G sets and G_u, the top c2·l of
+// their union.
+func (t *Tree) newInternal(kids []em.Handle) em.Handle {
+	nd := &node{kids: slices.Clone(kids), kidLo: make([]float64, len(kids))}
+	for j, kid := range kids {
+		kn := t.store.Read(kid)
+		nd.kidLo[j] = kn.lo
+		nd.weight += kn.weight
+		nd.hi = kn.hi
+	}
+	nd.lo = nd.kidLo[0]
+	h := t.store.Alloc(nd)
+	for j, kid := range kids {
+		t.store.Update(kid, func(c **node) { (*c).parent, (*c).childIdx = h, j })
+	}
+	sets := t.kidSets(nd)
+	t.fl[h] = flgroup.Bulk(t.d, len(kids), t.guCap(), sets)
+	t.gu[h] = btree.Bulk(t.d, fmt.Sprintf("pl.gu%d", h), t.topScores(slices.Concat(sets...)))
+	return h
+}
+
+// kidSets returns the G sets of nd's children, in child order.
+func (t *Tree) kidSets(nd *node) [][]float64 {
+	sets := make([][]float64, len(nd.kids))
+	for j, kid := range nd.kids {
+		sets[j] = t.gu[kid].Keys()
+	}
+	return sets
+}
+
+// topScores sorts scores ascending and returns the top c2·l of them.
+func (t *Tree) topScores(scores []float64) []float64 {
+	slices.Sort(scores)
+	return scores[max(0, len(scores)-t.guCap()):]
 }
 
 func routeKid(nd *node, x float64) int {
@@ -315,19 +403,7 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 
 		if nd.parent == em.NilHandle {
 			// New root above the two halves.
-			ln, rn := t.store.Read(left), t.store.Read(right)
-			root := &node{
-				lo: math.Inf(-1), hi: math.Inf(1),
-				weight: ln.weight + rn.weight,
-				kids:   []em.Handle{left, right},
-				kidLo:  []float64{math.Inf(-1), rn.lo},
-			}
-			rh := t.store.Alloc(root)
-			t.store.Update(left, func(c **node) { (*c).parent, (*c).childIdx = rh, 0 })
-			t.store.Update(right, func(c **node) { (*c).parent, (*c).childIdx = rh, 1 })
-			t.gu[rh] = btree.New(t.d, fmt.Sprintf("pl.gu%d", rh))
-			t.rebuildSecondary(rh)
-			t.root = rh
+			t.root = t.newInternal([]em.Handle{left, right})
 			return
 		}
 
@@ -354,108 +430,36 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 	}
 }
 
-// splitLeaf splits leaf h in half by x, rebuilding both halves' chunk
-// stores and G sets. The handle h is retired.
+// splitLeaf splits leaf h in half by x into two new leaves. The handle
+// h is retired.
 func (t *Tree) splitLeaf(h em.Handle, nd *node) (em.Handle, em.Handle) {
 	all := t.leafAll(h)
 	point.SortByX(all)
 	mid := len(all) / 2
-	lh := t.newLeaf(nd.lo, all[mid].X)
-	rh := t.newLeaf(all[mid].X, nd.hi)
-	t.setLeafPoints(lh, all[:mid])
-	t.setLeafPoints(rh, all[mid:])
-	t.rebuildLeafG(lh)
-	t.rebuildLeafG(rh)
-	t.store.Update(lh, func(c **node) { (*c).weight = mid })
-	t.store.Update(rh, func(c **node) { (*c).weight = len(all) - mid })
+	lh := t.newLeaf(nd.lo, all[mid].X, all[:mid])
+	rh := t.newLeaf(all[mid].X, nd.hi, all[mid:])
 	t.retire(h)
 	return lh, rh
 }
 
-// splitInternal splits internal node h in half by child index. The
-// handle h is retired; both halves get fresh secondary structures.
+// splitInternal splits internal node h in half by child index into two
+// new nodes. The handle h is retired.
 func (t *Tree) splitInternal(h em.Handle, nd *node) (em.Handle, em.Handle) {
 	mid := len(nd.kids) / 2
-	mk := func(kids []em.Handle, kidLo []float64, lo, hi float64) em.Handle {
-		n := &node{lo: lo, hi: hi,
-			kids:  append([]em.Handle(nil), kids...),
-			kidLo: append([]float64(nil), kidLo...),
-		}
-		n.kidLo[0] = lo
-		nh := t.store.Alloc(n)
-		w := 0
-		for j, kid := range n.kids {
-			t.store.Update(kid, func(c **node) { (*c).parent, (*c).childIdx = nh, j })
-			w += t.store.Read(kid).weight
-		}
-		t.store.Update(nh, func(c **node) { (*c).weight = w })
-		t.gu[nh] = btree.New(t.d, fmt.Sprintf("pl.gu%d", nh))
-		t.rebuildSecondary(nh)
-		return nh
-	}
-	lh := mk(nd.kids[:mid], nd.kidLo[:mid], nd.lo, nd.kidLo[mid])
-	rh := mk(nd.kids[mid:], nd.kidLo[mid:], nd.kidLo[mid], nd.hi)
+	lh := t.newInternal(nd.kids[:mid])
+	rh := t.newInternal(nd.kids[mid:])
 	t.retire(h)
 	return lh, rh
 }
 
-// rebuildSecondary reconstructs node u's flgroup over its children's G
-// sets and recomputes G_u (top c2·l of ∪G_ui) in its score B-tree.
+// rebuildSecondary rebuilds internal node u's flgroup after one of its
+// children split: the split cuts one child's G set in two, so the
+// flgroup's sets are cut anew, but u's subtree holds the same points,
+// so G_u and the parent's copy of it stay as they are.
 func (t *Tree) rebuildSecondary(u em.Handle) {
 	nd := t.store.Read(u)
-	if old, ok := t.fl[u]; ok {
-		old.Free()
-	}
-	g := flgroup.New(t.d, len(nd.kids), t.guCap())
-	var all []float64
-	for j, kid := range nd.kids {
-		scores := t.gu[kid].Keys()
-		for _, s := range scores {
-			g.Insert(j+1, s)
-			all = append(all, s)
-		}
-	}
-	t.fl[u] = g
-	// G_u = top c2·l of the union.
-	sort.Sort(sort.Reverse(sort.Float64Slice(all)))
-	if len(all) > t.guCap() {
-		all = all[:t.guCap()]
-	}
-	gu := t.gu[u]
-	for _, s := range gu.Keys() {
-		gu.Delete(s)
-	}
-	for _, s := range all {
-		gu.Insert(s)
-	}
-	// Propagate the recomputed G_u into the parent's flgroup.
-	if nd.parent != em.NilHandle {
-		pg := t.fl[nd.parent]
-		i := nd.childIdx + 1
-		for pg.SizeOf(i) > 0 {
-			v, _ := pg.MaxOf(i)
-			pg.Delete(i, v)
-		}
-		for _, s := range all {
-			pg.Insert(i, s)
-		}
-	}
-}
-
-// rebuildLeafG recomputes a leaf's G set from its [14] structure.
-func (t *Tree) rebuildLeafG(h em.Handle) {
-	gu := t.gu[h]
-	for _, s := range gu.Keys() {
-		gu.Delete(s)
-	}
-	all := t.leafAll(h)
-	point.SortByScoreDesc(all)
-	if len(all) > t.guCap() {
-		all = all[:t.guCap()]
-	}
-	for _, p := range all {
-		gu.Insert(p.Score)
-	}
+	t.fl[u].Free()
+	t.fl[u] = flgroup.Bulk(t.d, len(nd.kids), t.guCap(), t.kidSets(nd))
 }
 
 // FreeAll releases every node and secondary structure.

@@ -27,9 +27,10 @@
 // amortized cost is bounded by the token argument of Lemma 3; the tokens
 // are implemented as optional instrumentation (see tokens.go) and the
 // invariants are asserted in tests. Rebalancing rebuilds the subtree
-// under the parent of the highest unbalanced node, with pilot grounding
-// followed by a bottom-up refill, exactly as §2 prescribes; deleted
-// x-coordinates stay in T until a periodic global rebuild.
+// under the parent of the highest unbalanced node, as §2 prescribes, and
+// fills its pilots top-down with the state that §2's grounding and
+// bottom-up refill reach (see fill); deleted x-coordinates stay in T
+// until a periodic global rebuild.
 package pst
 
 import (

@@ -2,6 +2,8 @@ package pst
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/em"
 	"repro/internal/point"
@@ -54,7 +56,7 @@ func (p *PST) allocPilots(nd *tnode) {
 
 // buildSub constructs a fresh T subtree of the given level over the
 // sorted, distinct x-coordinates xs with slab [lo, hi). Pilot sets are
-// left empty; the caller grounds points at the leaves and refills.
+// left empty for the caller's fill.
 func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 	if level == 0 {
 		nd := &tnode{
@@ -105,82 +107,49 @@ func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 	return h
 }
 
-// collectLeaves appends the leaf tnodes under h in slab order.
-func (p *PST) collectLeaves(h em.Handle, out *[]em.Handle) {
-	nd := p.tstore.Read(h)
-	if nd.level == 0 {
-		*out = append(*out, h)
+// fill stores pts, the x-sorted points of v's slab that no pilot above
+// v holds, in the T̂ subtree of v, whose pilots are all empty: pilot(v)
+// takes the PilotB highest in descending score order, and the rest go
+// down to v's children by slab; a T leaf keeps all it is given, in x
+// order. This is the state §2's reconstruction reaches by grounding
+// every point at the leaves and refilling bottom-up with pull-ups until
+// each pilot holds B points or its subtree is empty: with distinct
+// scores each pull-up moves the highest points below, so both leave in
+// pilot(v) the B highest points of P(v) not stored above v. Every
+// internal pilot holds exactly B points unless its subtree below is
+// empty, so Lemma 3's invariants hold with no tokens. fill reorders
+// pts in place.
+func (p *PST) fill(v vid, pts []point.P) {
+	if len(pts) == 0 {
 		return
 	}
-	for _, kid := range nd.kids {
-		p.collectLeaves(kid, out)
-	}
-}
-
-// ground distributes pts (sorted by x) onto the leaf pilot sets of the
-// subtree rooted at h: the terminal state of the paper's pilot grounding
-// process, reached directly during reconstruction.
-func (p *PST) ground(h em.Handle, pts []point.P) {
-	var leaves []em.Handle
-	p.collectLeaves(h, &leaves)
-	i := 0
-	for _, lh := range leaves {
-		nd := p.tstore.Read(lh)
-		j := i
-		for j < len(pts) && pts[j].X < nd.hi {
-			j++
-		}
-		if j > i {
-			p.writePilot(nd, 0, append([]point.P(nil), pts[i:j]...))
-			p.tstore.Write(lh, nd)
-		}
-		i = j
-	}
-	if i != len(pts) {
-		panic("pst: ground lost points")
-	}
-}
-
-// refill fills the pilot sets of the subtree rooted at h bottom-up: each
-// node is populated "using the same algorithm as treating a pilot set
-// underflow", i.e. pull-ups until |pilot| = B or the pull-up drains.
-func (p *PST) refill(h em.Handle) {
-	nd := p.tstore.Read(h)
-	if nd.level > 0 {
-		for _, kid := range nd.kids {
-			p.refill(kid)
-		}
-	}
-	// Secondary-tree children have larger indices, so decreasing index
-	// order is bottom-up within T(u). Leaves already hold their points.
+	nd := p.tstore.Read(v.t)
 	if nd.level == 0 {
+		p.writePilot(nd, v.idx, slices.Clone(pts))
+		p.tstore.Write(v.t, nd)
 		return
 	}
-	for idx := len(nd.vs) - 1; idx >= 0; idx-- {
-		p.fillPilot(vid{h, idx})
-	}
-}
-
-// fillPilot tops pilot(v) up to exactly B points via pull-ups during
-// reconstruction. Children depleted by a pull-up are re-filled to B
-// recursively (not merely to B/2): this is what establishes the base
-// case of Lemma 3 — right after reconstruction every node has either
-// |pilot| = B or an empty subtree below, so both invariants hold with
-// zero tokens.
-func (p *PST) fillPilot(v vid) {
-	for {
-		nd := p.tstore.Read(v.t)
-		if nd.vs[v.idx].size >= p.opt.PilotB {
-			return
-		}
-		if p.pullUpOnce(v) {
-			return // drained: nothing left below
-		}
-		kids, n := p.vchildren(p.tstore.Read(v.t), v)
-		for _, c := range kids[:n] {
-			p.fillPilot(c)
+	sorted := slices.Clone(pts)
+	point.SortByScoreDesc(sorted)
+	b := min(p.opt.PilotB, len(sorted))
+	cut := sorted[b-1].Score
+	p.writePilot(nd, v.idx, slices.Clone(sorted[:b]))
+	p.tstore.Write(v.t, nd)
+	rest := pts[:0]
+	for _, q := range pts {
+		if q.Score < cut {
+			rest = append(rest, q)
 		}
 	}
+	kids, n := p.vchildren(nd, v)
+	if n == 1 {
+		p.fill(kids[0], rest)
+		return
+	}
+	_, mid := slabOf(nd, kids[0].idx)
+	j := sort.Search(len(rest), func(i int) bool { return rest[i].X >= mid })
+	p.fill(kids[0], rest[:j])
+	p.fill(kids[1], rest[j:])
 }
 
 // freeSubtree releases every tnode and pilot record under h.
@@ -219,19 +188,13 @@ func (p *PST) collectXS(h em.Handle, out *[]float64) {
 	}
 }
 
-// rebuildSubtree reconstructs the subtree of ûhat: pilot grounding, node
-// reconstruction, and bottom-up pilot refill (§2 "Rebalancing"). The
-// x-coordinates (including stale ones) and the pilot points stored
-// inside the subtree are preserved; points absorbed by pilots above ûhat
-// are unaffected.
+// rebuildSubtree reconstructs the subtree of ûhat (§2 "Rebalancing"):
+// node reconstruction, then the pilot fill. The x-coordinates
+// (including stale ones) and the pilot points stored inside the
+// subtree are preserved; points absorbed by pilots above ûhat are
+// unaffected. Freeing the old subtree destroys its tokens, and the fill
+// creates none (rule 7 of Lemma 3).
 func (p *PST) rebuildSubtree(uhat em.Handle) {
-	// Rule 7 of Lemma 3: reconstruction destroys all tokens in the
-	// subtree and creates none — the pull-ups performed by the refill
-	// are part of the rebuild, not update-time operations.
-	saved := p.tok
-	p.tok = nil
-	defer func() { p.tok = saved }()
-
 	old := p.tstore.Read(uhat)
 	level, lo, hi := old.level, old.lo, old.hi
 	parent, childIdx := old.parent, old.childIdx
@@ -244,8 +207,7 @@ func (p *PST) rebuildSubtree(uhat em.Handle) {
 	p.freeSubtree(uhat)
 
 	fresh := p.buildSub(xs, level, lo, hi)
-	p.ground(fresh, pts)
-	p.refill(fresh)
+	p.fill(vid{fresh, 0}, pts)
 
 	if parent == em.NilHandle {
 		p.root = fresh
@@ -263,15 +225,11 @@ func (p *PST) rebuildSubtree(uhat em.Handle) {
 // rebuildAll reconstructs the entire structure over the live points
 // (global rebuilding: resets stale x-coordinates and the height).
 func (p *PST) rebuildAll(pts []point.P) {
-	saved := p.tok
-	p.tok = nil
-	defer func() { p.tok = saved }()
-
 	if p.root != em.NilHandle {
 		p.freeSubtree(p.root)
 		p.root = em.NilHandle
 	}
-	pts = append([]point.P(nil), pts...)
+	pts = slices.Clone(pts)
 	point.SortByX(pts)
 	p.n = len(pts)
 	p.sizeAtBuild = len(pts)
@@ -294,8 +252,7 @@ func (p *PST) rebuildAll(pts []point.P) {
 		level++
 	}
 	p.root = p.buildSub(xs, level, math.Inf(-1), math.Inf(1))
-	p.ground(p.root, pts)
-	p.refill(p.root)
+	p.fill(vid{p.root, 0}, pts)
 }
 
 // FreeAll releases every block of the structure, leaving it empty.
