@@ -782,7 +782,6 @@ func TestClusterConcurrentChurn(t *testing.T) {
 	live := make([]map[topk.Result]bool, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		live[w] = make(map[topk.Result]bool)
 		wg.Add(1)
 		go func() {

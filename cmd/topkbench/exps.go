@@ -636,7 +636,6 @@ func e15(quick bool) {
 	queries := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 	fmt.Printf("%22s %6s %12s\n", "mode", "g", "qps")
 	for _, g := range []int{1, 4, 16} {
-		g := g
 		var st topk.Store = sharded
 		perCall := benchRun("e15", fmt.Sprintf("sharded TopK g=%d", g), func() workload.Throughput {
 			return workload.RunConcurrent(g, ops, queries, func(q topk.Query) {
@@ -719,7 +718,10 @@ func e15(quick bool) {
 // at 8 near-empty shards, each still paying its fixed overhead
 // (buffer-pool floor of 2B words, fan-out goroutines, lock
 // acquisitions); with merges the survivors coalesce and per-query
-// cost tracks the live set again.
+// cost tracks the live set again. The run panics unless it shows
+// exactly that: the enabled fleet ends with fewer shards than the
+// disabled one and at least one merge, and the disabled fleet never
+// merged.
 func e16(quick bool) {
 	// Sizing: survivors per shard must land below the merge triggers
 	// (MinMerge floor = MinSplit/2 = 128 here) or the experiment
@@ -736,7 +738,8 @@ func e16(quick bool) {
 	queries := gen.Queries(256, 1e6, 0.0005, 0.02, 64)
 
 	fmt.Printf("%10s %8s %8s %8s %12s\n", "merges", "shards", "n live", "#merged", "qps (g=8)")
-	for _, enabled := range []bool{false, true} {
+	var shards [2]int // final shard count, merges disabled then enabled
+	for i, enabled := range []bool{false, true} {
 		scfg := topk.ShardedConfig{Config: cfg, Shards: 8, MinSplit: 256}
 		if !enabled {
 			scfg.MinMerge = -1
@@ -776,6 +779,13 @@ func e16(quick bool) {
 			mode = "disabled"
 		}
 		fmt.Printf("%10s %8d %8d %8d %12.0f\n", mode, st.NumShards(), st.Len(), st.Merges(), res.QPS())
+		if merged := st.Merges() > 0; merged != enabled {
+			panic(fmt.Sprintf("e16: merges %s but the fleet merged %d times", mode, st.Merges()))
+		}
+		shards[i] = st.NumShards()
+	}
+	if shards[1] >= shards[0] {
+		panic(fmt.Sprintf("e16: merges enabled left %d shards, not fewer than the %d without merges", shards[1], shards[0]))
 	}
 	fmt.Println("shape check: with merges enabled the shard count collapses toward the shrunken live set.")
 }

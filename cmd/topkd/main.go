@@ -18,7 +18,7 @@
 //	$ curl -s 'localhost:8080/v1/topk?x1=100&x2=200&k=3'
 //	$ curl -s 'localhost:8080/v1/topk?x1=100&x2=200&k=3&offset=3'   # page 2
 //	$ curl -s localhost:8080/v1/metrics                             # Prometheus text format
-//	$ curl -s localhost:8080/v1/epoch                               # topology change feed
+//	$ curl -s localhost:8080/v1/epoch                               # topology epoch (poll it)
 //	$ curl -s -X POST localhost:8080/v1/insert -d '{"x":150.5,"score":9.9}'
 //	$ curl -s -X POST localhost:8080/v1/batch -d '{"ops":[
 //	      {"op":"insert","x":1.5,"score":7.25},
@@ -66,7 +66,7 @@ func main() {
 	shards := flag.Int("shards", 8, "maximum shard count (sharded backend)")
 	b := flag.Int("B", 64, "block size in words per shard disk")
 	m := flag.Int("M", 0, "buffer-pool words (fleet total when sharded; 0 = default)")
-	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = adaptive, starting at min-split/2; negative disables merging)")
+	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = min-split/2; negative disables merging)")
 	maintenance := flag.Duration("maintenance", 0, "background maintenance interval for the sharded backend (merge/split sweeps while idle; 0 disables)")
 	n := flag.Int("n", 0, "synthetic points to generate for the preload (a -range member keeps those in its band)")
 	seed := flag.Int64("seed", 1, "preload workload seed")

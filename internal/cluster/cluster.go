@@ -204,16 +204,9 @@ func New(cfg Config) (*Cluster, error) {
 	// Discover each member's band, in parallel.
 	ranges := make([]rangeResp, len(c.nodes))
 	errs := make([]error, len(c.nodes))
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		fns[i] = func() {
-			ctx, cancel := c.callCtx(context.Background())
-			defer cancel()
-			ranges[i], errs[i] = n.fetchRange(ctx)
-		}
-	}
-	merge.Parallel(fns)
+	c.eachMember(context.Background(), func(ctx context.Context, i int, n *node) {
+		ranges[i], errs[i] = n.fetchRange(ctx)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: member %s: %w", c.nodes[i].addr, err)
@@ -272,6 +265,21 @@ func New(cfg Config) (*Cluster, error) {
 // plus the configured timeout.
 func (c *Cluster) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, c.cfg.Timeout)
+}
+
+// eachMember calls call once for every member, all in parallel, each
+// under its own callCtx deadline derived from ctx, and returns when
+// every call has.
+func (c *Cluster) eachMember(ctx context.Context, call func(ctx context.Context, i int, n *node)) {
+	fns := make([]func(), len(c.nodes))
+	for i, n := range c.nodes {
+		fns[i] = func() {
+			cctx, cancel := c.callCtx(ctx)
+			defer cancel()
+			call(cctx, i, n)
+		}
+	}
+	merge.Parallel(fns)
 }
 
 // locate returns the index of the group owning score. Only finite
@@ -433,7 +441,6 @@ func (c *Cluster) Count(ctx context.Context, x1, x2 float64) int {
 	counts := make([]int, len(c.groups))
 	fns := make([]func(), len(c.groups))
 	for gi, g := range c.groups {
-		gi, g := gi, g
 		fns[gi] = func() {
 			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
 				cnt, err := n.count(cctx, x1, x2)
@@ -564,7 +571,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		if len(perGroup[gi]) == 0 {
 			continue
 		}
-		gi := gi
 		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], perWire[gi], res) })
 	}
 	if len(fns) > 0 {
@@ -595,7 +601,6 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs 
 	errs := make([]error, len(g.nodes))
 	fns := make([]func(), len(g.nodes))
 	for ri, n := range g.nodes {
-		ri, n := ri, n
 		fns[ri] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
@@ -687,22 +692,10 @@ type Stats struct {
 func (c *Cluster) Stats(ctx context.Context) Stats {
 	per := make([]statsResp, len(c.nodes))
 	ok := make([]bool, len(c.nodes))
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		fns[i] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			s, err := n.stats(cctx)
-			if err != nil {
-				c.markFailed(n)
-				return
-			}
-			c.markUp(n)
-			per[i], ok[i] = s, true
-		}
-	}
-	merge.Parallel(fns)
+	c.eachMember(ctx, func(ctx context.Context, i int, n *node) {
+		s, err := n.stats(ctx)
+		per[i], ok[i] = s, c.mark(n, err)
+	})
 	var out Stats
 	for i := range per {
 		if !ok[i] {
@@ -727,21 +720,9 @@ func (c *Cluster) DropCache(ctx context.Context) {
 }
 
 func (c *Cluster) adminFanOut(ctx context.Context, call func(*node, context.Context) error) {
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		_ = i
-		fns[i] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			if err := call(n, cctx); err != nil {
-				c.markFailed(n)
-			} else {
-				c.markUp(n)
-			}
-		}
-	}
-	merge.Parallel(fns)
+	c.eachMember(ctx, func(ctx context.Context, _ int, n *node) {
+		c.mark(n, call(n, ctx))
+	})
 }
 
 // RPCDurations returns the per-member RPC latency histograms — every
@@ -761,22 +742,12 @@ func (c *Cluster) ReadBands() *obs.CountHist { return &c.readBands }
 // member count so the caller can report fleet coverage.
 func (c *Cluster) ScrapeMetrics(ctx context.Context) ([]obs.MetricsPage, int) {
 	pages := make([]*obs.MetricsPage, len(c.nodes))
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		fns[i] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			body, err := n.getRaw(cctx, "/v1/metrics")
-			if err != nil {
-				c.markFailed(n)
-				return
-			}
-			c.markUp(n)
+	c.eachMember(ctx, func(ctx context.Context, i int, n *node) {
+		body, err := n.getRaw(ctx, "/v1/metrics")
+		if c.mark(n, err) {
 			pages[i] = &obs.MetricsPage{Node: n.addr, Body: body}
 		}
-	}
-	merge.Parallel(fns)
+	})
 	out := make([]obs.MetricsPage, 0, len(pages))
 	for _, p := range pages {
 		if p != nil {

@@ -19,15 +19,12 @@ package cluster
 //     next failure re-ejects it immediately.
 //
 // The prober uses GET /v1/epoch — the cheapest stateless read a member
-// serves, doubling as the remote end of the epoch change feed — so an
-// idle gateway discovers both failures and recoveries without waiting
-// for traffic to stumble over them.
+// serves — so an idle gateway discovers both failures and recoveries
+// without waiting for traffic to stumble over them.
 
 import (
 	"context"
 	"time"
-
-	"repro/internal/merge"
 )
 
 // markFailed records one failed interaction with the node, ejecting it
@@ -54,6 +51,18 @@ func (c *Cluster) markFailed(n *node) {
 			"consecutive_failures", fails,
 			"eject_deadline", deadline)
 	}
+}
+
+// mark feeds the outcome of one member call into the health
+// accounting — markFailed on err, markUp on success — and reports
+// whether the call succeeded.
+func (c *Cluster) mark(n *node, err error) bool {
+	if err != nil {
+		c.markFailed(n)
+		return false
+	}
+	c.markUp(n)
+	return true
 }
 
 // markUp records one successful interaction, clearing failure state.
@@ -134,20 +143,9 @@ func (c *Cluster) startProber() {
 // probeAll health-checks every node once, in parallel, each under the
 // configured request timeout.
 func (c *Cluster) probeAll() {
-	fns := make([]func(), 0, len(c.nodes))
-	for _, n := range c.nodes {
-		n := n
-		fns = append(fns, func() {
-			ctx, cancel := c.callCtx(context.Background())
-			defer cancel()
-			if err := n.probe(ctx); err != nil {
-				c.markFailed(n)
-			} else {
-				c.markUp(n)
-			}
-		})
-	}
-	merge.Parallel(fns)
+	c.eachMember(context.Background(), func(ctx context.Context, _ int, n *node) {
+		c.mark(n, n.probe(ctx))
+	})
 }
 
 // Close stops the background health prober, if one was started, and

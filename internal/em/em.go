@@ -126,7 +126,7 @@ type Disk struct {
 	// The buffer pool: an LRU list linked by index over slots, most
 	// recently used at head. Freed slots chain through next from free.
 	// Every resident object spans at least one block, so the slice
-	// never grows past the largest frame count the pool has had.
+	// never grows past the frame count.
 	used       int // blocks currently resident
 	slots      []slot
 	head, tail int32
@@ -154,32 +154,8 @@ func NewDisk(cfg Config) *Disk {
 // B returns the block size in words.
 func (d *Disk) B() int { return d.cfg.B }
 
-// M returns the memory size in words.
-func (d *Disk) M() int { return d.cfg.M }
-
-// Frames returns the buffer-pool capacity in blocks.
-func (d *Disk) Frames() int { return d.frames }
-
 // Stats returns a snapshot of the I/O meter.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// Resize re-derives the buffer pool for a new memory budget of m
-// words, applying the same floor as NewDisk (M ≥ 2B, footnote 2 of
-// the paper). Shrinking evicts LRU victims until residency fits the
-// new frame count, charging write I/Os for dirty evictions exactly as
-// any other eviction would — the model's cost of giving memory back.
-// The shard maintenance loop uses it to reclaim pools left
-// over-provisioned by fleet growth between rebuilds.
-func (d *Disk) Resize(m int) {
-	if m < 2*d.cfg.B {
-		m = 2 * d.cfg.B
-	}
-	d.cfg.M = m
-	d.frames = m / d.cfg.B
-	for d.used > d.frames && d.tail != none {
-		d.evict(d.tail)
-	}
-}
 
 // ResetMeter zeroes the read/write/alloc/free counters, keeping space
 // gauges. Used by benches to separate build cost from query cost.

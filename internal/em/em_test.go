@@ -16,15 +16,15 @@ func recStore(d *Disk) *Store[rec] {
 
 func TestConfigDefaults(t *testing.T) {
 	d := NewDisk(Config{})
-	if d.B() != DefaultB || d.M() != DefaultM {
-		t.Fatalf("defaults: B=%d M=%d", d.B(), d.M())
+	if d.B() != DefaultB || d.cfg.M != DefaultM {
+		t.Fatalf("defaults: B=%d M=%d", d.B(), d.cfg.M)
 	}
 	d = NewDisk(Config{B: 100, M: 50})
-	if d.M() != 200 {
-		t.Fatalf("M floor: got %d, want 2B=200", d.M())
+	if d.cfg.M != 200 {
+		t.Fatalf("M floor: got %d, want 2B=200", d.cfg.M)
 	}
-	if d.Frames() != 2 {
-		t.Fatalf("frames: got %d, want 2", d.Frames())
+	if d.frames != 2 {
+		t.Fatalf("frames: got %d, want 2", d.frames)
 	}
 }
 
@@ -331,44 +331,5 @@ func BenchmarkStoreReadMissEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Read(hs[i%len(hs)])
-	}
-}
-
-// TestDiskResize checks pool re-sizing: shrinking evicts LRU victims
-// (charging write-back for dirty objects), the M >= 2B floor applies,
-// and the disk keeps serving afterwards.
-func TestDiskResize(t *testing.T) {
-	d := NewDisk(Config{B: 8, M: 64}) // 8 one-block frames
-	s := recStore(d)
-	var hs []Handle
-	for i := 0; i < 8; i++ {
-		hs = append(hs, s.Alloc(rec{words: 8, tag: i})) // all resident, dirty
-	}
-	base := d.Stats()
-	d.Resize(32)
-	if d.M() != 32 || d.Frames() != 4 {
-		t.Fatalf("after Resize(32): M=%d frames=%d, want 32/4", d.M(), d.Frames())
-	}
-	if w := d.Stats().Writes - base.Writes; w != 4 {
-		t.Fatalf("shrink evicted %d dirty writes, want 4", w)
-	}
-	// Floor: M is clamped to 2B like NewDisk.
-	d.Resize(1)
-	if d.M() != 16 || d.Frames() != 2 {
-		t.Fatalf("after Resize(1): M=%d frames=%d, want floor 16/2", d.M(), d.Frames())
-	}
-	// Growth is also allowed (the shard layer only shrinks, but the
-	// primitive is symmetric) and the disk still serves every object.
-	d.Resize(64)
-	if d.Frames() != 8 {
-		t.Fatalf("after Resize(64): frames=%d, want 8", d.Frames())
-	}
-	for _, h := range hs {
-		if got := s.Read(h); got.words != 8 {
-			t.Fatalf("read after resize: %+v", got)
-		}
-	}
-	if live := d.Stats().BlocksLive; live != 8 {
-		t.Fatalf("BlocksLive=%d, want 8 (resize must not touch space gauges)", live)
 	}
 }

@@ -37,17 +37,6 @@ func newRefDisk(cfg Config) *refDisk {
 	}
 }
 
-func (d *refDisk) Resize(m int) {
-	if m < 2*d.cfg.B {
-		m = 2 * d.cfg.B
-	}
-	d.cfg.M = m
-	d.frames = m / d.cfg.B
-	for d.used > d.frames && d.lru.Len() > 0 {
-		d.evictOne()
-	}
-}
-
 func (d *refDisk) ResetMeter() {
 	d.stats.Reads, d.stats.Writes = 0, 0
 	d.stats.Allocs, d.stats.Frees = 0, 0
@@ -195,7 +184,7 @@ func (d *Disk) residents(t *testing.T) []refResident {
 
 // TestPoolMatchesReference drives the pool and the reference with the
 // same seeded traces of Alloc, Read, Write, Update and Free, mixed
-// with Resize, DropCache and ResetMeter. Objects span 1 to frames+1
+// with DropCache and ResetMeter. Objects span 1 to frames+1
 // blocks, so both the streaming path (an object larger than the pool)
 // and growth while resident (ensureRoomExcept) run. After every step
 // the meters must be equal and the residents must be the same, in the
@@ -209,7 +198,6 @@ func TestPoolMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		size := func() int { return 1 + rng.Intn((frames+1)*b) }
 		var live []Handle
-		maxFrames := frames
 		pick := func() (int, Handle) {
 			i := rng.Intn(len(live))
 			return i, live[i]
@@ -249,11 +237,6 @@ func TestPoolMatchesReference(t *testing.T) {
 				s.Free(h)
 				ref.release(key(h))
 				live = append(live[:i], live[i+1:]...)
-			case op < 94:
-				m := (2 + rng.Intn(2*frames)) * b
-				d.Resize(m)
-				ref.Resize(m)
-				maxFrames = max(maxFrames, d.Frames())
 			case op < 97:
 				d.DropCache()
 				ref.DropCache()
@@ -274,8 +257,8 @@ func TestPoolMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: resident %d is %+v, reference %+v", seed, step, i, got[i], want[i])
 				}
 			}
-			if len(d.slots) > maxFrames {
-				t.Fatalf("slot slice grew to %d slots; the pool never had more than %d frames", len(d.slots), maxFrames)
+			if len(d.slots) > frames {
+				t.Fatalf("slot slice grew to %d slots; the pool has %d frames", len(d.slots), frames)
 			}
 		}
 	}

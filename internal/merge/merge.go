@@ -27,8 +27,7 @@ import (
 // and the position within the list in the low 32, so the merge runs
 // on the same concrete heap as the engine's selection and never boxes
 // an entry into an interface. A Merger is not safe for concurrent use;
-// TopK draws them from a pool, long-lived callers (the shard router's
-// fan-out) can hold their own.
+// TopK draws them from a pool.
 type Merger struct {
 	heap []heap.Entry
 }

@@ -49,15 +49,14 @@ func (r *Router) overloaded(t *topology, ln int, total int64) bool {
 }
 
 // underloaded applies the merge policy to a shard of size ln with the
-// given live total: below the merge floor (static MinMerge, or the
-// adaptive floor when MinMerge is 0) a shard always qualifies; above
-// it, only when it holds less than 1/skew of the fair share —
-// the mirror image of the split trigger.
+// given live total: below the merge floor MinMerge a shard always
+// qualifies; above it, only when it holds less than 1/skew of the
+// fair share — the mirror image of the split trigger.
 func (r *Router) underloaded(t *topology, ln int, total int64) bool {
 	if r.opt.MinMerge < 0 || len(t.shards) <= 1 {
 		return false
 	}
-	if ln < int(r.mergeFloor.Load()) {
+	if ln < r.opt.MinMerge {
 		return true
 	}
 	fair := float64(total) / float64(r.opt.MaxShards)
@@ -226,166 +225,14 @@ func (r *Router) Rebalance(target int) {
 	r.observeFleetPeak()
 }
 
-// updateMergeFloor re-derives the adaptive merge floor from observed
-// per-shard space overhead; it runs only in auto mode (MinMerge == 0)
-// and only raises the floor above the static default of MinSplit/2,
-// capped at MinSplit.
-//
-// The estimate: blocks-per-point of the fleet's largest shard is the
-// closest observation of the structure's asymptotic O(1/B) space
-// constant, so any excess blocks-per-point in a smaller shard is
-// fixed skeleton cost — blocks a query visiting the shard pays for
-// regardless of how few points it can contribute. The floor is the
-// point count at which a shard's payload, at the reference rate,
-// reaches adaptiveMargin times its observed fixed cost: below it the
-// shard is skeleton-dominated, the degenerate state merging exists to
-// repair, so when observed overhead is high the floor rises and the
-// maintenance pass coalesces more aggressively.
-//
-// Raising the floor above MinSplit/2 cannot cause split/merge
-// flapping: the structural hysteresis veto (a merge is skipped when
-// the combined shard would pass the split size test) is checked
-// independently of the floor, so the halves of a fresh split — whose
-// combined size just tripped that very test — are never glued back
-// together no matter how high the floor sits.
-func (r *Router) updateMergeFloor() {
-	if !r.autoFloor {
-		return
-	}
-	t := r.snapshot()
-	if len(t.shards) < 2 {
-		return
-	}
-	sizes := make([]int, len(t.shards))
-	blocks := make([]int64, len(t.shards))
-	ref := 0
-	for i, s := range t.shards {
-		s.mu.Lock()
-		sizes[i] = s.ix.Len()
-		blocks[i] = s.d.Stats().BlocksLive
-		s.mu.Unlock()
-		if sizes[i] > sizes[ref] {
-			ref = i
-		}
-	}
-	if sizes[ref] == 0 || blocks[ref] == 0 {
-		return
-	}
-	bpp := float64(blocks[ref]) / float64(sizes[ref])
-	var fixed float64
-	others := 0
-	for i := range sizes {
-		if i == ref {
-			continue
-		}
-		if f := float64(blocks[i]) - bpp*float64(sizes[i]); f > 0 {
-			fixed += f
-		}
-		others++
-	}
-	floor := r.defaultFloor()
-	if est := int(adaptiveMargin * fixed / float64(others) / bpp); est > floor {
-		floor = est
-	}
-	if floor > r.opt.MinSplit {
-		floor = r.opt.MinSplit
-	}
-	r.mergeFloor.Store(int64(floor))
-}
-
-// adaptiveMargin is how many times a shard's payload must outweigh
-// its fixed skeleton cost before the adaptive floor considers it
-// worth its per-shard visit overhead (the O(log_B n_i) descent and
-// fan-out bookkeeping a query pays per shard regardless of yield). A
-// shard at the break-even point (payload = skeleton) still spends
-// most of each visit on fixed cost; demanding a 4× margin keeps the
-// floor conservative without needing per-query instrumentation.
-const adaptiveMargin = 4
-
-// defaultFloor is the static merge floor of auto mode: MinSplit/2
-// (min 1), the value that keeps split halves at or above the floor.
-func (r *Router) defaultFloor() int {
-	f := r.opt.MinSplit / 2
-	if f < 1 {
-		f = 1
-	}
-	return f
-}
-
-// poolShrinkUtil is the fleet budget utilization below which the
-// maintenance pass reclaims over-provisioned buffer pools: when the
-// fleet's resident working set occupies less than half of the total
-// pool frames it has allocated, pools above the re-derived fair split
-// are shrunk back to it.
-const poolShrinkUtil = 0.5
-
-// shrinkPools reclaims over-provisioned per-shard buffer pools
-// between rebuilds. Pool sizes are normally re-derived only when a
-// shard is (re)built — diskFor divides the fleet budget by the fleet
-// size AT BUILD TIME — so a shard built when the fleet was small keeps
-// its large pool while splits grow the fleet around it, pushing the
-// fleet total past the O(M) budget. The inverse drift is the working
-// set: after heavy deletes the data left in those pools is a fraction
-// of their frames.
-//
-// Each pass re-derives the fair per-shard split of the fleet budget
-// for the CURRENT shard count and measures fleet budget utilization —
-// resident-capable blocks (live blocks, capped at each pool's frame
-// count) as a fraction of total pool frames. Only when utilization has
-// dropped below poolShrinkUtil does it act, and then only by
-// SHRINKING: every pool larger than the fair split is resized down to
-// it (em applies the model's M ≥ 2B floor), evicting overflow with
-// write-back charged as usual. Pools below fair are never grown here —
-// growth happens at the next rebuild, as always — so a hot,
-// well-utilized fleet is never perturbed.
-func (r *Router) shrinkPools() {
-	// Updates also run under the read lock + shard mutexes, so resizing
-	// here cannot race a rebuild (write-locked) or serve path.
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t := r.snapshot()
-	fair := r.opt.diskFor(len(t.shards)).M
-	type poolView struct {
-		s *shard
-		m int
-	}
-	views := make([]poolView, 0, len(t.shards))
-	var capBlocks, occBlocks int64
-	for _, s := range t.shards {
-		s.mu.Lock()
-		m := s.d.M()
-		frames := int64(s.d.Frames())
-		live := s.d.Stats().BlocksLive
-		s.mu.Unlock()
-		if live > frames {
-			live = frames // a pool can never hold more than its frames
-		}
-		capBlocks += frames
-		occBlocks += live
-		views = append(views, poolView{s, m})
-	}
-	if capBlocks == 0 || float64(occBlocks) >= poolShrinkUtil*float64(capBlocks) {
-		return
-	}
-	for _, v := range views {
-		if v.m > fair {
-			v.s.mu.Lock()
-			v.s.d.Resize(fair)
-			v.s.mu.Unlock()
-		}
-	}
-}
-
-// Maintain runs one synchronous maintenance pass: refresh the
-// adaptive merge floor, coalesce underloaded shards, split overloaded
-// ones, and reclaim over-provisioned buffer pools. It is exactly what
-// the background loop runs every MaintenanceInterval; exposing it lets
-// operators and tests drive the lifecycle deterministically.
+// Maintain runs one synchronous maintenance pass over the whole fleet:
+// the merge pass, then the split pass — the same two passes the
+// inline hooks run. It is exactly what the background loop runs every
+// MaintenanceInterval; exposing it lets operators and tests drive the
+// lifecycle deterministically.
 func (r *Router) Maintain() {
-	r.updateMergeFloor()
 	r.mergeUnderloaded()
 	r.splitOverloaded()
-	r.shrinkPools()
 }
 
 // startMaintenance launches the background maintenance goroutine when

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,62 +120,48 @@ func TestMaintenanceSplitsSkewedIdleFleet(t *testing.T) {
 	}
 }
 
-// TestMaintenanceAdaptiveMergeFloor: in auto mode (MinMerge == 0) the
-// maintenance pass re-derives the merge floor from observed per-shard
-// space overhead — a fleet of skeleton-dominated survivors raises the
-// floor above the static default (never past MinSplit), while a
-// balanced fleet keeps the default; a fixed MinMerge is never touched.
-func TestMaintenanceAdaptiveMergeFloor(t *testing.T) {
-	base := Options{
+// TestMaintenanceStaticMergeFloor: Maintain merges on the static floor
+// MinSplit/2 and nothing else. The 1-point shards coalesce, but the
+// 40-point shard [−Inf, 100) sits above the floor (32) and above 1/skew
+// of the fair share, so it is not underloaded and must keep its cut,
+// however skeleton-heavy the 1-point shards make the fleet look.
+func TestMaintenanceStaticMergeFloor(t *testing.T) {
+	opt := Options{
 		Disk:      em.Config{B: 64},
 		Core:      core.Options{Regime: core.RegimePolylog, PolylogF: 8, PolylogLeafCap: 2048},
-		MaxShards: 8,
+		MaxShards: 6,
 		MinSplit:  64,
 	}
-	// Skeleton-heavy: one asymptotic reference shard plus tiny
-	// survivors whose footprint is almost all fixed structure.
-	r := mkRouter(base, [][]point.P{
-		band(2000, 0, 100, 0),
-		band(8, 200, 10, 100000),
-		band(8, 300, 10, 200000),
-		band(8, 400, 10, 300000),
-	})
+	groups := [][]point.P{
+		band(40, 0, 100, 0),
+		band(40, 100, 100, 1000),
+		band(300, 200, 100, 2000),
+		band(1, 300, 10, 10000),
+		band(1, 310, 10, 10001),
+		band(1, 320, 10, 10002),
+	}
+	var all []point.P
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	r := mkRouter(opt, groups)
 	defer r.Close()
-	def := r.defaultFloor()
-	if got := int(r.mergeFloor.Load()); got != def {
-		t.Fatalf("initial floor = %d, want default %d", got, def)
+	if fair := float64(len(all)) / float64(opt.MaxShards); 40 <= r.opt.MinMerge || 40 <= fair/skew {
+		t.Fatalf("precondition: 40 points must exceed the floor %d and fair/skew %.1f", r.opt.MinMerge, fair/skew)
 	}
-	r.updateMergeFloor()
-	if got := int(r.mergeFloor.Load()); got <= def || got > base.MinSplit {
-		t.Fatalf("adaptive floor = %d, want in (%d, %d]", got, def, base.MinSplit)
+	r.Maintain()
+	if r.Merges() == 0 {
+		t.Fatalf("Maintain did not merge the 1-point shards: %s", r)
 	}
-
-	// Balanced fleet: identical shards observe zero fixed overhead, so
-	// the floor stays at the default.
-	rb := mkRouter(base, [][]point.P{
-		band(500, 0, 100, 0),
-		band(500, 100, 100, 10000),
-		band(500, 200, 100, 20000),
-		band(500, 300, 100, 30000),
-	})
-	defer rb.Close()
-	rb.updateMergeFloor()
-	if got := int(rb.mergeFloor.Load()); got != rb.defaultFloor() {
-		t.Fatalf("balanced-fleet floor = %d, want default %d", got, rb.defaultFloor())
+	if !slices.Contains(r.Boundaries(), 100) {
+		t.Fatalf("Maintain merged the 40-point shard [-Inf, 100): %s", r)
 	}
-
-	// Fixed MinMerge pins the floor; the updater must not move it.
-	fixed := base
-	fixed.MinMerge = 37
-	rf := mkRouter(fixed, [][]point.P{
-		band(2000, 0, 100, 0),
-		band(8, 200, 10, 100000),
-	})
-	defer rf.Close()
-	rf.updateMergeFloor()
-	if got := int(rf.mergeFloor.Load()); got != 37 {
-		t.Fatalf("fixed floor moved: %d, want 37", got)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(3))
+	qs := workload.NewGen(4).Queries(40, 400, 0.01, 0.9, 60)
+	checkQueries(t, r, all, append(qs, straddlers(r, 400, 60, rng)...))
 }
 
 // TestMaintenanceConcurrentChurn is the randomized concurrent

@@ -32,9 +32,9 @@
 //   - lifecycle (lifecycle.go): the split/merge/rebalance policy, the
 //     passes that execute it under the topology write lock, and the
 //     background maintenance loop (Options.MaintenanceInterval /
-//     Close) that sweeps the fleet on a timer so it keeps adapting —
-//     coalescing after heavy deletes, re-deriving the adaptive merge
-//     floor — even when no traffic arrives to trigger the inline
+//     Close) that runs the same merge and split passes over the whole
+//     fleet on a timer, so a fleet left idle after heavy deletes
+//     coalesces even when no traffic arrives to trigger the inline
 //     hooks.
 //
 // This file holds what the layers share: Options, the shard and
@@ -92,37 +92,30 @@ type Options struct {
 	// MinSplit is the smallest shard size eligible for splitting
 	// (default 512), so tiny indexes stay on one machine.
 	MinSplit int
-	// MinMerge is the shard size below which a shard is
+	// MinMerge is the merge floor: a shard holding fewer points is
 	// unconditionally considered underloaded and eligible for merging
 	// with a neighbor. Above the floor, a shard is underloaded only
 	// when it holds less than 1/skew of the fair share
 	// n/MaxShards — the mirror image of the split trigger. The
 	// absolute floor matters after heavy deletes: the fair share
 	// itself shrinks with n, so without it a fleet of near-empty
-	// shards would never coalesce. Negative disables merging entirely
-	// (splits still happen).
-	//
-	// 0 selects AUTO mode: the floor starts at the static default
-	// MinSplit/2 and, when the maintenance loop runs, is re-derived
-	// each tick from observed per-shard space overhead (never below
-	// the default, capped at MinSplit) — see updateMergeFloor in
-	// lifecycle.go.
+	// shards would never coalesce. 0 means MinSplit/2 (at least 1);
+	// negative disables merging entirely (splits still happen).
 	//
 	// Hysteresis against split/merge flapping is structural: a merge
 	// is skipped when the combined shard would itself satisfy the
 	// split policy's size test, so no merge can create a shard that an
 	// insert would immediately cut back apart; and the default floor
 	// of MinSplit/2 keeps the halves produced by a split (each at
-	// least MinSplit/2 points) at or above the static merge floor.
+	// least MinSplit/2 points) at or above the merge floor.
 	MinMerge int
 	// MaintenanceInterval, when positive, starts a background
 	// goroutine at construction that runs Maintain every interval:
-	// refreshing the adaptive merge floor, coalescing underloaded
-	// shards, splitting overloaded ones. It is how a fleet left idle
-	// after heavy deletes coalesces without waiting for the next
-	// update to trip an inline hook. Stop it with Close. 0 (the
-	// default) disables the loop; Maintain can still be called
-	// manually.
+	// the merge pass, then the split pass, over the whole fleet. It
+	// is how a fleet left idle after heavy deletes coalesces without
+	// waiting for the next update to trip an inline hook. Stop it
+	// with Close. 0 (the default) disables the loop; Maintain can
+	// still be called manually.
 	MaintenanceInterval time.Duration
 }
 
@@ -132,6 +125,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinSplit <= 0 {
 		o.MinSplit = 512
+	}
+	if o.MinMerge == 0 {
+		o.MinMerge = max(o.MinSplit/2, 1)
 	}
 	if o.Disk.B <= 0 {
 		o.Disk.B = em.DefaultB
@@ -263,13 +259,6 @@ type Router struct {
 	// instant actually held.
 	peak atomic.Int64
 
-	// mergeFloor is the effective MinMerge floor consulted by the
-	// merge policy: Options.MinMerge when positive, else the adaptive
-	// floor the maintenance loop maintains (autoFloor set). Atomic so
-	// the loop can refresh it while update paths evaluate policy.
-	mergeFloor atomic.Int64
-	autoFloor  bool
-
 	// scores is the router-level duplicate-score guard: the set of all
 	// live scores across the fleet, with its own mutex so parallel
 	// batch workers on different shards can consult it. Per-shard
@@ -285,19 +274,11 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// newRouter allocates a Router with defaulted options, an initialized
-// score set and the effective merge floor resolved — everything except
-// the initial topology, which each constructor publishes itself.
+// newRouter allocates a Router with defaulted options and an
+// initialized score set — everything except the initial topology,
+// which each constructor publishes itself.
 func newRouter(opt Options) *Router {
-	opt = opt.withDefaults()
-	r := &Router{opt: opt, scores: map[float64]struct{}{}}
-	floor := opt.MinMerge
-	if floor == 0 {
-		r.autoFloor = true
-		floor = r.defaultFloor()
-	}
-	r.mergeFloor.Store(int64(floor))
-	return r
+	return &Router{opt: opt.withDefaults(), scores: map[float64]struct{}{}}
 }
 
 // reserveScore claims score for an in-flight insert, reporting false

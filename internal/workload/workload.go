@@ -102,7 +102,6 @@ func (g *Gen) Correlated(n int, xMax, rho float64) []point.P {
 func (g *Gen) Adversarial(n int, xMax float64) []point.P {
 	pts := make([]point.P, n)
 	for i := range pts {
-		i := i
 		pts[i] = g.fresh(func() (float64, float64) {
 			x := g.rng.Float64() * xMax
 			return x, float64(n-i) + g.rng.Float64()*0.5

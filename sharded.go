@@ -24,34 +24,27 @@ type ShardedConfig struct {
 	// MinSplit is the smallest shard eligible for splitting (default
 	// 512), keeping small indexes on a single machine.
 	MinSplit int
-	// MinMerge is the merge trigger, the split's symmetric
+	// MinMerge is the merge floor, the split's symmetric
 	// counterpart: after a delete leaves a shard holding fewer than
 	// MinMerge points — or less than half its fair share — the
 	// shard is coalesced with its smaller adjacent neighbor, so a
 	// delete-heavy workload cannot strand the fleet as many near-empty
-	// shards each paying fixed per-shard overhead. Negative disables
-	// merging. 0 selects auto mode: the floor starts at the default
-	// MinSplit/2 and the maintenance loop re-derives it each pass from
-	// observed per-shard space overhead (never below the default,
-	// capped at MinSplit). Hysteresis is built in: a merge never
+	// shards each paying fixed per-shard overhead. 0 means MinSplit/2;
+	// negative disables merging. Hysteresis is built in: a merge never
 	// produces a shard the split policy would immediately cut back
 	// apart.
 	MinMerge int
 	// MaintenanceInterval, when positive, starts a background
-	// maintenance goroutine at construction: every interval it
-	// refreshes the adaptive merge floor, coalesces underloaded
-	// shards and splits overloaded ones, so a fleet left idle after
-	// heavy deletes coalesces without waiting for the next update to
-	// trip an inline lifecycle hook. Stop it with Close. 0 (the
-	// default) disables the loop; Maintain still runs a pass on
-	// demand.
+	// maintenance goroutine at construction: every interval it runs
+	// the merge pass, then the split pass, over the whole fleet, so a
+	// fleet left idle after heavy deletes coalesces without waiting
+	// for the next update to trip an inline lifecycle hook. Stop it
+	// with Close. 0 (the default) disables the loop; Maintain still
+	// runs a pass on demand.
 	MaintenanceInterval time.Duration
 }
 
-func (cfg ShardedConfig) options() (shard.Options, error) {
-	if err := cfg.Config.validate(); err != nil {
-		return shard.Options{}, err
-	}
+func (cfg ShardedConfig) options() shard.Options {
 	return shard.Options{
 		Disk:                em.Config{B: cfg.BlockWords, M: cfg.MemoryWords},
 		Core:                coreOptions(cfg.Config),
@@ -59,7 +52,7 @@ func (cfg ShardedConfig) options() (shard.Options, error) {
 		MinSplit:            cfg.MinSplit,
 		MinMerge:            cfg.MinMerge,
 		MaintenanceInterval: cfg.MaintenanceInterval,
-	}, nil
+	}
 }
 
 // Sharded is a concurrent top-k index: a position-range-partitioned
@@ -75,14 +68,10 @@ type Sharded struct {
 }
 
 // NewSharded returns an empty Sharded index with one shard (shards
-// split automatically as data arrives), or ErrConfig on a
-// contradictory config.
+// split automatically as data arrives). Every ShardedConfig is valid,
+// so the error is always nil.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
-	opt, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	return &Sharded{r: shard.New(opt)}, nil
+	return &Sharded{r: shard.New(cfg.options())}, nil
 }
 
 // LoadSharded returns a Sharded index bulk-loaded with pts,
@@ -90,10 +79,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 // it validates pts against the input contract and reports the
 // violated sentinel error.
 func LoadSharded(cfg ShardedConfig, pts []Result) (*Sharded, error) {
-	opt, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
+	opt := cfg.options()
 	if err := validatePoints(pts); err != nil {
 		return nil, err
 	}
@@ -165,10 +151,11 @@ func (s *Sharded) ApplyBatch(ops []BatchOp) []error { return s.r.ApplyBatch(ops)
 func (s *Sharded) Rebalance(target int) { s.r.Rebalance(target) }
 
 // Maintain runs one synchronous maintenance pass — exactly what the
-// background loop runs every MaintenanceInterval: refresh the
-// adaptive merge floor, coalesce underloaded shards, split overloaded
-// ones. It is how an idle fleet stranded by past deletes is repaired
-// on demand, and how tests drive the lifecycle deterministically.
+// background loop runs every MaintenanceInterval: coalesce underloaded
+// shards, then split overloaded ones, over the whole fleet — the same
+// two passes the inline update hooks run. It is how an idle fleet
+// stranded by past deletes is repaired on demand, and how tests drive
+// the lifecycle deterministically.
 func (s *Sharded) Maintain() { s.r.Maintain() }
 
 // Close stops the background maintenance goroutine, if one was

@@ -13,13 +13,13 @@ import (
 // the error-returning update path. See DESIGN.md ("API v1") for the
 // error-semantics table.
 
-// Sentinel errors. Constructors report ErrConfig; Insert and the
-// insert side of ApplyBatch report the point errors in a fixed check
-// order: ErrInvalidPoint, then ErrDuplicatePosition, then
+// Sentinel errors. NewCluster and NewBatched report ErrConfig; Insert
+// and the insert side of ApplyBatch report the point errors in a fixed
+// check order: ErrInvalidPoint, then ErrDuplicatePosition, then
 // ErrDuplicateScore. Match with errors.Is — returned errors may wrap
 // these with context.
 var (
-	// ErrConfig reports an invalid Config/ShardedConfig.
+	// ErrConfig reports an invalid ClusterConfig or BatchedConfig.
 	ErrConfig = errors.New("topk: invalid config")
 	// ErrInvalidPoint rejects NaN or ±Inf coordinates.
 	ErrInvalidPoint = core.ErrInvalidPoint
@@ -42,9 +42,8 @@ type Query = point.Query
 // Store is the serving interface implemented by both *Index (one
 // sequential EM machine) and *Sharded (a concurrent fleet of them).
 // Callers written against Store — cmd/topkd, internal/workload, the
-// examples — run unchanged on either backend, and every future
-// backend (merged shards, remote shards, a caching tier) drops in
-// behind it.
+// examples — run unchanged on either backend, and any future backend
+// (merged shards, remote shards) drops in behind it.
 //
 // Semantics are identical across implementations: TopK and QueryBatch
 // return byte-identical answers on the same point set, updates obey

@@ -24,9 +24,8 @@
 //	best := idx.TopK(100, 200, 10) // ten best-rated in [100,200]
 //
 // Misuse returns sentinel errors (ErrDuplicatePosition,
-// ErrDuplicateScore, ErrInvalidPoint, ErrConfig) instead of
-// panicking; see store.go for the Store interface both backends
-// implement.
+// ErrDuplicateScore, ErrInvalidPoint) instead of panicking; see
+// store.go for the Store interface both backends implement.
 //
 // The disk is simulated (DESIGN.md, substitution 1): I/Os are counted
 // through an LRU buffer pool exactly as the Aggarwal–Vitter model
@@ -56,25 +55,14 @@ type Config struct {
 	BlockWords int
 	// MemoryWords is M, the buffer-pool memory in words (default 16·B).
 	MemoryWords int
-	// ForcePolylog / ForceBaseline pin the small-k component instead of
-	// the paper's automatic B-vs-lg⁶n regime test. At most one may be
-	// set.
-	ForcePolylog  bool
-	ForceBaseline bool
+	// ForcePolylog pins the small-k component to the §3.3 structure
+	// instead of the paper's automatic B-vs-lg⁶n regime test.
+	ForcePolylog bool
 	// PolylogF and PolylogLeafCap shrink the §3.3 tree shape for small
 	// inputs (0 = the paper's f = √(B·lg n), b = f·l·B, which keep the
 	// tree a single leaf until n is very large).
 	PolylogF       int
 	PolylogLeafCap int
-}
-
-// validate reports ErrConfig-wrapped errors for contradictory
-// settings.
-func (cfg Config) validate() error {
-	if cfg.ForcePolylog && cfg.ForceBaseline {
-		return fmt.Errorf("%w: ForcePolylog and ForceBaseline are mutually exclusive", ErrConfig)
-	}
-	return nil
 }
 
 // Result is one reported point. It is the same type as the engine's
@@ -90,23 +78,18 @@ type Index struct {
 	ix   *core.Index
 }
 
-// New returns an empty Index, or ErrConfig on a contradictory Config.
+// New returns an empty Index. Every Config is valid, so the error is
+// always nil.
 func New(cfg Config) (*Index, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	d := em.NewDisk(em.Config{B: cfg.BlockWords, M: cfg.MemoryWords})
 	return &Index{disk: d, ix: core.New(d, coreOptions(cfg))}, nil
 }
 
-// Load returns an Index bulk-loaded with the given points. Besides
-// config problems, it rejects inputs violating the paper's standing
-// assumptions — non-finite coordinates, duplicate positions or
-// duplicate scores — with the corresponding sentinel error.
+// Load returns an Index bulk-loaded with the given points. It rejects
+// inputs violating the paper's standing assumptions — non-finite
+// coordinates, duplicate positions or duplicate scores — with the
+// corresponding sentinel error.
 func Load(cfg Config, pts []Result) (*Index, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if err := validatePoints(pts); err != nil {
 		return nil, err
 	}
@@ -121,9 +104,6 @@ func coreOptions(cfg Config) core.Options {
 	}
 	if cfg.ForcePolylog {
 		opt.Regime = core.RegimePolylog
-	}
-	if cfg.ForceBaseline {
-		opt.Regime = core.RegimeBaseline
 	}
 	return opt
 }

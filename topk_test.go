@@ -120,24 +120,6 @@ func TestStatsMeterMoves(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: contradictory configs are ErrConfig errors
-// from every constructor, not panics.
-func TestConfigValidation(t *testing.T) {
-	bad := Config{ForcePolylog: true, ForceBaseline: true}
-	if _, err := New(bad); !errors.Is(err, ErrConfig) {
-		t.Fatalf("New: %v, want ErrConfig", err)
-	}
-	if _, err := Load(bad, nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("Load: %v, want ErrConfig", err)
-	}
-	if _, err := NewSharded(ShardedConfig{Config: bad}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("NewSharded: %v, want ErrConfig", err)
-	}
-	if _, err := LoadSharded(ShardedConfig{Config: bad}, nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("LoadSharded: %v, want ErrConfig", err)
-	}
-}
-
 // TestLoadValidatesPoints: bulk loads reject contract-violating
 // inputs with the matching sentinel.
 func TestLoadValidatesPoints(t *testing.T) {
