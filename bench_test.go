@@ -133,7 +133,7 @@ func BenchmarkE3PSTQuery(b *testing.B) {
 // in cmd/topkbench; here only the cost side).
 func BenchmarkE4PhiAblation(b *testing.B) {
 	d := benchDisk()
-	p := pst.Bulk(d, pst.Options{Phi: 4}, workload.NewGen(7).Uniform(1<<15, 1e6))
+	p := pst.Bulk(d, pst.Options{Phi: 4, PaperSelection: true}, workload.NewGen(7).Uniform(1<<15, 1e6))
 	rng := rand.New(rand.NewSource(8))
 	d.DropCache()
 	base := d.Stats()
@@ -147,10 +147,11 @@ func BenchmarkE4PhiAblation(b *testing.B) {
 	reportIOs(b, d, base)
 }
 
-// BenchmarkE4AdaptiveSelection: the early-termination ablation.
+// BenchmarkE4AdaptiveSelection: the early-terminating selection, the
+// default (compare BenchmarkE4PhiAblation's paper-mode selection).
 func BenchmarkE4AdaptiveSelection(b *testing.B) {
 	d := benchDisk()
-	p := pst.Bulk(d, pst.Options{Adaptive: true}, workload.NewGen(7).Uniform(1<<15, 1e6))
+	p := pst.Bulk(d, pst.Options{}, workload.NewGen(7).Uniform(1<<15, 1e6))
 	rng := rand.New(rand.NewSource(8))
 	d.DropCache()
 	base := d.Stats()

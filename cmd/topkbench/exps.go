@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +66,49 @@ func coldQuery(d *em.Disk, reps int, fn func(i int)) float64 {
 	return float64(d.Stats().Sub(base).Reads) / float64(reps)
 }
 
+// storeCols name the per-store columns of the engine tables: the §2
+// PST's T-node and pilot stores, then the §3.3 tree's node and leaf
+// chunk stores, its G_u B-trees and its (f,l)-groups' stores.
+var storeCols = []string{"pst.t", "pst.pilot", "pl.node", "pl.chunk", "pl.gu", "flg"}
+
+// storeCol returns the column of the store named name.
+func storeCol(name string) int {
+	switch {
+	case strings.HasPrefix(name, "pl.gu"):
+		return 4
+	case strings.HasPrefix(name, "flg."):
+		return 5
+	}
+	if c := slices.Index(storeCols, name); c >= 0 {
+		return c
+	}
+	panic(fmt.Sprintf("store %q has no column in the engine tables", name))
+}
+
+// storeSplit sums one field of d's per-store meter into storeCols.
+func storeSplit(d *em.Disk, field func(em.StoreStats) int64) []int64 {
+	out := make([]int64, len(storeCols))
+	for _, st := range d.PerStore() {
+		out[storeCol(st.Name)] += field(st)
+	}
+	return out
+}
+
+func readsOf(st em.StoreStats) int64  { return st.Reads }
+func blocksOf(st em.StoreStats) int64 { return st.BlocksLive }
+
+// coldQuerySplit is coldQuery that also returns the mean reads charged
+// to each of storeCols.
+func coldQuerySplit(d *em.Disk, reps int, fn func(i int)) (float64, []float64) {
+	before := storeSplit(d, readsOf)
+	reads := coldQuery(d, reps, fn)
+	split := make([]float64, len(storeCols))
+	for c, r := range storeSplit(d, readsOf) {
+		split[c] = float64(r-before[c]) / float64(reps)
+	}
+	return reads, split
+}
+
 // ---------------------------------------------------------------- E1
 
 func e1(quick bool) {
@@ -74,7 +119,11 @@ func e1(quick bool) {
 		ks = []int{1, 256, 4096}
 	}
 	const B = 64
-	fmt.Printf("%10s %8s %12s %14s %10s\n", "n", "k", "read I/Os", "logB n + k/B", "component")
+	fmt.Printf("%10s %8s %12s %14s %10s", "n", "k", "read I/Os", "logB n + k/B", "component")
+	for _, c := range storeCols {
+		fmt.Printf(" %9s", c)
+	}
+	fmt.Println()
 	for _, n := range ns {
 		d := newDisk(B)
 		gen := workload.NewGen(int64(n))
@@ -82,7 +131,7 @@ func e1(quick bool) {
 		ix := core.Bulk(d, coreOpts(), pts)
 		for _, k := range ks {
 			rng := rand.New(rand.NewSource(int64(k)))
-			reads := coldQuery(d, 5, func(int) {
+			reads, split := coldQuerySplit(d, 5, func(int) {
 				x1 := rng.Float64() * 4e5
 				ix.Query(x1, x1+5e5, k)
 			})
@@ -90,11 +139,15 @@ func e1(quick bool) {
 			if k >= ix.KThreshold() {
 				comp = "§2"
 			}
-			fmt.Printf("%10d %8d %12.1f %14.1f %10s\n",
-				n, k, reads, logB(n, B)+float64(k)/B, comp)
+			fmt.Printf("%10d %8d %12.1f %14.1f %10s", n, k, reads, logB(n, B)+float64(k)/B, comp)
+			for _, r := range split {
+				fmt.Printf(" %9.1f", r)
+			}
+			fmt.Println()
 		}
 	}
 	fmt.Println("shape check: within a column, cost grows ~additively in k/B; down a column, ~log_B n.")
+	fmt.Println("the last columns split each row's reads by store.")
 }
 
 // ---------------------------------------------------------------- E2
@@ -157,10 +210,10 @@ func e3(quick bool) {
 	}
 	thr := B * int(lg2(n))
 	fmt.Printf("B=%d, n=%d, B·lg n = %d\n", B, n, thr)
-	fmt.Printf("%8s %12s %14s %10s\n", "k", "read I/Os", "lg n + k/B", "regime")
+	fmt.Printf("%8s %12s %9s %9s %14s %10s\n", "k", "read I/Os", storeCols[0], storeCols[1], "lg n + k/B", "regime")
 	for _, k := range ks {
 		rng := rand.New(rand.NewSource(int64(k)))
-		reads := coldQuery(d, 5, func(int) {
+		reads, split := coldQuerySplit(d, 5, func(int) {
 			x1 := rng.Float64() * 2e5
 			p.Query(x1, x1+7e5, k)
 		})
@@ -168,7 +221,7 @@ func e3(quick bool) {
 		if k >= thr {
 			reg = "k ≥ B·lg n (the §2 regime: O(k/B) dominates)"
 		}
-		fmt.Printf("%8d %12.1f %14.1f   %s\n", k, reads, lg2(n)+float64(k)/B, reg)
+		fmt.Printf("%8d %12.1f %9.1f %9.1f %14.1f   %s\n", k, reads, split[0], split[1], lg2(n)+float64(k)/B, reg)
 	}
 }
 
@@ -185,7 +238,7 @@ func e4(quick bool) {
 	fmt.Printf("%6s %10s %12s\n", "φ", "queries", "exact top-k")
 	for _, phi := range []int{1, 2, 4, 8, 16} {
 		d := newDisk(B)
-		p := pst.Bulk(d, pst.Options{Phi: phi}, pts)
+		p := pst.Bulk(d, pst.Options{Phi: phi, PaperSelection: true}, pts)
 		oracle := verify.NewOracle(pts)
 		okCnt := 0
 		rng := rand.New(rand.NewSource(int64(phi)))
@@ -429,25 +482,27 @@ func e10(quick bool) {
 		ns = ns[:2]
 	}
 	const B = 64
-	fmt.Printf("%10s %8s %14s %14s %14s %10s\n",
-		"n", "n/B", "PST blocks", "§3.3 blocks", "core blocks", "core/(n/B)")
+	fmt.Printf("%10s %8s %14s %14s %14s %10s", "n", "n/B", "PST blocks", "§3.3 blocks", "core blocks", "core/(n/B)")
+	for _, c := range storeCols {
+		fmt.Printf(" %9s", c)
+	}
+	fmt.Println()
 	for _, n := range ns {
 		gen := workload.NewGen(int64(n))
 		pts := gen.Uniform(n, 1e6)
-
-		d1 := newDisk(B)
-		pst.Bulk(d1, pst.Options{}, pts)
-		pstBlocks := d1.Stats().BlocksLive
-
-		d3 := newDisk(B)
-		core.Bulk(d3, coreOpts(), pts)
-		coreBlocks := d3.Stats().BlocksLive
-
-		fmt.Printf("%10d %8d %14d %14d %14d %10.1f\n",
-			n, n/B, pstBlocks, coreBlocks-pstBlocks, coreBlocks,
+		d := newDisk(B)
+		core.Bulk(d, coreOpts(), pts)
+		split := storeSplit(d, blocksOf)
+		pstBlocks := split[0] + split[1]
+		coreBlocks := d.Stats().BlocksLive
+		fmt.Printf("%10d %8d %14d %14d %14d %10.1f", n, n/B, pstBlocks, coreBlocks-pstBlocks, coreBlocks,
 			float64(coreBlocks)/float64(n/B))
+		for _, b := range split {
+			fmt.Printf(" %9d", b)
+		}
+		fmt.Println()
 	}
-	fmt.Println("shape check: the ratio column is flat — space is O(n/B).")
+	fmt.Println("shape check: the ratio column is flat — space is O(n/B). The last columns split the core's blocks by store.")
 }
 
 // ---------------------------------------------------------------- E11
@@ -550,11 +605,11 @@ func e14(quick bool) {
 		fmt.Printf("%10d %12.1f\n", frames, reads)
 	}
 
-	fmt.Println("\n(b) φ: query cost vs the Lemma 2 constant (correctness shown in E4)")
+	fmt.Println("\n(b) φ: query cost vs the Lemma 2 constant, paper-mode selection (correctness shown in E4)")
 	fmt.Printf("%6s %12s\n", "φ", "read I/Os")
 	for _, phi := range []int{2, 4, 8, 16} {
 		d := newDisk(B)
-		p := pst.Bulk(d, pst.Options{Phi: phi}, pts)
+		p := pst.Bulk(d, pst.Options{Phi: phi, PaperSelection: true}, pts)
 		rng := rand.New(rand.NewSource(int64(phi)))
 		reads := coldQuery(d, reps, func(int) {
 			x1 := rng.Float64() * 2e5
@@ -563,21 +618,30 @@ func e14(quick bool) {
 		fmt.Printf("%6d %12.1f\n", phi, reads)
 	}
 
-	fmt.Println("\n(c) adaptive early termination (beyond the paper; identical answers)")
+	fmt.Println("\n(c) selection: the paper's φ·(lg n + k/B) nodes vs the default early termination (beyond the paper)")
 	fmt.Printf("%10s %12s\n", "mode", "read I/Os")
-	for _, adaptive := range []bool{false, true} {
+	rng := rand.New(rand.NewSource(99))
+	x1s := make([]float64, reps)
+	for i := range x1s {
+		x1s[i] = rng.Float64() * 2e5
+	}
+	var answers [2][][]point.P
+	var reads [2]float64
+	for m, mode := range []string{"paper", "early"} {
 		d := newDisk(B)
-		p := pst.Bulk(d, pst.Options{Adaptive: adaptive}, pts)
-		rng := rand.New(rand.NewSource(99))
-		reads := coldQuery(d, reps, func(int) {
-			x1 := rng.Float64() * 2e5
-			p.Query(x1, x1+7e5, 1024)
+		p := pst.Bulk(d, pst.Options{PaperSelection: mode == "paper"}, pts)
+		reads[m] = coldQuery(d, reps, func(i int) {
+			answers[m] = append(answers[m], p.Query(x1s[i], x1s[i]+7e5, 1024))
 		})
-		mode := "paper"
-		if adaptive {
-			mode = "adaptive"
+		fmt.Printf("%10s %12.1f\n", mode, reads[m])
+	}
+	for i, x1 := range x1s {
+		if !slices.Equal(answers[0][i], answers[1][i]) {
+			panic(fmt.Sprintf("e14: early-terminating selection answered [%v, %v] k=1024 unlike paper mode", x1, x1+7e5))
 		}
-		fmt.Printf("%10s %12.1f\n", mode, reads)
+	}
+	if reads[1] > reads[0] {
+		panic(fmt.Sprintf("e14: early-terminating selection read %.1f blocks a query, paper mode %.1f", reads[1], reads[0]))
 	}
 
 	fmt.Println("\n(d) sketch base: pivots per sketch vs merge approximation (see E8 for ratios)")

@@ -40,7 +40,7 @@ var experiments = []experiment{
 	{"e11", "§1.2 regime map: dispatch and crossover at k = B·lg n", e11},
 	{"e12", "Figures 1–2: T̂ concatenation and heap concatenation", e12},
 	{"e13", "§1.1 RAM baseline: comparisons scale as lg n + k", e13},
-	{"e14", "Ablations: pool size, φ, adaptive selection, sketch base", e14},
+	{"e14", "Ablations: pool size, φ, early vs paper selection, sketch base", e14},
 	{"e15", "Serving layer (Store v1): TopK vs QueryBatch throughput", e15},
 	{"e16", "Shard lifecycle: delete-churn qps and shard count, merges on vs off", e16},
 	{"e17", "Snapshot routing: read qps under concurrent writers", e17},

@@ -9,6 +9,7 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -183,27 +184,28 @@ func TestIntegrationEventWindow(t *testing.T) {
 	}
 }
 
-// TestIntegrationAdaptiveEndToEnd: the adaptive PST option composed into
-// core answers identically on a shared stream.
-func TestIntegrationAdaptiveEndToEnd(t *testing.T) {
+// TestIntegrationPaperSelectionEndToEnd: the PST's paper-mode
+// selection, the reference for the default early-terminating one,
+// composed into core answers identically on a shared stream.
+func TestIntegrationPaperSelectionEndToEnd(t *testing.T) {
 	gen := workload.NewGen(114)
 	pts := gen.Uniform(2000, 1e6)
 	d1 := em.NewDisk(em.Config{B: 32, M: 64 * 32})
-	plain := core.Bulk(d1, core.Options{Regime: core.RegimePolylog, PolylogF: 4, PolylogLeafCap: 64}, pts)
+	early := core.Bulk(d1, core.Options{Regime: core.RegimePolylog, PolylogF: 4, PolylogLeafCap: 64}, pts)
 	d2 := em.NewDisk(em.Config{B: 32, M: 64 * 32})
-	adaptive := core.Bulk(d2, core.Options{
+	paper := core.Bulk(d2, core.Options{
 		Regime: core.RegimePolylog, PolylogF: 4, PolylogLeafCap: 64,
-		PST: pst.Options{Adaptive: true},
+		PST: pst.Options{PaperSelection: true},
 	}, pts)
 	rng := rand.New(rand.NewSource(115))
 	for i := 0; i < 80; i++ {
 		x1 := rng.Float64() * 1e6
 		x2 := x1 + rng.Float64()*4e5
 		k := rng.Intn(600) + 1
-		a := plain.Query(x1, x2, k)
-		b := adaptive.Query(x1, x2, k)
-		if !verify.SameSet(a, b) {
-			t.Fatalf("adaptive diverged at query %d (k=%d): %d vs %d", i, k, len(b), len(a))
+		a := early.Query(x1, x2, k)
+		b := paper.Query(x1, x2, k)
+		if !slices.Equal(a, b) {
+			t.Fatalf("paper-mode selection diverged at query %d (k=%d): %d vs %d points", i, k, len(b), len(a))
 		}
 	}
 }

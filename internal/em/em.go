@@ -19,7 +19,10 @@
 // on a shared Disk so one experiment has a single, coherent I/O meter.
 package em
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Word is the machine word of the model. The paper requires a word of
 // Ω(lg n) bits; 64 bits comfortably covers every input size used here.
@@ -90,6 +93,15 @@ func (s Stats) String() string {
 		s.Reads, s.Writes, s.IOs(), s.BlocksLive, s.BlocksPeak)
 }
 
+// StoreStats is one store's share of the meter: the block transfers
+// charged to its objects and the blocks they occupy.
+type StoreStats struct {
+	Name       string
+	Reads      int64
+	Writes     int64
+	BlocksLive int64
+}
+
 // Handle identifies an object within its Store.
 type Handle int64
 
@@ -133,8 +145,8 @@ type Disk struct {
 	free       int32
 	present    map[poolKey]int32
 
-	nextStore int32
-	spanOf    map[poolKey]int // live object spans, for space accounting
+	stores []StoreStats    // per-store meter, indexed by store id
+	spanOf map[poolKey]int // live object spans, for space accounting
 }
 
 // NewDisk creates a Disk for the given configuration.
@@ -157,11 +169,45 @@ func (d *Disk) B() int { return d.cfg.B }
 // Stats returns a snapshot of the I/O meter.
 func (d *Disk) Stats() Stats { return d.stats }
 
+// PerStore returns each store's share of the meter, in the order the
+// stores were created: one entry per store, so stores sharing a name
+// have one entry each. Summed over the entries, Reads, Writes and
+// BlocksLive equal Stats'.
+func (d *Disk) PerStore() []StoreStats { return slices.Clone(d.stores) }
+
 // ResetMeter zeroes the read/write/alloc/free counters, keeping space
 // gauges. Used by benches to separate build cost from query cost.
 func (d *Disk) ResetMeter() {
 	d.stats.Reads, d.stats.Writes = 0, 0
 	d.stats.Allocs, d.stats.Frees = 0, 0
+	for i := range d.stores {
+		d.stores[i].Reads, d.stores[i].Writes = 0, 0
+	}
+}
+
+// read charges n block reads to store.
+//
+//topk:nomalloc
+func (d *Disk) read(store int32, n int) {
+	d.stats.Reads += int64(n)
+	d.stores[store].Reads += int64(n)
+}
+
+// write charges n block writes to store.
+//
+//topk:nomalloc
+func (d *Disk) write(store int32, n int) {
+	d.stats.Writes += int64(n)
+	d.stores[store].Writes += int64(n)
+}
+
+// occupy adds n (possibly negative) live blocks to store.
+func (d *Disk) occupy(store int32, n int) {
+	d.stats.BlocksLive += int64(n)
+	d.stores[store].BlocksLive += int64(n)
+	if d.stats.BlocksLive > d.stats.BlocksPeak {
+		d.stats.BlocksPeak = d.stats.BlocksLive
+	}
 }
 
 // DropCache evicts everything from the buffer pool (writing back dirty
@@ -247,7 +293,7 @@ func (d *Disk) drop(i int32) {
 //topk:nomalloc
 func (d *Disk) evict(i int32) {
 	if s := &d.slots[i]; s.dirty {
-		d.stats.Writes += int64(s.span)
+		d.write(s.key.store, s.span)
 	}
 	d.drop(i)
 }
@@ -265,9 +311,9 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 	if span > d.frames {
 		// An object larger than memory cannot be cached; every access
 		// streams it. Charge and do not insert.
-		d.stats.Reads += int64(span)
+		d.read(key.store, span)
 		if dirty {
-			d.stats.Writes += int64(span)
+			d.write(key.store, span)
 		}
 		return
 	}
@@ -276,7 +322,7 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 		return
 	}
 	d.ensureRoom(span)
-	d.stats.Reads += int64(span)
+	d.read(key.store, span)
 	d.admit(key, span, dirty)
 }
 
@@ -319,13 +365,10 @@ func (d *Disk) ensureRoomExcept(extra int, keep int32) {
 // the object was produced in memory, not loaded.
 func (d *Disk) createFresh(key poolKey, span int) {
 	d.stats.Allocs++
-	d.stats.BlocksLive += int64(span)
-	if d.stats.BlocksLive > d.stats.BlocksPeak {
-		d.stats.BlocksPeak = d.stats.BlocksLive
-	}
+	d.occupy(key.store, span)
 	d.spanOf[key] = span
 	if span > d.frames {
-		d.stats.Writes += int64(span)
+		d.write(key.store, span)
 		return
 	}
 	if _, ok := d.present[key]; ok {
@@ -338,17 +381,14 @@ func (d *Disk) createFresh(key poolKey, span int) {
 func (d *Disk) resize(key poolKey, span int) {
 	old := d.spanOf[key]
 	d.spanOf[key] = span
-	d.stats.BlocksLive += int64(span - old)
-	if d.stats.BlocksLive > d.stats.BlocksPeak {
-		d.stats.BlocksPeak = d.stats.BlocksLive
-	}
+	d.occupy(key.store, span-old)
 }
 
 func (d *Disk) release(key poolKey) {
 	span := d.spanOf[key]
 	delete(d.spanOf, key)
 	d.stats.Frees++
-	d.stats.BlocksLive -= int64(span)
+	d.occupy(key.store, -span)
 	if i, ok := d.present[key]; ok {
 		d.drop(i)
 	}
@@ -368,10 +408,10 @@ type Store[T any] struct {
 // NewStore registers a store named name on d. sizeOf reports an object's
 // size in words; it decides how many blocks (I/Os) each access costs.
 func NewStore[T any](d *Disk, name string, sizeOf func(T) int) *Store[T] {
-	d.nextStore++
+	d.stores = append(d.stores, StoreStats{Name: name})
 	return &Store[T]{
 		disk:   d,
-		id:     d.nextStore,
+		id:     int32(len(d.stores) - 1),
 		name:   name,
 		sizeOf: sizeOf,
 		objs:   make(map[Handle]T),

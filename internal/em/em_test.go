@@ -1,6 +1,7 @@
 package em
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -193,6 +194,38 @@ func TestTwoStoresShareOnePool(t *testing.T) {
 	s1.Read(a)
 	if got := d.Stats().Sub(base).Reads; got != 1 {
 		t.Fatalf("cross-store eviction missing: %d reads", got)
+	}
+}
+
+// TestPerStoreSplitsTheMeter: each read, write-back and live block is
+// charged to the store whose object caused it, streamed objects and
+// frees included, and ResetMeter zeroes the per-store transfers while
+// keeping their space.
+func TestPerStoreSplitsTheMeter(t *testing.T) {
+	d := NewDisk(Config{B: 8, M: 16}) // 2 frames
+	s1 := NewStore(d, "one", func(r rec) int { return r.words })
+	s2 := NewStore(d, "two", func(r rec) int { return r.words })
+	a := s1.Alloc(rec{words: 8})
+	b := s2.Alloc(rec{words: 16})   // evicts a dirty: one write to "one"
+	s1.Read(a)                      // a miss: one read to "one", b written back: two writes to "two"
+	big := s2.Alloc(rec{words: 24}) // larger than the pool: streamed, three writes to "two"
+	s2.Read(big)                    // three reads to "two"
+	s2.Free(b)
+	want := []StoreStats{
+		{Name: "one", Reads: 1, Writes: 1, BlocksLive: 1},
+		{Name: "two", Reads: 3, Writes: 5, BlocksLive: 3},
+	}
+	if got := d.PerStore(); !slices.Equal(got, want) {
+		t.Fatalf("PerStore = %+v, want %+v", got, want)
+	}
+	all := d.Stats()
+	if all.Reads != 4 || all.Writes != 6 || all.BlocksLive != 4 {
+		t.Fatalf("Stats = %v; the per-store split must sum to it", all)
+	}
+	d.ResetMeter()
+	want[0].Reads, want[0].Writes, want[1].Reads, want[1].Writes = 0, 0, 0, 0
+	if got := d.PerStore(); !slices.Equal(got, want) {
+		t.Fatalf("after ResetMeter, PerStore = %+v, want %+v", got, want)
 	}
 }
 

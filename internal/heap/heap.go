@@ -12,10 +12,11 @@
 // with pilot representatives as keys) can expose itself as a heap
 // without materializing one.
 //
-// One concrete binary max-heap over []Entry (Init, Down, Pop) backs
-// everything here: SelectTop's frontier, External's make-heap and the
-// serving stack's k-way merge (internal/merge), so no caller goes
-// through container/heap's interface boxing.
+// One concrete binary max-heap over []Entry (Init, Down, Push, Pop)
+// backs everything here: SelectTop's frontier, External's make-heap,
+// the serving stack's k-way merge (internal/merge) and the PST's
+// early-terminating selection, so no caller goes through
+// container/heap's interface boxing.
 //
 // The package also provides External, a concrete array-embedded binary
 // max-heap stored in disk blocks with Floyd's linear-time make-heap, the
@@ -88,6 +89,13 @@ func up(h []Entry, i int) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
+}
+
+// Push adds e to the heap h, returning the grown heap.
+func Push(h []Entry, e Entry) []Entry {
+	h = append(h, e)
+	up(h, len(h)-1)
+	return h
 }
 
 // Pop removes the maximum of the non-empty heap h, returning it and

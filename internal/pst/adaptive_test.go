@@ -3,27 +3,59 @@ package pst
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/em"
 	"repro/internal/point"
 )
 
+// TestAdaptiveMatchesExact: the default early-terminating selection
+// answers exactly as paper mode and a brute-force top-k do, after a
+// bulk build and again after an insert/delete stream, at two block
+// sizes and with whole-line queries among the ranges, so the early exit
+// must hold whatever shape the updates leave.
 func TestAdaptiveMatchesExact(t *testing.T) {
-	pts := genPoints(3000, 21)
-	exact := Bulk(newDisk(16), Options{}, pts)
-	adapt := Bulk(newDisk(16), Options{Adaptive: true}, pts)
-	rng := rand.New(rand.NewSource(22))
-	for i := 0; i < 150; i++ {
-		x1 := rng.Float64() * 12000
-		x2 := x1 + rng.Float64()*8000
-		k := rng.Intn(300) + 1
-		a := exact.Query(x1, x2, k)
-		b := adapt.Query(x1, x2, k)
-		if !sameSet(a, b) {
-			t.Fatalf("query %d [%v,%v] k=%d: adaptive diverged (%d vs %d points)",
-				i, x1, x2, k, len(b), len(a))
+	for _, b := range []int{8, 16} {
+		const n = 2000
+		pts := genPoints(n+1000, int64(20+b))
+		live := append([]point.P(nil), pts[:n]...)
+		exact := Bulk(newDisk(b), Options{PaperSelection: true}, live)
+		adapt := Bulk(newDisk(b), Options{}, live)
+		rng := rand.New(rand.NewSource(int64(22 + b)))
+		check := func(stage string) {
+			for i := 0; i < 150; i++ {
+				x1 := rng.Float64() * 12000
+				x2 := x1 + rng.Float64()*12000
+				if i%7 == 0 {
+					x1, x2 = math.Inf(-1), math.Inf(1)
+				}
+				k := rng.Intn(50*b) + 1
+				want := point.TopK(live, x1, x2, k)
+				if got := exact.Query(x1, x2, k); !slices.Equal(got, want) {
+					t.Fatalf("B=%d %s: query %d [%v,%v] k=%d: paper mode answered %d points unlike the brute-force top-%d",
+						b, stage, i, x1, x2, k, len(got), k)
+				}
+				if got := adapt.Query(x1, x2, k); !slices.Equal(got, want) {
+					t.Fatalf("B=%d %s: query %d [%v,%v] k=%d: early selection answered %d points unlike the brute-force top-%d",
+						b, stage, i, x1, x2, k, len(got), k)
+				}
+			}
 		}
+		check("after Bulk")
+		for i, q := range pts[n:] {
+			exact.Insert(q)
+			adapt.Insert(q)
+			live = append(live, q)
+			if i%2 == 0 {
+				j := rng.Intn(len(live))
+				if !exact.Delete(live[j]) || !adapt.Delete(live[j]) {
+					t.Fatalf("B=%d: delete of %v failed", b, live[j])
+				}
+				live = append(live[:j], live[j+1:]...)
+			}
+		}
+		check("after churn")
 	}
 }
 
@@ -31,8 +63,8 @@ func TestAdaptiveNeverCostsMoreSelections(t *testing.T) {
 	pts := genPoints(20000, 23)
 	d1 := em.NewDisk(em.Config{B: 32, M: 256 * 32})
 	d2 := em.NewDisk(em.Config{B: 32, M: 256 * 32})
-	exact := Bulk(d1, Options{}, pts)
-	adapt := Bulk(d2, Options{Adaptive: true}, pts)
+	exact := Bulk(d1, Options{PaperSelection: true}, pts)
+	adapt := Bulk(d2, Options{}, pts)
 	cost := func(d *em.Disk, p *PST, k int) float64 {
 		rng := rand.New(rand.NewSource(int64(k)))
 		d.DropCache()

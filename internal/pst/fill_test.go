@@ -15,7 +15,10 @@ import (
 // empty, and its layering check requires them to be the highest ones
 // below: together they pin every pilot.
 func TestFillPinsEveryPilot(t *testing.T) {
-	for _, o := range []Options{{}, {PilotB: 4, Branch: 8}, {Branch: 4}, {PilotB: 8, Branch: 4}} {
+	// {PilotB: 4} asks for PilotB below Branch/2 (Branch = B = 16): a T
+	// leaf may hold more than 2·PilotB points, which once made the
+	// inserts below push down out of a leaf.
+	for _, o := range []Options{{}, {PilotB: 4, Branch: 8}, {Branch: 4}, {PilotB: 8, Branch: 4}, {PilotB: 4}} {
 		o.TrackTokens = true
 		for _, n := range []int{1, 7, 64, 500, 3000} {
 			name := fmt.Sprintf("%+v/n=%d", o, n)

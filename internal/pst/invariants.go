@@ -15,11 +15,13 @@ import (
 // Checked properties:
 //   - tree shape: parent/child links, slab partition, weight caps,
 //     x-lists sorted and within slabs;
-//   - pilot sizing: |pilot| ≤ 2B always; |pilot| < B/2 only when the
-//     whole T̂ subtree below is empty ("includes all of them");
+//   - pilot sizing: |pilot| ≤ 2B, or at a T leaf ≤ its weight cap;
+//     |pilot| < B/2 only when the whole T̂ subtree below is empty
+//     ("includes all of them");
 //   - layering: every pilot point lies in its node's slab, and scores in
 //     pilot(v) are all ≥ every score stored strictly below v;
-//   - representative blocks: rep = min score of the pilot, size = |pilot|;
+//   - representative blocks: rep = min score of the pilot, size = |pilot|,
+//     and a node has a pilot record exactly when its size is positive;
 //   - empty-pilot rule: an empty pilot implies an empty subtree;
 //   - point conservation: the pilots partition the live point set;
 //   - Lemma 3, Invariant 1: internal v holds ≥ |pilot(v)| − B insertion
@@ -57,11 +59,14 @@ func (p *PST) checkT(h em.Handle, lo, hi float64, total *int) error {
 	}
 	for i := range nd.vs {
 		*total += nd.vs[i].size
-		ps := p.pstore.Peek(nd.vs[i].pilot)
+		if (nd.vs[i].pilot != em.NilHandle) != (nd.vs[i].size > 0) {
+			return fmt.Errorf("tnode %d vs %d size %d with pilot record %d", h, i, nd.vs[i].size, nd.vs[i].pilot)
+		}
+		ps := p.peekPilot(nd.vs[i].pilot)
 		if len(ps) != nd.vs[i].size {
 			return fmt.Errorf("tnode %d vs %d size %d != |pilot| %d", h, i, nd.vs[i].size, len(ps))
 		}
-		if len(ps) > 2*p.opt.PilotB {
+		if len(ps) > 2*p.opt.PilotB && (nd.level > 0 || len(ps) > p.cap(0)) {
 			return fmt.Errorf("tnode %d vs %d pilot overflow: %d", h, i, len(ps))
 		}
 		rep := math.Inf(-1)
@@ -119,8 +124,7 @@ func (p *PST) checkT(h em.Handle, lo, hi float64, total *int) error {
 // returning the maximum score stored strictly below v (−Inf if none).
 func (p *PST) checkV(v vid, ancestorMin float64) (float64, error) {
 	nd := p.tstore.Peek(v.t)
-	m := nd.vs[v.idx]
-	ps := p.pstore.Peek(m.pilot)
+	ps := p.peekPilot(nd.vs[v.idx].pilot)
 
 	pilotMin, pilotMax := math.Inf(1), math.Inf(-1)
 	for _, q := range ps {
@@ -164,11 +168,11 @@ func (p *PST) checkV(v vid, ancestorMin float64) (float64, error) {
 	// Lemma 3 invariants, when tokens are tracked. Leaves are exempt
 	// (rule 5), as is any v whose subtree below is empty (Invariant 2).
 	if p.tok != nil && nd.level > 0 {
-		if got, want := p.tok.ins[m.pilot], len(ps)-p.opt.PilotB; got < want {
+		if got, want := p.tok.ins[v], len(ps)-p.opt.PilotB; got < want {
 			return 0, fmt.Errorf("Invariant 1 violated at %v: %d insertion tokens < %d", v, got, want)
 		}
 		if belowNonEmpty || childNonEmpty {
-			if got, want := p.tok.del[m.pilot], p.opt.PilotB-len(ps); got < want {
+			if got, want := p.tok.del[v], p.opt.PilotB-len(ps); got < want {
 				return 0, fmt.Errorf("Invariant 2 violated at %v: %d deletion tokens < %d", v, got, want)
 			}
 		}
@@ -179,6 +183,14 @@ func (p *PST) checkV(v vid, ancestorMin float64) (float64, error) {
 		ret = math.Max(ret, pilotMax)
 	}
 	return ret, nil
+}
+
+// peekPilot is readPilot without the meter.
+func (p *PST) peekPilot(h em.Handle) []point.P {
+	if h == em.NilHandle {
+		return nil
+	}
+	return p.pstore.Peek(h)
 }
 
 // Live returns all live points (test/bench helper; full scan).

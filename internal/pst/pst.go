@@ -14,14 +14,27 @@
 // search tree T(u) over its child slabs; concatenating all secondary
 // trees yields the big tree T̂ of Figure 1 (a slab leaf of T(u) has as
 // its only child the root of T(u') of the corresponding child u'). Every
-// T̂ node v stores a pilot set: the highest points of P(v) not stored at
+// T̂ node v has a pilot set: the highest points of P(v) not stored at
 // proper ancestors, holding between B/2 and 2B points unless fewer
 // remain, in which case it holds all of them (so an empty pilot set
 // implies an empty subtree). The lowest pilot point is the node's
-// representative; each T-node u keeps the representatives and pilot
-// sizes of all T(u) nodes together in O(1) blocks (the "representative
-// blocks"), which is what makes O(log_B n) root-to-leaf descents
-// possible.
+// representative. A T leaf's pilot keeps every point of its slab not
+// stored above; its weight cap (Branch) bounds it, not 2B, which it
+// exceeds only when PilotB is below Branch/2. Each T-node u keeps the
+// representatives, pilot sizes and pilot record addresses of all T(u)
+// nodes together in O(1) blocks (the "representative blocks"), which
+// is what makes O(log_B n) root-to-leaf descents possible.
+//
+// A pilot pays only for the points it holds. Its record is the points
+// alone, since its size already sits in the representative block, so a
+// full pilot of B points fills two blocks; and an empty pilot has no
+// record at all: its address is em.NilHandle until its first point
+// arrives, and its record is freed when its last point leaves.
+//
+// The query selects T̂ nodes best-first and, by default, stops as soon
+// as the k-th best candidate collected so far outranks every subtree
+// it has not explored (an optimization beyond the paper; see
+// Options.PaperSelection).
 //
 // Updates use the push-down/pull-up discipline of the paper, whose
 // amortized cost is bounded by the token argument of Lemma 3; the tokens
@@ -57,13 +70,15 @@ type Options struct {
 	// only; never charged as I/O). Tests use it to assert Invariants 1
 	// and 2 after every operation.
 	TrackTokens bool
-	// Adaptive enables early termination of the heap selection — an
-	// optimization beyond the paper (ablation experiment): selection
-	// stops as soon as k in-range candidates have been collected whose
-	// k-th best score dominates every unexplored subtree (each frontier
-	// node's subtree scores are bounded by its parent's representative).
-	// Answers are identical; only the I/O constant changes.
-	Adaptive bool
+	// PaperSelection runs the query's heap selection as §2 states it:
+	// select exactly φ·(lg n + ⌈k/B⌉) nodes, then gather Q2 and Q3. By
+	// default the selection terminates early instead, an optimization
+	// beyond the paper: it collects each selected node's pilot at once
+	// and stops as soon as the k-th best in-range candidate outranks
+	// every unexplored subtree (a frontier node's subtree scores are
+	// bounded by its parent's representative). Answers are identical;
+	// only the I/O constant changes. The φ ablations set it.
+	PaperSelection bool
 }
 
 func (o Options) withDefaults(d *em.Disk) Options {
@@ -93,7 +108,7 @@ type vmeta struct {
 	kid         int // child index in kids for slab leaves; -1 otherwise
 	lo, hi      int // child-index range [lo,hi) covered by this node
 
-	pilot em.Handle // pilot set record (pilot store)
+	pilot em.Handle // pilot set record (pilot store); NilHandle when empty
 	rep   float64   // representative score; -Inf when the pilot is empty
 	size  int       // |pilot|
 }
@@ -165,7 +180,9 @@ func New(d *em.Disk, opts Options) *PST {
 		disk:   d,
 		opt:    opts,
 		tstore: em.NewStore(d, "pst.t", func(t *tnode) int { return t.size() }),
-		pstore: em.NewStore(d, "pst.pilot", func(ps []point.P) int { return 1 + point.WordSize*len(ps) }),
+		// The pilot's size is in the representative block, so its
+		// record holds the points alone.
+		pstore: em.NewStore(d, "pst.pilot", func(ps []point.P) int { return point.WordSize * len(ps) }),
 	}
 	if opts.TrackTokens {
 		p.tok = newTokens()
@@ -285,7 +302,7 @@ func nextVS(nd *tnode, i int, x float64) int {
 	return m.right
 }
 
-// readPilot loads the pilot set of v.
+// readPilot loads a pilot set; an empty one has no record to read.
 func (p *PST) readPilot(h em.Handle) []point.P {
 	if h == em.NilHandle {
 		return nil
@@ -293,11 +310,23 @@ func (p *PST) readPilot(h em.Handle) []point.P {
 	return p.pstore.Read(h)
 }
 
-// writePilot stores ps into the pilot record of v (updating rep and size
-// inside the owning tnode, which the caller writes back).
+// writePilot stores ps as the pilot set of nd.vs[idx], updating its
+// rep, size and record address inside nd, which the caller writes back.
+// The pilot's first point allocates its record and its last point
+// leaving frees it.
 func (p *PST) writePilot(nd *tnode, idx int, ps []point.P) {
 	m := &nd.vs[idx]
-	p.pstore.Write(m.pilot, ps)
+	switch {
+	case len(ps) == 0:
+		if m.pilot != em.NilHandle {
+			p.pstore.Free(m.pilot)
+			m.pilot = em.NilHandle
+		}
+	case m.pilot == em.NilHandle:
+		m.pilot = p.pstore.Alloc(ps)
+	default:
+		p.pstore.Write(m.pilot, ps)
+	}
 	m.size = len(ps)
 	m.rep = math.Inf(-1)
 	for _, q := range ps {

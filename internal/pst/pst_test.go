@@ -541,3 +541,26 @@ func TestQueryReadsRepeat(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafPilotMayExceedTwoB: with PilotB below Branch/2, a T leaf keeps
+// more than 2·PilotB points. A root leaf built over n ≤ Branch/2 points
+// reaches weight Branch+1 within the inserts before its global rebuild,
+// and every point it holds stays in its pilot; the insert that
+// overfills it must not try to push down out of the leaf.
+func TestLeafPilotMayExceedTwoB(t *testing.T) {
+	for _, o := range []Options{{PilotB: 4}, {PilotB: 4, Branch: 8}} {
+		for n := 1; n <= 8; n++ {
+			pts := genPoints(n+12, int64(n))
+			p := Bulk(newDisk(16), o, pts[:n])
+			for _, q := range pts[n:] {
+				p.Insert(q)
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("%+v n=%d: %v", o, n, err)
+			}
+			if !sameSet(p.Live(), pts) {
+				t.Fatalf("%+v n=%d: %d live points, want %d", o, n, len(p.Live()), len(pts))
+			}
+		}
+	}
+}

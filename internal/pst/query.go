@@ -144,8 +144,9 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 
 	// Π: children of π' nodes, off the paths, with slab ⊆ q. π'1 then
 	// π'2 without its first node, v*, which π'1 holds. Off the paths
-	// means not yet seen: Q1 marked exactly π1 ∪ π2.
-	s.pi = s.pi[:0]
+	// means not yet seen: Q1 marked exactly π1 ∪ π2. Every score below
+	// a Π node is at most its path parent's representative.
+	s.pi, s.piBound = s.pi[:0], s.piBound[:0]
 	for _, below := range [2][]vid{path1[lca:], path2[lca+1:]} {
 		for _, v := range below {
 			nd := p.tstore.Read(v.t)
@@ -153,6 +154,7 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 			for _, c := range kids[:n] {
 				if !s.marks.has(c, markSeen) && p.covered(c, x1, x2) {
 					s.pi = append(s.pi, c)
+					s.piBound = append(s.piBound, nd.vs[v.idx].rep)
 				}
 			}
 		}
@@ -161,17 +163,13 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 	// Heap selection of the φ·(lg n + ⌈k/B⌉) largest representatives.
 	t := p.opt.Phi * (p.lgN() + (k+p.opt.PilotB-1)/p.opt.PilotB)
 	s.src = heapSrc{p: p, roots: s.pi}
-	if p.opt.Adaptive {
-		var complete bool
-		s.selected, complete = p.selectAdaptive(&s.src, t, k, x1, x2)
-		if complete {
-			// Early termination proved every unexplored subtree (and
-			// hence every would-be Q3 candidate) is dominated by the
-			// k-th best candidate already collected.
-			return topOf(s.cands, k)
-		}
-	} else {
+	if p.opt.PaperSelection {
 		s.selected = s.sel.SelectTop(s.selected[:0], &s.src, t)
+	} else if p.selectEarly(t, k, x1, x2) {
+		// Early termination proved every unexplored subtree (and
+		// hence every would-be Q3 candidate) is dominated by the k-th
+		// best candidate already collected.
+		return topOf(s.cands, k)
 	}
 
 	// Q2: pilots of the selected nodes. Q3: pilots of their in-range
@@ -214,62 +212,99 @@ func topOf(ps []point.P, k int) []point.P {
 	return ps
 }
 
-// selectAdaptive is heap.SelectTop with the early-termination rule of
-// Options.Adaptive. Each selected node's pilot is collected immediately
-// through collect (so the pilot read is never repeated), and selection
-// stops once the k-th best in-range candidate dominates the upper bound
-// of every unexplored subtree — a frontier node's subtree scores never
-// exceed its parent's representative, since the parent's pilot holds the
-// highest remaining points. complete=true certifies that no Q3 gathering
-// is needed: every would-be Q3 node sits in (or below) the frontier.
-func (p *PST) selectAdaptive(src *heapSrc, t, k int, x1, x2 float64) (out []heap.Entry, complete bool) {
-	type fe struct {
-		e     heap.Entry
-		bound float64 // upper bound on every score in the subtree
-	}
-	var frontier []fe
-	for _, e := range src.Roots(nil) {
-		// Π roots are bounded only by path pilots (already in Q1).
-		frontier = append(frontier, fe{e, math.Inf(1)})
-	}
-	kth := func() float64 {
-		if len(p.qs.cands) < k {
-			return math.Inf(-1)
+// selectEarly is the default selection: heap.SelectTop into
+// p.qs.selected, with early termination. Each selected node's pilot is
+// collected at once through collect (so the pilot read is never
+// repeated), and selection stops as soon as the k-th best in-range
+// candidate outranks the upper bound of every unexplored subtree. A
+// frontier node's subtree scores never exceed its T̂ parent's
+// representative, since the parent's pilot holds the highest points
+// left below it; for a root of Π that parent is a path node, whose
+// pilot Q1 collected. It reports complete=true when that proves no Q3
+// gathering is needed: every would-be Q3 node sits in (or below) the
+// frontier.
+//
+// All of it runs in the query scratch. The frontier is a max-heap of
+// representatives whose refs index s.fr. Each parent of frontier nodes
+// is a bounder: s.live counts its children on the frontier, and s.bnd,
+// a max-heap of bounder bounds from which spent bounders are dropped
+// lazily, yields the largest bound still on the frontier. s.kbest
+// holds the k best candidate scores so far.
+func (p *PST) selectEarly(t, k int, x1, x2 float64) (complete bool) {
+	s := &p.qs
+	s.selected, s.fr, s.front = s.selected[:0], s.fr[:0], s.front[:0]
+	s.live, s.bnd, s.kbest = s.live[:0], s.bnd[:0], s.kbest[:0]
+	s.offer(0, k) // Q1
+	for i, v := range s.pi {
+		if m := p.tstore.Read(v.t).vs[v.idx]; m.size > 0 {
+			s.push(heap.Entry{Ref: packVid(v), Key: m.rep}, s.bounder(s.piBound[i], 1))
 		}
-		tmp := append([]point.P(nil), p.qs.cands...)
-		point.SortByScoreDesc(tmp)
-		return tmp[k-1].Score
 	}
-	for len(out) < t && len(frontier) > 0 {
-		bi := 0
-		for i := range frontier {
-			if frontier[i].e.Key > frontier[bi].e.Key {
-				bi = i
+	for len(s.selected) < t && len(s.front) > 0 {
+		var top heap.Entry
+		top, s.front = heap.Pop(s.front)
+		f := s.fr[top.Ref]
+		s.live[f.bounder]--
+		ref := packVid(f.v)
+		s.selected = append(s.selected, heap.Entry{Ref: ref, Key: top.Key})
+		n := len(s.cands)
+		p.collect(f.v, x1, x2)
+		s.offer(n, k)
+		s.kids = s.src.Children(ref, s.kids[:0])
+		if len(s.kids) > 0 {
+			b := s.bounder(top.Key, len(s.kids))
+			for _, e := range s.kids {
+				s.push(e, b)
 			}
 		}
-		top := frontier[bi]
-		frontier = append(frontier[:bi], frontier[bi+1:]...)
-		out = append(out, top.e)
-		v := unpackVid(top.e.Ref)
-		p.collect(v, x1, x2)
-		rep := p.tstore.Read(v.t).vs[v.idx].rep
-		for _, c := range src.Children(top.e.Ref, nil) {
-			frontier = append(frontier, fe{c, rep})
+		if len(s.kbest) < k {
+			continue
 		}
-		if len(p.qs.cands) >= k {
-			cut := kth()
-			maxBound := math.Inf(-1)
-			for _, f := range frontier {
-				if f.bound > maxBound {
-					maxBound = f.bound
-				}
-			}
-			if cut >= maxBound {
-				return out, true
-			}
+		for len(s.bnd) > 0 && s.live[s.bnd[0].Ref] == 0 {
+			_, s.bnd = heap.Pop(s.bnd)
+		}
+		if len(s.bnd) == 0 || -s.kbest[0].Key >= s.bnd[0].Key {
+			return true
 		}
 	}
-	return out, len(frontier) == 0
+	return len(s.front) == 0
+}
+
+// frontierNode is a T̂ node on selectEarly's frontier and the bounder
+// (its T̂ parent) whose representative bounds its subtree.
+type frontierNode struct {
+	v       vid
+	bounder int32
+}
+
+// bounder registers a parent of live frontier nodes whose subtrees its
+// bound covers, returning its index.
+func (s *queryScratch) bounder(bound float64, live int) int32 {
+	b := int32(len(s.live))
+	s.live = append(s.live, int32(live))
+	s.bnd = heap.Push(s.bnd, heap.Entry{Ref: int64(b), Key: bound})
+	return b
+}
+
+// push puts the node of e on the frontier under bounder b.
+func (s *queryScratch) push(e heap.Entry, b int32) {
+	s.fr = append(s.fr, frontierNode{unpackVid(e.Ref), b})
+	s.front = heap.Push(s.front, heap.Entry{Ref: int64(len(s.fr) - 1), Key: e.Key})
+}
+
+// offer feeds the candidates from index n on into the k best scores:
+// kbest is a min-heap of scores, kept as heap's max-heap of negated
+// keys, so kbest[0] is the k-th best once it holds k.
+func (s *queryScratch) offer(n, k int) {
+	for _, q := range s.cands[n:] {
+		e := heap.Entry{Key: -q.Score}
+		if len(s.kbest) < k {
+			s.kbest = heap.Push(s.kbest, e)
+		} else if e.Key < s.kbest[0].Key {
+			s.kbest[0] = e
+			heap.Down(s.kbest, 0)
+		}
+	}
 }
 
 // QueryAll is Query with k = n (report everything in range; test helper).

@@ -47,16 +47,9 @@ func buildVS(f int) []vmeta {
 	return vs
 }
 
-// allocPilots allocates an empty pilot record for every vmeta of nd.
-func (p *PST) allocPilots(nd *tnode) {
-	for i := range nd.vs {
-		nd.vs[i].pilot = p.pstore.Alloc(nil)
-	}
-}
-
 // buildSub constructs a fresh T subtree of the given level over the
 // sorted, distinct x-coordinates xs with slab [lo, hi). Pilot sets are
-// left empty for the caller's fill.
+// left empty, without records, for the caller's fill.
 func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 	if level == 0 {
 		nd := &tnode{
@@ -65,7 +58,6 @@ func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 			xs:     append([]float64(nil), xs...),
 			vs:     []vmeta{{parent: -1, left: -1, right: -1, kid: -1, rep: math.Inf(-1)}},
 		}
-		p.allocPilots(nd)
 		return p.tstore.Alloc(nd)
 	}
 	// Split xs into children of target weight 0.7·cap(level-1): still
@@ -96,7 +88,6 @@ func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 		nd.kids = append(nd.kids, kid)
 		nd.kidLo = append(nd.kidLo, clo)
 	}
-	p.allocPilots(nd)
 	h := p.tstore.Alloc(nd)
 	for j, kid := range nd.kids {
 		p.tstore.Update(kid, func(c **tnode) {
@@ -155,9 +146,11 @@ func (p *PST) fill(v vid, pts []point.P) {
 // freeSubtree releases every tnode and pilot record under h.
 func (p *PST) freeSubtree(h em.Handle) {
 	nd := p.tstore.Read(h)
-	for i := range nd.vs {
-		p.tok.drop(nd.vs[i].pilot)
-		p.pstore.Free(nd.vs[i].pilot)
+	for i, m := range nd.vs {
+		p.tok.drop(vid{h, i})
+		if m.pilot != em.NilHandle {
+			p.pstore.Free(m.pilot)
+		}
 	}
 	for _, kid := range nd.kids {
 		p.freeSubtree(kid)

@@ -17,10 +17,22 @@ type queryScratch struct {
 	marks        marks
 	path1, path2 []vid     // π1, π2
 	pi           []vid     // Π: the query's covered hanging children
+	piBound      []float64 // each Π node's path parent's representative
 	cands        []point.P // Q1 ∪ Q2 ∪ Q3, or a three-sided report
 	selected     []heap.Entry
 	sel          heap.Selector
 	src          heapSrc
+
+	// selectEarly's frontier (a max-heap of refs into fr), its nodes,
+	// each bounder's count of nodes still on it, the bounders' bounds
+	// (a max-heap of refs into live), the k best candidate scores, and
+	// a buffer for one node's children.
+	front []heap.Entry
+	fr    []frontierNode
+	live  []int32
+	bnd   []heap.Entry
+	kbest []heap.Entry
+	kids  []heap.Entry
 }
 
 // Visit-mark bits. After Q1 the seen set is exactly π1 ∪ π2, which is

@@ -4,7 +4,8 @@ package pst
 // Lemma 3 amortization argument as optional instrumentation. Tokens are
 // bookkeeping only — they exist to let tests assert Invariants 1 and 2
 // after every operation — so they live entirely in Go memory, keyed by
-// pilot handle, and are never charged as I/Os.
+// T̂ node, and are never charged as I/Os. (Not by pilot record: a node
+// keeps its tokens while its pilot empties and its record is freed.)
 //
 // Rules (numbered as in the paper):
 //  1. a point inserted into pilot(v) gives v an insertion token;
@@ -17,23 +18,23 @@ package pst
 //  6. a draining pull-up at v destroys all tokens in v's subtree;
 //  7. reconstruction of a subtree destroys all tokens inside it.
 //
-// Rules 5 and 7 are automatic here: leaves are excluded from the
-// invariant checks, and reconstruction frees the pilot handles that key
-// the counters.
+// Rule 5 is automatic here: leaves are excluded from the invariant
+// checks. Rule 7 drops the counters of every node whose T-node
+// reconstruction frees.
 
 import "repro/internal/em"
 
 type tokens struct {
-	ins map[em.Handle]int
-	del map[em.Handle]int
+	ins map[vid]int
+	del map[vid]int
 }
 
 func newTokens() *tokens {
-	return &tokens{ins: map[em.Handle]int{}, del: map[em.Handle]int{}}
+	return &tokens{ins: map[vid]int{}, del: map[vid]int{}}
 }
 
 // onInsert applies rule 1.
-func (t *tokens) onInsert(v em.Handle) {
+func (t *tokens) onInsert(v vid) {
 	if t == nil {
 		return
 	}
@@ -41,7 +42,7 @@ func (t *tokens) onInsert(v em.Handle) {
 }
 
 // onDelete applies rule 2.
-func (t *tokens) onDelete(v em.Handle) {
+func (t *tokens) onDelete(v vid) {
 	if t == nil {
 		return
 	}
@@ -49,7 +50,7 @@ func (t *tokens) onDelete(v em.Handle) {
 }
 
 // onPushDown applies rule 3 for cnt points moved v → child.
-func (t *tokens) onPushDown(v, child em.Handle, cnt int) {
+func (t *tokens) onPushDown(v, child vid, cnt int) {
 	if t == nil {
 		return
 	}
@@ -58,7 +59,7 @@ func (t *tokens) onPushDown(v, child em.Handle, cnt int) {
 }
 
 // onPullUp applies rule 4 for cnt points moved child → v.
-func (t *tokens) onPullUp(v, child em.Handle, cnt int) {
+func (t *tokens) onPullUp(v, child vid, cnt int) {
 	if t == nil {
 		return
 	}
@@ -67,7 +68,7 @@ func (t *tokens) onPullUp(v, child em.Handle, cnt int) {
 }
 
 // drop applies rules 6/7 to one node.
-func (t *tokens) drop(v em.Handle) {
+func (t *tokens) drop(v vid) {
 	if t == nil {
 		return
 	}
@@ -83,7 +84,7 @@ func (p *PST) dropTokensBelow(t em.Handle, idx int) {
 		return
 	}
 	nd := p.tstore.Peek(t)
-	p.tok.drop(nd.vs[idx].pilot)
+	p.tok.drop(vid{t, idx})
 	m := nd.vs[idx]
 	if m.left >= 0 {
 		p.dropTokensBelow(t, m.left)

@@ -93,7 +93,7 @@ func (p *PST) placePoint(pt point.P) {
 				ps := append(p.readPilot(m.pilot), pt)
 				p.writePilot(nd, idx, ps)
 				p.tstore.Write(h, nd)
-				p.tok.onInsert(m.pilot)
+				p.tok.onInsert(vid{h, idx})
 				if len(ps) > 2*p.opt.PilotB {
 					p.pushDown(vid{h, idx})
 				}
@@ -138,7 +138,7 @@ func (p *PST) Delete(pt point.P) bool {
 			ps = append(ps[:at], ps[at+1:]...)
 			p.writePilot(nd, idx, ps)
 			p.tstore.Write(h, nd)
-			p.tok.onDelete(m.pilot)
+			p.tok.onDelete(vid{h, idx})
 			p.n--
 			p.fixUnderflow(vid{h, idx})
 			p.maybeGlobalRebuild()
@@ -154,12 +154,13 @@ func (p *PST) Delete(pt point.P) bool {
 
 // pushDown restores |pilot(v)| ≤ 2B by moving the lowest |pilot|−B
 // points into the pilot sets of v's (at most two) T̂ children, cascading
-// as needed.
+// as needed. A T leaf has no children and keeps what it holds: its
+// weight cap, not 2B, bounds it, and it may exceed 2B when PilotB is
+// below Branch/2.
 func (p *PST) pushDown(v vid) {
 	nd := p.tstore.Read(v.t)
-	m := nd.vs[v.idx]
-	ps := p.readPilot(m.pilot)
-	if len(ps) <= 2*p.opt.PilotB {
+	ps := p.readPilot(nd.vs[v.idx].pilot)
+	if len(ps) <= 2*p.opt.PilotB || nd.level == 0 {
 		return
 	}
 	point.SortByScoreDesc(ps)
@@ -170,9 +171,6 @@ func (p *PST) pushDown(v vid) {
 
 	kidArr, nk := p.vchildren(nd, v)
 	kids := kidArr[:nk]
-	if len(kids) == 0 {
-		panic("pst: pilot overflow at a leaf")
-	}
 	var overflowed []vid
 	for _, c := range kids {
 		cn := p.tstore.Read(c.t)
@@ -189,7 +187,7 @@ func (p *PST) pushDown(v vid) {
 		cps := append(p.readPilot(cn.vs[c.idx].pilot), take...)
 		p.writePilot(cn, c.idx, cps)
 		p.tstore.Write(c.t, cn)
-		p.tok.onPushDown(m.pilot, cn.vs[c.idx].pilot, len(take))
+		p.tok.onPushDown(v, c, len(take))
 		if len(cps) > 2*p.opt.PilotB {
 			overflowed = append(overflowed, c)
 		}
@@ -271,7 +269,7 @@ func (p *PST) pullUpOnce(v vid) (drained bool) {
 		cn := p.tstore.Read(s.c.t)
 		p.writePilot(cn, s.c.idx, stay)
 		p.tstore.Write(s.c.t, cn)
-		p.tok.onPullUp(nd.vs[v.idx].pilot, cn.vs[s.c.idx].pilot, len(go_))
+		p.tok.onPullUp(v, s.c, len(go_))
 		moved += len(go_)
 	}
 	if moved != len(all) {
