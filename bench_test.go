@@ -471,6 +471,31 @@ func BenchmarkApplyBatch(b *testing.B) {
 
 var _ = point.P{} // keep the import for helper extensions
 
+// BenchmarkLoadSharded: the boot of the benchmark module's three
+// members (bench/stack.go). Each member bulk-loads a quantile score
+// band of the points with LoadSharded into 8 shards of B = 64 with the
+// §3.3 tree at f = 8 and leaves of 2,048. One op loads all three
+// bands, so ns/op and allocs/op are one boot's load.
+func BenchmarkLoadSharded(b *testing.B) {
+	const members = 3
+	cfg := ShardedConfig{
+		Config: Config{BlockWords: benchB, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
+		Shards: 8,
+	}
+	for _, n := range []int{1 << 16, 1 << 15} {
+		pts := workload.NewGen(27).Uniform(n, 1e6)
+		sort.Slice(pts, func(i, j int) bool { return pts[i].Score < pts[j].Score })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for m := range members {
+					mustLoadSharded(b, cfg, pts[m*n/members:(m+1)*n/members])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkChurnLifecycle: the full shard lifecycle — bulk load a
 // full fleet, batch-delete 90% (driving merges), then query the
 // shrunken survivor set — with the merge policy on vs off. Reports

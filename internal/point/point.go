@@ -60,16 +60,21 @@ func Less(a, b P) bool {
 // In reports whether p lies in the closed interval [x1, x2].
 func (p P) In(x1, x2 float64) bool { return x1 <= p.X && p.X <= x2 }
 
-// SortByX sorts ps ascending by X (score tiebreak).
+// SortByX sorts ps ascending by X (score tiebreak), the order of Less,
+// comparing each field once per step.
 //
 // Both sorts use slices.SortFunc: sort.Slice swaps through reflection,
 // which made it the engine's largest CPU cost on wide reads.
 func SortByX(ps []P) {
 	slices.SortFunc(ps, func(a, b P) int {
 		switch {
-		case Less(a, b):
+		case a.X < b.X:
 			return -1
-		case Less(b, a):
+		case a.X > b.X:
+			return 1
+		case a.Score < b.Score:
+			return -1
+		case a.Score > b.Score:
 			return 1
 		}
 		return 0

@@ -3,7 +3,6 @@ package pst
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/em"
 	"repro/internal/point"
@@ -98,49 +97,66 @@ func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 	return h
 }
 
-// fill stores pts, the x-sorted points of v's slab that no pilot above
-// v holds, in the T̂ subtree of v, whose pilots are all empty: pilot(v)
-// takes the PilotB highest in descending score order, and the rest go
-// down to v's children by slab; a T leaf keeps all it is given, in x
-// order. This is the state §2's reconstruction reaches by grounding
+// fill stores pts, the points of v's slab that no pilot above v
+// holds, sorted by descending score, in the T̂ subtree of v, whose
+// pilots are all empty: pilot(v) takes the first PilotB, and the rest
+// go down to v's children by slab; a T leaf keeps all it is given, in
+// x order. This is the state §2's reconstruction reaches by grounding
 // every point at the leaves and refilling bottom-up with pull-ups until
 // each pilot holds B points or its subtree is empty: with distinct
 // scores each pull-up moves the highest points below, so both leave in
 // pilot(v) the B highest points of P(v) not stored above v. Every
 // internal pilot holds exactly B points unless its subtree below is
-// empty, so Lemma 3's invariants hold with no tokens. fill reorders
-// pts in place.
-func (p *PST) fill(v vid, pts []point.P) {
+// empty, so Lemma 3's invariants hold with no tokens.
+//
+// The split to the children is a stable partition on the slab
+// boundary, so each child's list stays in descending score order and
+// the whole fill costs one score sort plus O(n) per T̂ level. fill
+// reorders pts in place and uses scratch, of capacity at least
+// len(pts), as the partition's buffer.
+func (p *PST) fill(v vid, pts, scratch []point.P) {
 	if len(pts) == 0 {
 		return
 	}
 	nd := p.tstore.Read(v.t)
 	if nd.level == 0 {
-		p.writePilot(nd, v.idx, slices.Clone(pts))
+		leaf := slices.Clone(pts)
+		point.SortByX(leaf)
+		p.writePilot(nd, v.idx, leaf)
 		p.tstore.Write(v.t, nd)
 		return
 	}
-	sorted := slices.Clone(pts)
-	point.SortByScoreDesc(sorted)
-	b := min(p.opt.PilotB, len(sorted))
-	cut := sorted[b-1].Score
-	p.writePilot(nd, v.idx, slices.Clone(sorted[:b]))
+	b := min(p.opt.PilotB, len(pts))
+	p.writePilot(nd, v.idx, slices.Clone(pts[:b]))
 	p.tstore.Write(v.t, nd)
-	rest := pts[:0]
-	for _, q := range pts {
-		if q.Score < cut {
-			rest = append(rest, q)
-		}
-	}
+	rest := pts[b:]
 	kids, n := p.vchildren(nd, v)
 	if n == 1 {
-		p.fill(kids[0], rest)
+		p.fill(kids[0], rest, scratch)
 		return
 	}
 	_, mid := slabOf(nd, kids[0].idx)
-	j := sort.Search(len(rest), func(i int) bool { return rest[i].X >= mid })
-	p.fill(kids[0], rest[:j])
-	p.fill(kids[1], rest[j:])
+	j := splitAt(rest, mid, scratch)
+	p.fill(kids[0], rest[:j], scratch)
+	p.fill(kids[1], rest[j:], scratch)
+}
+
+// splitAt moves the points of ps left of mid before the others,
+// keeping each side's order, and returns how many lie left of mid. The
+// right side passes through scratch, which must hold len(ps) points.
+func splitAt(ps []point.P, mid float64, scratch []point.P) int {
+	right := scratch[:0]
+	j := 0
+	for _, q := range ps {
+		if q.X < mid {
+			ps[j] = q
+			j++
+		} else {
+			right = append(right, q)
+		}
+	}
+	copy(ps[j:], right)
+	return j
 }
 
 // freeSubtree releases every tnode and pilot record under h.
@@ -196,11 +212,11 @@ func (p *PST) rebuildSubtree(uhat em.Handle) {
 	p.collectXS(uhat, &xs)
 	var pts []point.P
 	p.collectPoints(uhat, &pts)
-	point.SortByX(pts)
+	point.SortByScoreDesc(pts)
 	p.freeSubtree(uhat)
 
 	fresh := p.buildSub(xs, level, lo, hi)
-	p.fill(vid{fresh, 0}, pts)
+	p.fill(vid{fresh, 0}, pts, make([]point.P, len(pts)))
 
 	if parent == em.NilHandle {
 		p.root = fresh
@@ -222,8 +238,6 @@ func (p *PST) rebuildAll(pts []point.P) {
 		p.freeSubtree(p.root)
 		p.root = em.NilHandle
 	}
-	pts = slices.Clone(pts)
-	point.SortByX(pts)
 	p.n = len(pts)
 	p.sizeAtBuild = len(pts)
 	p.updatesSince = 0
@@ -234,6 +248,7 @@ func (p *PST) rebuildAll(pts []point.P) {
 	for i, q := range pts {
 		xs[i] = q.X
 	}
+	slices.Sort(xs)
 	for i := 1; i < len(xs); i++ {
 		if xs[i] == xs[i-1] {
 			panic("pst: duplicate x-coordinates (input must be a set of reals)")
@@ -245,7 +260,9 @@ func (p *PST) rebuildAll(pts []point.P) {
 		level++
 	}
 	p.root = p.buildSub(xs, level, math.Inf(-1), math.Inf(1))
-	p.fill(vid{p.root, 0}, pts)
+	pts = slices.Clone(pts)
+	point.SortByScoreDesc(pts)
+	p.fill(vid{p.root, 0}, pts, make([]point.P, len(pts)))
 }
 
 // FreeAll releases every block of the structure, leaving it empty.

@@ -109,10 +109,9 @@ func (r *Router) splitOverloaded() {
 			// Positions are distinct, so pts[mid-1].X < pts[mid].X and
 			// the median is a valid cut strictly inside (lo, hi).
 			cut := pts[mid].X
-			disk := r.opt.diskFor(len(t.shards) + 1)
-			left := newShard(r.opt, disk, s.lo, cut, pts[:mid])
-			right := newShard(r.opt, disk, cut, s.hi, pts[mid:])
-			shards := append(t.shards[:i:i], append([]*shard{left, right}, t.shards[i+1:]...)...)
+			halves := buildShards(r.opt, r.opt.diskFor(len(t.shards)+1),
+				[]part{{lo: s.lo, hi: cut, pts: pts[:mid]}, {lo: cut, hi: s.hi, pts: pts[mid:]}})
+			shards := append(t.shards[:i:i], append(halves, t.shards[i+1:]...)...)
 			r.publish(shards, addStats(t.retired, transfers(s.meter())))
 			r.splits.Add(1)
 			r.observeFleetPeak()

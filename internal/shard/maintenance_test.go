@@ -173,7 +173,7 @@ func TestMaintenanceConcurrentChurn(t *testing.T) {
 	opt := testOptions(8)
 	opt.MaintenanceInterval = time.Millisecond
 	base := workload.NewGen(81).Uniform(2000, 1e6)
-	r := Bulk(opt, base, 4)
+	r := mustBulk(t, opt, base, 4)
 	defer r.Close()
 
 	const writers = 4

@@ -56,6 +56,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,24 +315,41 @@ func New(opt Options) *Router {
 
 // Bulk builds a Router over pts, pre-partitioned into min(shards,
 // MaxShards) equal quantile ranges (at least one point per shard).
-// shards < 1 means "use the (defaulted) MaxShards". pts must satisfy
-// the input contract (finite coordinates, distinct positions and
-// scores) — the public topk layer validates before calling.
-func Bulk(opt Options, pts []point.P, shards int) *Router {
+// shards < 1 means "use the (defaulted) MaxShards". It checks the
+// input contract before it builds any shard, from the passes the build
+// makes anyway: a non-finite point or a duplicate score shows while it
+// fills the router's score set, and a duplicate position shows as
+// equal neighbours in the x-sorted copy. It returns the sentinel of
+// the violation it finds, core.ErrInvalidPoint, core.ErrDuplicateScore
+// or core.ErrDuplicatePosition, which need not be the first offender
+// in pts; the public topk layer names that one.
+func Bulk(opt Options, pts []point.P, shards int) (*Router, error) {
 	r := newRouter(opt)
 	if shards < 1 || shards > r.opt.MaxShards {
 		shards = r.opt.MaxShards
 	}
-	sorted := append([]point.P(nil), pts...)
-	point.SortByX(sorted)
-	r.publish(partition(r.opt, sorted, shards), em.Stats{})
+	r.scores = make(map[float64]struct{}, len(pts))
 	for _, p := range pts {
+		if !p.Finite() {
+			return nil, core.ErrInvalidPoint
+		}
 		r.scores[p.Score] = struct{}{}
 	}
+	if len(r.scores) < len(pts) {
+		return nil, core.ErrDuplicateScore
+	}
+	sorted := slices.Clone(pts)
+	point.SortByX(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].X == sorted[i-1].X {
+			return nil, core.ErrDuplicatePosition
+		}
+	}
+	r.publish(partition(r.opt, sorted, shards), em.Stats{})
 	r.n.Store(int64(len(pts)))
 	r.observeFleetPeak()
 	r.startMaintenance()
-	return r
+	return r, nil
 }
 
 // Len returns the number of live points.

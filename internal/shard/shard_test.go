@@ -2,9 +2,12 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +27,16 @@ func testOptions(maxShards int) Options {
 		MaxShards: maxShards,
 		MinSplit:  256,
 	}
+}
+
+// mustBulk is Bulk for inputs that satisfy the contract.
+func mustBulk(t testing.TB, opt Options, pts []point.P, shards int) *Router {
+	t.Helper()
+	r, err := Bulk(opt, pts, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // checkQueries compares the router against the brute-force oracle on
@@ -65,7 +78,7 @@ func TestBulkDifferentialOracle(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		gen := workload.NewGen(int64(100 + shards))
 		pts := gen.Uniform(4000, 1e6)
-		r := Bulk(testOptions(shards), pts, shards)
+		r := mustBulk(t, testOptions(shards), pts, shards)
 		if got := r.NumShards(); got != shards {
 			t.Fatalf("NumShards = %d, want %d", got, shards)
 		}
@@ -87,7 +100,7 @@ func TestClusteredDifferentialOracle(t *testing.T) {
 	// boundary-straddling queries dominate.
 	gen := workload.NewGen(7)
 	pts := gen.Clustered(5000, 4, 1e6)
-	r := Bulk(testOptions(6), pts, 6)
+	r := mustBulk(t, testOptions(6), pts, 6)
 	rng := rand.New(rand.NewSource(8))
 	qs := gen.Queries(80, 1e6, 0.0005, 0.6, 300)
 	qs = append(qs, straddlers(r, 1e6, 300, rng)...)
@@ -149,7 +162,7 @@ func TestSkewedInsertsSplitHotShard(t *testing.T) {
 func TestRebalancePreservesContents(t *testing.T) {
 	gen := workload.NewGen(15)
 	pts := gen.Clustered(4000, 2, 1e6)
-	r := Bulk(testOptions(8), pts, 2)
+	r := mustBulk(t, testOptions(8), pts, 2)
 	before := r.TopK(math.Inf(-1), math.Inf(1), len(pts))
 	r.Rebalance(8)
 	if got := r.NumShards(); got != 8 {
@@ -179,7 +192,7 @@ func TestRebalancePreservesContents(t *testing.T) {
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	gen := workload.NewGen(17)
 	base := gen.Uniform(2000, 1e6)
-	r := Bulk(testOptions(4), base, 4)
+	r := mustBulk(t, testOptions(4), base, 4)
 	seq := append([]point.P(nil), base...)
 
 	ops := gen.Mix(1500, 1000, 0.4, 1e6)
@@ -219,7 +232,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 // Count and Stats, and a rebalancer re-partitions mid-flight.
 func TestConcurrentBatchesAndQueries(t *testing.T) {
 	const writers = 4
-	r := Bulk(testOptions(8), workload.NewGen(19).Uniform(2000, 1e6), 4)
+	r := mustBulk(t, testOptions(8), workload.NewGen(19).Uniform(2000, 1e6), 4)
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -296,7 +309,7 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 }
 
 func TestStatsAggregationAcrossSplits(t *testing.T) {
-	r := Bulk(testOptions(4), workload.NewGen(21).Uniform(3000, 1e6), 4)
+	r := mustBulk(t, testOptions(4), workload.NewGen(21).Uniform(3000, 1e6), 4)
 	s := r.Stats()
 	if s.Writes == 0 || s.BlocksLive == 0 {
 		t.Fatalf("empty aggregate stats after bulk load: %+v", s)
@@ -328,7 +341,7 @@ func TestStatsAggregationAcrossSplits(t *testing.T) {
 // other traffic, every report must show either the full pre-reset
 // write count or zero — any value strictly between is a torn read.
 func TestStatsResetNotTorn(t *testing.T) {
-	r := Bulk(testOptions(4), workload.NewGen(25).Uniform(3000, 1e6), 4)
+	r := mustBulk(t, testOptions(4), workload.NewGen(25).Uniform(3000, 1e6), 4)
 	r.Rebalance(4) // builds retired history, so a tear has two sources to mix
 	full := r.Stats().Writes
 	if full == 0 {
@@ -386,7 +399,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 
 	// NaN bounds on a multi-shard router: locate cannot order NaN, so
 	// these must short-circuit instead of crossing the fan-out range.
-	rb := Bulk(testOptions(4), workload.NewGen(29).Uniform(1000, 1e6), 4)
+	rb := mustBulk(t, testOptions(4), workload.NewGen(29).Uniform(1000, 1e6), 4)
 	nan := math.NaN()
 	for _, q := range [][2]float64{{nan, 50}, {50, nan}, {nan, nan}} {
 		if got := rb.TopK(q[0], q[1], 5); got != nil {
@@ -398,13 +411,55 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestBuildPanicReachesCaller: shards build on worker goroutines, and
+// a panic there must surface on the caller's goroutine after every
+// build finishes; an unrecovered worker panic would kill the process
+// instead. Duplicate positions handed to partition directly, past
+// Bulk's check, make a shard's PST build panic. Rebalance builds
+// before it publishes, so a panicking rebuild must leave the snapshot
+// and epoch as they were, and the router must keep serving.
+func TestBuildPanicReachesCaller(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "duplicate") {
+				t.Fatalf("%s: recovered %v, want the build's duplicate-position panic", name, v)
+			}
+		}()
+		f()
+	}
+
+	pts := workload.NewGen(45).Uniform(2000, 1e6)
+	point.SortByX(pts)
+	pts[1001].X = pts[1000].X
+	mustPanic("partition", func() { partition(testOptions(8), pts, 8) })
+
+	// Poison a live router: rebuild its last shard with a copy of the
+	// first shard's leftmost position, so Rebalance gathers a
+	// duplicate position.
+	r := mustBulk(t, testOptions(4), workload.NewGen(46).Uniform(2000, 1e6), 4)
+	t0 := r.snapshot()
+	last := t0.shards[len(t0.shards)-1]
+	stray := point.P{X: t0.shards[0].live()[0].X, Score: 7}
+	poisoned := newShard(r.opt, r.opt.diskFor(len(t0.shards)), last.lo, last.hi, append(last.live(), stray))
+	r.publish(append(slices.Clone(t0.shards[:len(t0.shards)-1]), poisoned), t0.retired)
+	before, epoch := r.snapshot(), r.Epoch()
+	mustPanic("Rebalance", func() { r.Rebalance(4) })
+	if r.snapshot() != before || r.Epoch() != epoch {
+		t.Fatalf("Rebalance published after a failed build: epoch %d -> %d", epoch, r.Epoch())
+	}
+	if err := r.Insert(point.P{X: 2e6, Score: 8}); err != nil {
+		t.Fatalf("insert after the failed rebalance: %v", err)
+	}
+}
+
 // TestContractViolationsReturnErrors: duplicate positions, duplicate
 // scores (including on a DIFFERENT shard) and non-finite coordinates
 // are sentinel errors, nothing panics, nothing is mutated, and —
 // critically for a serving layer — every lock is released so the
 // router keeps serving.
 func TestContractViolationsReturnErrors(t *testing.T) {
-	r := Bulk(testOptions(4), workload.NewGen(23).Uniform(1000, 1e6), 4)
+	r := mustBulk(t, testOptions(4), workload.NewGen(23).Uniform(1000, 1e6), 4)
 	dup := r.TopK(math.Inf(-1), math.Inf(1), 1)[0]
 
 	if err := r.Insert(point.P{X: dup.X, Score: 123456}); !errors.Is(err, core.ErrDuplicatePosition) {
@@ -485,7 +540,7 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 func TestQueryBatchMatchesTopK(t *testing.T) {
 	gen := workload.NewGen(27)
 	pts := gen.Clustered(5000, 3, 1e6)
-	r := Bulk(testOptions(6), pts, 6)
+	r := mustBulk(t, testOptions(6), pts, 6)
 	rng := rand.New(rand.NewSource(28))
 	qs := gen.Queries(60, 1e6, 0.001, 0.8, 200)
 	qs = append(qs, straddlers(r, 1e6, 200, rng)...)
@@ -528,7 +583,7 @@ func TestPerShardPoolSizing(t *testing.T) {
 	// machines (em clamps to the M ≥ 2B floor); the router must work.
 	small := testOptions(8)
 	small.Disk.M = 4 * small.Disk.B
-	r := Bulk(small, workload.NewGen(29).Uniform(2000, 1e6), 8)
+	r := mustBulk(t, small, workload.NewGen(29).Uniform(2000, 1e6), 8)
 	if r.NumShards() != 8 {
 		t.Fatalf("NumShards = %d", r.NumShards())
 	}
@@ -581,7 +636,7 @@ func band(n int, x0, width, scoreBase float64) []point.P {
 func TestDeleteTriggeredMerge(t *testing.T) {
 	gen := workload.NewGen(41)
 	pts := gen.Uniform(4000, 1e6)
-	r := Bulk(testOptions(8), pts, 8)
+	r := mustBulk(t, testOptions(8), pts, 8)
 	if r.NumShards() != 8 {
 		t.Fatalf("NumShards = %d, want 8", r.NumShards())
 	}
@@ -615,7 +670,7 @@ func TestMergeDisabled(t *testing.T) {
 	opt := testOptions(8)
 	opt.MinMerge = -1
 	pts := workload.NewGen(43).Uniform(4000, 1e6)
-	r := Bulk(opt, pts, 8)
+	r := mustBulk(t, opt, pts, 8)
 	for _, p := range pts[:3600] {
 		if !r.Delete(p) {
 			t.Fatalf("Delete(%v) not found", p)
@@ -812,7 +867,7 @@ func TestChurnLifecycle(t *testing.T) {
 // TopK allocates exactly what the underlying Index.Query allocates.
 func TestRouterTopKAddsNoAllocs(t *testing.T) {
 	pts := workload.NewGen(31).Uniform(4000, 1e6)
-	r := Bulk(testOptions(4), pts, 4)
+	r := mustBulk(t, testOptions(4), pts, 4)
 	topo := r.snapshot()
 	if len(topo.shards) < 3 {
 		t.Fatalf("bulk load produced %d shards; need an interior shard", len(topo.shards))

@@ -26,10 +26,12 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/em"
+	"repro/internal/merge"
 	"repro/internal/point"
 )
 
@@ -117,10 +119,11 @@ func (r *Router) Boundaries() []float64 {
 }
 
 // partition cuts sorted (by X) points into up to want contiguous
-// shards of near-equal size. Cut positions must fall strictly between
-// distinct X values, so fewer shards may result when points repeat a
-// prefix... positions are distinct by assumption, but defensively any
-// zero-width range is merged left.
+// shards of near-equal size and builds them with buildShards. Cut
+// positions must fall strictly between distinct X values, so fewer
+// shards may result when points repeat a prefix... positions are
+// distinct by assumption, but defensively any zero-width range is
+// merged left.
 func partition(opt Options, sorted []point.P, want int) []*shard {
 	if want < 1 {
 		want = 1
@@ -131,8 +134,7 @@ func partition(opt Options, sorted []point.P, want int) []*shard {
 	if want <= 1 {
 		return []*shard{newShard(opt, opt.diskFor(1), math.Inf(-1), math.Inf(1), sorted)}
 	}
-	disk := opt.diskFor(want)
-	var out []*shard
+	var parts []part
 	lo := math.Inf(-1)
 	start := 0
 	for i := 0; i < want; i++ {
@@ -157,13 +159,41 @@ func partition(opt Options, sorted []point.P, want int) []*shard {
 				}
 			}
 		}
-		out = append(out, newShard(opt, disk, lo, hi, sorted[start:end]))
+		parts = append(parts, part{lo: lo, hi: hi, pts: sorted[start:end]})
 		lo = hi
 		start = end
 		if end == len(sorted) {
 			break
 		}
 	}
+	return buildShards(opt, opt.diskFor(want), parts)
+}
+
+// part is one shard to build: its range [lo, hi) and its x-sorted
+// points.
+type part struct {
+	lo, hi float64
+	pts    []point.P
+}
+
+// buildShards builds one shard per part, each on its own disk, with at
+// most GOMAXPROCS builds running at once. A shard's PST and §3.3
+// builds share its disk, so they run one after the other inside its
+// build. merge.Parallel re-raises a panicking build on the caller's
+// goroutine once every build has finished, so a caller that publishes
+// only after building publishes nothing.
+func buildShards(opt Options, disk em.Config, parts []part) []*shard {
+	out := make([]*shard, len(parts))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	fns := make([]func(), len(parts))
+	for i, pt := range parts {
+		fns[i] = func() {
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			out[i] = newShard(opt, disk, pt.lo, pt.hi, pt.pts)
+		}
+	}
+	merge.Parallel(fns)
 	return out
 }
 

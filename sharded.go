@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"time"
 
 	"repro/internal/em"
@@ -76,14 +77,18 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 
 // LoadSharded returns a Sharded index bulk-loaded with pts,
 // pre-partitioned into cfg.Shards equal quantile shards. Like Load,
-// it validates pts against the input contract and reports the
-// violated sentinel error.
+// it rejects inputs that violate the input contract with the error
+// Load returns, which names the first offending point. The check rides
+// on the build's own passes (the router's score set and its x-sorted
+// copy of pts), and only an input that fails it is scanned again to
+// find that point.
 func LoadSharded(cfg ShardedConfig, pts []Result) (*Sharded, error) {
 	opt := cfg.options()
-	if err := validatePoints(pts); err != nil {
-		return nil, err
+	r, err := shard.Bulk(opt, pts, opt.MaxShards)
+	if err != nil {
+		return nil, cmp.Or(validatePoints(pts), err)
 	}
-	return &Sharded{r: shard.Bulk(opt, pts, opt.MaxShards)}, nil
+	return &Sharded{r: r}, nil
 }
 
 // Len returns the number of points currently stored.

@@ -2,8 +2,12 @@ package topk
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +143,91 @@ func TestLoadValidatesPoints(t *testing.T) {
 		}
 		if _, err := LoadSharded(ShardedConfig{Config: smallCfg()}, c.pts); !errors.Is(err, c.want) {
 			t.Errorf("LoadSharded %s: %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestLoadShardedErrorContract: LoadSharded checks the contract from
+// its build's own passes, yet must return exactly the error
+// validatePoints returns, naming the first offending point, and the
+// same error as Load. Positions and scores come from an 8-shard
+// quantile load; rank[i] is the input index of the i-th smallest
+// position, so rank[10] and rank[11] share a shard and rank[n/8-1] and
+// rank[n/8] lie on either side of a cut.
+func TestLoadShardedErrorContract(t *testing.T) {
+	const n = 2000
+	base := workload.NewGen(41).Uniform(n, 1e6)
+	rank := make([]int, n)
+	for i := range rank {
+		rank[i] = i
+	}
+	sort.Slice(rank, func(a, b int) bool { return base[rank[a]].X < base[rank[b]].X })
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		edit func(ps []Result)
+		want error
+		at   int // the input index the error must name
+	}{
+		{"valid", func([]Result) {}, nil, 0},
+		{"duplicate position inside one shard", func(ps []Result) {
+			ps[max(rank[10], rank[11])].X = ps[min(rank[10], rank[11])].X
+		}, ErrDuplicatePosition, max(rank[10], rank[11])},
+		{"duplicate position across a cut", func(ps []Result) {
+			lo, hi := rank[n/8-1], rank[n/8]
+			ps[max(lo, hi)].X = ps[min(lo, hi)].X
+		}, ErrDuplicatePosition, max(rank[n/8-1], rank[n/8])},
+		{"duplicate score across shards", func(ps []Result) {
+			ps[max(rank[5], rank[n-5])].Score = ps[min(rank[5], rank[n-5])].Score
+		}, ErrDuplicateScore, max(rank[5], rank[n-5])},
+		{"position before score", func(ps []Result) {
+			ps[300].X = ps[50].X
+			ps[900].Score = ps[20].Score
+		}, ErrDuplicatePosition, 300},
+		{"score before position", func(ps []Result) {
+			ps[300].Score = ps[50].Score
+			ps[900].X = ps[20].X
+		}, ErrDuplicateScore, 300},
+		{"position and score at one index", func(ps []Result) {
+			ps[500] = Result{X: ps[50].X, Score: ps[60].Score}
+		}, ErrDuplicatePosition, 500},
+		{"non-finite after a duplicate", func(ps []Result) {
+			ps[300].Score = ps[50].Score
+			ps[900].X = math.NaN()
+		}, ErrDuplicateScore, 300},
+		{"non-finite before a duplicate", func(ps []Result) {
+			ps[300].Score = math.Inf(-1)
+			ps[900].X = ps[50].X
+		}, ErrInvalidPoint, 300},
+		{"-0 against +0 position", func(ps []Result) {
+			ps[100].X = 0
+			ps[1700].X = negZero
+		}, ErrDuplicatePosition, 1700},
+		{"-0 against +0 score", func(ps []Result) {
+			ps[100].Score = negZero
+			ps[1700].Score = 0
+		}, ErrDuplicateScore, 1700},
+	}
+	cfg := ShardedConfig{Config: smallCfg(), Shards: 8}
+	for _, c := range cases {
+		pts := slices.Clone(base)
+		c.edit(pts)
+		want := validatePoints(pts)
+		if !errors.Is(want, c.want) || (want != nil && !strings.Contains(want.Error(), fmt.Sprintf("load point %d ", c.at))) {
+			t.Fatalf("%s: validatePoints = %v, want %v at point %d", c.name, want, c.want, c.at)
+		}
+		st, err := LoadSharded(cfg, pts)
+		if c.want == nil {
+			if err != nil || st.Len() != n {
+				t.Fatalf("%s: LoadSharded = %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != want.Error() || !errors.Is(err, c.want) {
+			t.Errorf("%s: LoadSharded = %v, want %v", c.name, err, want)
+		}
+		if _, lerr := Load(smallCfg(), pts); lerr == nil || lerr.Error() != want.Error() {
+			t.Errorf("%s: Load = %v, want %v", c.name, lerr, want)
 		}
 	}
 }
