@@ -68,16 +68,15 @@ func coldQuery(d *em.Disk, reps int, fn func(i int)) float64 {
 
 // storeCols name the per-store columns of the engine tables: the §2
 // PST's T-node and pilot stores, then the §3.3 tree's node and leaf
-// chunk stores, its G_u B-trees and its (f,l)-groups' stores.
-var storeCols = []string{"pst.t", "pst.pilot", "pl.node", "pl.chunk", "pl.gu", "flg"}
+// chunk stores and its (f,l)-groups' stores, which hold every G set
+// once (a node's set lives in its parent's group; the root has none).
+var storeCols = []string{"pst.t", "pst.pilot", "pl.node", "pl.chunk", "flg"}
 
-// storeCol returns the column of the store named name.
+// storeCol returns the column of the store named name. It panics on a
+// store outside storeCols, so a table cannot drop a store's share.
 func storeCol(name string) int {
-	switch {
-	case strings.HasPrefix(name, "pl.gu"):
-		return 4
-	case strings.HasPrefix(name, "flg."):
-		return 5
+	if strings.HasPrefix(name, "flg.") {
+		name = "flg"
 	}
 	if c := slices.Index(storeCols, name); c >= 0 {
 		return c
@@ -95,6 +94,7 @@ func storeSplit(d *em.Disk, field func(em.StoreStats) int64) []int64 {
 }
 
 func readsOf(st em.StoreStats) int64  { return st.Reads }
+func iosOf(st em.StoreStats) int64    { return st.Reads + st.Writes }
 func blocksOf(st em.StoreStats) int64 { return st.BlocksLive }
 
 // coldQuerySplit is coldQuery that also returns the mean reads charged
@@ -158,8 +158,11 @@ func e2(quick bool) {
 		ns = ns[:2]
 	}
 	const B = 64
-	fmt.Printf("%10s %14s %16s %12s %12s\n",
-		"n", "ours I/Os/op", "baseline I/Os/op", "logB n", "log²B n")
+	fmt.Printf("%10s %14s %16s %12s %12s", "n", "ours I/Os/op", "baseline I/Os/op", "logB n", "log²B n")
+	for _, c := range storeCols {
+		fmt.Printf(" %9s", c)
+	}
+	fmt.Println()
 	var first, last [4]float64
 	for i, n := range ns {
 		gen := workload.NewGen(int64(n))
@@ -168,12 +171,15 @@ func e2(quick bool) {
 		d1 := newDisk(B)
 		ix := core.Bulk(d1, coreOpts(), pts[:n])
 		d1.DropCache()
-		b1 := d1.Stats()
+		b1, split := d1.Stats(), storeSplit(d1, iosOf)
 		for _, p := range pts[n : n+2000] {
 			ix.Insert(p)
 		}
 		d1.DropCache() // count write-backs still sitting in the pool
 		ours := float64(d1.Stats().Sub(b1).IOs()) / 2000
+		for c, ios := range storeSplit(d1, iosOf) {
+			split[c] = ios - split[c]
+		}
 
 		d2 := newDisk(B)
 		base := shengtao.Bulk(d2, shengtao.Options{K: B * int(lg2(n))}, pts[:n])
@@ -186,7 +192,11 @@ func e2(quick bool) {
 		theirs := float64(d2.Stats().Sub(b2).IOs()) / 2000
 
 		lb := logB(n, B)
-		fmt.Printf("%10d %14.1f %16.1f %12.2f %12.2f\n", n, ours, theirs, lb, lb*lb)
+		fmt.Printf("%10d %14.1f %16.1f %12.2f %12.2f", n, ours, theirs, lb, lb*lb)
+		for _, ios := range split {
+			fmt.Printf(" %9.1f", float64(ios)/2000)
+		}
+		fmt.Println()
 		last = [4]float64{ours, theirs, lb, lb * lb}
 		if i == 0 {
 			first = last
@@ -194,6 +204,7 @@ func e2(quick bool) {
 	}
 	fmt.Printf("growth from n=%d to n=%d: ours ×%.2f, baseline ×%.2f, log_B n ×%.2f, log²_B n ×%.2f\n",
 		ns[0], ns[len(ns)-1], last[0]/first[0], last[1]/first[1], last[2]/first[2], last[3]/first[3])
+	fmt.Println("the last columns split ours' I/Os per insert (reads plus writes) by store.")
 }
 
 // ---------------------------------------------------------------- E3

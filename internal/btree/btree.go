@@ -3,9 +3,9 @@
 // O(log_B n) I/Os.
 //
 // The paper leans on such trees throughout §3 and §4: a B-tree on G to
-// convert a global rank to an element (§4.1), B-trees on each G_i for
-// local-rank selection (§4.2) and score B-trees for the update algorithm
-// of §3.3. This package provides those capabilities:
+// convert a global rank to an element (§4.1) and B-trees on each G_i
+// for local-rank selection (§4.2), which double as the score B-trees
+// of §3.3's update algorithm. This package provides those capabilities:
 //
 //   - Insert / Delete / Contains           O(log_B n)
 //   - RankDesc (rank = |{e' ≥ e}|, as defined in §3.1)

@@ -37,7 +37,7 @@ func pinnedWorkload(t *testing.T) (*em.Disk, []pinnedPhase) {
 		}
 		d.DropCache() // charge the write-back of everything dirty
 	}
-	const built, updated = 5793, 6943 // blocks live after the build and after the updates
+	const built, updated = 4547, 5387 // blocks live after the build and after the updates
 	return d, []pinnedPhase{
 		{"build", func() {}, 0, 0, built},
 		{"§2 wide", query(1e5, 6e5, 300), 422, 0, built},
@@ -46,7 +46,7 @@ func pinnedWorkload(t *testing.T) (*em.Disk, []pinnedPhase) {
 		{"small k=1", query(1e5, 6e5, 1), 89, 0, built},
 		{"small k=10", query(3e5, 3.4e5, 10), 99, 0, built},
 		{"small k=60 whole line", query(0, 1e6, 60), 617, 0, built},
-		{"updates", updates, 32759, 23903, updated},
+		{"updates", updates, 25433, 19206, updated},
 		{"§2 after updates", query(1e5, 9e5, 400), 602, 0, updated},
 		{"small k after updates", query(1e5, 9e5, 20), 145, 0, updated},
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // TestBulk builds groups over empty, full and random-size sets and
-// checks the compressed blocks, the exact MaxIn and CountIn, and the
-// Select guarantee on every set range. The same op stream as
-// TestQuickGroupModel then runs on each bulk-built group.
+// checks the compressed blocks, the union Bulk returns, the exact
+// MaxIn and CountIn, and the Select guarantee on every set range. The
+// same op stream as TestQuickGroupModel then runs on each bulk-built
+// group.
 func TestBulk(t *testing.T) {
 	for _, f := range []int{1, 2, 7} {
 		for _, l := range []int{1, 8, 200} {
@@ -39,9 +40,12 @@ func TestBulk(t *testing.T) {
 					m.sets[i] = slices.Clone(sets[i])
 					slices.Sort(sets[i])
 				}
-				g := Bulk(newDisk(64), f, l, sets)
+				g, union := Bulk(newDisk(64), f, l, sets)
 				if err := g.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if want := slices.Sorted(slices.Values(slices.Concat(sets...))); !slices.Equal(union, want) {
+					t.Fatalf("%s: Bulk's union %v, want %v", name, union, want)
 				}
 				checkRanges(t, name, g, m)
 				ops := make([]uint16, 120)

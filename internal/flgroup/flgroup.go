@@ -102,21 +102,25 @@ func New(d *em.Disk, f, l int) *Group {
 // NewBase creates an empty structure with an explicit sketch base (for
 // the base ablation experiment).
 func NewBase(d *em.Disk, f, l, base int) *Group {
-	return bulk(d, f, l, base, make([][]float64, f))
+	g, _ := bulk(d, f, l, base, make([][]float64, f))
+	return g
 }
 
 // Bulk builds the structure with the paper's sketch base over sets,
 // where sets[i] holds G_{i+1} in ascending order (at most l values; no
-// value in two sets). It bulk-loads the B-trees and encodes each
-// compressed block once, in O(fl/B) I/Os plus the sort of G.
-func Bulk(d *em.Disk, f, l int, sets [][]float64) *Group {
+// value in two sets). It merges the sets into G, bulk-loads the
+// B-trees and encodes each compressed block once, in O(fl/B) I/Os and
+// O(|G|·lg f) comparisons. It also returns G in ascending order, from
+// which the §3.3 tree takes its node's own G set without sorting again.
+func Bulk(d *em.Disk, f, l int, sets [][]float64) (*Group, []float64) {
 	return bulk(d, f, l, sketch.DefaultBase, sets)
 }
 
-// bulk builds the structure over sets. Pivot j of Σ_i is the element
-// of local rank pivotRank, where a repair would put it, and prefix
-// entry r is the global rank of G_i's r-th largest element.
-func bulk(d *em.Disk, f, l, base int, sets [][]float64) *Group {
+// bulk builds the structure over sets and returns it with their union.
+// Pivot j of Σ_i is the element of local rank pivotRank, where a repair
+// would put it, and prefix entry r is the global rank of G_i's r-th
+// largest element.
+func bulk(d *em.Disk, f, l, base int, sets [][]float64) (*Group, []float64) {
 	if f < 1 || l < 1 {
 		panic("flgroup: f and l must be positive")
 	}
@@ -134,14 +138,12 @@ func bulk(d *em.Disk, f, l, base int, sets [][]float64) *Group {
 	if prefLen > l {
 		prefLen = l
 	}
-	var union []float64
 	for _, set := range sets {
 		if len(set) > l {
 			panic("flgroup: G_i larger than l")
 		}
-		union = append(union, set...)
 	}
-	slices.Sort(union)
+	union := merge(sets)
 	g := &Group{
 		d: d, f: f, l: l, base: base,
 		prefLen: prefLen,
@@ -177,7 +179,49 @@ func bulk(d *em.Disk, f, l, base int, sets [][]float64) *Group {
 	g.skb = g.blocks.Alloc(g.encodeSketches(nil, s))
 	g.pfb = g.blocks.Alloc(g.encodePrefix(nil, pref))
 	g.mxb = g.blocks.Alloc(mx)
-	return g
+	return g, union
+}
+
+// merge returns the union of sets, each ascending, in ascending order.
+// It merges the sets pairwise in rounds, between two buffers of |G|
+// values: O(|G|·lg f) comparisons where a sort of the concatenation
+// costs O(|G|·lg |G|). A value in two sets appears twice, which the
+// B-tree on G rejects.
+func merge(sets [][]float64) []float64 {
+	src := slices.Concat(sets...)
+	ends := make([]int, 1, len(sets)+1) // run r is src[ends[r]:ends[r+1]]
+	for _, set := range sets {
+		ends = append(ends, ends[len(ends)-1]+len(set))
+	}
+	dst := make([]float64, len(src))
+	for len(ends) > 2 {
+		next := ends[:1] // overwrites only entries already read
+		for r := 0; r+1 < len(ends); r += 2 {
+			lo, mid, hi := ends[r], ends[r+1], ends[r+1]
+			if r+2 < len(ends) {
+				hi = ends[r+2]
+			}
+			merge2(dst[lo:hi], src[lo:mid], src[mid:hi])
+			next = append(next, hi)
+		}
+		ends = next
+		src, dst = dst, src
+	}
+	return src
+}
+
+// merge2 merges ascending a and b into dst, which holds len(a)+len(b).
+func merge2(dst, a, b []float64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // F and L return the structure's parameters.
@@ -386,6 +430,10 @@ func (g *Group) MaxOf(i int) (float64, bool) { return g.gis[i-1].Max() }
 
 // Contains reports whether v is present in G_i (1-based).
 func (g *Group) Contains(i int, v float64) bool { return g.gis[i-1].Contains(v) }
+
+// KeysOf returns G_i (1-based) in ascending order, reading its whole
+// B-tree: O(l/B) I/Os.
+func (g *Group) KeysOf(i int) []float64 { return g.gis[i-1].Keys() }
 
 // SelectExact returns the element of exact rank r in the FULL union G
 // (not a sub-range), through the B-tree on G in O(log_B(fl)) I/Os. The

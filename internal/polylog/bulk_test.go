@@ -3,8 +3,10 @@ package polylog
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/em"
 	"repro/internal/point"
 )
 
@@ -58,6 +60,89 @@ func TestBulk(t *testing.T) {
 				t.Fatalf("%s: %d leaf-only and %d internal splits, want both", name, leaves, internals)
 			}
 			checkQueries(t, name+" after inserts", tr, pts)
+		}
+	}
+}
+
+// TestGSetsStoredOnce: every G set lives only in its parent's
+// flgroup, and the tree owns every block it allocates. Over TestBulk's
+// shapes, an insert stream that runs until leaves, internal nodes and
+// the root have all split, then a delete stream over three quarters of
+// the points, which refills G sets, only the node, chunk and flgroup
+// stores ever hold blocks (so no per-node pl.gu* B-tree does), the
+// invariants hold, and FreeAll returns the disk to zero live blocks.
+func TestGSetsStoredOnce(t *testing.T) {
+	for _, f := range []int{2, 4} {
+		for _, leafCap := range []int{8, 64} {
+			name := fmt.Sprintf("F=%d/LeafCap=%d", f, leafCap)
+			n := leafCap * f * f * 3
+			pts := genPoints(16*n, int64(f*leafCap))
+			d := newDisk(32)
+			tr := Bulk(d, Options{L: 4, F: f, LeafCap: leafCap}, pts[:n])
+			check := func(when string) {
+				t.Helper()
+				checkStores(t, name+" "+when, d)
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatalf("%s %s: %v", name, when, err)
+				}
+			}
+			check("after Bulk")
+
+			var leaves, internals, roots int
+			for i, p := range pts[n:] {
+				if leaves > 0 && internals > 0 && roots > 0 {
+					pts = pts[:n+i]
+					break
+				}
+				root, nodes := tr.root, tr.store.Len()
+				tr.Insert(p)
+				switch {
+				case tr.root != root:
+					roots++
+				case tr.store.Len() > nodes+1:
+					internals++
+				case tr.store.Len() > nodes:
+					leaves++
+				default:
+					continue
+				}
+				checkStores(t, fmt.Sprintf("%s after the split at insert %d", name, i), d)
+				if tr.store.Len() > nodes+1 {
+					check(fmt.Sprintf("after the split at insert %d", i))
+				}
+			}
+			if leaves == 0 || internals == 0 || roots == 0 {
+				t.Fatalf("%s: %d leaf, %d internal and %d root splits, want each", name, leaves, internals, roots)
+			}
+			t.Logf("%s: %d inserts, %d leaf, %d internal and %d root splits", name, len(pts)-n, leaves, internals, roots)
+			check("after inserts")
+
+			rng := rand.New(rand.NewSource(int64(n)))
+			for i, j := range rng.Perm(len(pts))[:3*len(pts)/4] {
+				if !tr.Delete(pts[j]) {
+					t.Fatalf("%s: delete %d of %v found nothing", name, i, pts[j])
+				}
+				if i%(len(pts)/8) == 0 {
+					check(fmt.Sprintf("after delete %d", i))
+				}
+			}
+			check("after deletes")
+
+			tr.FreeAll()
+			if live := d.Stats().BlocksLive; live != 0 {
+				t.Fatalf("%s: %d blocks live after FreeAll", name, live)
+			}
+		}
+	}
+}
+
+// checkStores fails unless only the §3.3 tree's node, chunk and
+// flgroup stores hold blocks on d.
+func checkStores(t *testing.T, when string, d *em.Disk) {
+	t.Helper()
+	for _, st := range d.PerStore() {
+		if st.BlocksLive != 0 && st.Name != "pl.node" && st.Name != "pl.chunk" && !strings.HasPrefix(st.Name, "flg.") {
+			t.Fatalf("%s: store %q holds %d blocks; G sets live only in the flgroups", when, st.Name, st.BlocksLive)
 		}
 	}
 }

@@ -3,21 +3,23 @@ package polylog
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/em"
 	"repro/internal/point"
 )
 
 // CheckInvariants validates the §3.3 structure against first principles
-// (meter-free test helper):
+// (test helper):
 //
 //   - base-tree shape: slab partition, parent links, weights;
 //   - every leaf's [14] structure holds exactly the leaf's points;
-//   - G_u is exactly the top min(c2·l, weight) scores of u's subtree;
-//   - each internal node's flgroup mirrors its children's G sets
-//     (delegating deep checks to flgroup.CheckInvariants).
+//   - every non-root node's G set, its set in its parent's flgroup, is
+//     exactly the top min(c2·l, weight) scores of its subtree
+//     (delegating the flgroups' own checks to flgroup.CheckInvariants);
+//   - exactly the internal nodes have a flgroup.
 func (t *Tree) CheckInvariants() error {
+	internals := 0
 	var rec func(h em.Handle, lo, hi float64) ([]float64, error)
 	rec = func(h em.Handle, lo, hi float64) ([]float64, error) {
 		nd := t.store.Peek(h)
@@ -51,6 +53,10 @@ func (t *Tree) CheckInvariants() error {
 			if err := fl.CheckInvariants(); err != nil {
 				return nil, fmt.Errorf("internal %d flgroup: %w", h, err)
 			}
+			if fl.F() != len(nd.kids) {
+				return nil, fmt.Errorf("internal %d: flgroup of %d sets for %d children", h, fl.F(), len(nd.kids))
+			}
+			internals++
 			w := 0
 			for j, kid := range nd.kids {
 				clo := nd.kidLo[j]
@@ -68,37 +74,16 @@ func (t *Tree) CheckInvariants() error {
 				}
 				w += cn.weight
 				scores = append(scores, sub...)
-				// flgroup set j+1 must equal the child's G set.
-				kg := t.gu[kid].Keys()
-				if fl.SizeOf(j+1) != len(kg) {
-					return nil, fmt.Errorf("node %d set %d size %d, child G %d",
-						h, j+1, fl.SizeOf(j+1), len(kg))
-				}
-				for _, s := range kg {
-					if !fl.Contains(j+1, s) {
-						return nil, fmt.Errorf("node %d set %d missing score %v", h, j+1, s)
-					}
+				// Set j+1 is the child's G set: the top min(c2·l,
+				// weight) scores of its subtree.
+				want := t.topOf(slices.Sorted(slices.Values(sub)))
+				if got := fl.KeysOf(j + 1); !slices.Equal(got, want) {
+					return nil, fmt.Errorf("node %d set %d (child %d's G set) holds %d scores, want the top %d of its subtree",
+						h, j+1, kid, len(got), len(want))
 				}
 			}
 			if nd.weight != w {
 				return nil, fmt.Errorf("node %d weight %d, children sum %d", h, nd.weight, w)
-			}
-		}
-		// G_u = top min(c2·l, |subtree|) scores of the subtree.
-		sorted := append([]float64(nil), scores...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		want := t.guCap()
-		if len(sorted) < want {
-			want = len(sorted)
-		}
-		gk := t.gu[h].Keys()
-		if len(gk) != want {
-			return nil, fmt.Errorf("node %d |G_u|=%d want %d", h, len(gk), want)
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(gk)))
-		for i := 0; i < want; i++ {
-			if gk[i] != sorted[i] {
-				return nil, fmt.Errorf("node %d G_u entry %d: %v want %v", h, i, gk[i], sorted[i])
 			}
 		}
 		return scores, nil
@@ -109,6 +94,9 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if len(scores) != t.n {
 		return fmt.Errorf("n=%d, counted %d", t.n, len(scores))
+	}
+	if len(t.fl) != internals {
+		return fmt.Errorf("%d flgroups for %d internal nodes", len(t.fl), internals)
 	}
 	return nil
 }

@@ -9,8 +9,11 @@
 //
 //   - a weight-balanced base tree over the x-coordinates with branching
 //     parameter f = √(B·lg n) and leaf capacity b = f·l·B;
-//   - for every node u, the set G_u of the c2·l highest scores in u's
-//     subtree, kept in a score B-tree at u;
+//   - for every node u but the root, the set G_u of the c2·l highest
+//     scores in u's subtree. It is stored once, as u's set in its
+//     parent's (f,l)-group, whose B-tree on that set is the score
+//     B-tree the update algorithm needs. No query and no update reads
+//     the root's G set, so it is not kept;
 //   - at every internal node, an (f, c2·l)-structure of Lemma 6
 //     (package flgroup) over (G_u1, …, G_uf), which also supplies the
 //     range-maximum capability of the "slightly augmented B-tree";
@@ -40,7 +43,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/btree"
 	"repro/internal/em"
 	"repro/internal/flgroup"
 	"repro/internal/point"
@@ -112,11 +114,11 @@ type Tree struct {
 	root  em.Handle
 	n     int
 
-	// Per-node secondary structures, keyed by node handle. (Their disk
-	// footprint is charged by their own stores.)
-	gu     map[em.Handle]*btree.Tree    // score B-tree on G_u
-	fl     map[em.Handle]*flgroup.Group // internal nodes
-	chunks *em.Store[[]point.P]         // leaf point chunks
+	// Per-internal-node (f,l)-groups, keyed by node handle; set j of a
+	// node's group is its j-th child's G set. (Their disk footprint is
+	// charged by their own stores.)
+	fl     map[em.Handle]*flgroup.Group
+	chunks *em.Store[[]point.P] // leaf point chunks
 
 	// Fallbacks counts queries that left the AURS fast path (degenerate
 	// regime detection, experiment E11).
@@ -132,15 +134,15 @@ func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil) }
 // cuts the x-sorted points into equal leaves of about ¾·LeafCap, then
 // groups each level's nodes under parents — one root over at most 2F
 // children, else groups of about 3F/2 — building every node's
-// secondary structures once (see newLeaf and newInternal). Each level
-// keeps a quarter of its capacity as slack for the splits that updates
-// cause.
+// secondary structures once (see newLeaf and newInternal). Each node's
+// G set passes in memory to the parent built over it; the root's is
+// dropped. Each level keeps a quarter of its capacity as slack for the
+// splits that updates cause.
 func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 	opt = opt.withDefaults(d)
 	t := &Tree{
 		d: d, opt: opt,
 		store:  em.NewStore(d, "pl.node", func(n *node) int { return n.size() }),
-		gu:     map[em.Handle]*btree.Tree{},
 		fl:     map[em.Handle]*flgroup.Group{},
 		chunks: em.NewStore(d, "pl.chunk", func(ps []point.P) int { return 1 + point.WordSize*len(ps) }),
 		n:      len(pts),
@@ -153,7 +155,7 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 		}
 	}
 	m := max(1, ceilDiv(len(pts), 3*opt.LeafCap/4))
-	level := make([]em.Handle, m)
+	level, sets := make([]em.Handle, m), make([][]float64, m)
 	for j := range m {
 		a, b := j*len(pts)/m, (j+1)*len(pts)/m
 		lo, hi := math.Inf(-1), math.Inf(1)
@@ -163,7 +165,7 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 		if j < m-1 {
 			hi = pts[b].X
 		}
-		level[j] = t.newLeaf(lo, hi, pts[a:b])
+		level[j], sets[j] = t.newLeaf(lo, hi, pts[a:b])
 	}
 	for len(level) > 1 {
 		m := 1
@@ -171,9 +173,10 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 			m = ceilDiv(len(level), 3*opt.F/2)
 		}
 		for j := range m {
-			level[j] = t.newInternal(level[j*len(level)/m : (j+1)*len(level)/m])
+			a, b := j*len(level)/m, (j+1)*len(level)/m
+			level[j], sets[j] = t.newInternal(level[a:b], sets[a:b])
 		}
-		level = level[:m]
+		level, sets = level[:m], sets[:m]
 	}
 	t.root = level[0]
 	return t
@@ -189,8 +192,9 @@ func (t *Tree) L() int   { return t.opt.L }
 func (t *Tree) guCap() int { return c2 * t.opt.L }
 
 // newLeaf allocates a leaf with slab [lo, hi) over pts (x-sorted), in
-// full chunks, and builds its G set: the top c2·l scores of pts.
-func (t *Tree) newLeaf(lo, hi float64, pts []point.P) em.Handle {
+// full chunks, and returns it with its G set: the top c2·l scores of
+// pts, ascending.
+func (t *Tree) newLeaf(lo, hi float64, pts []point.P) (em.Handle, []float64) {
 	nd := &node{leaf: true, lo: lo, hi: hi, weight: len(pts)}
 	m := ceilDiv(len(pts), t.chunkCap())
 	for j := range m {
@@ -202,20 +206,19 @@ func (t *Tree) newLeaf(lo, hi float64, pts []point.P) em.Handle {
 		nd.kids = append(nd.kids, t.chunks.Alloc(slices.Clone(pts[a:b])))
 		nd.kidLo = append(nd.kidLo, clo)
 	}
-	h := t.store.Alloc(nd)
 	scores := make([]float64, len(pts))
 	for i, p := range pts {
 		scores[i] = p.Score
 	}
-	t.gu[h] = btree.Bulk(t.d, fmt.Sprintf("pl.gu%d", h), t.topScores(scores))
-	return h
+	slices.Sort(scores)
+	return t.store.Alloc(nd), t.topOf(scores)
 }
 
 // newInternal allocates an internal node over kids, consecutive nodes
-// of one level, links them to it and builds its secondary structures:
-// the flgroup over the children's G sets and G_u, the top c2·l of
-// their union.
-func (t *Tree) newInternal(kids []em.Handle) em.Handle {
+// of one level whose G sets are sets, links them to it and builds its
+// flgroup over those sets. It returns the node with its own G set, the
+// top c2·l of the sets' union, which the flgroup's build merges.
+func (t *Tree) newInternal(kids []em.Handle, sets [][]float64) (em.Handle, []float64) {
 	nd := &node{kids: slices.Clone(kids), kidLo: make([]float64, len(kids))}
 	for j, kid := range kids {
 		kn := t.store.Read(kid)
@@ -228,26 +231,17 @@ func (t *Tree) newInternal(kids []em.Handle) em.Handle {
 	for j, kid := range kids {
 		t.store.Update(kid, func(c **node) { (*c).parent, (*c).childIdx = h, j })
 	}
-	sets := t.kidSets(nd)
-	t.fl[h] = flgroup.Bulk(t.d, len(kids), t.guCap(), sets)
-	t.gu[h] = btree.Bulk(t.d, fmt.Sprintf("pl.gu%d", h), t.topScores(slices.Concat(sets...)))
-	return h
+	fl, union := flgroup.Bulk(t.d, len(kids), t.guCap(), sets)
+	t.fl[h] = fl
+	return h, t.topOf(union)
 }
 
-// kidSets returns the G sets of nd's children, in child order.
-func (t *Tree) kidSets(nd *node) [][]float64 {
-	sets := make([][]float64, len(nd.kids))
-	for j, kid := range nd.kids {
-		sets[j] = t.gu[kid].Keys()
-	}
-	return sets
-}
+// topOf returns the top c2·l of asc, an ascending slice.
+func (t *Tree) topOf(asc []float64) []float64 { return asc[max(0, len(asc)-t.guCap()):] }
 
-// topScores sorts scores ascending and returns the top c2·l of them.
-func (t *Tree) topScores(scores []float64) []float64 {
-	slices.Sort(scores)
-	return scores[max(0, len(scores)-t.guCap()):]
-}
+// gset returns where non-root node nd's G set lives: its parent's
+// flgroup, and its 1-based set index there.
+func (t *Tree) gset(nd *node) (*flgroup.Group, int) { return t.fl[nd.parent], nd.childIdx + 1 }
 
 func routeKid(nd *node, x float64) int {
 	lo, hi := 0, len(nd.kids)-1
@@ -267,7 +261,7 @@ func routeKid(nd *node, x float64) int {
 // Insert adds p in O(log_B n) amortized I/Os (appendix update
 // algorithm): descend to the leaf, update its [14] structure, then fix
 // the G sets bottom-up, entering p's score wherever it ranks in the top
-// c2·l of an ancestor's subtree.
+// c2·l of an ancestor's subtree: one flgroup update per level.
 func (t *Tree) Insert(p point.P) {
 	h := t.root
 	for {
@@ -285,40 +279,24 @@ func (t *Tree) Insert(p point.P) {
 	t.splitIfNeeded(h)
 }
 
-// bubbleInsert enters score s into G_u along the leaf-to-root path for
-// as long as it ranks in the top c2·l, maintaining the parents' flgroup
-// sets in lockstep with the score B-trees.
+// bubbleInsert enters score s into G_u along the path from leaf h up
+// to a child of the root for as long as it ranks in the top c2·l.
 func (t *Tree) bubbleInsert(h em.Handle, s float64) {
-	for h != em.NilHandle {
-		g := t.gu[h]
-		full := g.Len() >= t.guCap()
-		if full {
-			mn, _ := g.Min()
+	for {
+		nd := t.store.Read(h)
+		if nd.parent == em.NilHandle {
+			return // the root keeps no G set
+		}
+		fl, i := t.gset(nd)
+		if fl.SizeOf(i) >= t.guCap() {
+			mn, _ := fl.MinOf(i)
 			if s <= mn {
 				return // s does not enter G_u, so nor any ancestor's
 			}
-			t.removeFromG(h, mn)
+			fl.Delete(i, mn)
 		}
-		t.addToG(h, s)
-		h = t.store.Read(h).parent
-	}
-}
-
-// addToG inserts s into G_u's score B-tree and the parent's flgroup.
-func (t *Tree) addToG(h em.Handle, s float64) {
-	t.gu[h].Insert(s)
-	nd := t.store.Read(h)
-	if nd.parent != em.NilHandle {
-		t.fl[nd.parent].Insert(nd.childIdx+1, s)
-	}
-}
-
-// removeFromG removes s from G_u and the parent's flgroup.
-func (t *Tree) removeFromG(h em.Handle, s float64) {
-	t.gu[h].Delete(s)
-	nd := t.store.Read(h)
-	if nd.parent != em.NilHandle {
-		t.fl[nd.parent].Delete(nd.childIdx+1, s)
+		fl.Insert(i, s)
+		h = nd.parent
 	}
 }
 
@@ -345,29 +323,30 @@ func (t *Tree) Delete(p point.P) bool {
 		w = nd.parent
 	}
 	// Fix the G sets bottom-up: wherever score(p) was a member of G_u,
-	// remove it and refill with the next-best score of u's subtree.
-	for u := h; u != em.NilHandle; {
-		g := t.gu[u]
-		if !g.Contains(p.Score) {
+	// remove it and refill with the next-best score of u's subtree. The
+	// root keeps no G set, so the walk stops below it.
+	for u := h; ; {
+		nd := t.store.Read(u)
+		if nd.parent == em.NilHandle {
+			return true
+		}
+		fl, i := t.gset(nd)
+		if !fl.Delete(i, p.Score) {
 			return true // not in G_u ⇒ not in any ancestor's
 		}
-		t.removeFromG(u, p.Score)
-		nd := t.store.Read(u)
-		if refill, ok := t.nextBest(u, nd); ok {
-			t.addToG(u, refill)
+		if refill, ok := t.nextBest(u, nd, fl.SizeOf(i)+1); ok {
+			fl.Insert(i, refill)
 		}
 		u = nd.parent
 	}
-	return true
 }
 
-// nextBest returns the (|G_u|+1)-th best score of u's subtree, i.e. the
-// element to promote into G_u after a removal, if the subtree has one.
-// For internal nodes it is the (|G_u|+1)-th of ∪G_ui, read exactly from
-// the flgroup's B-tree on G; for leaves it comes from the [14]
-// structure.
-func (t *Tree) nextBest(u em.Handle, nd *node) (float64, bool) {
-	want := t.gu[u].Len() + 1
+// nextBest returns the want-th best score of u's subtree, if it has
+// one: with want = |G_u|+1 after a removal, the element to promote into
+// G_u. For internal nodes it is the want-th of ∪G_ui, read exactly from
+// the flgroup's B-tree on G; for leaves it comes from the leaf's
+// chunks.
+func (t *Tree) nextBest(u em.Handle, nd *node, want int) (float64, bool) {
 	if nd.leaf {
 		if want > nd.weight {
 			return 0, false
@@ -394,16 +373,18 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 		if !over {
 			return
 		}
-		var left, right em.Handle
+		var halves [2]em.Handle
+		var sets [2][]float64
 		if nd.leaf {
-			left, right = t.splitLeaf(h, nd)
+			halves, sets = t.splitLeaf(h, nd)
 		} else {
-			left, right = t.splitInternal(h, nd)
+			halves, sets = t.splitInternal(h, nd)
 		}
+		left, right := halves[0], halves[1]
 
 		if nd.parent == em.NilHandle {
-			// New root above the two halves.
-			t.root = t.newInternal([]em.Handle{left, right})
+			// New root above the two halves; its own G set is dropped.
+			t.root, _ = t.newInternal(halves[:], sets[:])
 			return
 		}
 
@@ -425,41 +406,56 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 		for jj := j + 2; jj < len(par.kids); jj++ {
 			t.store.Update(par.kids[jj], func(c **node) { (*c).childIdx = jj })
 		}
-		t.rebuildSecondary(nd.parent)
+		t.rebuildSecondary(nd.parent, j, sets)
 		h = nd.parent
 	}
 }
 
-// splitLeaf splits leaf h in half by x into two new leaves. The handle
-// h is retired.
-func (t *Tree) splitLeaf(h em.Handle, nd *node) (em.Handle, em.Handle) {
+// splitLeaf splits leaf h in half by x into two new leaves and returns
+// them with their G sets. The handle h is retired.
+func (t *Tree) splitLeaf(h em.Handle, nd *node) (halves [2]em.Handle, sets [2][]float64) {
 	all := t.leafAll(h)
 	point.SortByX(all)
 	mid := len(all) / 2
-	lh := t.newLeaf(nd.lo, all[mid].X, all[:mid])
-	rh := t.newLeaf(all[mid].X, nd.hi, all[mid:])
+	halves[0], sets[0] = t.newLeaf(nd.lo, all[mid].X, all[:mid])
+	halves[1], sets[1] = t.newLeaf(all[mid].X, nd.hi, all[mid:])
 	t.retire(h)
-	return lh, rh
+	return halves, sets
 }
 
 // splitInternal splits internal node h in half by child index into two
-// new nodes. The handle h is retired.
-func (t *Tree) splitInternal(h em.Handle, nd *node) (em.Handle, em.Handle) {
+// new nodes and returns them with their G sets. The children's G sets
+// are read out of h's flgroup before it is retired with h.
+func (t *Tree) splitInternal(h em.Handle, nd *node) (halves [2]em.Handle, sets [2][]float64) {
+	kidSets := make([][]float64, len(nd.kids))
+	for j := range kidSets {
+		kidSets[j] = t.fl[h].KeysOf(j + 1)
+	}
 	mid := len(nd.kids) / 2
-	lh := t.newInternal(nd.kids[:mid])
-	rh := t.newInternal(nd.kids[mid:])
+	halves[0], sets[0] = t.newInternal(nd.kids[:mid], kidSets[:mid])
+	halves[1], sets[1] = t.newInternal(nd.kids[mid:], kidSets[mid:])
 	t.retire(h)
-	return lh, rh
+	return halves, sets
 }
 
-// rebuildSecondary rebuilds internal node u's flgroup after one of its
-// children split: the split cuts one child's G set in two, so the
-// flgroup's sets are cut anew, but u's subtree holds the same points,
-// so G_u and the parent's copy of it stay as they are.
-func (t *Tree) rebuildSecondary(u em.Handle) {
-	nd := t.store.Read(u)
-	t.fl[u].Free()
-	t.fl[u] = flgroup.Bulk(t.d, len(nd.kids), t.guCap(), t.kidSets(nd))
+// rebuildSecondary rebuilds internal node u's flgroup after its j-th
+// child split in two halves, whose G sets are halfSets: the split cuts
+// one child's G set in two, so the flgroup's sets are cut anew. The
+// other children's sets are read out of the old flgroup before it is
+// freed. u's subtree holds the same points, so G_u, in u's parent's
+// flgroup, stays as it is.
+func (t *Tree) rebuildSecondary(u em.Handle, j int, halfSets [2][]float64) {
+	old := t.fl[u]
+	sets := make([][]float64, 0, old.F()+1)
+	for i := 1; i <= old.F(); i++ {
+		if i == j+1 {
+			sets = append(sets, halfSets[:]...)
+		} else {
+			sets = append(sets, old.KeysOf(i))
+		}
+	}
+	old.Free()
+	t.fl[u], _ = flgroup.Bulk(t.d, len(sets), t.guCap(), sets)
 }
 
 // FreeAll releases every node and secondary structure.
@@ -481,10 +477,6 @@ func (t *Tree) FreeAll() {
 
 // retire frees a node and its secondary structures.
 func (t *Tree) retire(h em.Handle) {
-	if g, ok := t.gu[h]; ok {
-		g.Free()
-		delete(t.gu, h)
-	}
 	if g, ok := t.fl[h]; ok {
 		g.Free()
 		delete(t.fl, h)
