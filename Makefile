@@ -108,16 +108,17 @@ govulncheck:
 ci-analysis: analysis staticcheck govulncheck
 
 # One short fuzz pass per target; go test exits non-zero on a crasher
-# and writes it to testdata/fuzz for replay. FuzzBulkBuild runs an index
-# build and an op stream per input, so minimizing a new corpus entry
-# within the default 60 s would take the whole pass; 100 tries keep it
-# fuzzing.
+# and writes it to testdata/fuzz for replay. FuzzBulkBuild and
+# FuzzStores run index builds and an op stream per input, so minimizing
+# a new corpus entry within the default 60 s would take the whole pass;
+# 100 tries keep them fuzzing.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseRange -fuzztime=$(FUZZTIME) ./cmd/topkd
 	go test -run='^$$' -fuzz=FuzzTopKQuery -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzBatchJSON -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzParseTopK -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzBulkBuild -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core
+	go test -run='^$$' -fuzz=FuzzStores -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x .
 
 # Process-level observability smoke: real listeners, real scrapes —
 # what the in-process httptest suites can't exercise.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -475,7 +476,9 @@ var _ = point.P{} // keep the import for helper extensions
 // members (bench/stack.go). Each member bulk-loads a quantile score
 // band of the points with LoadSharded into 8 shards of B = 64 with the
 // §3.3 tree at f = 8 and leaves of 2,048. One op loads all three
-// bands, so ns/op and allocs/op are one boot's load.
+// bands, so ns/op and allocs/op are one boot's load. heap-B/pt is the
+// Go heap the last boot's members keep live, per point: what a GC
+// frees when they are dropped.
 func BenchmarkLoadSharded(b *testing.B) {
 	const members = 3
 	cfg := ShardedConfig{
@@ -487,13 +490,26 @@ func BenchmarkLoadSharded(b *testing.B) {
 		sort.Slice(pts, func(i, j int) bool { return pts[i].Score < pts[j].Score })
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var boot [members]*Sharded
 			for i := 0; i < b.N; i++ {
 				for m := range members {
-					mustLoadSharded(b, cfg, pts[m*n/members:(m+1)*n/members])
+					boot[m] = mustLoadSharded(b, cfg, pts[m*n/members:(m+1)*n/members])
 				}
 			}
+			b.StopTimer()
+			held := liveHeap()
+			runtime.KeepAlive(boot)
+			b.ReportMetric(float64(held-liveHeap())/float64(n), "heap-B/pt")
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkChurnLifecycle: the full shard lifecycle — bulk load a

@@ -38,16 +38,9 @@ func allEngines(b int) []engine {
 	d3 := em.NewDisk(em.Config{B: b, M: 64 * b})
 	st := shengtao.New(d3, shengtao.Options{K: 64})
 	rm := &ram.Tree{}
-	// core.Insert returns errors under the v1 contract; the shared
-	// workload is duplicate-free, so any error is a test failure.
-	coreInsert := func(p point.P) {
-		if err := ix.Insert(p); err != nil {
-			panic(err)
-		}
-	}
 	return []engine{
 		{"pst", p.Insert, p.Delete, p.Query, 0},
-		{"core", coreInsert, ix.Delete, ix.Query, 0},
+		{"core", ix.Insert, ix.Delete, ix.Query, 0},
 		{"shengtao", st.Insert, st.Delete, st.Query, 64},
 		{"ram", rm.Insert, rm.Delete, rm.Query, 0},
 	}

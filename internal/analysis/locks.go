@@ -4,7 +4,7 @@ package analysis
 // (lockorder, snapshotpin). The invariants they check are phrased in
 // terms of the convention the router documents: the guarded type's
 // PRIMARY mutex is a field literally named "mu" (shard.mu, Router.mu),
-// while auxiliary leaf locks carry descriptive names (scoreMu,
+// while auxiliary leaf locks carry descriptive names (guardMu,
 // statsMu) precisely so they are visibly outside the ordering
 // protocol. The scanners therefore match calls of the shape
 // `owner.mu.Lock()` and classify them by the owner's named type.

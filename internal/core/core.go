@@ -23,11 +23,19 @@
 // are still O(log_B n)). When n doubles or halves relative to the size
 // fixed at the last build, everything is rebuilt from scratch with
 // N := 2n, exactly as the paper's appendix prescribes.
+//
+// The paper's input is a set of finite points with distinct positions
+// and distinct scores. Index assumes it and checks nothing; Guard,
+// defined here beside the sentinels it returns, is how a Store enforces
+// it. Each Store owns exactly one Guard, at the tier whose scope the
+// contract covers: topk.Index for its one machine, the shard router for
+// the whole fleet.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/em"
@@ -51,6 +59,94 @@ var (
 	// ErrNotFound reports a batched delete of an absent point.
 	ErrNotFound = errors.New("point not found")
 )
+
+// Guard enforces the input contract on one Store's live set: finite
+// coordinates, distinct positions, distinct scores. It checks in one
+// fixed order, ErrInvalidPoint, then ErrDuplicatePosition, then
+// ErrDuplicateScore, and a rejected point claims nothing. Its sets live
+// in Go memory outside the I/O-charged model: like the I/O meter they
+// are serving-layer bookkeeping, not part of the paper's structure (the
+// in-model alternative is a Count probe at O(log_B n) extra I/Os per
+// insert, which would distort the measured update bounds).
+//
+// The zero value is an empty guard. A Guard is not safe for concurrent
+// use: an owner that serves concurrent updates holds its own mutex
+// around every call.
+type Guard struct {
+	positions, scores map[float64]struct{}
+}
+
+// Load empties g and claims the points of pts in order, checking each
+// as Reserve does. The error of the first point that fails wraps the
+// sentinel and names the point by its index in pts; g is then to be
+// discarded.
+func (g *Guard) Load(pts []point.P) error {
+	g.positions = make(map[float64]struct{}, len(pts))
+	g.scores = make(map[float64]struct{}, len(pts))
+	for i, p := range pts {
+		err := g.Reserve(p)
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrDuplicatePosition):
+			return fmt.Errorf("load point %d (x=%v): %w", i, p.X, err)
+		case errors.Is(err, ErrDuplicateScore):
+			return fmt.Errorf("load point %d (score=%v): %w", i, p.Score, err)
+		default:
+			return fmt.Errorf("load point %d (%v, %v): %w", i, p.X, p.Score, err)
+		}
+	}
+	return nil
+}
+
+// Reserve checks p against the live set and claims its position and
+// score, or returns the sentinel of the first check that fails and
+// claims nothing. A successful Reserve pairs with one Release: when p
+// is deleted, or when its insert is abandoned.
+func (g *Guard) Reserve(p point.P) error {
+	if !p.Finite() {
+		return ErrInvalidPoint
+	}
+	if g.positions == nil {
+		g.positions, g.scores = map[float64]struct{}{}, map[float64]struct{}{}
+	}
+	if !add(g.positions, p.X) {
+		return ErrDuplicatePosition
+	}
+	if !add(g.scores, p.Score) {
+		delete(g.positions, p.X)
+		return ErrDuplicateScore
+	}
+	return nil
+}
+
+// Release gives up p's position and score.
+func (g *Guard) Release(p point.P) {
+	delete(g.positions, p.X)
+	delete(g.scores, p.Score)
+}
+
+// Check reports whether g holds exactly the positions and scores of
+// live, which its owner's structures hold (a test helper: it builds a
+// second guard over live).
+func (g *Guard) Check(live []point.P) error {
+	var want Guard
+	if err := want.Load(live); err != nil {
+		return fmt.Errorf("live set: %w", err)
+	}
+	if !maps.Equal(g.positions, want.positions) || !maps.Equal(g.scores, want.scores) {
+		return fmt.Errorf("guard holds %d positions and %d scores, not those of the %d live points",
+			len(g.positions), len(g.scores), len(live))
+	}
+	return nil
+}
+
+// add inserts k into set and reports whether it was absent, in one
+// hash operation.
+func add(set map[float64]struct{}, k float64) bool {
+	n := len(set)
+	set[k] = struct{}{}
+	return len(set) > n
+}
 
 // Regime identifies which small-k component serves queries below the
 // k-threshold.
@@ -90,7 +186,10 @@ type Options struct {
 	PolylogLeafCap int
 }
 
-// Index is the Theorem 1 structure. Create with New or Bulk.
+// Index is the Theorem 1 structure. Create with New or Bulk. Its
+// points must be finite with distinct positions and distinct scores:
+// that is its caller's contract, which the caller's Guard enforces, and
+// a violation corrupts the structures.
 type Index struct {
 	d   *em.Disk
 	opt Options
@@ -103,15 +202,6 @@ type Index struct {
 	poly   *polylog.Tree  // small-k component in the polylog regime
 	base   *shengtao.Tree // small-k component in the baseline regime
 	regime Regime         // resolved regime for the current build
-
-	// positions and scores are the duplicate guards behind Insert's
-	// error contract. They live in Go memory outside the I/O-charged
-	// model — like the I/O meter itself they are serving-layer
-	// bookkeeping, not part of the paper's structure (the in-model
-	// alternative is a Count probe at O(log_B n) extra I/Os per
-	// insert, which would distort the measured update bounds).
-	positions map[float64]struct{}
-	scores    map[float64]struct{}
 }
 
 // New returns an empty index on d.
@@ -160,6 +250,8 @@ func (ix *Index) resolveRegime() Regime {
 }
 
 // build (re)constructs everything over pts with N := max(2·|pts|, 16).
+// It sorts one copy of pts by descending score, which both the §2 tree
+// and the §3.3 leaves build from.
 func (ix *Index) build(pts []point.P) {
 	if ix.tree != nil {
 		// Free the previous build's blocks.
@@ -171,13 +263,8 @@ func (ix *Index) build(pts []point.P) {
 		ix.N = 16
 	}
 	ix.regime = ix.resolveRegime()
-	ix.positions = make(map[float64]struct{}, len(pts))
-	ix.scores = make(map[float64]struct{}, len(pts))
-	for _, p := range pts {
-		ix.positions[p.X] = struct{}{}
-		ix.scores[p.Score] = struct{}{}
-	}
-	ix.tree = pst.Bulk(ix.d, ix.opt.PST, pts)
+	byScore := point.ByScoreDesc(pts)
+	ix.tree = pst.BulkSorted(ix.d, ix.opt.PST, pts, byScore)
 	switch ix.regime {
 	case RegimeBaseline:
 		ix.base = shengtao.Bulk(ix.d, shengtao.Options{K: ix.KThreshold()}, pts)
@@ -188,7 +275,7 @@ func (ix *Index) build(pts []point.P) {
 			N:       ix.N,
 			F:       ix.opt.PolylogF,
 			LeafCap: ix.opt.PolylogLeafCap,
-		}, pts)
+		}, pts, byScore)
 		ix.base = nil
 	}
 }
@@ -230,35 +317,11 @@ func (ix *Index) live() []point.P { return ix.tree.Live() }
 // the same argument as global rebuilding.
 func (ix *Index) Live() []point.P { return ix.live() }
 
-// Has reports whether a live point occupies position x (O(1), no I/O:
-// the guard maps are Go-memory bookkeeping).
-func (ix *Index) Has(x float64) bool {
-	_, ok := ix.positions[x]
-	return ok
-}
-
-// HasScore reports whether score is live (O(1), no I/O).
-func (ix *Index) HasScore(score float64) bool {
-	_, ok := ix.scores[score]
-	return ok
-}
-
-// Insert adds p in O(log_B n) amortized I/Os. Contract violations are
-// rejected with a sentinel error BEFORE anything is mutated — an
-// in-flight violation would leave the two maintained structures
-// diverged and poison every later rebuild. Checks run in a fixed
-// order: ErrInvalidPoint, then ErrDuplicatePosition, then
-// ErrDuplicateScore.
-func (ix *Index) Insert(p point.P) error {
-	if !p.Finite() {
-		return ErrInvalidPoint
-	}
-	if ix.Has(p.X) {
-		return ErrDuplicatePosition
-	}
-	if ix.HasScore(p.Score) {
-		return ErrDuplicateScore
-	}
+// Insert adds p in O(log_B n) amortized I/Os. p must be finite, and
+// its position and score must not be live: the caller's Guard.Reserve
+// has to accept p first, because a violation would leave the two
+// maintained structures diverged and poison every later rebuild.
+func (ix *Index) Insert(p point.P) {
 	ix.tree.Insert(p)
 	if ix.poly != nil {
 		ix.poly.Insert(p)
@@ -266,11 +329,8 @@ func (ix *Index) Insert(p point.P) error {
 	if ix.base != nil {
 		ix.base.Insert(p)
 	}
-	ix.positions[p.X] = struct{}{}
-	ix.scores[p.Score] = struct{}{}
 	ix.n++
 	ix.maybeRebuild()
-	return nil
 }
 
 // Delete removes p, reporting whether it was present, in O(log_B n)
@@ -279,8 +339,6 @@ func (ix *Index) Delete(p point.P) bool {
 	if !ix.tree.Delete(p) {
 		return false
 	}
-	delete(ix.positions, p.X)
-	delete(ix.scores, p.Score)
 	if ix.poly != nil && !ix.poly.Delete(p) {
 		panic("core: structures diverged on delete")
 	}
@@ -380,15 +438,6 @@ func (ix *Index) CheckInvariants() error {
 	if ix.base != nil {
 		if err := ix.base.CheckInvariants(); err != nil {
 			return fmt.Errorf("baseline: %w", err)
-		}
-	}
-	if len(ix.positions) != ix.n || len(ix.scores) != ix.n {
-		return fmt.Errorf("duplicate guards out of sync: %d positions, %d scores, n=%d",
-			len(ix.positions), len(ix.scores), ix.n)
-	}
-	for _, p := range ix.live() {
-		if !ix.Has(p.X) || !ix.HasScore(p.Score) {
-			return fmt.Errorf("live point %v missing from duplicate guards", p)
 		}
 	}
 	return nil

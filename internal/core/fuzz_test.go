@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/point"
+	"repro/internal/workload"
 )
 
 // FuzzBulkBuild bulk-builds an index over fuzzed points, then runs a
@@ -16,17 +14,18 @@ import (
 // both the §2 tree and the §3.3 reduction answer, and every structure
 // must pass CheckInvariants (the PST with token tracking on).
 //
-// Input layout: a little-endian uint16 point count (mod 513), then four
-// bytes per point (int16 x, uint16 score; a repeated x or score is
-// skipped), then three bytes per op, at most 512 ops: a kind byte and a
-// uint16 operand.
+// The input is workload.DecodeFuzz's layout. An Index takes only
+// points its caller's Guard accepted, so the stream skips inserts that
+// collide with a live position or score; the Store-level FuzzStores
+// (package topk) drives the same stream, collisions included, through
+// both backends' guards.
 func FuzzBulkBuild(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(seedInput(12, 1, []byte{1, 7, 0, 0, 3, 0, 2, 9, 9}))
-	f.Add(seedInput(200, 2, make([]byte, 90)))
-	f.Add(seedInput(512, 3, []byte{4, 1, 1, 5, 2, 2, 0, 3, 3, 8, 4, 4}))
+	f.Add(workload.FuzzSeed(12, 1, []byte{1, 7, 0, 0, 3, 0, 2, 9, 9}))
+	f.Add(workload.FuzzSeed(200, 2, make([]byte, 90)))
+	f.Add(workload.FuzzSeed(512, 3, []byte{4, 1, 1, 5, 2, 2, 0, 3, 3, 8, 4, 4}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pts, ops := decodeBulkInput(data)
+		pts, ops := workload.DecodeFuzz(data)
 		opt := testOpts()
 		opt.PST.TrackTokens = true
 		ix := Bulk(newDisk(16), opt, pts)
@@ -53,73 +52,27 @@ func FuzzBulkBuild(f *testing.F) {
 		}
 		check("after Bulk")
 
-		positions, scores := map[float64]bool{}, map[float64]bool{}
-		for _, p := range live {
-			positions[p.X], scores[p.Score] = true, true
+		var guard Guard
+		if err := guard.Load(pts); err != nil {
+			t.Fatal(err)
 		}
-		for ; len(ops) >= 3; ops = ops[3:] {
-			kind, v := ops[0], binary.LittleEndian.Uint16(ops[1:])
-			if kind%4 == 0 && len(live) > 0 {
-				i := int(v) % len(live)
+		for _, op := range ops {
+			if op.Delete && len(live) > 0 {
+				i := op.Pick % len(live)
 				p := live[i]
 				if !ix.Delete(p) {
 					t.Fatalf("Delete(%v) of a live point failed", p)
 				}
 				live = slices.Delete(live, i, i+1)
-				delete(positions, p.X)
-				delete(scores, p.Score)
+				guard.Release(p)
 				continue
 			}
-			// Half-integer coordinates never collide with decoded
-			// points, but inserts can collide with each other.
-			p := point.P{X: float64(int16(v)) + 0.5, Score: float64(kind)*65536 + float64(v) + 0.5}
-			var want error
-			switch {
-			case positions[p.X]:
-				want = ErrDuplicatePosition
-			case scores[p.Score]:
-				want = ErrDuplicateScore
+			if guard.Reserve(op.P) != nil {
+				continue
 			}
-			if err := ix.Insert(p); !errors.Is(err, want) {
-				t.Fatalf("Insert(%v) = %v, want %v", p, err, want)
-			}
-			if want == nil {
-				live = append(live, p)
-				positions[p.X], scores[p.Score] = true, true
-			}
+			ix.Insert(op.P)
+			live = append(live, op.P)
 		}
 		check("after the op stream")
 	})
-}
-
-// decodeBulkInput splits fuzz input into at most 512 points with
-// distinct x and distinct scores, and the op bytes that follow them.
-func decodeBulkInput(data []byte) (pts []point.P, ops []byte) {
-	if len(data) < 2 {
-		return nil, nil
-	}
-	n := int(binary.LittleEndian.Uint16(data)) % 513
-	data = data[2:]
-	xs, scores := map[float64]bool{}, map[float64]bool{}
-	for ; n > 0 && len(data) >= 4; n, data = n-1, data[4:] {
-		p := point.P{
-			X:     float64(int16(binary.LittleEndian.Uint16(data))),
-			Score: float64(binary.LittleEndian.Uint16(data[2:])),
-		}
-		if !xs[p.X] && !scores[p.Score] {
-			xs[p.X], scores[p.Score] = true, true
-			pts = append(pts, p)
-		}
-	}
-	return pts, data[:min(len(data), 3*512)]
-}
-
-// seedInput lays out n random points followed by ops, for the corpus.
-func seedInput(n int, seed int64, ops []byte) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	out := binary.LittleEndian.AppendUint16(nil, uint16(n))
-	for range n {
-		out = binary.LittleEndian.AppendUint32(out, rng.Uint32())
-	}
-	return append(out, ops...)
 }

@@ -31,8 +31,8 @@ func pinnedWorkload(t *testing.T) (*em.Disk, []pinnedPhase) {
 				if !ix.Delete(op.Point()) {
 					t.Fatalf("delete of %+v found nothing", op.Point())
 				}
-			} else if err := ix.Insert(op.Point()); err != nil {
-				t.Fatal(err)
+			} else {
+				ix.Insert(op.Point())
 			}
 		}
 		d.DropCache() // charge the write-back of everything dirty

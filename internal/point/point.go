@@ -94,6 +94,13 @@ func SortByScoreDesc(ps []P) {
 	})
 }
 
+// ByScoreDesc returns a copy of ps sorted by descending score.
+func ByScoreDesc(ps []P) []P {
+	out := slices.Clone(ps)
+	SortByScoreDesc(out)
+	return out
+}
+
 // TopK returns the k highest-scoring points of ps that lie in [x1, x2],
 // sorted by descending score. If fewer than k qualify, all are returned.
 // It is the brute-force reference semantics of the problem statement.

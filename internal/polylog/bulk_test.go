@@ -19,6 +19,11 @@ func height(t *Tree) int {
 	return h
 }
 
+// bulk is Bulk over pts with the score order the caller provides.
+func bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
+	return Bulk(d, opt, pts, point.ByScoreDesc(pts))
+}
+
 // TestBulk builds trees at least three levels deep and checks their
 // invariants, Count against brute force and SelectApprox against
 // SelectBound. An insert stream then forces leaf and internal splits,
@@ -30,7 +35,7 @@ func TestBulk(t *testing.T) {
 			opt := Options{L: 4, F: f, LeafCap: leafCap}
 			n := leafCap * f * f * 3
 			pts := genPoints(n+n/2, int64(f*leafCap))
-			tr := Bulk(newDisk(32), opt, pts[:n])
+			tr := bulk(newDisk(32), opt, pts[:n])
 			if h := height(tr); h < 3 {
 				t.Fatalf("%s: height %d, want at least 3", name, h)
 			}
@@ -78,7 +83,7 @@ func TestGSetsStoredOnce(t *testing.T) {
 			n := leafCap * f * f * 3
 			pts := genPoints(16*n, int64(f*leafCap))
 			d := newDisk(32)
-			tr := Bulk(d, Options{L: 4, F: f, LeafCap: leafCap}, pts[:n])
+			tr := bulk(d, Options{L: 4, F: f, LeafCap: leafCap}, pts[:n])
 			check := func(when string) {
 				t.Helper()
 				checkStores(t, name+" "+when, d)
@@ -176,7 +181,7 @@ func checkQueries(t *testing.T, name string, tr *Tree, pts []point.P) {
 
 func TestBulkEmptyAndSingle(t *testing.T) {
 	for _, pts := range [][]point.P{nil, {{X: 3, Score: 7}}} {
-		tr := Bulk(newDisk(32), smallOpts(4), pts)
+		tr := bulk(newDisk(32), smallOpts(4), pts)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -128,7 +128,7 @@ type Tree struct {
 }
 
 // New returns an empty structure.
-func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil) }
+func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil, nil) }
 
 // Bulk builds the structure over pts bottom-up, in sorting time: it
 // cuts the x-sorted points into equal leaves of about ¾·LeafCap, then
@@ -138,7 +138,11 @@ func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil) }
 // G set passes in memory to the parent built over it; the root's is
 // dropped. Each level keeps a quarter of its capacity as slack for the
 // splits that updates cause.
-func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
+//
+// byScore holds the points of pts sorted by descending score. One walk
+// of it, lowest score first, deals every leaf its scores in ascending
+// order, so no leaf sorts its own. Neither slice is modified or kept.
+func Bulk(d *em.Disk, opt Options, pts, byScore []point.P) *Tree {
 	opt = opt.withDefaults(d)
 	t := &Tree{
 		d: d, opt: opt,
@@ -155,6 +159,7 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 		}
 	}
 	m := max(1, ceilDiv(len(pts), 3*opt.LeafCap/4))
+	asc := leafScores(pts, byScore, m)
 	level, sets := make([]em.Handle, m), make([][]float64, m)
 	for j := range m {
 		a, b := j*len(pts)/m, (j+1)*len(pts)/m
@@ -165,7 +170,7 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 		if j < m-1 {
 			hi = pts[b].X
 		}
-		level[j], sets[j] = t.newLeaf(lo, hi, pts[a:b])
+		level[j], sets[j] = t.newLeaf(lo, hi, pts[a:b], asc[a:b])
 	}
 	for len(level) > 1 {
 		m := 1
@@ -184,6 +189,39 @@ func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// leafScores returns the scores of xs, x-sorted points cut into m
+// equal leaves as Bulk cuts them, laid out leaf by leaf, each leaf's
+// ascending: leaf j's are at [j·n/m, (j+1)·n/m). It walks byScore, the
+// same points by descending score, from its end, routing each score to
+// its leaf by the leaves' low x-coordinates.
+func leafScores(xs, byScore []point.P, m int) []float64 {
+	if len(byScore) != len(xs) {
+		panic(fmt.Sprintf("polylog: %d points by score for %d points", len(byScore), len(xs)))
+	}
+	cuts := make([]float64, m-1)
+	next := make([]int, m) // leaf j's next free slot
+	for j := 1; j < m; j++ {
+		next[j] = j * len(xs) / m
+		cuts[j-1] = xs[next[j]].X
+	}
+	out := make([]float64, len(xs))
+	for i := len(byScore) - 1; i >= 0; i-- {
+		p := byScore[i]
+		j, at := slices.BinarySearch(cuts, p.X)
+		if at {
+			j++
+		}
+		out[next[j]] = p.Score
+		next[j]++
+	}
+	for j := range m {
+		if next[j] != (j+1)*len(xs)/m {
+			panic("polylog: the points by score are not the points by x")
+		}
+	}
+	return out
+}
+
 // Len returns the number of live points; L the query cap.
 func (t *Tree) Len() int { return t.n }
 func (t *Tree) L() int   { return t.opt.L }
@@ -192,9 +230,9 @@ func (t *Tree) L() int   { return t.opt.L }
 func (t *Tree) guCap() int { return c2 * t.opt.L }
 
 // newLeaf allocates a leaf with slab [lo, hi) over pts (x-sorted), in
-// full chunks, and returns it with its G set: the top c2·l scores of
-// pts, ascending.
-func (t *Tree) newLeaf(lo, hi float64, pts []point.P) (em.Handle, []float64) {
+// full chunks, and returns it with its G set: the top c2·l of asc, the
+// scores of pts in ascending order.
+func (t *Tree) newLeaf(lo, hi float64, pts []point.P, asc []float64) (em.Handle, []float64) {
 	nd := &node{leaf: true, lo: lo, hi: hi, weight: len(pts)}
 	m := ceilDiv(len(pts), t.chunkCap())
 	for j := range m {
@@ -206,12 +244,7 @@ func (t *Tree) newLeaf(lo, hi float64, pts []point.P) (em.Handle, []float64) {
 		nd.kids = append(nd.kids, t.chunks.Alloc(slices.Clone(pts[a:b])))
 		nd.kidLo = append(nd.kidLo, clo)
 	}
-	scores := make([]float64, len(pts))
-	for i, p := range pts {
-		scores[i] = p.Score
-	}
-	slices.Sort(scores)
-	return t.store.Alloc(nd), t.topOf(scores)
+	return t.store.Alloc(nd), t.topOf(asc)
 }
 
 // newInternal allocates an internal node over kids, consecutive nodes
@@ -417,10 +450,20 @@ func (t *Tree) splitLeaf(h em.Handle, nd *node) (halves [2]em.Handle, sets [2][]
 	all := t.leafAll(h)
 	point.SortByX(all)
 	mid := len(all) / 2
-	halves[0], sets[0] = t.newLeaf(nd.lo, all[mid].X, all[:mid])
-	halves[1], sets[1] = t.newLeaf(all[mid].X, nd.hi, all[mid:])
+	halves[0], sets[0] = t.newLeaf(nd.lo, all[mid].X, all[:mid], ascScores(all[:mid]))
+	halves[1], sets[1] = t.newLeaf(all[mid].X, nd.hi, all[mid:], ascScores(all[mid:]))
 	t.retire(h)
 	return halves, sets
+}
+
+// ascScores returns the scores of pts in ascending order.
+func ascScores(pts []point.P) []float64 {
+	scores := make([]float64, len(pts))
+	for i, p := range pts {
+		scores[i] = p.Score
+	}
+	slices.Sort(scores)
+	return scores
 }
 
 // splitInternal splits internal node h in half by child index into two

@@ -76,7 +76,7 @@ func TestInsertInvariants(t *testing.T) {
 
 func TestSelectApproxGuarantee(t *testing.T) {
 	pts := genPoints(1200, 2)
-	tr := Bulk(newDisk(32), smallOpts(16), pts)
+	tr := bulk(newDisk(32), smallOpts(16), pts)
 	rng := rand.New(rand.NewSource(3))
 	bound := tr.SelectBound()
 	for i := 0; i < 150; i++ {
@@ -103,7 +103,7 @@ func TestSelectApproxGuarantee(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	pts := genPoints(800, 4)
-	tr := Bulk(newDisk(32), smallOpts(8), pts)
+	tr := bulk(newDisk(32), smallOpts(8), pts)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		x1 := rng.Float64() * 3200
@@ -122,7 +122,7 @@ func TestCount(t *testing.T) {
 
 func TestDeleteInvariants(t *testing.T) {
 	pts := genPoints(500, 6)
-	tr := Bulk(newDisk(32), smallOpts(8), pts)
+	tr := bulk(newDisk(32), smallOpts(8), pts)
 	for i, p := range pts {
 		if i%2 == 0 {
 			if !tr.Delete(p) {
@@ -145,7 +145,7 @@ func TestDeleteInvariants(t *testing.T) {
 
 func TestDeleteNonexistent(t *testing.T) {
 	pts := genPoints(100, 7)
-	tr := Bulk(newDisk(32), smallOpts(8), pts)
+	tr := bulk(newDisk(32), smallOpts(8), pts)
 	if tr.Delete(point.P{X: -5, Score: 3}) {
 		t.Fatal("phantom delete")
 	}
@@ -204,7 +204,7 @@ func TestInRegimeNoFallback(t *testing.T) {
 	// With a leaf capacity far above c2·l·c1, every canonical multi-slab
 	// is large and the AURS fast path must serve every query.
 	pts := genPoints(4000, 9)
-	tr := Bulk(newDisk(64), Options{L: 4, F: 4, LeafCap: 400}, pts)
+	tr := bulk(newDisk(64), Options{L: 4, F: 4, LeafCap: 400}, pts)
 	rng := rand.New(rand.NewSource(10))
 	tr.Fallbacks = 0
 	for i := 0; i < 100; i++ {
@@ -223,7 +223,7 @@ func TestInRegimeNoFallback(t *testing.T) {
 func TestSelectIOCost(t *testing.T) {
 	d := newDisk(64)
 	pts := genPoints(4000, 11)
-	tr := Bulk(d, Options{L: 4, F: 4, LeafCap: 400}, pts)
+	tr := bulk(d, Options{L: 4, F: 4, LeafCap: 400}, pts)
 	d.DropCache()
 	base := d.Stats()
 	const queries = 20
@@ -317,7 +317,7 @@ func TestQuickPolylogModel(t *testing.T) {
 
 func TestLiveMatches(t *testing.T) {
 	pts := genPoints(400, 14)
-	tr := Bulk(newDisk(32), smallOpts(8), pts)
+	tr := bulk(newDisk(32), smallOpts(8), pts)
 	live := tr.Live()
 	if len(live) != len(pts) {
 		t.Fatalf("live %d want %d", len(live), len(pts))
@@ -345,7 +345,7 @@ func BenchmarkPolylogInsert(b *testing.B) {
 
 func BenchmarkPolylogSelect(b *testing.B) {
 	d := em.NewDisk(em.Config{B: 64, M: 64 * 64})
-	tr := Bulk(d, Options{L: 8, F: 4, LeafCap: 400}, genPoints(10000, 1))
+	tr := bulk(d, Options{L: 8, F: 4, LeafCap: 400}, genPoints(10000, 1))
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -368,7 +368,7 @@ func TestWarmSelectAllocatesNothing(t *testing.T) {
 		{"in regime", Options{L: 4, F: 4, LeafCap: 400}, 1000, 14000, 3, false},
 		{"fallbacks", smallOpts(8), 2000, 2900, 8, true},
 	} {
-		tr := Bulk(newDisk(64), tc.opt, genPoints(4000, 13))
+		tr := bulk(newDisk(64), tc.opt, genPoints(4000, 13))
 		tr.Fallbacks = 0
 		if _, ok := tr.SelectApprox(tc.x1, tc.x2, tc.k); !ok {
 			t.Fatalf("%s: selection found fewer than k points", tc.name)

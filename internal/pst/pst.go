@@ -49,6 +49,7 @@ package pst
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/em"
 	"repro/internal/point"
@@ -195,6 +196,16 @@ func New(d *em.Disk, opts Options) *PST {
 func Bulk(d *em.Disk, opts Options, pts []point.P) *PST {
 	p := New(d, opts)
 	p.rebuildAll(pts)
+	return p
+}
+
+// BulkSorted is Bulk for a caller that already holds byScore, the
+// points of pts sorted by descending score: the build sorts only the
+// x-coordinates, in pts' order, so x-sorted pts cost it no sort at
+// all. Neither slice is modified or kept.
+func BulkSorted(d *em.Disk, opts Options, pts, byScore []point.P) *PST {
+	p := New(d, opts)
+	p.rebuildSorted(pts, slices.Clone(byScore))
 	return p
 }
 

@@ -233,7 +233,12 @@ func (p *PST) rebuildSubtree(uhat em.Handle) {
 
 // rebuildAll reconstructs the entire structure over the live points
 // (global rebuilding: resets stale x-coordinates and the height).
-func (p *PST) rebuildAll(pts []point.P) {
+func (p *PST) rebuildAll(pts []point.P) { p.rebuildSorted(pts, point.ByScoreDesc(pts)) }
+
+// rebuildSorted is rebuildAll given byScore, the points of pts sorted
+// by descending score, which the pilot fill consumes. It sorts the
+// x-coordinates in pts' order, so x-sorted input costs it no sort.
+func (p *PST) rebuildSorted(pts, byScore []point.P) {
 	if p.root != em.NilHandle {
 		p.freeSubtree(p.root)
 		p.root = em.NilHandle
@@ -260,9 +265,7 @@ func (p *PST) rebuildAll(pts []point.P) {
 		level++
 	}
 	p.root = p.buildSub(xs, level, math.Inf(-1), math.Inf(1))
-	pts = slices.Clone(pts)
-	point.SortByScoreDesc(pts)
-	p.fill(vid{p.root, 0}, pts, make([]point.P, len(pts)))
+	p.fill(vid{p.root, 0}, byScore, make([]point.P, len(byScore)))
 }
 
 // FreeAll releases every block of the structure, leaving it empty.

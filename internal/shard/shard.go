@@ -39,7 +39,7 @@
 //
 // This file holds what the layers share: Options, the shard and
 // Router types, the constructors, and the update paths (Insert,
-// Delete, ApplyBatch) with their fleet-wide duplicate-score registry.
+// Delete, ApplyBatch) with the fleet-wide duplicate guard they share.
 //
 // Shards split when insertion skew concentrates too large a share of
 // the live set in one of them (see skew): the overloaded
@@ -260,14 +260,17 @@ type Router struct {
 	// instant actually held.
 	peak atomic.Int64
 
-	// scores is the router-level duplicate-score guard: the set of all
-	// live scores across the fleet, with its own mutex so parallel
-	// batch workers on different shards can consult it. Per-shard
-	// structures only see their own sub-range, so without this set an
-	// equal score on a different shard would be accepted silently and
-	// detonate when a later split or rebalance co-locates the pair.
-	scoreMu sync.Mutex
-	scores  map[float64]struct{}
+	// guard is the fleet's one duplicate guard: every live position and
+	// score across all shards, under its own mutex so parallel batch
+	// workers on different shards can consult it. A shard's core.Index
+	// checks nothing, and a shard sees only its own sub-range, so the
+	// distinct-score contract can only be kept fleet-wide: an equal
+	// score on a different shard would otherwise be accepted silently
+	// and detonate when a later split or rebalance co-locates the pair.
+	// Splits, merges and rebalances move points between shards without
+	// touching it.
+	guardMu sync.Mutex
+	guard   core.Guard
 
 	// Background maintenance loop state (lifecycle.go).
 	maintStop chan struct{}
@@ -275,30 +278,26 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// newRouter allocates a Router with defaulted options and an
-// initialized score set — everything except the initial topology,
-// which each constructor publishes itself.
+// newRouter allocates a Router with defaulted options and an empty
+// guard — everything except the initial topology, which each
+// constructor publishes itself.
 func newRouter(opt Options) *Router {
-	return &Router{opt: opt.withDefaults(), scores: map[float64]struct{}{}}
+	return &Router{opt: opt.withDefaults()}
 }
 
-// reserveScore claims score for an in-flight insert, reporting false
-// if it is already live. The claim must be released if the insert
-// fails for another reason (occupied position).
-func (r *Router) reserveScore(score float64) bool {
-	r.scoreMu.Lock()
-	defer r.scoreMu.Unlock()
-	if _, dup := r.scores[score]; dup {
-		return false
-	}
-	r.scores[score] = struct{}{}
-	return true
+// reserve claims p's position and score in the fleet guard for an
+// in-flight insert, or returns the sentinel that rejects p.
+func (r *Router) reserve(p point.P) error {
+	r.guardMu.Lock()
+	defer r.guardMu.Unlock()
+	return r.guard.Reserve(p)
 }
 
-func (r *Router) releaseScore(score float64) {
-	r.scoreMu.Lock()
-	delete(r.scores, score)
-	r.scoreMu.Unlock()
+// release gives up the claim of a deleted point.
+func (r *Router) release(p point.P) {
+	r.guardMu.Lock()
+	r.guard.Release(p)
+	r.guardMu.Unlock()
 }
 
 // New returns an empty Router: one shard covering the whole line,
@@ -316,35 +315,19 @@ func New(opt Options) *Router {
 // Bulk builds a Router over pts, pre-partitioned into min(shards,
 // MaxShards) equal quantile ranges (at least one point per shard).
 // shards < 1 means "use the (defaulted) MaxShards". It checks the
-// input contract before it builds any shard, from the passes the build
-// makes anyway: a non-finite point or a duplicate score shows while it
-// fills the router's score set, and a duplicate position shows as
-// equal neighbours in the x-sorted copy. It returns the sentinel of
-// the violation it finds, core.ErrInvalidPoint, core.ErrDuplicateScore
-// or core.ErrDuplicatePosition, which need not be the first offender
-// in pts; the public topk layer names that one.
+// input contract as it fills the fleet guard, before it builds any
+// shard, and returns core.Guard.Load's error, which wraps the sentinel
+// and names the first offending point of pts.
 func Bulk(opt Options, pts []point.P, shards int) (*Router, error) {
 	r := newRouter(opt)
 	if shards < 1 || shards > r.opt.MaxShards {
 		shards = r.opt.MaxShards
 	}
-	r.scores = make(map[float64]struct{}, len(pts))
-	for _, p := range pts {
-		if !p.Finite() {
-			return nil, core.ErrInvalidPoint
-		}
-		r.scores[p.Score] = struct{}{}
-	}
-	if len(r.scores) < len(pts) {
-		return nil, core.ErrDuplicateScore
+	if err := r.guard.Load(pts); err != nil {
+		return nil, err
 	}
 	sorted := slices.Clone(pts)
 	point.SortByX(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].X == sorted[i-1].X {
-			return nil, core.ErrDuplicatePosition
-		}
-	}
 	r.publish(partition(r.opt, sorted, shards), em.Stats{})
 	r.n.Store(int64(len(pts)))
 	r.observeFleetPeak()
@@ -356,11 +339,10 @@ func Bulk(opt Options, pts []point.P, shards int) (*Router, error) {
 func (r *Router) Len() int { return int(r.n.Load()) }
 
 // Insert adds p. Safe for concurrent use. Contract violations return
-// sentinel errors before anything is mutated, in the same fixed order
-// as core.Index.Insert: core.ErrInvalidPoint, then
-// core.ErrDuplicatePosition (checked inside the owning shard), then
-// core.ErrDuplicateScore (checked against the router-level score set,
-// so an equal score on a DIFFERENT shard is caught too).
+// the fleet guard's sentinel errors before anything is mutated, in
+// core.Guard's fixed order: core.ErrInvalidPoint, then
+// core.ErrDuplicatePosition, then core.ErrDuplicateScore, which
+// catches an equal score on a DIFFERENT shard too.
 //
 // All router methods unlock with defer, so even an internal invariant
 // panic cannot wedge a shard for future requests.
@@ -378,9 +360,6 @@ func (r *Router) Insert(p point.P) error {
 // insertLocked performs the insert under the topology read lock and
 // reports whether the target shard came out overloaded.
 func (r *Router) insertLocked(p point.P) (bool, error) {
-	if !p.Finite() {
-		return false, core.ErrInvalidPoint
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t := r.snapshot()
@@ -396,23 +375,15 @@ func (r *Router) insertLocked(p point.P) (bool, error) {
 	return r.overloaded(t, ln, r.n.Add(1)), nil
 }
 
-// insertShard applies the duplicate checks and the insert to s. The
-// caller holds the topology read lock and s.mu — the shard lock
-// serializes the position check with the insert, and the score
-// reservation is atomic on its own mutex, so concurrent duplicate
-// inserts race to exactly one success.
+// insertShard claims p in the fleet guard and inserts it into s. The
+// caller holds the topology read lock and s.mu. The claim is atomic
+// on the guard's mutex, so concurrent inserts of one position or one
+// score race to exactly one success, whichever shards they land on.
 func (r *Router) insertShard(s *shard, p point.P) (int, error) {
-	if s.ix.Has(p.X) {
-		return 0, core.ErrDuplicatePosition
-	}
-	if !r.reserveScore(p.Score) {
-		return 0, core.ErrDuplicateScore
-	}
-	if err := s.ix.Insert(p); err != nil {
-		// Unreachable given the checks above, but never leak the claim.
-		r.releaseScore(p.Score)
+	if err := r.reserve(p); err != nil {
 		return 0, err
 	}
+	s.ix.Insert(p)
 	return s.ix.Len(), nil
 }
 
@@ -447,7 +418,7 @@ func (r *Router) deleteLocked(p point.P) (found, under bool) {
 	if !ok {
 		return false, false
 	}
-	r.releaseScore(p.Score)
+	r.release(p)
 	return true, r.mergeable(t, si, ln, r.n.Add(-1))
 }
 
@@ -494,14 +465,9 @@ func (r *Router) applyBatchLocked(ops []point.Op, res []error) (over, under bool
 	t := r.snapshot()
 	groups := make(map[int][]int, len(t.shards))
 	for i, op := range ops {
-		if !op.Delete && !op.Point().Finite() {
-			// Reject inserts up front: a non-finite score would poison
-			// the score set. Non-finite deletes fall through instead —
-			// locate clamps NaN/±Inf to a shard and the exact-match
-			// delete reports ErrNotFound, matching Index.ApplyBatch.
-			res[i] = core.ErrInvalidPoint
-			continue
-		}
+		// locate clamps NaN/±Inf to a shard, whose worker rejects a
+		// non-finite insert in the guard and reports a non-finite delete
+		// as ErrNotFound, matching Index.ApplyBatch.
 		si := t.locate(op.X)
 		groups[si] = append(groups[si], i)
 	}
@@ -520,7 +486,7 @@ func (r *Router) applyBatchLocked(ops []point.Op, res []error) (over, under bool
 				p := ops[i].Point()
 				if ops[i].Delete {
 					if s.ix.Delete(p) {
-						r.releaseScore(p.Score)
+						r.release(p)
 						r.n.Add(-1)
 					} else {
 						res[i] = core.ErrNotFound
@@ -554,9 +520,9 @@ func (r *Router) applyBatchLocked(ops []point.Op, res []error) (over, under bool
 // CheckInvariants validates the topology (a contiguous cover of the
 // line by 1..MaxShards shards, as maintained by splits, merges and
 // rebalances), every shard's structures, that each live point lies
-// inside its shard's range, and that the atomic live count and the
-// fleet-wide score set match the shards (test helper; takes the write
-// lock).
+// inside its shard's range, that the atomic live count matches the
+// shards, and that the fleet guard holds exactly the live positions
+// and scores (test helper; takes the write lock).
 func (r *Router) CheckInvariants() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -568,12 +534,12 @@ func (r *Router) CheckInvariants() error {
 		return fmt.Errorf("shard count %d outside [1, MaxShards=%d]", len(t.shards), r.opt.MaxShards)
 	}
 	// The write lock excludes all update paths, so each shard's
-	// contents need extracting only once: range membership and score
-	// registration are both checked off the same Live() slice. The
-	// score set is read under scoreMu taken AFTER the shard mutex is
-	// released — never nested with it, so the serving paths' s.mu →
-	// scoreMu order has no mirror here.
-	total := 0
+	// contents need extracting only once: range membership and the
+	// guard are both checked off the same Live() slices. The guard is
+	// read under guardMu taken AFTER every shard mutex is released —
+	// never nested with one, so the serving paths' s.mu → guardMu
+	// order has no mirror here.
+	var all []point.P
 	prevHi := math.Inf(-1)
 	for i, s := range t.shards {
 		if i == 0 {
@@ -594,7 +560,9 @@ func (r *Router) CheckInvariants() error {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
 			live = s.ix.Live()
-			total += s.ix.Len()
+			if len(live) != s.ix.Len() {
+				return fmt.Errorf("shard %d: Live has %d points, Len %d", i, len(live), s.ix.Len())
+			}
 			return nil
 		}(); err != nil {
 			return err
@@ -604,23 +572,16 @@ func (r *Router) CheckInvariants() error {
 				return fmt.Errorf("shard %d [%v,%v): stray point x=%v", i, s.lo, s.hi, p.X)
 			}
 		}
-		r.scoreMu.Lock()
-		for _, p := range live {
-			if _, ok := r.scores[p.Score]; !ok {
-				r.scoreMu.Unlock()
-				return fmt.Errorf("live score %v missing from router score set", p.Score)
-			}
-		}
-		r.scoreMu.Unlock()
+		all = append(all, live...)
 		prevHi = s.hi
 	}
-	if int64(total) != r.n.Load() {
-		return fmt.Errorf("live count %d != atomic n %d", total, r.n.Load())
+	if int64(len(all)) != r.n.Load() {
+		return fmt.Errorf("live count %d != atomic n %d", len(all), r.n.Load())
 	}
-	r.scoreMu.Lock()
-	defer r.scoreMu.Unlock()
-	if len(r.scores) != total {
-		return fmt.Errorf("score set has %d entries, want %d", len(r.scores), total)
+	r.guardMu.Lock()
+	defer r.guardMu.Unlock()
+	if err := r.guard.Check(all); err != nil {
+		return fmt.Errorf("fleet guard: %w", err)
 	}
 	return nil
 }

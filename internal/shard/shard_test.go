@@ -609,7 +609,9 @@ func mkRouter(opt Options, groups [][]point.P) *Router {
 		}
 		shards = append(shards, newShard(r.opt, r.opt.diskFor(len(groups)), lo, hi, g))
 		for _, p := range g {
-			r.scores[p.Score] = struct{}{}
+			if err := r.guard.Reserve(p); err != nil {
+				panic(fmt.Sprintf("mkRouter: %v: %v", p, err))
+			}
 		}
 		total += len(g)
 		lo = hi

@@ -1,7 +1,7 @@
 package topk
 
 import (
-	"cmp"
+	"fmt"
 	"time"
 
 	"repro/internal/em"
@@ -78,15 +78,13 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 // LoadSharded returns a Sharded index bulk-loaded with pts,
 // pre-partitioned into cfg.Shards equal quantile shards. Like Load,
 // it rejects inputs that violate the input contract with the error
-// Load returns, which names the first offending point. The check rides
-// on the build's own passes (the router's score set and its x-sorted
-// copy of pts), and only an input that fails it is scanned again to
-// find that point.
+// Load returns, which names the first offending point. The check fills
+// the router's fleet-wide guard before any shard is built.
 func LoadSharded(cfg ShardedConfig, pts []Result) (*Sharded, error) {
 	opt := cfg.options()
 	r, err := shard.Bulk(opt, pts, opt.MaxShards)
 	if err != nil {
-		return nil, cmp.Or(validatePoints(pts), err)
+		return nil, fmt.Errorf("topk: %w", err)
 	}
 	return &Sharded{r: r}, nil
 }
@@ -104,7 +102,7 @@ func (s *Sharded) NumShards() int { return s.r.NumShards() }
 func (s *Sharded) Boundaries() []float64 { return s.r.Boundaries() }
 
 // Insert adds the point (pos, score) under the same error contract as
-// Index.Insert, with the duplicate-score check applied fleet-wide: an
+// Index.Insert, checked against the router's fleet-wide guard: an
 // equal score on a different shard is rejected with ErrDuplicateScore
 // instead of silently violating the distinct-score assumption. A
 // failed insert mutates nothing, so the index stays consistent.
@@ -183,8 +181,9 @@ func (s *Sharded) Splits() int64 { return s.r.Splits() }
 func (s *Sharded) Merges() int64 { return s.r.Merges() }
 
 // CheckInvariants validates the shard topology (contiguous cover,
-// count within bounds), every shard's internal structures, and the
-// fleet-wide live count and score set. It is an operator/test
+// count within bounds), every shard's internal structures, the
+// fleet-wide live count, and that the fleet-wide guard holds exactly
+// the live positions and scores. It is an operator/test
 // diagnostic: it takes the topology write lock and scans every shard,
 // so it is expensive and never called on serving paths.
 func (s *Sharded) CheckInvariants() error { return s.r.CheckInvariants() }

@@ -2,7 +2,6 @@ package topk
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/point"
@@ -102,25 +101,3 @@ var (
 // BatchOp is one operation of an ApplyBatch call: an insert of
 // (X, Score), or a delete when Delete is set.
 type BatchOp = point.Op
-
-// validatePoints checks a bulk-load input against the paper's
-// standing assumptions: finite coordinates, distinct positions,
-// distinct scores.
-func validatePoints(pts []Result) error {
-	seenX := make(map[float64]struct{}, len(pts))
-	seenS := make(map[float64]struct{}, len(pts))
-	for i, r := range pts {
-		if !r.Finite() {
-			return fmt.Errorf("topk: load point %d (%v, %v): %w", i, r.X, r.Score, ErrInvalidPoint)
-		}
-		if _, dup := seenX[r.X]; dup {
-			return fmt.Errorf("topk: load point %d (x=%v): %w", i, r.X, ErrDuplicatePosition)
-		}
-		if _, dup := seenS[r.Score]; dup {
-			return fmt.Errorf("topk: load point %d (score=%v): %w", i, r.Score, ErrDuplicateScore)
-		}
-		seenX[r.X] = struct{}{}
-		seenS[r.Score] = struct{}{}
-	}
-	return nil
-}

@@ -76,6 +76,9 @@ type Result = point.P
 type Index struct {
 	disk *em.Disk
 	ix   *core.Index
+	// guard holds the live positions and scores: the Index's one
+	// duplicate guard, which every insert passes before it reaches ix.
+	guard core.Guard
 }
 
 // New returns an empty Index. Every Config is valid, so the error is
@@ -88,13 +91,15 @@ func New(cfg Config) (*Index, error) {
 // Load returns an Index bulk-loaded with the given points. It rejects
 // inputs violating the paper's standing assumptions — non-finite
 // coordinates, duplicate positions or duplicate scores — with the
-// corresponding sentinel error.
+// corresponding sentinel error, naming the first offending point.
+// The check fills the Index's guard.
 func Load(cfg Config, pts []Result) (*Index, error) {
-	if err := validatePoints(pts); err != nil {
-		return nil, err
+	var g core.Guard
+	if err := g.Load(pts); err != nil {
+		return nil, fmt.Errorf("topk: %w", err)
 	}
 	d := em.NewDisk(em.Config{B: cfg.BlockWords, M: cfg.MemoryWords})
-	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), pts)}, nil
+	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), pts), guard: g}, nil
 }
 
 func coreOptions(cfg Config) core.Options {
@@ -118,13 +123,23 @@ func (x *Index) Len() int { return x.ix.Len() }
 // non-finite coordinates return ErrInvalidPoint. A failed insert
 // mutates nothing.
 func (x *Index) Insert(pos, score float64) error {
-	return x.ix.Insert(point.P{X: pos, Score: score})
+	p := point.P{X: pos, Score: score}
+	if err := x.guard.Reserve(p); err != nil {
+		return err
+	}
+	x.ix.Insert(p)
+	return nil
 }
 
 // Delete removes the point (pos, score), reporting whether it was
 // present.
 func (x *Index) Delete(pos, score float64) bool {
-	return x.ix.Delete(point.P{X: pos, Score: score})
+	p := point.P{X: pos, Score: score}
+	if !x.ix.Delete(p) {
+		return false
+	}
+	x.guard.Release(p)
+	return true
 }
 
 // ApplyBatch applies the operations in order (an Index is one

@@ -147,10 +147,10 @@ func TestLoadValidatesPoints(t *testing.T) {
 	}
 }
 
-// TestLoadShardedErrorContract: LoadSharded checks the contract from
-// its build's own passes, yet must return exactly the error
-// validatePoints returns, naming the first offending point, and the
-// same error as Load. Positions and scores come from an 8-shard
+// TestLoadShardedErrorContract: Load and LoadSharded check the
+// contract as they fill their guards, one per Index and one per fleet,
+// and must return exactly the same error, naming the first offending
+// point. Positions and scores come from an 8-shard
 // quantile load; rank[i] is the input index of the i-th smallest
 // position, so rank[10] and rank[11] share a shard and rank[n/8-1] and
 // rank[n/8] lie on either side of a cut.
@@ -212,22 +212,19 @@ func TestLoadShardedErrorContract(t *testing.T) {
 	for _, c := range cases {
 		pts := slices.Clone(base)
 		c.edit(pts)
-		want := validatePoints(pts)
+		ix, want := Load(smallCfg(), pts)
 		if !errors.Is(want, c.want) || (want != nil && !strings.Contains(want.Error(), fmt.Sprintf("load point %d ", c.at))) {
-			t.Fatalf("%s: validatePoints = %v, want %v at point %d", c.name, want, c.want, c.at)
+			t.Fatalf("%s: Load = %v, want %v at point %d", c.name, want, c.want, c.at)
 		}
 		st, err := LoadSharded(cfg, pts)
 		if c.want == nil {
-			if err != nil || st.Len() != n {
+			if err != nil || st.Len() != n || ix.Len() != n {
 				t.Fatalf("%s: LoadSharded = %v", c.name, err)
 			}
 			continue
 		}
 		if err == nil || err.Error() != want.Error() || !errors.Is(err, c.want) {
 			t.Errorf("%s: LoadSharded = %v, want %v", c.name, err, want)
-		}
-		if _, lerr := Load(smallCfg(), pts); lerr == nil || lerr.Error() != want.Error() {
-			t.Errorf("%s: Load = %v, want %v", c.name, lerr, want)
 		}
 	}
 }
