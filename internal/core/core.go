@@ -35,7 +35,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 
 	"repro/internal/em"
@@ -63,26 +62,30 @@ var (
 // Guard enforces the input contract on one Store's live set: finite
 // coordinates, distinct positions, distinct scores. It checks in one
 // fixed order, ErrInvalidPoint, then ErrDuplicatePosition, then
-// ErrDuplicateScore, and a rejected point claims nothing. Its sets live
-// in Go memory outside the I/O-charged model: like the I/O meter they
-// are serving-layer bookkeeping, not part of the paper's structure (the
-// in-model alternative is a Count probe at O(log_B n) extra I/Os per
-// insert, which would distort the measured update bounds).
+// ErrDuplicateScore, and a rejected point claims nothing. It keeps one
+// set of positions and one of scores, each a floatSet: an
+// open-addressing table of float64 bits, 8 bytes a slot at load ≤ 3/4,
+// hashed under its own random seed, with −0 and +0 one key as in a Go
+// map. The tables live in Go memory outside the I/O-charged model: like
+// the I/O meter they are serving-layer bookkeeping, not part of the
+// paper's structure (the in-model alternative is a Count probe at
+// O(log_B n) extra I/Os per insert, which would distort the measured
+// update bounds).
 //
 // The zero value is an empty guard. A Guard is not safe for concurrent
 // use: an owner that serves concurrent updates holds its own mutex
 // around every call.
 type Guard struct {
-	positions, scores map[float64]struct{}
+	positions, scores floatSet
 }
 
-// Load empties g and claims the points of pts in order, checking each
-// as Reserve does. The error of the first point that fails wraps the
-// sentinel and names the point by its index in pts; g is then to be
-// discarded.
+// Load empties g, sizes its tables for pts, and claims the points of
+// pts in order, checking each as Reserve does. The error of the first
+// point that fails wraps the sentinel and names the point by its index
+// in pts; g is then to be discarded.
 func (g *Guard) Load(pts []point.P) error {
-	g.positions = make(map[float64]struct{}, len(pts))
-	g.scores = make(map[float64]struct{}, len(pts))
+	g.positions.reset(len(pts))
+	g.scores.reset(len(pts))
 	for i, p := range pts {
 		err := g.Reserve(p)
 		switch {
@@ -101,19 +104,17 @@ func (g *Guard) Load(pts []point.P) error {
 // Reserve checks p against the live set and claims its position and
 // score, or returns the sentinel of the first check that fails and
 // claims nothing. A successful Reserve pairs with one Release: when p
-// is deleted, or when its insert is abandoned.
+// is deleted, or when its insert is abandoned. A table that is full
+// doubles before it takes a key.
 func (g *Guard) Reserve(p point.P) error {
 	if !p.Finite() {
 		return ErrInvalidPoint
 	}
-	if g.positions == nil {
-		g.positions, g.scores = map[float64]struct{}{}, map[float64]struct{}{}
-	}
-	if !add(g.positions, p.X) {
+	if !g.positions.add(p.X) {
 		return ErrDuplicatePosition
 	}
-	if !add(g.scores, p.Score) {
-		delete(g.positions, p.X)
+	if !g.scores.add(p.Score) {
+		g.positions.remove(p.X)
 		return ErrDuplicateScore
 	}
 	return nil
@@ -121,8 +122,8 @@ func (g *Guard) Reserve(p point.P) error {
 
 // Release gives up p's position and score.
 func (g *Guard) Release(p point.P) {
-	delete(g.positions, p.X)
-	delete(g.scores, p.Score)
+	g.positions.remove(p.X)
+	g.scores.remove(p.Score)
 }
 
 // Check reports whether g holds exactly the positions and scores of
@@ -133,19 +134,11 @@ func (g *Guard) Check(live []point.P) error {
 	if err := want.Load(live); err != nil {
 		return fmt.Errorf("live set: %w", err)
 	}
-	if !maps.Equal(g.positions, want.positions) || !maps.Equal(g.scores, want.scores) {
+	if !g.positions.equal(&want.positions) || !g.scores.equal(&want.scores) {
 		return fmt.Errorf("guard holds %d positions and %d scores, not those of the %d live points",
-			len(g.positions), len(g.scores), len(live))
+			g.positions.len(), g.scores.len(), len(live))
 	}
 	return nil
-}
-
-// add inserts k into set and reports whether it was absent, in one
-// hash operation.
-func add(set map[float64]struct{}, k float64) bool {
-	n := len(set)
-	set[k] = struct{}{}
-	return len(set) > n
 }
 
 // Regime identifies which small-k component serves queries below the

@@ -13,7 +13,9 @@
 //     exactly the accounting of the model.
 //   - Store[T]: a typed object store bound to a Disk. Each object reports
 //     its size in words; the store derives the number of blocks it spans
-//     and enforces capacity invariants declared by callers.
+//     and keeps that span beside the object's value, so the Disk's space
+//     gauges are charged from the store's own entry on every allocation,
+//     rewrite and free.
 //
 // All structures in this repository allocate their nodes through stores
 // on a shared Disk so one experiment has a single, coherent I/O meter.
@@ -126,7 +128,10 @@ type poolKey struct {
 	handle Handle
 }
 
-// Disk is a simulated EM machine: meter + buffer pool.
+// Disk is a simulated EM machine: meter + buffer pool. It keeps
+// per-object state for resident objects only; the span of every live
+// object is kept by its Store, which passes it in whenever the object
+// is created, resized or freed.
 //
 // Disk is not safe for concurrent use; the model is sequential and so are
 // all algorithms in the paper. Wrap with external locking if needed.
@@ -145,8 +150,7 @@ type Disk struct {
 	free       int32
 	present    map[poolKey]int32
 
-	stores []StoreStats    // per-store meter, indexed by store id
-	spanOf map[poolKey]int // live object spans, for space accounting
+	stores []StoreStats // per-store meter, indexed by store id
 }
 
 // NewDisk creates a Disk for the given configuration.
@@ -159,7 +163,6 @@ func NewDisk(cfg Config) *Disk {
 		tail:    none,
 		free:    none,
 		present: make(map[poolKey]int32),
-		spanOf:  make(map[poolKey]int),
 	}
 }
 
@@ -360,13 +363,12 @@ func (d *Disk) ensureRoomExcept(extra int, keep int32) {
 	}
 }
 
-// createFresh registers a newly allocated object: it is written in memory
-// and will be charged as a write on eviction. It does not charge a read:
-// the object was produced in memory, not loaded.
+// createFresh registers a newly allocated object of span blocks: it is
+// written in memory and will be charged as a write on eviction. It does
+// not charge a read: the object was produced in memory, not loaded.
 func (d *Disk) createFresh(key poolKey, span int) {
 	d.stats.Allocs++
 	d.occupy(key.store, span)
-	d.spanOf[key] = span
 	if span > d.frames {
 		d.write(key.store, span)
 		return
@@ -378,15 +380,8 @@ func (d *Disk) createFresh(key poolKey, span int) {
 	d.admit(key, span, true)
 }
 
-func (d *Disk) resize(key poolKey, span int) {
-	old := d.spanOf[key]
-	d.spanOf[key] = span
-	d.occupy(key.store, span-old)
-}
-
-func (d *Disk) release(key poolKey) {
-	span := d.spanOf[key]
-	delete(d.spanOf, key)
+// release frees a live object of span blocks and drops it from the pool.
+func (d *Disk) release(key poolKey, span int) {
 	d.stats.Frees++
 	d.occupy(key.store, -span)
 	if i, ok := d.present[key]; ok {
@@ -395,14 +390,24 @@ func (d *Disk) release(key poolKey) {
 }
 
 // Store is a typed object store on a Disk. The zero value is unusable;
-// create stores with NewStore.
+// create stores with NewStore. It keeps each live object's value beside
+// the blocks it occupies, and it hands the span to the Disk whenever it
+// allocates, rewrites or frees an object, so the Disk's space gauges
+// need no lookup of their own.
 type Store[T any] struct {
 	disk   *Disk
 	id     int32
 	name   string
 	sizeOf func(T) int
 	next   Handle
-	objs   map[Handle]T
+	objs   map[Handle]object[T]
+}
+
+// object is one live object of a Store: its value and the blocks it
+// occupies, as of its last Alloc or Write.
+type object[T any] struct {
+	v    T
+	span int
 }
 
 // NewStore registers a store named name on d. sizeOf reports an object's
@@ -414,7 +419,7 @@ func NewStore[T any](d *Disk, name string, sizeOf func(T) int) *Store[T] {
 		id:     int32(len(d.stores) - 1),
 		name:   name,
 		sizeOf: sizeOf,
-		objs:   make(map[Handle]T),
+		objs:   make(map[Handle]object[T]),
 	}
 }
 
@@ -428,8 +433,9 @@ func (s *Store[T]) Len() int { return len(s.objs) }
 func (s *Store[T]) Alloc(v T) Handle {
 	s.next++
 	h := s.next
-	s.objs[h] = v
-	s.disk.createFresh(poolKey{s.id, h}, s.disk.SpanFor(s.sizeOf(v)))
+	span := s.disk.SpanFor(s.sizeOf(v))
+	s.objs[h] = object[T]{v, span}
+	s.disk.createFresh(poolKey{s.id, h}, span)
 	return h
 }
 
@@ -437,25 +443,25 @@ func (s *Store[T]) Alloc(v T) Handle {
 // The returned value aliases the stored one for pointer-typed T; callers
 // that mutate through it must follow with Write to charge the write.
 func (s *Store[T]) Read(h Handle) T {
-	v, ok := s.objs[h]
+	o, ok := s.objs[h]
 	if !ok {
 		panic(fmt.Sprintf("em: %s: read of dead handle %d", s.name, h))
 	}
-	s.disk.touch(poolKey{s.id, h}, s.disk.SpanFor(s.sizeOf(v)), false)
-	return v
+	s.disk.touch(poolKey{s.id, h}, s.disk.SpanFor(s.sizeOf(o.v)), false)
+	return o.v
 }
 
 // Write replaces the object's value, marking it dirty (a write I/O per
 // block on eviction) and re-deriving its span from the new size.
 func (s *Store[T]) Write(h Handle, v T) {
-	if _, ok := s.objs[h]; !ok {
+	old, ok := s.objs[h]
+	if !ok {
 		panic(fmt.Sprintf("em: %s: write of dead handle %d", s.name, h))
 	}
-	s.objs[h] = v
-	key := poolKey{s.id, h}
 	span := s.disk.SpanFor(s.sizeOf(v))
-	s.disk.resize(key, span)
-	s.disk.touch(key, span, true)
+	s.objs[h] = object[T]{v, span}
+	s.disk.occupy(s.id, span-old.span)
+	s.disk.touch(poolKey{s.id, h}, span, true)
 }
 
 // Update applies f to the stored object in place; it is Read followed by
@@ -468,20 +474,21 @@ func (s *Store[T]) Update(h Handle, f func(*T)) {
 
 // Free releases the object and its blocks.
 func (s *Store[T]) Free(h Handle) {
-	if _, ok := s.objs[h]; !ok {
+	o, ok := s.objs[h]
+	if !ok {
 		panic(fmt.Sprintf("em: %s: free of dead handle %d", s.name, h))
 	}
 	delete(s.objs, h)
-	s.disk.release(poolKey{s.id, h})
+	s.disk.release(poolKey{s.id, h}, o.span)
 }
 
 // Peek returns the object without touching the buffer pool or the meter.
 // It exists for invariant checkers and debug rendering only; algorithm
 // code must use Read.
 func (s *Store[T]) Peek(h Handle) T {
-	v, ok := s.objs[h]
+	o, ok := s.objs[h]
 	if !ok {
 		panic(fmt.Sprintf("em: %s: peek of dead handle %d", s.name, h))
 	}
-	return v
+	return o.v
 }
