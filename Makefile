@@ -115,8 +115,10 @@ ci-analysis: analysis staticcheck govulncheck
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseRange -fuzztime=$(FUZZTIME) ./cmd/topkd
 	go test -run='^$$' -fuzz=FuzzTopKQuery -fuzztime=$(FUZZTIME) ./internal/serve
+	go test -run='^$$' -fuzz=FuzzReadRangeQuery -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzBatchJSON -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzParseTopK -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz=FuzzAppendTopK -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzGuard -fuzztime=$(FUZZTIME) ./internal/core
 	go test -run='^$$' -fuzz=FuzzBulkBuild -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core
 	go test -run='^$$' -fuzz=FuzzStores -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x .

@@ -624,11 +624,7 @@ var tornBodies = []struct {
 			panic(err)
 		}
 		h.Set("Content-Type", "application/json")
-		j, err := json.Marshal(wire.TopK{Results: pts})
-		if err != nil {
-			panic(err)
-		}
-		return j
+		return wire.AppendTopK(nil, 0, pts)
 	}},
 }
 
@@ -998,4 +994,57 @@ func TestClusterCrossBandDuplicatePosition(t *testing.T) {
 	if got, want := cl.TopK(0, 100, 5), oracle.TopK(0, 100, 5); !reflect.DeepEqual(got, want) {
 		t.Fatalf("TopK = %v, oracle %v", got, want)
 	}
+}
+
+// TestClusterRegistryRollback: when a member rejects a write, or its
+// band is dark, the gateway's duplicate registries return to what they
+// held before it. A failed insert releases the position and score it
+// reserved; a failed delete restores exactly the coordinates it found
+// registered, and registers nothing else. Only the registries can tell
+// a cross-band duplicate position, so each check inserts the position
+// again in the other band.
+func TestClusterRegistryRollback(t *testing.T) {
+	// (10, 0.3) is preloaded, so the gateway has never seen it.
+	fleet := bootFleet(t, []topk.Result{{X: 10, Score: 0.3}}, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	insert := func(x, score float64, want error) {
+		t.Helper()
+		if err := cl.Insert(x, score); !errors.Is(err, want) {
+			t.Fatalf("Insert(%v, %v) = %v, want %v", x, score, err, want)
+		}
+	}
+	// Failed inserts: the member rejects the preloaded position, then
+	// the preloaded score; each released what the gateway reserved.
+	insert(10, 0.35, topk.ErrDuplicatePosition)
+	insert(11, 0.35, nil)
+	insert(20, 0.3, topk.ErrDuplicateScore)
+	insert(20, 0.75, nil)
+
+	// Failed deletes: a wrong score restores the registered position
+	// and leaves the score unregistered; a wrong position leaves the
+	// position unregistered.
+	insert(30, 0.25, nil)
+	if cl.Delete(30, 0.26) {
+		t.Fatal("Delete(30, 0.26) found a point")
+	}
+	insert(30, 0.8, topk.ErrDuplicatePosition)
+	insert(31, 0.26, nil)
+	if cl.Delete(32, 0.25) {
+		t.Fatal("Delete(32, 0.25) found a point")
+	}
+	insert(32, 0.85, nil)
+
+	// A delete to a dark band fails and restores both coordinates.
+	fleet.servers[0][0].Close()
+	if cl.Delete(30, 0.25) {
+		t.Fatal("Delete(30, 0.25) on a dark band reported success")
+	}
+	insert(30, 0.9, topk.ErrDuplicatePosition)
+	// An insert to a dark band fails and releases its position.
+	insert(40, 0.45, topk.ErrNodeDown)
+	insert(40, 0.95, nil)
 }

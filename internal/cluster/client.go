@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -156,22 +155,42 @@ const bodyPoolMax = 1 << 20
 // its own; nothing writes to it.
 var acceptPoints = []string{wire.PointsType}
 
+// appendRange appends path and the query parameters x1 and x2 to u.
+// Bounds travel as URL query parameters, so ±Inf survives (strconv
+// round-trips "Inf", unlike JSON bodies) — provided they are
+// URL-escaped: a bare "+Inf" or "1e+300" would decode with a space,
+// '+' being the form encoding of space. strconv's 'g' spelling holds
+// no other byte a query value must escape.
+func appendRange(u []byte, path string, x1, x2 float64) []byte {
+	u = appendParam(append(append(u, path...), "?x1="...), x1)
+	return appendParam(append(u, "&x2="...), x2)
+}
+
+// appendParam appends f in the shortest spelling that reads back as f,
+// with '+' escaped as %2B.
+func appendParam(u []byte, f float64) []byte {
+	var num [32]byte
+	for _, c := range strconv.AppendFloat(num[:0], f, 'g', -1, 64) {
+		if c == '+' {
+			u = append(u, "%2B"...)
+		} else {
+			u = append(u, c)
+		}
+	}
+	return u
+}
+
 // topk runs one remote TopK and appends its answer to dst; on error dst
 // comes back unchanged, so no prefix of a torn body reaches an answer.
 // The member answers in the binary points body (wire.PointsType): the
 // gateway and its members ship from one build, so there is no JSON
 // fallback, and a 200 of any other type is a failed member. The body
 // is read whole into a pooled buffer, then decoded by wire.ParsePoints.
-// Bounds travel as URL query parameters, so ±Inf survives (strconv
-// round-trips "Inf", unlike JSON bodies) — provided they are
-// URL-escaped: a bare "+Inf" would decode as " Inf", '+' being the
-// form encoding of space.
 func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) ([]point.P, error) {
-	q := url.Values{}
-	q.Set("x1", fmtFloat(x1))
-	q.Set("x2", fmtFloat(x2))
-	q.Set("k", strconv.Itoa(k))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.addr+"/v1/topk?"+q.Encode(), nil)
+	var buf [128]byte
+	u := appendRange(append(buf[:0], n.addr...), "/v1/topk", x1, x2)
+	u = strconv.AppendInt(append(u, "&k="...), int64(k), 10)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, string(u), nil)
 	if err != nil {
 		return dst, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
@@ -200,11 +219,9 @@ func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) (
 
 // count runs one remote Count.
 func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
-	q := url.Values{}
-	q.Set("x1", fmtFloat(x1))
-	q.Set("x2", fmtFloat(x2))
+	var buf [64]byte
 	var r countResp
-	if err := n.get(ctx, "/v1/count?"+q.Encode(), jsonInto(&r)); err != nil {
+	if err := n.get(ctx, string(appendRange(buf[:0], "/v1/count", x1, x2)), jsonInto(&r)); err != nil {
 		return 0, err
 	}
 	return r.Count, nil
@@ -258,7 +275,3 @@ func (n *node) getRaw(ctx context.Context, path string) ([]byte, error) {
 	}
 	return io.ReadAll(resp.Body)
 }
-
-// fmtFloat renders a float64 for a URL query parameter with exact
-// round-trip precision.
-func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -143,10 +143,12 @@ type Cluster struct {
 	// across score bands, which no single member can see. They only
 	// know points written through this gateway — preloaded data is
 	// still covered for scores (same-band routing) but not for
-	// positions; see DESIGN.md.
+	// positions; see DESIGN.md. Each is a core.FloatSet, the table a
+	// Guard keeps, so ±0 are one key as they were in the Go maps these
+	// replaced.
 	dupMu     sync.Mutex
-	positions map[float64]struct{}
-	scores    map[float64]struct{}
+	positions core.FloatSet
+	scores    core.FloatSet
 
 	// Background prober state (health.go).
 	probeStop chan struct{}
@@ -180,8 +182,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		transport: transport,
-		positions: map[float64]struct{}{},
-		scores:    map[float64]struct{}{},
 		rpc:       obs.NewVec(),
 		log:       log,
 	}
@@ -539,28 +539,20 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		}
 		gi := c.locate(p.Score)
 		if op.Delete {
-			_, hp := c.positions[p.X]
-			if hp {
-				delete(c.positions, p.X)
-			}
-			_, hs := c.scores[p.Score]
-			if hs {
-				delete(c.scores, p.Score)
-			}
+			hp, hs := c.positions.Remove(p.X), c.scores.Remove(p.Score)
 			perGroup[gi] = append(perGroup[gi], pending{op: i, p: p, hadPos: hp, hadScore: hs})
 			perWire[gi] = append(perWire[gi], wire.Op{Op: "delete", X: p.X, Score: p.Score})
 			continue
 		}
-		if _, dup := c.positions[p.X]; dup {
+		if !c.positions.Add(p.X) {
 			res[i] = core.ErrDuplicatePosition
 			continue
 		}
-		if _, dup := c.scores[p.Score]; dup {
+		if !c.scores.Add(p.Score) {
+			c.positions.Remove(p.X)
 			res[i] = core.ErrDuplicateScore
 			continue
 		}
-		c.positions[p.X] = struct{}{}
-		c.scores[p.Score] = struct{}{}
 		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: p})
 		perWire[gi] = append(perWire[gi], wire.Op{Op: "insert", X: p.X, Score: p.Score})
 	}
@@ -666,15 +658,15 @@ func (c *Cluster) rollback(pds []pending, res []error) {
 			continue
 		}
 		if pd.insert {
-			delete(c.positions, pd.p.X)
-			delete(c.scores, pd.p.Score)
+			c.positions.Remove(pd.p.X)
+			c.scores.Remove(pd.p.Score)
 			continue
 		}
 		if pd.hadPos {
-			c.positions[pd.p.X] = struct{}{}
+			c.positions.Add(pd.p.X)
 		}
 		if pd.hadScore {
-			c.scores[pd.p.Score] = struct{}{}
+			c.scores.Add(pd.p.Score)
 		}
 	}
 }

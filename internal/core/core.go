@@ -16,7 +16,10 @@
 //     reduction: approximate range k-selection produces a threshold τ
 //     with between k and O(k) in-range points at or above it; a
 //     three-sided reporting query on the §2 tree retrieves them; the
-//     top k among them is selected for free in memory.
+//     top k among them is selected for free in memory. A range that
+//     covers no §3.3 subtree whole needs none of it: the selection
+//     reads the one or two boundary leaves that hold every in-range
+//     point, and answers from them.
 //
 // Every update is applied to both maintained structures (two linear-
 // space structures are still linear space, and two O(log_B n) updates
@@ -63,7 +66,7 @@ var (
 // coordinates, distinct positions, distinct scores. It checks in one
 // fixed order, ErrInvalidPoint, then ErrDuplicatePosition, then
 // ErrDuplicateScore, and a rejected point claims nothing. It keeps one
-// set of positions and one of scores, each a floatSet: an
+// set of positions and one of scores, each a FloatSet: an
 // open-addressing table of float64 bits, 8 bytes a slot at load ≤ 3/4,
 // hashed under its own random seed, with −0 and +0 one key as in a Go
 // map. The tables live in Go memory outside the I/O-charged model: like
@@ -76,7 +79,7 @@ var (
 // use: an owner that serves concurrent updates holds its own mutex
 // around every call.
 type Guard struct {
-	positions, scores floatSet
+	positions, scores FloatSet
 }
 
 // Load empties g, sizes its tables for pts, and claims the points of
@@ -110,11 +113,11 @@ func (g *Guard) Reserve(p point.P) error {
 	if !p.Finite() {
 		return ErrInvalidPoint
 	}
-	if !g.positions.add(p.X) {
+	if !g.positions.Add(p.X) {
 		return ErrDuplicatePosition
 	}
-	if !g.scores.add(p.Score) {
-		g.positions.remove(p.X)
+	if !g.scores.Add(p.Score) {
+		g.positions.Remove(p.X)
 		return ErrDuplicateScore
 	}
 	return nil
@@ -122,8 +125,8 @@ func (g *Guard) Reserve(p point.P) error {
 
 // Release gives up p's position and score.
 func (g *Guard) Release(p point.P) {
-	g.positions.remove(p.X)
-	g.scores.remove(p.Score)
+	g.positions.Remove(p.X)
+	g.scores.Remove(p.Score)
 }
 
 // Check reports whether g holds exactly the positions and scores of
@@ -345,7 +348,10 @@ func (ix *Index) Delete(p point.P) bool {
 
 // Query returns the k highest-scoring points with x ∈ [x1, x2], sorted
 // by descending score (all of them if fewer qualify), in
-// O(log_B n + k/B) I/Os.
+// O(log_B n + k/B) I/Os. A k at or above the threshold goes to the §2
+// tree. A smaller k goes to the small-k component's selection, whose
+// boundary leaves answer a range that covers no subtree whole; any
+// other range takes the reduction through a three-sided report.
 func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 	if k <= 0 || x1 > x2 || ix.n == 0 {
 		return nil
@@ -363,12 +369,17 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 		// O(k/B) here.
 		return ix.tree.Query(x1, x2, k)
 	}
-	tau, ok := ix.smallSelect(x1, x2, k)
+	top, exact, tau, ok := ix.smallSelect(x1, x2, k)
+	if exact {
+		// The range meets no subtree whole: the boundary leaves that
+		// the selection read hold the answer.
+		return clone(top)
+	}
 	if !ok {
 		// Fewer than k points in range: report them all. The three-
 		// sided query with τ = −∞ reads exactly the in-range points.
 		out := ix.tree.Report3Sided(x1, x2, math.Inf(-1))
-		return topCopy(out, len(out))
+		return clone(point.SelectTop(out, len(out)))
 	}
 	// Reduction: τ has between k and O(k) in-range points at or above
 	// it; fetch them with a three-sided query and keep the top k.
@@ -379,32 +390,30 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 		// to the exact path.
 		return ix.tree.Query(x1, x2, k)
 	}
-	return topCopy(out, k)
+	return clone(point.SelectTop(out, k))
 }
 
-// topCopy sorts a three-sided report by descending score and returns a
-// copy of its first k points. The report lives in the PST's query
-// scratch, and the shard layer hands an answer to its caller after
-// releasing the shard, so the answer must not alias it.
-func topCopy(ps []point.P, k int) []point.P {
+// clone returns a copy of an answer built in a structure's query
+// scratch (a three-sided report, or the boundary leaves' points), nil
+// when it is empty. The shard layer hands an answer to its caller after
+// releasing the shard, so the answer must not alias the scratch.
+func clone(ps []point.P) []point.P {
 	if len(ps) == 0 {
 		return nil
 	}
-	point.SortByScoreDesc(ps)
-	return append(make([]point.P, 0, k), ps[:k]...)
+	return append(make([]point.P, 0, len(ps)), ps...)
 }
 
-// smallSelect runs approximate range k-selection on the active small-k
-// component.
-func (ix *Index) smallSelect(x1, x2 float64, k int) (float64, bool) {
+// smallSelect runs the selection step of the active small-k component:
+// the polylog tree's answer when its boundary leaves hold it (exact),
+// else a threshold τ with between k and O(k) in-range points at or
+// above it (ok false when fewer than k points are in range).
+func (ix *Index) smallSelect(x1, x2 float64, k int) (top []point.P, exact bool, tau float64, ok bool) {
 	if ix.poly != nil {
-		return ix.poly.SelectApprox(x1, x2, k)
+		return ix.poly.Select(x1, x2, k)
 	}
 	pt, ok := ix.base.SelectApprox(x1, x2, k)
-	if !ok {
-		return 0, false
-	}
-	return pt.Score, true
+	return nil, false, pt.Score, ok
 }
 
 // Count returns |S ∩ [x1,x2]|.

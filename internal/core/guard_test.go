@@ -109,7 +109,7 @@ var guardKeys = func() []float64 {
 }()
 
 // has reports whether s holds x.
-func (s *floatSet) has(x float64) bool {
+func (s *FloatSet) has(x float64) bool {
 	k := keyOf(x)
 	if k == 0 {
 		return s.zero

@@ -43,12 +43,12 @@ func pinnedWorkload(t *testing.T) (*em.Disk, []pinnedPhase) {
 		{"§2 wide", query(1e5, 6e5, 300), 422, 0, built},
 		{"§2 whole line", query(0, 1e6, 1000), 1339, 0, built},
 		{"§2 narrow", query(2e5, 2.6e5, 250), 308, 0, built},
-		{"small k=1", query(1e5, 6e5, 1), 89, 0, built},
-		{"small k=10", query(3e5, 3.4e5, 10), 99, 0, built},
-		{"small k=60 whole line", query(0, 1e6, 60), 617, 0, built},
+		{"small k=1", query(1e5, 6e5, 1), 47, 0, built},
+		{"small k=10", query(3e5, 3.4e5, 10), 76, 0, built},
+		{"small k=60 whole line", query(0, 1e6, 60), 555, 0, built},
 		{"updates", updates, 25433, 19206, updated},
 		{"§2 after updates", query(1e5, 9e5, 400), 602, 0, updated},
-		{"small k after updates", query(1e5, 9e5, 20), 145, 0, updated},
+		{"small k after updates", query(1e5, 9e5, 20), 103, 0, updated},
 	}
 }
 

@@ -6,9 +6,12 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/em"
+	"repro/internal/point"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -96,5 +99,54 @@ func TestQueryInvalidInputs(t *testing.T) {
 	}
 	if got := ix.Query(math.Inf(-1), math.Inf(1), 5); len(got) != 5 {
 		t.Fatalf("full range k=5: %d", len(got))
+	}
+}
+
+// TestLeafCoveredQueriesSkipThePST: a small-k query whose range covers
+// no §3.3 subtree whole — it lies inside one boundary leaf or straddles
+// two — is answered from the leaves' in-range points, with k points in
+// range or more, fewer than k, or none, and charges no read to a pst.*
+// store. A query with a multi-slab piece goes through the three-sided
+// report, which the same probe sees. Every answer is point.TopK's.
+func TestLeafCoveredQueriesSkipThePST(t *testing.T) {
+	d := em.NewDisk(em.Config{B: 16, M: 8 * 16})
+	pts := workload.NewGen(11).Uniform(4000, 1e6)
+	opt := testOpts()
+	ix := Bulk(d, opt, pts)
+	// Bulk cuts the x-sorted points into m equal leaves.
+	xs := point.ByScoreDesc(pts)
+	point.SortByX(xs)
+	m := (len(xs) + 3*opt.PolylogLeafCap/4 - 1) / (3 * opt.PolylogLeafCap / 4)
+	first := func(j int) int { return j * len(xs) / m } // leaf j's first point
+	a, b := first(10)+5, first(20)                      // inside leaf 10; leaf 20's low edge
+	gap := (xs[a].X + xs[a+1].X) / 2
+	for _, q := range []struct {
+		name     string
+		x1, x2   float64
+		k        int
+		leafOnly bool
+	}{
+		{"one leaf", xs[a].X, xs[a+10].X, 3, true},
+		{"one leaf, fewer than k", xs[a].X, xs[a+10].X, 20, true},
+		{"one leaf, none in range", gap, gap, 5, true},
+		{"two leaves", xs[b-5].X, xs[b+5].X, 4, true},
+		{"two leaves, fewer than k", xs[b-5].X, xs[b+5].X, 30, true},
+		{"multi-slab", xs[first(3)].X, xs[first(40)].X, 10, false},
+	} {
+		d.DropCache()
+		before := d.PerStore()
+		got := ix.Query(q.x1, q.x2, q.k)
+		if want := point.TopK(pts, q.x1, q.x2, q.k); !slices.Equal(got, want) {
+			t.Fatalf("%s: Query = %v, want %v", q.name, got, want)
+		}
+		pstReads := int64(0)
+		for i, st := range d.PerStore() {
+			if strings.HasPrefix(st.Name, "pst.") {
+				pstReads += st.Reads - before[i].Reads
+			}
+		}
+		if leafOnly := pstReads == 0; leafOnly != q.leafOnly {
+			t.Errorf("%s: %d pst.* reads, want them only for a multi-slab piece", q.name, pstReads)
+		}
 	}
 }

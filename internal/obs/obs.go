@@ -89,10 +89,9 @@ func EndpointLabel(path string) string {
 	if !ok {
 		return "other"
 	}
-	seg := strings.SplitN(p, "/", 3)
-	label := seg[0]
-	if len(seg) > 1 && (seg[1] == "reset" || seg[1] == "drop" || seg[1] == "fleet") {
-		label = seg[0] + "_" + seg[1]
+	label, rest, _ := strings.Cut(p, "/")
+	if sub, _, _ := strings.Cut(rest, "/"); sub == "reset" || sub == "drop" || sub == "fleet" {
+		label += "_" + sub
 	}
 	if !endpointLabels[label] {
 		return "other"
@@ -173,14 +172,26 @@ func (t *Telemetry) TimeOp(op string) func() {
 
 // TimeOpCtx is TimeOp plus a "store.<op>" span on ctx's trace (when
 // the request is traced), so member Store operations show up in the
-// stitched cross-process tree.
-func (t *Telemetry) TimeOpCtx(ctx context.Context, op string) func() {
-	start := time.Now()
-	sp := startOpSpan(ctx, op)
-	return func() {
-		t.Ops.Observe(op, time.Since(start))
-		sp.End(nil)
-	}
+// stitched cross-process tree. It returns the timing as a value, not a
+// closure, so a Store call costs no allocation for it:
+// `defer t.TimeOpCtx(ctx, "topk").End()`.
+func (t *Telemetry) TimeOpCtx(ctx context.Context, op string) OpTimer {
+	return OpTimer{t: t, op: op, start: time.Now(), sp: startOpSpan(ctx, op)}
+}
+
+// OpTimer is one Store operation TimeOpCtx is timing.
+type OpTimer struct {
+	t     *Telemetry
+	op    string
+	start time.Time
+	sp    *Span
+}
+
+// End records the operation's duration under its op in the Ops
+// histogram and ends its span.
+func (o OpTimer) End() {
+	o.t.Ops.Observe(o.op, time.Since(o.start))
+	o.sp.End(nil)
 }
 
 // startOpSpan opens the Store-op span, or nil when untraced. Split out

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -116,6 +117,27 @@ func TestObserveZeroAllocs(t *testing.T) {
 		v.Observe("topk", 42*time.Microsecond)
 	}); allocs != 0 {
 		t.Errorf("warm Vec.Observe allocates %.1f times per run; //topk:nomalloc promises 0", allocs)
+	}
+}
+
+// TestPerRequestTelemetryZeroAllocs: what every Store call and every
+// request pays in telemetry allocates nothing once the op's histogram
+// exists — an untraced TimeOpCtx timing ended with End, and the
+// endpoint label of a read — and End records the op.
+func TestPerRequestTelemetryZeroAllocs(t *testing.T) {
+	tel := New(Options{})
+	ctx := context.Background()
+	tel.TimeOpCtx(ctx, "topk").End() // create the label: the one cold path
+	if allocs := testing.AllocsPerRun(100, func() {
+		defer tel.TimeOpCtx(ctx, "topk").End()
+	}); allocs != 0 {
+		t.Errorf("untraced TimeOpCtx(...).End() allocates %.1f times per run, want 0", allocs)
+	}
+	if n := tel.Ops.Get("topk").Snapshot().Count; n != 102 {
+		t.Errorf("the topk histogram holds %d ops, want 102", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { EndpointLabel("/v1/topk") }); allocs != 0 {
+		t.Errorf("EndpointLabel allocates %.1f times per run, want 0", allocs)
 	}
 }
 

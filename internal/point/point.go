@@ -12,6 +12,7 @@ package point
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 )
 
@@ -92,6 +93,57 @@ func SortByScoreDesc(ps []P) {
 		}
 		return 0
 	})
+}
+
+// SelectTop moves the k highest-scoring points of ps to its front,
+// sorts them by descending score and returns them: ps[:k], or all of
+// ps sorted when k ≥ len(ps). Selection is a quickselect on random
+// pivots, expected O(len(ps)) comparisons, so only the k points kept
+// pay for a sort; the rest of ps is left in an unspecified order.
+func SelectTop(ps []P, k int) []P {
+	switch {
+	case k <= 0:
+		return ps[:0]
+	case k < len(ps):
+		selectScoreDesc(ps, k)
+		ps = ps[:k]
+	}
+	SortByScoreDesc(ps)
+	return ps
+}
+
+// selectScoreDesc orders ps, 0 < k < len(ps), so that its k highest
+// scores come first. It narrows [lo, hi), the run holding position k,
+// by Hoare partitions: afterwards nothing before a run scores below
+// anything in it, nor anything after it above.
+func selectScoreDesc(ps []P, k int) {
+	lo, hi := 0, len(ps)
+	for hi-lo > 1 {
+		pivot := ps[lo+rand.IntN(hi-lo)].Score
+		i, j := lo, hi-1
+		for i <= j {
+			for ps[i].Score > pivot {
+				i++
+			}
+			for ps[j].Score < pivot {
+				j--
+			}
+			if i <= j {
+				ps[i], ps[j] = ps[j], ps[i]
+				i, j = i+1, j-1
+			}
+		}
+		// ps[lo:i] scores ≥ pivot, ps[j+1:hi] ≤ pivot, so the points
+		// between j and i equal it and sit where a sort puts them.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // ByScoreDesc returns a copy of ps sorted by descending score.

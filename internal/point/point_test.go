@@ -1,7 +1,9 @@
 package point
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -129,5 +131,46 @@ func TestQuickTopK(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectTop holds SelectTop to a full sort: on random, sorted,
+// reversed and organ-pipe scores, with ties and without, for k = 1,
+// k = len, the ranks between and k outside [1, len], it returns the
+// first min(k, len) scores of the sorted slice, in order, and keeps
+// every point of its input.
+func TestSelectTop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 301
+	inputs := map[string]func(i int) float64{
+		"random":     func(int) float64 { return rng.Float64() },
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(n - i) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-1-i)) },
+		"few values": func(int) float64 { return float64(rng.Intn(4)) },
+	}
+	for name, score := range inputs {
+		ps := make([]P, n)
+		for i := range ps {
+			ps[i] = P{X: float64(i), Score: score(i)}
+		}
+		sorted := ByScoreDesc(ps)
+		for _, k := range []int{-1, 0, 1, 2, 17, n / 2, n - 1, n, n + 5} {
+			in := slices.Clone(ps)
+			got := SelectTop(in, k)
+			want := sorted[:max(0, min(k, n))]
+			if len(got) != len(want) {
+				t.Fatalf("%s, k=%d: %d points, want %d", name, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Score != want[i].Score {
+					t.Fatalf("%s, k=%d: rank %d scores %v, a full sort %v", name, k, i+1, got[i].Score, want[i].Score)
+				}
+			}
+			slices.SortFunc(in, func(a, b P) int { return cmp.Compare(a.X, b.X) })
+			if !slices.Equal(in, ps) {
+				t.Fatalf("%s, k=%d: the slice lost or changed points", name, k)
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@ package polylog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,5 +190,80 @@ func TestBulkEmptyAndSingle(t *testing.T) {
 		if tr.Len() != len(pts) || tr.Count(0, 10) != len(pts) {
 			t.Fatalf("n=%d: Len=%d Count=%d", len(pts), tr.Len(), tr.Count(0, 10))
 		}
+	}
+}
+
+// TestSelectOKIffCountReaches: over TestBulk's shapes, right after the
+// bulk build, again after a stream of random inserts and deletes, and
+// once more after deletes that leave a sixteenth of the points, so that
+// covered subtrees hold fewer than k of them, SelectApprox reports ok
+// exactly when Count(x1, x2) ≥ k, which is why Select needs no Count of
+// its own, and every answer Select gives outright is the brute-force
+// top k.
+func TestSelectOKIffCountReaches(t *testing.T) {
+	for _, f := range []int{2, 4} {
+		for _, leafCap := range []int{8, 64} {
+			name := fmt.Sprintf("F=%d/LeafCap=%d", f, leafCap)
+			opt := Options{L: 4, F: f, LeafCap: leafCap}
+			n := leafCap * f * f * 3
+			pts := genPoints(n+n/2, int64(f*leafCap+1))
+			tr := bulk(newDisk(32), opt, pts[:n])
+			live, spare := slices.Clone(pts[:n]), pts[n:]
+			checkSelectOK(t, name, tr, live, 4*float64(len(pts)))
+
+			rng := rand.New(rand.NewSource(int64(n)))
+			for range n {
+				if len(spare) > 0 && rng.Intn(2) == 0 {
+					tr.Insert(spare[0])
+					live, spare = append(live, spare[0]), spare[1:]
+					continue
+				}
+				live = deleteOne(t, tr, live, rng.Intn(len(live)))
+			}
+			checkSelectOK(t, name+" after updates", tr, live, 4*float64(len(pts)))
+			for len(live) > n/16 {
+				live = deleteOne(t, tr, live, rng.Intn(len(live)))
+			}
+			checkSelectOK(t, name+" after deletes", tr, live, 4*float64(len(pts)))
+		}
+	}
+}
+
+// deleteOne deletes live[j] from tr and returns live without it.
+func deleteOne(t *testing.T, tr *Tree, live []point.P, j int) []point.P {
+	t.Helper()
+	if !tr.Delete(live[j]) {
+		t.Fatalf("delete of live %v found nothing", live[j])
+	}
+	live[j] = live[len(live)-1]
+	return live[:len(live)-1]
+}
+
+// checkSelectOK runs TestSelectOKIffCountReaches' queries over
+// [0, span), most of them narrow enough that Count lands near k.
+func checkSelectOK(t *testing.T, name string, tr *Tree, pts []point.P, span float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(pts))))
+	exact, approx := 0, 0
+	for i := range 400 {
+		x1 := rng.Float64() * span
+		x2 := x1 + span*math.Pow(rng.Float64(), 4)
+		k := rng.Intn(tr.L()) + 1
+		count := tr.Count(x1, x2)
+		if _, ok := tr.SelectApprox(x1, x2, k); ok != (count >= k) {
+			t.Fatalf("%s query %d [%v, %v]: SelectApprox ok=%v with Count=%d, k=%d", name, i, x1, x2, ok, count, k)
+		}
+		top, isExact, _, _ := tr.Select(x1, x2, k)
+		if !isExact {
+			approx++
+			continue
+		}
+		exact++
+		if want := point.TopK(pts, x1, x2, k); !slices.Equal(top, want) {
+			t.Fatalf("%s query %d [%v, %v] k=%d: Select answered %v, want %v", name, i, x1, x2, k, top, want)
+		}
+	}
+	if exact == 0 || approx == 0 {
+		t.Fatalf("%s: %d exact and %d approximate selections, want both", name, exact, approx)
 	}
 }

@@ -142,12 +142,10 @@ func (t *Tree) leafCount(h em.Handle, x1, x2 float64) int {
 // points in [x1, x2].
 func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (point.P, bool) {
 	t.qs.in = t.leafInRange(t.qs.in[:0], h, x1, x2)
-	in := t.qs.in
-	if len(in) < k || k < 1 {
+	if len(t.qs.in) < k || k < 1 {
 		return point.P{}, false
 	}
-	point.SortByScoreDesc(in)
-	return in[k-1], true
+	return point.SelectTop(t.qs.in, k)[k-1], true
 }
 
 // freeLeafChunks releases the leaf's chunk records.

@@ -26,7 +26,12 @@
 // most two boundary leaves, runs AURS (package aurs, Lemma 5) over the
 // multi-slabs — Rank and Max implemented by the (f,c2l)-structures in
 // O(log_B(fl)) I/Os each — performs leaf-level k-selection at the
-// boundary leaves, and returns the maximum of the candidates.
+// boundary leaves, and returns the maximum of the candidates; any
+// candidate proves k points in range, so no query counts them first.
+// A decomposition of boundary leaves alone holds every in-range point
+// in the chunks the leaf selection reads, so Select answers such a q
+// outright with the exact top k, and SelectApprox reports its k-th
+// score.
 //
 // Degenerate regime: the AURS precondition k ≤ min|S_m|/c1 always holds
 // in the paper's parameter regime because every canonical multi-slab

@@ -19,14 +19,14 @@ type piece struct {
 	isLeaf bool // boundary leaf: select within [x1,x2] directly
 }
 
-// queryScratch is a Tree's working memory for SelectApprox (and, on
-// the update path, leafSelect). A Tree is single-threaded by contract
+// queryScratch is a Tree's working memory for Select (and, on the
+// update path, leafSelect). A Tree is single-threaded by contract
 // and every use resets what it takes, so the buffers grow to the
 // largest query the structure has answered and are reused after that.
 // None of it is charged to the I/O meter.
 type queryScratch struct {
 	pieces []piece
-	in     []point.P // one boundary leaf's in-range points
+	in     []point.P // the boundary leaves' in-range points
 	slabs  []slabSet
 	sets   []aurs.Set // pointers into slabs, as AURS takes them
 	cands  []float64
@@ -109,37 +109,55 @@ func (s *slabSet) Rank(rho float64) float64 {
 	return s.fl.Select(s.a1, s.a2, k)
 }
 
-// SelectApprox performs approximate range k-selection: it returns a
-// score τ such that between k and O(k)·(approximation constant) points
-// of S∩[x1,x2] have score ≥ τ. ok is false when |S∩q| < k. k must be
-// ≤ L().
+// Select is the selection step of the §3.3 query. It decomposes
+// q = [x1, x2] and, when every piece is a boundary leaf, answers q
+// outright: exact is true and top holds the k highest-scoring points of
+// S∩q in descending score order (all of them when fewer qualify). The
+// leaves' in-range chunks, which the selection reads anyway, are then
+// all the query reads. top lives in the tree's query scratch until its
+// next query.
 //
-// In-regime (every multi-slab large enough for the AURS precondition)
-// the cost is O(log_B n) I/Os; otherwise the exact fallback described in
-// the package comment fires.
-func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
+// Otherwise exact is false and Select performs approximate range
+// k-selection: it returns a score τ such that between k and
+// O(k)·(approximation constant) points of S∩q have score ≥ τ, with ok
+// false when |S∩q| < k. k must be ≤ L(). In-regime (every multi-slab
+// large enough for the AURS precondition) the cost is O(log_B n) I/Os
+// plus the boundary leaves' in-range chunks; otherwise the exact
+// fallback described in the package comment fires.
+func (t *Tree) Select(x1, x2 float64, k int) (top []point.P, exact bool, tau float64, ok bool) {
 	if k < 1 || k > t.opt.L {
 		panic("polylog: k outside [1, L]")
 	}
 	if x1 > x2 || t.n == 0 {
-		return 0, false
+		return nil, true, 0, false
 	}
 	qs := &t.qs
 	qs.pieces = t.decompose(qs.pieces[:0], t.root, x1, x2)
+	if !slices.ContainsFunc(qs.pieces, func(pc piece) bool { return !pc.isLeaf }) {
+		qs.in = qs.in[:0]
+		for _, pc := range qs.pieces {
+			qs.in = t.leafInRange(qs.in, pc.node, x1, x2)
+		}
+		return point.SelectTop(qs.in, k), true, 0, false
+	}
 
 	// Every candidate emitted below has rank ≥ k within its own piece
 	// group, which is what makes max{candidates} a valid lower bound;
 	// pieces holding fewer than k elements are pooled into one exactly
 	// merged group so that collectively small pieces still produce a
-	// rank-≥-k candidate when they hold the answer together.
+	// rank-≥-k candidate when they hold the answer together. Any
+	// candidate also proves |S∩q| ≥ k: it is the k-th of k or more
+	// distinct in-range scores (a leaf's points, the G sets of children
+	// q covers, or the merged pool), and without one the pieces hold
+	// fewer than k points between them, since a piece whose G sets are
+	// cut at c2·l ≥ k scores already emits one.
 	c1 := 8 // flgroup Select bound for base 2
 	qs.slabs, qs.cands, qs.merged = qs.slabs[:0], qs.cands[:0], qs.merged[:0]
 	for _, pc := range qs.pieces {
 		if pc.isLeaf {
 			qs.in = t.leafInRange(qs.in[:0], pc.node, x1, x2)
 			if len(qs.in) >= k {
-				point.SortByScoreDesc(qs.in)
-				qs.cands = append(qs.cands, qs.in[k-1].Score)
+				qs.cands = append(qs.cands, point.SelectTop(qs.in, k)[k-1].Score)
 			} else {
 				for _, p := range qs.in {
 					qs.merged = append(qs.merged, p.Score)
@@ -173,10 +191,25 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 		slices.SortFunc(qs.merged, func(a, b float64) int { return cmp.Compare(b, a) })
 		qs.cands = append(qs.cands, qs.merged[k-1])
 	}
-	if len(qs.cands) == 0 || t.Count(x1, x2) < k {
+	if len(qs.cands) == 0 {
+		return nil, false, 0, false
+	}
+	return nil, false, slices.Max(qs.cands), true
+}
+
+// SelectApprox is Select's τ alone: approximate range k-selection,
+// returning a score τ with between k and O(k) points of S∩q at or above
+// it, or ok false when |S∩q| < k. Where Select answers q exactly, τ is
+// the k-th score of its answer.
+func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
+	top, exact, tau, ok := t.Select(x1, x2, k)
+	if !exact {
+		return tau, ok
+	}
+	if len(top) < k {
 		return 0, false
 	}
-	return slices.Max(qs.cands), true
+	return top[k-1].Score, true
 }
 
 // Count returns |S ∩ [x1,x2]| using subtree weights plus boundary-leaf

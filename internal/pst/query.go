@@ -169,7 +169,7 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 		// Early termination proved every unexplored subtree (and
 		// hence every would-be Q3 candidate) is dominated by the k-th
 		// best candidate already collected.
-		return topOf(s.cands, k)
+		return point.SelectTop(s.cands, k)
 	}
 
 	// Q2: pilots of the selected nodes. Q3: pilots of their in-range
@@ -199,17 +199,8 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 
 	// Report the k highest candidates. The candidate pool has size
 	// O(B lg n + k); selecting within it is CPU work on blocks already
-	// read.
-	return topOf(s.cands, k)
-}
-
-// topOf sorts ps by descending score in place and returns its first k.
-func topOf(ps []point.P, k int) []point.P {
-	point.SortByScoreDesc(ps)
-	if k < len(ps) {
-		ps = ps[:k]
-	}
-	return ps
+	// read, and only the k kept are sorted.
+	return point.SelectTop(s.cands, k)
 }
 
 // selectEarly is the default selection: heap.SelectTop into

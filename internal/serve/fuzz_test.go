@@ -28,11 +28,11 @@ func fuzzStore(t testing.TB) topk.Store {
 	return LockedIndex(idx)
 }
 
-// FuzzTopKQuery drives GET /v1/topk's query parsing (queryFloat,
-// queryInt, the offset guard, ClampPage) with arbitrary parameter
-// strings. The handler must never panic, must answer only 200 or 400,
-// and every 200 must carry well-formed JSON whose results never
-// exceed the store size.
+// FuzzTopKQuery drives GET /v1/topk's query parsing (readRangeQuery,
+// the number parses, the offset guard, ClampPage) with arbitrary
+// parameter strings. The handler must never panic, must answer only
+// 200 or 400, and every 200 must carry well-formed JSON whose results
+// never exceed the store size.
 func FuzzTopKQuery(f *testing.F) {
 	f.Add("0", "100", "5", "")
 	f.Add("-1e308", "1e308", "1000000", "3")
@@ -99,6 +99,42 @@ func FuzzBatchJSON(f *testing.F) {
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 				t.Fatalf("batch %q: bad JSON response: %v", body, err)
+			}
+		}
+	})
+}
+
+// FuzzReadRangeQuery holds readRangeQuery, the one-pass reader of
+// GET /v1/topk's and /v1/count's parameters, to url.ParseQuery(raw).Get
+// on any raw query string. The seeds hold escaped and raw '+', ';',
+// empty pairs and values, repeated keys, an escaped key and escapes
+// that do not decode.
+func FuzzReadRangeQuery(f *testing.F) {
+	for _, raw := range []string{
+		"",
+		"x1=0&x2=100&k=5",
+		"x1=1e%2B300&x2=%2BInf&k=3&offset=2",
+		"x1=+1&x2=1e+3&k= 4",
+		"x1=1;x2=2&k=3",
+		"x1=1&;&x2=2&k=3",
+		"&&x1=1&&x2=2&k=3&",
+		"x1&x2=&k=3&offset",
+		"x1=1&x1=2&k=3&k=4&offset=5&offset=6",
+		"x1=%zz&x1=7&x2=%&x2=8&k=%4&k=9",
+		"x%31=5&x%32=6&%6B=7&offse%74=8",
+		"x1=%2b1&x2=-0&k=0x1p4&offset=%20",
+		"=1&==&x1==2&x2=3=4",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want, _ := url.ParseQuery(raw)
+		got := readRangeQuery(raw)
+		for _, c := range []struct{ key, got string }{
+			{"x1", got.x1}, {"x2", got.x2}, {"k", got.k}, {"offset", got.offset},
+		} {
+			if c.got != want.Get(c.key) {
+				t.Fatalf("readRangeQuery(%q).%s = %q, url.ParseQuery gives %q", raw, c.key, c.got, want.Get(c.key))
 			}
 		}
 	})

@@ -143,7 +143,7 @@ func New(st topk.Store, opt Options) http.Handler {
 			// ran — a misrouted write still fails loudly and
 			// synchronously; only in-band writes are deferred.
 			f := func() topk.Future {
-				defer t.TimeOpCtx(r.Context(), "insert")()
+				defer t.TimeOpCtx(r.Context(), "insert").End()
 				return aw.SubmitInsert(req.X, req.Score)
 			}()
 			writeJSONStatus(w, http.StatusAccepted,
@@ -154,7 +154,7 @@ func New(st topk.Store, opt Options) http.Handler {
 		// concurrent duplicates race to one 200 and one 409 — and a
 		// duplicate score anywhere in the fleet is a 409 too.
 		st := bindStore(st, r)
-		err := func() error { defer t.TimeOpCtx(r.Context(), "insert")(); return st.Insert(req.X, req.Score) }()
+		err := func() error { defer t.TimeOpCtx(r.Context(), "insert").End(); return st.Insert(req.X, req.Score) }()
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -170,7 +170,7 @@ func New(st topk.Store, opt Options) http.Handler {
 		}
 		if asyncAck {
 			f := func() topk.Future {
-				defer t.TimeOpCtx(r.Context(), "delete")()
+				defer t.TimeOpCtx(r.Context(), "delete").End()
 				return aw.SubmitDelete(req.X, req.Score)
 			}()
 			writeJSONStatus(w, http.StatusAccepted,
@@ -178,7 +178,7 @@ func New(st topk.Store, opt Options) http.Handler {
 			return
 		}
 		st := bindStore(st, r)
-		found := func() bool { defer t.TimeOpCtx(r.Context(), "delete")(); return st.Delete(req.X, req.Score) }()
+		found := func() bool { defer t.TimeOpCtx(r.Context(), "delete").End(); return st.Delete(req.X, req.Score) }()
 		writeJSON(w, map[string]any{"found": found, "n": st.Len()})
 	})
 
@@ -199,10 +199,10 @@ func New(st topk.Store, opt Options) http.Handler {
 	})
 
 	handle("GET", "/topk", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		x1, err1 := queryFloat(q, "x1")
-		x2, err2 := queryFloat(q, "x2")
-		k, err3 := queryInt(q, "k")
+		q := readRangeQuery(r.URL.RawQuery)
+		x1, err1 := strconv.ParseFloat(q.x1, 64)
+		x2, err2 := strconv.ParseFloat(q.x2, 64)
+		k, err3 := strconv.Atoi(q.k)
 		if err1 != nil || err2 != nil || err3 != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "need float x1, x2 and int k")
 			return
@@ -212,40 +212,31 @@ func New(st topk.Store, opt Options) http.Handler {
 		// pages of k without the server ever allocating beyond the live
 		// size (the clamp below caps offset+k at n first).
 		off := 0
-		if s := q.Get("offset"); s != "" {
+		if q.offset != "" {
 			var err error
-			if off, err = strconv.Atoi(s); err != nil || off < 0 {
+			if off, err = strconv.Atoi(q.offset); err != nil || off < 0 {
 				httpError(w, http.StatusBadRequest, "bad_request", "offset must be a non-negative int")
 				return
 			}
 		}
 		st := bindStore(st, r)
 		res := func() []topk.Result {
-			defer t.TimeOpCtx(r.Context(), "topk")()
+			defer t.TimeOpCtx(r.Context(), "topk").End()
 			return st.TopK(x1, x2, ClampPage(st, off, k))
 		}()
-		if off < len(res) {
-			res = res[off:]
-		} else {
-			res = []topk.Result{} // an empty page encodes as [], not null
-		}
-		if r.Header.Get("Accept") == wire.PointsType {
-			writePoints(w, res, t.Log)
-			return
-		}
-		writeJSON(w, wire.TopK{Offset: off, Results: res})
+		writePage(w, r.Header.Get("Accept") == wire.PointsType, off, res[min(off, len(res)):], t.Log)
 	})
 
 	handle("GET", "/count", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		x1, err1 := queryFloat(q, "x1")
-		x2, err2 := queryFloat(q, "x2")
+		q := readRangeQuery(r.URL.RawQuery)
+		x1, err1 := strconv.ParseFloat(q.x1, 64)
+		x2, err2 := strconv.ParseFloat(q.x2, 64)
 		if err1 != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "need float x1 and x2")
 			return
 		}
 		st := bindStore(st, r)
-		n := func() int { defer t.TimeOpCtx(r.Context(), "count")(); return st.Count(x1, x2) }()
+		n := func() int { defer t.TimeOpCtx(r.Context(), "count").End(); return st.Count(x1, x2) }()
 		writeJSON(w, map[string]any{"count": n})
 	})
 
@@ -691,7 +682,7 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		if len(updates) == 0 {
 			return nil
 		}
-		defer t.TimeOpCtx(ctx, "apply_batch")()
+		defer t.TimeOpCtx(ctx, "apply_batch").End()
 		return st.ApplyBatch(updates)
 	}()
 	for j, err := range applied {
@@ -711,7 +702,7 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		if len(queries) == 0 {
 			return nil
 		}
-		defer t.TimeOpCtx(ctx, "query_batch")()
+		defer t.TimeOpCtx(ctx, "query_batch").End()
 		return st.QueryBatch(queries)
 	}()
 	for j, res := range answered {
@@ -763,14 +754,61 @@ func WithRecover(next http.Handler) http.Handler {
 	})
 }
 
-// queryFloat and queryInt read one parameter of a query string the
-// handler parsed once: r.URL.Query() parses the whole string per call.
-func queryFloat(q url.Values, key string) (float64, error) {
-	return strconv.ParseFloat(q.Get(key), 64)
+// rangeQuery holds the parameters GET /v1/topk and /v1/count read,
+// each as url.Values.Get would return it: its first value, or "".
+type rangeQuery struct{ x1, x2, k, offset string }
+
+// readRangeQuery reads a rangeQuery from raw, a request's RawQuery, in
+// one pass and with url.ParseQuery's semantics: pairs split at '&', a
+// pair that holds ';' or whose key or value does not unescape is
+// dropped, and the first value of a key wins. It builds no url.Values
+// and unescapes only a key or value that holds '%' or '+', so a plain
+// query string costs no allocation.
+func readRangeQuery(raw string) rangeQuery {
+	var q rangeQuery
+	var seen [4]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, ok := unescapeQuery(key)
+		if !ok {
+			continue
+		}
+		if val, ok = unescapeQuery(val); !ok {
+			continue
+		}
+		var i int
+		var dst *string
+		switch key {
+		case "x1":
+			i, dst = 0, &q.x1
+		case "x2":
+			i, dst = 1, &q.x2
+		case "k":
+			i, dst = 2, &q.k
+		case "offset":
+			i, dst = 3, &q.offset
+		default:
+			continue
+		}
+		if !seen[i] {
+			seen[i], *dst = true, val
+		}
+	}
+	return q
 }
 
-func queryInt(q url.Values, key string) (int, error) {
-	return strconv.Atoi(q.Get(key))
+// unescapeQuery is url.QueryUnescape for a string that may need it.
+func unescapeQuery(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // encBuf is a pooled response-encode buffer with a json.Encoder bound
@@ -788,7 +826,8 @@ var encPool = sync.Pool{New: func() any {
 }}
 
 // encPoolMax caps what goes back in the pool: one giant response (a
-// full topk dump) must not pin its buffer for the life of the process.
+// /v1/batch of wide queries) must not pin its buffer for the life of
+// the process.
 const encPoolMax = 64 << 10
 
 // writeJSONLog renders v as the response body through a pooled
@@ -823,31 +862,40 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any, log *slog.Logger)
 	}
 }
 
-// pointsPool holds the buffers writePoints encodes into. Only buffers
-// up to pointsPoolMax go back: a 4,096-point page is 64 KiB, and one
-// page of a million points must not pin its buffer for the life of the
-// process.
-var pointsPool = sync.Pool{New: func() any { return new([]byte) }}
+// pagePool holds the buffers writePage encodes into. Only buffers up
+// to pagePoolMax go back: a 4,096-point page is 64 KiB as points and
+// about three times that as JSON, and one page of a million points must
+// not pin its buffer for the life of the process.
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 
-const pointsPoolMax = 1 << 20
+const pagePoolMax = 1 << 20
 
-// pointsContentType is the Content-Type of every points body, one
-// slice shared by all of them so the header costs a read no
-// allocation of its own; nothing writes to it.
-var pointsContentType = []string{wire.PointsType}
+// pointsContentType and jsonContentType are the Content-Types of
+// writePage's two bodies, each one slice shared by every response so
+// the header costs no allocation of its own; nothing writes to them.
+var (
+	pointsContentType = []string{wire.PointsType}
+	jsonContentType   = []string{"application/json"}
+)
 
-// writePoints renders a /v1/topk page as the binary points body
-// through a pooled buffer.
-func writePoints(w http.ResponseWriter, res []topk.Result, log *slog.Logger) {
-	bp := pointsPool.Get().(*[]byte)
-	b := wire.AppendPoints((*bp)[:0], res)
-	w.Header()["Content-Type"] = pointsContentType
+// writePage renders a /v1/topk page through a pooled buffer: as the
+// binary points body when points is set, else as JSON.
+func writePage(w http.ResponseWriter, points bool, off int, res []topk.Result, log *slog.Logger) {
+	bp := pagePool.Get().(*[]byte)
+	var b []byte
+	if points {
+		b = wire.AppendPoints((*bp)[:0], res)
+		w.Header()["Content-Type"] = pointsContentType
+	} else {
+		b = wire.AppendTopK((*bp)[:0], off, res)
+		w.Header()["Content-Type"] = jsonContentType
+	}
 	if _, err := w.Write(b); err != nil {
 		log.Error("response write failed", slog.String("err", err.Error()))
 	}
-	if cap(b) <= pointsPoolMax {
+	if cap(b) <= pagePoolMax {
 		*bp = b
-		pointsPool.Put(bp)
+		pagePool.Put(bp)
 	}
 }
 

@@ -5,23 +5,55 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/point"
 )
 
-// TopK is the JSON body of a GET /v1/topk response: one page of results
-// in descending score order, starting Offset points below the top. The
-// field order is the key order on the wire, sorted as a map's would be;
-// internal/serve's TestGoldenBytes pins the bytes.
-type TopK struct {
-	Offset  int       `json:"offset"`
-	Results []point.P `json:"results"`
+// AppendTopK appends to dst the JSON body of a GET /v1/topk response:
+// one page of results in descending score order, starting offset points
+// below the top, as {"offset":…,"results":[{"x":…,"score":…},…]} and a
+// newline. The bytes are those encoding/json's Encoder writes for the
+// map {"offset": offset, "results": pts} with pts non-nil, so an empty
+// page is [], and internal/serve's TestGoldenBytes pins them. Every
+// coordinate must be finite, as every live point's is: encoding/json
+// refuses ±Inf and NaN.
+func AppendTopK(dst []byte, offset int, pts []point.P) []byte {
+	dst = append(dst, `{"offset":`...)
+	dst = strconv.AppendInt(dst, int64(offset), 10)
+	dst = append(dst, `,"results":[`...)
+	for i, p := range pts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONFloat(append(dst, `{"x":`...), p.X)
+		dst = appendJSONFloat(append(dst, `,"score":`...), p.Score)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64, the way
+// ES6 prints a number: the shortest decimal that reads back as f, in
+// plain notation when 1e-6 ≤ |f| < 1e21 or f is ±0, in exponent
+// notation otherwise, with the exponent's leading zero dropped (1e-07
+// becomes 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
 // PointsType is the media type of the binary /v1/topk body. A request
 // whose Accept header is exactly PointsType gets the page as
 // AppendPoints writes it, under this Content-Type; every other request
-// gets TopK as JSON.
+// gets it as AppendTopK writes it.
 const PointsType = "application/x-topk-points"
 
 // pointSize is the bytes one point takes in a points body: X, then

@@ -111,9 +111,23 @@ func TestParseTopKServeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTopKEncodesLikeMap pins wire.TopK's encoding to the bytes of the
+// jsonPage is what encoding/json's Encoder writes for the /v1/topk
+// page AppendTopK spells: the map the handler once encoded, with nil
+// results as the empty page the handler sent for them.
+func jsonPage(t testing.TB, off int, res []point.P) []byte {
+	if res == nil {
+		res = []point.P{}
+	}
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(map[string]any{"results": res, "offset": off}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestTopKEncodesLikeMap pins wire.AppendTopK's bytes to those of the
 // map[string]any{"results", "offset"} the /v1/topk handler encoded
-// before the type existed.
+// through encoding/json, and checks that they land after dst's own.
 func TestTopKEncodesLikeMap(t *testing.T) {
 	for _, c := range []struct {
 		off int
@@ -124,18 +138,50 @@ func TestTopKEncodesLikeMap(t *testing.T) {
 		{0, []point.P{}},
 		{3, nil},
 	} {
-		got, err := json.Marshal(wire.TopK{Offset: c.off, Results: c.res})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(map[string]any{"results": c.res, "offset": c.off})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("wire.TopK encodes\n%s\nthe map encodes\n%s", got, want)
+		head := []byte("head")
+		got := wire.AppendTopK(head, c.off, c.res)
+		if want := append([]byte("head"), jsonPage(t, c.off, c.res)...); !bytes.Equal(got, want) {
+			t.Fatalf("wire.AppendTopK writes\n%s\nencoding/json writes\n%s", got, want)
 		}
 	}
+}
+
+// FuzzAppendTopK holds AppendTopK to encoding/json on any page of
+// finite points, read from raw as little-endian float64 bit pairs. The
+// seeds hold the floats whose spelling switches notation or sign: ±0,
+// the smallest subnormal, the neighbours of 1e-6 and 1e21 on either
+// side, ±MaxFloat64; with and without an offset, and empty pages.
+func FuzzAppendTopK(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, x := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	up, down := math.Inf(1), math.Inf(-1)
+	f.Add(0, bits())
+	f.Add(5, bits())
+	f.Add(0, bits(0, math.Copysign(0, -1), 5e-324, -5e-324))
+	f.Add(3, bits(math.Nextafter(1e-6, down), 1e-6, math.Nextafter(1e-6, up), -1e-6))
+	f.Add(1, bits(math.Nextafter(1e21, down), 1e21, math.Nextafter(1e21, up), -1e21))
+	f.Add(0, bits(math.MaxFloat64, -math.MaxFloat64, 1e-7, 1e-100, 1e300, 0.1))
+	f.Add(42, bits(edgeValues...))
+	f.Fuzz(func(t *testing.T, off int, raw []byte) {
+		var pts []point.P
+		for ; len(raw) >= 16; raw = raw[16:] {
+			p := point.P{
+				X:     math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+				Score: math.Float64frombits(binary.LittleEndian.Uint64(raw[8:])),
+			}
+			if p.Finite() {
+				pts = append(pts, p)
+			}
+		}
+		if got, want := wire.AppendTopK(nil, off, pts), jsonPage(t, off, pts); !bytes.Equal(got, want) {
+			t.Fatalf("wire.AppendTopK(%d, %v) writes\n%s\nencoding/json writes\n%s", off, pts, got, want)
+		}
+	})
 }
 
 // withCount is a copy of body with its count field overwritten by n.

@@ -1,15 +1,18 @@
 // Package wire declares the /v1 bodies that both ends of the HTTP tier
-// speak: internal/serve decodes Op and encodes Item, Error, TopK and
-// the points body; internal/cluster encodes Op and decodes Item, Error
-// and the points body. A point travels as point.P, whose JSON tags are
-// the wire spelling, so nothing here converts.
+// speak: internal/serve decodes Op and encodes Item, Error, the
+// /v1/topk JSON page and the points body; internal/cluster encodes Op
+// and decodes Item, Error and the points body. A point travels as
+// point.P, whose JSON tags are the wire spelling, so nothing here
+// converts.
 //
-// Every body is JSON written by encoding/json but one: a gateway asks
-// its members for /v1/topk with Accept: PointsType, and they answer in
-// fixed-width binary (AppendPoints, ParsePoints). A wide read returns
-// thousands of points, and writing each float as decimal text at the
-// member and parsing it back at the gateway was the largest cost of
-// that hop. Every other client gets /v1/topk as TopK in JSON.
+// Every body is JSON written by encoding/json but two, both answers to
+// GET /v1/topk. A gateway asks its members for it with Accept:
+// PointsType, and they answer in fixed-width binary (AppendPoints,
+// ParsePoints): a wide read returns thousands of points, and writing
+// each float as decimal text at the member and parsing it back at the
+// gateway was the largest cost of that hop. Every other client gets it
+// in JSON that AppendTopK writes without reflection, byte for byte as
+// encoding/json would.
 package wire
 
 import "repro/internal/point"
