@@ -150,8 +150,10 @@ func (c *Cluster) Count(x1, x2 float64) int {
 }
 
 // Stats sums the simulated-disk meters across every reachable member
-// (replicas included — each performs its own I/O). cmd/topkd exports
-// the same aggregate on a gateway's /v1/stats and /v1/metrics.
+// (replicas included — each performs its own I/O); BlocksPeak is the
+// high-water mark of the summed BlocksLive this gateway has observed.
+// cmd/topkd exports the same aggregate on a gateway's /v1/stats and
+// /v1/metrics.
 func (c *Cluster) Stats() Stats {
 	s := c.c.Stats(context.Background())
 	return Stats{Reads: s.Reads, Writes: s.Writes, BlocksLive: s.BlocksLive, BlocksPeak: s.BlocksPeak}

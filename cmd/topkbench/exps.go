@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/ram"
 	"repro/internal/shengtao"
 	"repro/internal/sketch"
-	"repro/internal/verify"
 	"repro/internal/workload"
 	"repro/internal/workload/driver"
 )
@@ -250,14 +250,13 @@ func e4(quick bool) {
 	for _, phi := range []int{1, 2, 4, 8, 16} {
 		d := newDisk(B)
 		p := pst.Bulk(d, pst.Options{Phi: phi, PaperSelection: true}, pts)
-		oracle := verify.NewOracle(pts)
 		okCnt := 0
 		rng := rand.New(rand.NewSource(int64(phi)))
 		for i := 0; i < trials; i++ {
 			x1 := rng.Float64() * 9e4
 			x2 := x1 + rng.Float64()*3e4
 			k := rng.Intn(200) + 1
-			if verify.SameSet(p.Query(x1, x2, k), oracle.TopK(x1, x2, k)) {
+			if slices.Equal(p.Query(x1, x2, k), point.TopK(pts, x1, x2, k)) {
 				okCnt++
 			}
 		}
@@ -736,10 +735,12 @@ func e15(quick bool) {
 
 	// Instrumentation overhead: the same g=16 TopK run with the obs
 	// recording the serving middleware adds per request — one endpoint
-	// histogram observation plus one op-timer — versus bare Store calls.
+	// histogram observation plus the op timer serve runs around each
+	// Store call, on an untraced request — versus bare Store calls.
 	// The histograms are striped atomics with no locks or allocation, so
 	// the budget is ≤5% of qps; the ratio below is the check.
 	tel := obs.New(obs.Options{})
+	ctx := context.Background()
 	var st topk.Store = sharded
 	g := 16
 	off := benchRun("e15", "obs-off TopK g=16", func() workload.Throughput {
@@ -749,9 +750,9 @@ func e15(quick bool) {
 	})
 	on := benchRun("e15", "obs-on TopK g=16", func() workload.Throughput {
 		return workload.RunConcurrent(g, ops, queries, func(q topk.Query) {
-			done := tel.TimeOp("topk")
+			op := tel.TimeOpCtx(ctx, "topk")
 			st.TopK(q.X1, q.X2, q.K)
-			done()
+			op.End()
 			tel.HTTP.Observe("topk", time.Microsecond)
 		})
 	})

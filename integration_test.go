@@ -18,7 +18,6 @@ import (
 	"repro/internal/pst"
 	"repro/internal/ram"
 	"repro/internal/shengtao"
-	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -49,18 +48,19 @@ func allEngines(b int) []engine {
 func runSharedWorkload(t *testing.T, b int, pts []point.P, seed int64) {
 	t.Helper()
 	engines := allEngines(b)
-	oracle := verify.NewOracle(nil)
+	var live []point.P
 	rng := rand.New(rand.NewSource(seed))
 
 	for i, p := range pts {
 		for _, e := range engines {
 			e.insert(p)
 		}
-		oracle.Insert(p)
+		live = append(live, p)
 		// Interleave deletions.
-		if i%3 == 2 && oracle.Len() > 10 {
-			victim := oracle.Live()[rng.Intn(oracle.Len())]
-			oracle.Delete(victim)
+		if i%3 == 2 && len(live) > 10 {
+			j := rng.Intn(len(live))
+			victim := live[j]
+			live = slices.Delete(live, j, j+1)
 			for _, e := range engines {
 				if !e.delete(victim) {
 					t.Fatalf("%s: delete of live point failed at op %d", e.name, i)
@@ -71,14 +71,13 @@ func runSharedWorkload(t *testing.T, b int, pts []point.P, seed int64) {
 			x1 := rng.Float64() * 1e6
 			x2 := x1 + rng.Float64()*5e5
 			k := rng.Intn(40) + 1
-			want := oracle.TopK(x1, x2, k)
+			want := point.TopK(live, x1, x2, k)
 			for _, e := range engines {
 				if e.maxK > 0 && k > e.maxK {
 					continue
 				}
-				got := e.query(x1, x2, k)
-				if err := verify.DiffTopK(got, want); err != nil {
-					t.Fatalf("%s at op %d, query [%v,%v] k=%d: %v", e.name, i, x1, x2, k, err)
+				if got := e.query(x1, x2, k); !slices.Equal(got, want) {
+					t.Fatalf("%s at op %d, query [%v,%v] k=%d:\n got %v\nwant %v", e.name, i, x1, x2, k, got, want)
 				}
 			}
 		}
@@ -122,12 +121,10 @@ func TestIntegrationHotelScenario(t *testing.T) {
 	gen := workload.NewGen(112)
 	hotels, pts := gen.Hotels(3000)
 	idx := mustLoad(t, Config{BlockWords: 32, ForcePolylog: true, PolylogF: 4, PolylogLeafCap: 128}, pts)
-	oracle := verify.NewOracle(pts)
+	live := slices.Clone(pts)
 
-	got := idx.TopK(100, 200, 10)
-	want := oracle.TopK(100, 200, 10)
-	if err := verify.DiffTopK(got, want); err != nil {
-		t.Fatalf("hotel query: %v", err)
+	if got, want := idx.TopK(100, 200, 10), point.TopK(live, 100, 200, 10); !slices.Equal(got, want) {
+		t.Fatalf("hotel query:\n got %v\nwant %v", got, want)
 	}
 
 	// Reprice 500 hotels and re-verify.
@@ -135,15 +132,13 @@ func TestIntegrationHotelScenario(t *testing.T) {
 		h := hotels[i]
 		old := point.P{X: h.Price, Score: h.Rating}
 		idx.Delete(old.X, old.Score)
-		oracle.Delete(old)
 		np := point.P{X: h.Price + 1e-7, Score: h.Rating}
 		mustInsert(t, idx, np.X, np.Score)
-		oracle.Insert(np)
+		live[slices.Index(live, old)] = np
 	}
 	for _, band := range [][2]float64{{50, 90}, {100, 200}, {140, 400}} {
-		got := idx.TopK(band[0], band[1], 10)
-		if err := verify.DiffTopK(got, oracle.TopK(band[0], band[1], 10)); err != nil {
-			t.Fatalf("band %v after repricing: %v", band, err)
+		if got, want := idx.TopK(band[0], band[1], 10), point.TopK(live, band[0], band[1], 10); !slices.Equal(got, want) {
+			t.Fatalf("band %v after repricing:\n got %v\nwant %v", band, got, want)
 		}
 	}
 }
@@ -155,25 +150,23 @@ func TestIntegrationEventWindow(t *testing.T) {
 	_, pts := gen.Events(4000)
 	const window = 1500
 	idx := mustNew(t, Config{BlockWords: 32, ForcePolylog: true, PolylogF: 4, PolylogLeafCap: 128})
-	oracle := verify.NewOracle(nil)
 	for i, p := range pts {
 		mustInsert(t, idx, p.X, p.Score)
-		oracle.Insert(p)
 		if i >= window {
 			old := pts[i-window]
 			idx.Delete(old.X, old.Score)
-			oracle.Delete(old)
 		}
 		if i%500 == 499 {
+			// The window holds the last `window` events, pts[i-window+1 : i+1].
+			live := pts[max(0, i-window+1) : i+1]
 			now := p.X
-			got := idx.TopK(now-100, now, 8)
-			if err := verify.DiffTopK(got, oracle.TopK(now-100, now, 8)); err != nil {
-				t.Fatalf("window query at event %d: %v", i, err)
+			if got, want := idx.TopK(now-100, now, 8), point.TopK(live, now-100, now, 8); !slices.Equal(got, want) {
+				t.Fatalf("window query at event %d:\n got %v\nwant %v", i, got, want)
 			}
 		}
 	}
-	if idx.Len() != oracle.Len() {
-		t.Fatalf("len %d vs %d", idx.Len(), oracle.Len())
+	if want := min(len(pts), window); idx.Len() != want {
+		t.Fatalf("len %d vs %d", idx.Len(), want)
 	}
 }
 

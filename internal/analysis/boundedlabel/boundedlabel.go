@@ -6,8 +6,8 @@
 // loop. That is exactly why obs keeps the endpointLabels allowlist and
 // funnels paths through obs.EndpointLabel.
 //
-// The rule, applied at every Vec.Observe / Telemetry.TimeOp call site
-// in the tree: the label argument must not be request-derived. The
+// The rule, applied at every Vec.Observe / Telemetry.TimeOpCtx call
+// site in the tree: the label argument must not be request-derived. The
 // label's provenance is traced through the shared dataflow graph
 // (internal/analysis/dataflow) to sourceDepth assignment hops, so
 // `p := r.URL.Path; q := p; vec.Observe(q, d)` is flagged two hops
@@ -61,7 +61,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // labelArg returns the label argument of an obs label-keyed call:
-// (*obs.Vec).Observe(label, d) or (*obs.Telemetry).TimeOp(op).
+// (*obs.Vec).Observe(label, d) or (*obs.Telemetry).TimeOpCtx(ctx, op).
 func labelArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, string, bool) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
@@ -78,8 +78,8 @@ func labelArg(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, string, bool) 
 	switch {
 	case recvName == "Vec" && fn.Name() == "Observe" && len(call.Args) == 2:
 		return call.Args[0], "Vec.Observe", true
-	case recvName == "Telemetry" && fn.Name() == "TimeOp" && len(call.Args) == 1:
-		return call.Args[0], "Telemetry.TimeOp", true
+	case recvName == "Telemetry" && fn.Name() == "TimeOpCtx" && len(call.Args) == 2:
+		return call.Args[1], "Telemetry.TimeOpCtx", true
 	}
 	return nil, "", false
 }

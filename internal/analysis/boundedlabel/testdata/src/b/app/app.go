@@ -15,8 +15,7 @@ func bad(t *obs.Telemetry, v *obs.Vec, r *http.Request, d time.Duration) {
 	label := r.URL.Query().Get("metric")
 	v.Observe(label, d) // want "Vec.Observe label derives from request data"
 
-	done := t.TimeOp(r.Header.Get("X-Op")) // want "Telemetry.TimeOp label derives from request data"
-	done()
+	t.TimeOpCtx(r.Context(), r.URL.Path).End() // want "Telemetry.TimeOpCtx label derives from request data"
 
 	// Two assignment hops from the request: the dataflow chain walks
 	// q -> p -> r.URL.Path where the old one-hop scan stopped at p.
@@ -35,6 +34,5 @@ func good(t *obs.Telemetry, v *obs.Vec, r *http.Request, d time.Duration, nodeAd
 	// scope (mirrors the cluster client labeling by node address).
 	v.Observe(nodeAddr, d)
 
-	done := t.TimeOp("rebuild")
-	done()
+	defer t.TimeOpCtx(r.Context(), "topk").End()
 }

@@ -2,7 +2,10 @@
 // two label-keyed entry points and the allowlist clamp.
 package obs
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 type Vec struct{}
 
@@ -12,7 +15,11 @@ type Telemetry struct {
 	HTTP *Vec
 }
 
-func (t *Telemetry) TimeOp(op string) func() { return func() {} }
+type OpTimer struct{}
+
+func (o OpTimer) End() {}
+
+func (t *Telemetry) TimeOpCtx(ctx context.Context, op string) OpTimer { return OpTimer{} }
 
 // EndpointLabel clamps arbitrary paths onto the closed label set.
 func EndpointLabel(path string) string {

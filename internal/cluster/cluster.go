@@ -121,6 +121,12 @@ type Cluster struct {
 	// failovers counts reads that succeeded on an alternate replica.
 	failovers atomic.Int64
 
+	// peak is the high-water mark of the fleet-wide live-block total
+	// observed at Stats calls: a total some instant held, where a sum
+	// of the members' own peaks adds maxima reached at different
+	// instants.
+	peak atomic.Int64
+
 	// readBands records how many bands each top-k read asked before it
 	// held k points or ran out of bands.
 	readBands obs.CountHist
@@ -672,15 +678,17 @@ func (c *Cluster) rollback(pds []pending, res []error) {
 }
 
 // Stats is the cluster-aggregated meter view: the simulated-disk
-// counters summed across EVERY member (replicas included — each does
-// its own real I/O), plus the gateway's live count.
+// counters and live blocks summed across EVERY member (replicas
+// included — each does its own real I/O), and the high-water mark of
+// that live-block sum.
 type Stats struct {
 	Reads, Writes, BlocksLive, BlocksPeak int64
 }
 
-// Stats sums the I/O meters of every reachable member. Unreachable
-// members are marked for the health accounting and contribute nothing
-// — an aggregate over a degraded fleet undercounts rather than blocks.
+// Stats sums the I/O meters of every reachable member and folds the
+// live-block sum into the gateway's peak. Unreachable members are
+// marked for the health accounting and contribute nothing — an
+// aggregate over a degraded fleet undercounts rather than blocks.
 func (c *Cluster) Stats(ctx context.Context) Stats {
 	per := make([]statsResp, len(c.nodes))
 	ok := make([]bool, len(c.nodes))
@@ -696,8 +704,12 @@ func (c *Cluster) Stats(ctx context.Context) Stats {
 		out.Reads += per[i].Reads
 		out.Writes += per[i].Writes
 		out.BlocksLive += per[i].BlocksLive
-		out.BlocksPeak += per[i].BlocksPeak
 	}
+	peak := c.peak.Load()
+	for out.BlocksLive > peak && !c.peak.CompareAndSwap(peak, out.BlocksLive) {
+		peak = c.peak.Load()
+	}
+	out.BlocksPeak = max(peak, out.BlocksLive)
 	return out
 }
 

@@ -38,7 +38,6 @@ type statsResp struct {
 	Reads      int64 `json:"reads"`
 	Writes     int64 `json:"writes"`
 	BlocksLive int64 `json:"blocks_live"`
-	BlocksPeak int64 `json:"blocks_peak"`
 }
 
 // rangeResp is GET /v1/range: the member's score band, open (infinite)

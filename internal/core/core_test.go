@@ -3,12 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/em"
 	"repro/internal/point"
-	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -17,6 +17,15 @@ func newDisk(b int) *em.Disk { return em.NewDisk(em.Config{B: b, M: 64 * b}) }
 // testOpts keeps the polylog component multi-level at test scale.
 func testOpts() Options {
 	return Options{Regime: RegimePolylog, PolylogF: 4, PolylogLeafCap: 64}
+}
+
+// checkTopK compares ix's answer to q with the top k of live by brute
+// force, order included.
+func checkTopK(t *testing.T, ix *Index, live []point.P, q point.Query) {
+	t.Helper()
+	if got, want := ix.Query(q.X1, q.X2, q.K), point.TopK(live, q.X1, q.X2, q.K); !slices.Equal(got, want) {
+		t.Fatalf("query %+v:\n got %v\nwant %v", q, got, want)
+	}
 }
 
 func TestEmptyIndex(t *testing.T) {
@@ -39,16 +48,8 @@ func TestBulkSmallKQueries(t *testing.T) {
 	gen := workload.NewGen(1)
 	pts := gen.Uniform(3000, 1e5)
 	ix := Bulk(newDisk(32), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(150, 1e5, 0.05, 0.6, 20) {
-		got := ix.Query(q.X1, q.X2, q.K)
-		want := oracle.TopK(q.X1, q.X2, q.K)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("query %+v: %v", q, err)
-		}
-		if !verify.SortedDesc(got) {
-			t.Fatalf("query %+v: unsorted", q)
-		}
+		checkTopK(t, ix, pts, q)
 	}
 }
 
@@ -56,14 +57,9 @@ func TestBulkLargeKQueries(t *testing.T) {
 	gen := workload.NewGen(2)
 	pts := gen.Uniform(3000, 1e5)
 	ix := Bulk(newDisk(32), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	thr := ix.KThreshold()
 	for _, k := range []int{thr, thr + 5, 2 * thr, 2900, 3000, 4000} {
-		got := ix.Query(1e4, 9e4, k)
-		want := oracle.TopK(1e4, 9e4, k)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		checkTopK(t, ix, pts, point.Query{X1: 1e4, X2: 9e4, K: k})
 	}
 }
 
@@ -96,39 +92,37 @@ func TestBaselineRegimeQueries(t *testing.T) {
 	gen := workload.NewGen(4)
 	pts := gen.Uniform(1500, 1e5)
 	ix := Bulk(newDisk(32), Options{Regime: RegimeBaseline}, pts)
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(100, 1e5, 0.05, 0.5, 25) {
-		if err := verify.DiffTopK(ix.Query(q.X1, q.X2, q.K), oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-			t.Fatalf("query %+v: %v", q, err)
-		}
+		checkTopK(t, ix, pts, q)
 	}
 }
 
 func TestIncrementalMixedWorkload(t *testing.T) {
 	gen := workload.NewGen(5)
 	ix := New(newDisk(32), testOpts())
-	oracle := verify.NewOracle(nil)
+	var live []point.P
 	for i, u := range gen.Mix(3000, 500, 0.4, 1e5) {
 		if p := u.Point(); !u.Delete {
 			ix.Insert(p)
-			oracle.Insert(p)
+			live = append(live, p)
 		} else {
-			if got, want := ix.Delete(p), oracle.Delete(p); got != want {
-				t.Fatalf("op %d: delete %v vs %v", i, got, want)
+			j := slices.Index(live, p)
+			if got := ix.Delete(p); got != (j >= 0) {
+				t.Fatalf("op %d: delete %v vs %v", i, got, j >= 0)
+			}
+			if j >= 0 {
+				live = slices.Delete(live, j, j+1)
 			}
 		}
 		if i%250 == 125 {
-			q := gen.Queries(1, 1e5, 0.1, 0.5, 15)[0]
-			if err := verify.DiffTopK(ix.Query(q.X1, q.X2, q.K), oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-				t.Fatalf("op %d query: %v", i, err)
-			}
+			checkTopK(t, ix, live, gen.Queries(1, 1e5, 0.1, 0.5, 15)[0])
 		}
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != oracle.Len() {
-		t.Fatalf("len %d vs %d", ix.Len(), oracle.Len())
+	if ix.Len() != len(live) {
+		t.Fatalf("len %d vs %d", ix.Len(), len(live))
 	}
 }
 
@@ -145,25 +139,20 @@ func TestGlobalRebuildTriggers(t *testing.T) {
 	if ix.N == n0 {
 		t.Fatal("no rebuild after doubling")
 	}
-	oracle := verify.NewOracle(append(pts, more...))
+	live := append(pts, more...)
 	for _, q := range gen.Queries(40, 1e4, 0.1, 0.6, 12) {
-		if err := verify.DiffTopK(ix.Query(q.X1, q.X2, q.K), oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-			t.Fatalf("post-rebuild query: %v", err)
-		}
+		checkTopK(t, ix, live, q)
 	}
 	// Shrink to a quarter: rebuild fires again.
-	all := oracle.Live()
-	for _, p := range all[:400] {
+	for _, p := range live[:400] {
 		ix.Delete(p)
-		oracle.Delete(p)
 	}
+	live = live[400:]
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range gen.Queries(40, 1e4, 0.1, 0.6, 12) {
-		if err := verify.DiffTopK(ix.Query(q.X1, q.X2, q.K), oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-			t.Fatalf("post-shrink query: %v", err)
-		}
+		checkTopK(t, ix, live, q)
 	}
 }
 
@@ -171,9 +160,8 @@ func TestCount(t *testing.T) {
 	gen := workload.NewGen(7)
 	pts := gen.Uniform(800, 1e4)
 	ix := Bulk(newDisk(32), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(100, 1e4, 0.05, 0.7, 5) {
-		if got, want := ix.Count(q.X1, q.X2), oracle.Count(q.X1, q.X2); got != want {
+		if got, want := ix.Count(q.X1, q.X2), len(point.TopK(pts, q.X1, q.X2, len(pts))); got != want {
 			t.Fatalf("count [%v,%v]: %d want %d", q.X1, q.X2, got, want)
 		}
 	}
@@ -183,13 +171,8 @@ func TestFullRangeAllK(t *testing.T) {
 	gen := workload.NewGen(8)
 	pts := gen.Uniform(500, 1e4)
 	ix := Bulk(newDisk(16), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	for k := 1; k <= 520; k += 13 {
-		got := ix.Query(math.Inf(-1), math.Inf(1), k)
-		want := oracle.TopK(math.Inf(-1), math.Inf(1), k)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		checkTopK(t, ix, pts, point.Query{X1: math.Inf(-1), X2: math.Inf(1), K: k})
 	}
 }
 
@@ -201,10 +184,9 @@ func TestCorrelatedAndClusteredWorkloads(t *testing.T) {
 		"anti":       gen.Correlated(1200, 1e5, -0.8),
 	} {
 		ix := Bulk(newDisk(32), testOpts(), pts)
-		oracle := verify.NewOracle(pts)
 		for _, q := range gen.Queries(60, 1e5, 0.05, 0.5, 16) {
-			if err := verify.DiffTopK(ix.Query(q.X1, q.X2, q.K), oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-				t.Fatalf("%s %+v: %v", name, q, err)
+			if got, want := ix.Query(q.X1, q.X2, q.K), point.TopK(pts, q.X1, q.X2, q.K); !slices.Equal(got, want) {
+				t.Fatalf("%s %+v:\n got %v\nwant %v", name, q, got, want)
 			}
 		}
 	}
@@ -252,25 +234,25 @@ func TestQuickIndexModel(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		ix := New(newDisk(8), Options{Regime: RegimePolylog, PolylogF: 3, PolylogLeafCap: 16})
-		oracle := verify.NewOracle(nil)
+		var live []point.P
 		usedX := map[float64]bool{}
 		for _, op := range ops {
-			if op%4 != 0 || oracle.Len() == 0 {
+			if op%4 != 0 || len(live) == 0 {
 				p := point.P{X: float64(op) + rng.Float64(), Score: rng.Float64() * 1e6}
 				if usedX[p.X] {
 					continue
 				}
 				usedX[p.X] = true
 				ix.Insert(p)
-				oracle.Insert(p)
+				live = append(live, p)
 			} else {
-				live := oracle.Live()
-				p := live[int(op/4)%len(live)]
+				i := int(op/4) % len(live)
+				p := live[i]
 				delete(usedX, p.X)
 				if !ix.Delete(p) {
 					return false
 				}
-				oracle.Delete(p)
+				live = slices.Delete(live, i, i+1)
 			}
 		}
 		abs := seed
@@ -280,7 +262,7 @@ func TestQuickIndexModel(t *testing.T) {
 		x1 := float64(abs % 30000)
 		x2 := x1 + 25000
 		for _, k := range []int{1, 3, int(abs%50) + 1, ix.KThreshold(), ix.KThreshold() + 10} {
-			if verify.DiffTopK(ix.Query(x1, x2, k), oracle.TopK(x1, x2, k)) != nil {
+			if !slices.Equal(ix.Query(x1, x2, k), point.TopK(live, x1, x2, k)) {
 				return false
 			}
 		}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/em"
 	"repro/internal/point"
-	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -20,14 +19,9 @@ func TestReductionPathServesSmallK(t *testing.T) {
 	gen := workload.NewGen(200)
 	pts := gen.Uniform(2000, 1e5)
 	ix := Bulk(newDisk(32), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	// k = 1 is the extreme of the reduction path (τ near the maximum).
 	for _, q := range gen.Queries(80, 1e5, 0.02, 0.9, 1) {
-		got := ix.Query(q.X1, q.X2, 1)
-		want := oracle.TopK(q.X1, q.X2, 1)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("k=1 %+v: %v", q, err)
-		}
+		checkTopK(t, ix, pts, q)
 	}
 }
 
@@ -35,14 +29,9 @@ func TestReductionAtThresholdBoundary(t *testing.T) {
 	gen := workload.NewGen(201)
 	pts := gen.Uniform(3000, 1e5)
 	ix := Bulk(newDisk(16), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	thr := ix.KThreshold()
 	for _, k := range []int{thr - 2, thr - 1, thr, thr + 1, thr + 2} {
-		got := ix.Query(1e3, 9e4, k)
-		want := oracle.TopK(1e3, 9e4, k)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("k=%d (threshold %d): %v", k, thr, err)
-		}
+		checkTopK(t, ix, pts, point.Query{X1: 1e3, X2: 9e4, K: k})
 	}
 }
 
@@ -52,13 +41,8 @@ func TestReductionSparseRange(t *testing.T) {
 	gen := workload.NewGen(202)
 	pts := gen.Clustered(1500, 3, 1e6)
 	ix := Bulk(newDisk(32), testOpts(), pts)
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(120, 1e6, 0.001, 0.02, 30) {
-		got := ix.Query(q.X1, q.X2, q.K)
-		want := oracle.TopK(q.X1, q.X2, q.K)
-		if err := verify.DiffTopK(got, want); err != nil {
-			t.Fatalf("sparse %+v: %v", q, err)
-		}
+		checkTopK(t, ix, pts, q)
 	}
 }
 

@@ -24,60 +24,38 @@ import (
 	"time"
 )
 
-// Histogram bucketing: log-scaled, bounds[i] = 2^i microseconds for
-// i in [0, numBounds), so the buckets span 1µs to ~16.8s with one
-// bits.Len64 to find the bucket. Everything past the last bound lands
-// in the overflow (+Inf) bucket.
+// Bucketing: log-scaled, bucket i holds raw values ≤ 2^i for i in
+// [0, numBounds), found with one bits.Len64; everything past the last
+// bound lands in the overflow (+Inf) bucket. A Histogram's raw value
+// is microseconds, so its buckets span 1µs to ~16.8s.
 const (
 	numBounds  = 25
 	numStripes = 8 // power of two; stripes spread hot-bucket contention
 )
-
-// bucketBound returns the upper bound of bucket i as a duration.
-func bucketBound(i int) time.Duration {
-	return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-}
-
-// Bounds returns the bucket upper bounds in seconds, ascending, not
-// including the implicit +Inf bucket — the `le` label values of the
-// Prometheus export.
-func Bounds() []float64 {
-	out := make([]float64, numBounds)
-	for i := range out {
-		out[i] = bucketBound(i).Seconds()
-	}
-	return out
-}
 
 // stripe is one shard of a histogram. Each stripe spans several cache
 // lines already (26 counters); the trailing pad keeps the sum/count
 // words of adjacent stripes from sharing a line.
 type stripe struct {
 	counts [numBounds + 1]atomic.Uint64 // last = overflow (+Inf)
-	sum    atomic.Int64                 // nanoseconds
+	sum    atomic.Int64
 	n      atomic.Uint64
 	_      [6]uint64
 }
 
-// Histogram is a lock-free, striped, log-scaled latency histogram.
-// Observe never locks and never allocates; Snapshot merges the stripes
-// into one cumulative view. The zero value is ready to use.
-type Histogram struct {
+// hist is the striped log₂ core of both histogram views.
+type hist struct {
 	stripes [numStripes]stripe
 }
 
-// Observe records one duration. Negative durations clamp to zero.
+// observe records one raw value and adds sum to the stripe's sum.
 //
 //topk:nomalloc
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	us := uint64(d / time.Microsecond)
+func (h *hist) observe(raw uint64, sum int64) {
 	idx := 0
-	if us > 0 {
-		// Smallest i with us ≤ 2^i.
-		idx = bits.Len64(us - 1)
+	if raw > 0 {
+		// Smallest i with raw ≤ 2^i.
+		idx = bits.Len64(raw - 1)
 	}
 	if idx > numBounds {
 		idx = numBounds
@@ -86,172 +64,111 @@ func (h *Histogram) Observe(d time.Duration) {
 	// stripe choice is cheap and contention-free.
 	s := &h.stripes[rand.Uint32()&(numStripes-1)]
 	s.counts[idx].Add(1)
-	s.sum.Add(int64(d))
+	s.sum.Add(sum)
 	s.n.Add(1)
 }
 
-// Snapshot is a merged, cumulative view of a histogram: Counts[i] is
-// the number of observations ≤ the i-th bound, with the final entry
+// Histogram is a lock-free, striped, log-scaled latency histogram:
+// microsecond buckets, a nanosecond sum. Observe never locks and never
+// allocates; Snapshot merges the stripes into one cumulative view. The
+// zero value is ready to use.
+type Histogram struct{ hist }
+
+// Observe records one duration. Negative durations clamp to zero.
+//
+//topk:nomalloc
+func (h *Histogram) Observe(d time.Duration) {
+	d = max(d, 0)
+	h.observe(uint64(d/time.Microsecond), int64(d))
+}
+
+// Snapshot merges the stripes and cumulates the buckets.
+func (h *Histogram) Snapshot() Snapshot { return snapshot[time.Duration](&h.hist) }
+
+// CountHist is the same histogram over integer values (group sizes,
+// queue depths) rather than durations: bucket i holds values ≤ 2^i.
+// The zero value is ready to use.
+type CountHist struct{ hist }
+
+// Observe records one value. Zero lands in the first bucket.
+//
+//topk:nomalloc
+func (h *CountHist) Observe(v uint64) { h.observe(v, int64(v)) }
+
+// Snapshot merges the stripes and cumulates the buckets.
+func (h *CountHist) Snapshot() ValueSnapshot { return snapshot[float64](&h.hist) }
+
+// unit is what a histogram view reports in: durations, or raw values.
+type unit interface{ time.Duration | float64 }
+
+// bound returns bucket i's upper bound in unit T: 2^i µs, or 2^i.
+func bound[T unit](i int) T {
+	b := T(uint64(1) << uint(i))
+	if _, ok := any(b).(time.Duration); ok {
+		b *= T(time.Microsecond)
+	}
+	return b
+}
+
+// View is a merged, cumulative view of a histogram in unit T:
+// Counts[i] is the number of observations ≤ bound i, the final entry
 // the +Inf bucket (== Count). Taken against concurrent writers the
 // buckets may disagree with Sum by in-flight observations; Count is
 // derived from the buckets so that the Prometheus invariant
 // (_count == +Inf bucket) always holds.
-type Snapshot struct {
+type View[T unit] struct {
 	Counts [numBounds + 1]uint64
-	Sum    time.Duration
+	Sum    T
 	Count  uint64
 }
 
-// Snapshot merges the stripes and cumulates the buckets.
-func (h *Histogram) Snapshot() Snapshot {
-	var s Snapshot
+// Snapshot is a Histogram's view, ValueSnapshot a CountHist's.
+type (
+	Snapshot      = View[time.Duration]
+	ValueSnapshot = View[float64]
+)
+
+// snapshot merges h's stripes into a cumulative view in unit T.
+func snapshot[T unit](h *hist) View[T] {
+	var s View[T]
+	var sum int64
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		for b := range st.counts {
 			s.Counts[b] += st.counts[b].Load()
 		}
-		s.Sum += time.Duration(st.sum.Load())
+		sum += st.sum.Load()
 	}
 	for b := 1; b < len(s.Counts); b++ {
 		s.Counts[b] += s.Counts[b-1]
 	}
-	s.Count = s.Counts[len(s.Counts)-1]
+	s.Sum, s.Count = T(sum), s.Counts[numBounds]
 	return s
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
 // interpolation inside the owning log-scaled bucket, so the estimate
-// is within one bucket width (a factor of 2) of the true value. Zero
-// observations estimate zero.
-func (s Snapshot) Quantile(q float64) time.Duration {
+// is within one bucket width (a factor of 2) of the true value. The
+// overflow bucket has no upper bound and reports its lower edge, "at
+// least this much". Zero observations estimate zero.
+func (s View[T]) Quantile(q float64) T {
 	if s.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(uint64(math.Ceil(min(max(q, 0), 1)*float64(s.Count))), 1)
 	prev := uint64(0)
-	for i, c := range s.Counts {
+	for i, c := range s.Counts[:numBounds] {
 		if c >= rank {
-			var lo time.Duration
-			hi := bucketBound(i)
+			var lo T
 			if i > 0 {
-				lo = bucketBound(i - 1)
-			}
-			if i == numBounds {
-				// Overflow bucket has no upper bound; report its lower
-				// edge — "at least this slow".
-				return bucketBound(numBounds - 1)
+				lo = bound[T](i - 1)
 			}
 			frac := float64(rank-prev) / float64(c-prev)
-			return lo + time.Duration(frac*float64(hi-lo))
+			return lo + T(frac*float64(bound[T](i)-lo))
 		}
 		prev = c
 	}
-	return bucketBound(numBounds - 1)
-}
-
-// CountHist is a lock-free, striped, log-scaled histogram over integer
-// values (group sizes, queue depths) rather than durations: bucket i
-// holds values ≤ 2^i, reusing the latency histogram's stripes. The
-// zero value is ready to use.
-type CountHist struct {
-	stripes [numStripes]stripe
-}
-
-// CountBounds returns the value-histogram bucket upper bounds (raw
-// 2^i, not seconds), ascending, excluding the implicit +Inf bucket.
-func CountBounds() []float64 {
-	out := make([]float64, numBounds)
-	for i := range out {
-		out[i] = float64(uint64(1) << uint(i))
-	}
-	return out
-}
-
-// Observe records one value. Zero lands in the first bucket.
-//
-//topk:nomalloc
-func (h *CountHist) Observe(v uint64) {
-	idx := 0
-	if v > 0 {
-		idx = bits.Len64(v - 1)
-	}
-	if idx > numBounds {
-		idx = numBounds
-	}
-	s := &h.stripes[rand.Uint32()&(numStripes-1)]
-	s.counts[idx].Add(1)
-	s.sum.Add(int64(v))
-	s.n.Add(1)
-}
-
-// ValueSnapshot is the merged cumulative view of a CountHist: Counts[i]
-// is the number of observations ≤ 2^i, the final entry the +Inf bucket.
-type ValueSnapshot struct {
-	Counts [numBounds + 1]uint64
-	Sum    float64
-	Count  uint64
-}
-
-// Snapshot merges the stripes and cumulates the buckets.
-func (h *CountHist) Snapshot() ValueSnapshot {
-	var s ValueSnapshot
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		for b := range st.counts {
-			s.Counts[b] += st.counts[b].Load()
-		}
-		s.Sum += float64(st.sum.Load())
-	}
-	for b := 1; b < len(s.Counts); b++ {
-		s.Counts[b] += s.Counts[b-1]
-	}
-	s.Count = s.Counts[len(s.Counts)-1]
-	return s
-}
-
-// Quantile estimates the q-quantile of the observed values by linear
-// interpolation inside the owning bucket (same scheme as the latency
-// Snapshot).
-func (s ValueSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	prev := uint64(0)
-	for i, c := range s.Counts {
-		if c >= rank {
-			if i == numBounds {
-				return float64(uint64(1) << uint(numBounds-1))
-			}
-			var lo float64
-			hi := float64(uint64(1) << uint(i))
-			if i > 0 {
-				lo = float64(uint64(1) << uint(i-1))
-			}
-			frac := float64(rank-prev) / float64(c-prev)
-			return lo + frac*(hi-lo)
-		}
-		prev = c
-	}
-	return float64(uint64(1) << uint(numBounds-1))
+	return bound[T](numBounds - 1)
 }
 
 // Vec is a set of histograms keyed by one label value (endpoint, op,

@@ -163,15 +163,9 @@ func (t *Telemetry) Middleware(next http.Handler) http.Handler {
 	})
 }
 
-// TimeOp returns a closure that records the elapsed time under op in
-// the Ops histogram — `defer t.TimeOp("topk")()` around a Store call.
-func (t *Telemetry) TimeOp(op string) func() {
-	start := time.Now()
-	return func() { t.Ops.Observe(op, time.Since(start)) }
-}
-
-// TimeOpCtx is TimeOp plus a "store.<op>" span on ctx's trace (when
-// the request is traced), so member Store operations show up in the
+// TimeOpCtx starts timing one Store operation under op in the Ops
+// histogram, and opens a "store.<op>" span on ctx's trace when the
+// request is traced, so member Store operations show up in the
 // stitched cross-process tree. It returns the timing as a value, not a
 // closure, so a Store call costs no allocation for it:
 // `defer t.TimeOpCtx(ctx, "topk").End()`.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"runtime"
 	"strconv"
+	"time"
 )
 
 // fmtF renders a float for the text format with round-trip precision.
@@ -21,53 +22,62 @@ func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // value in v. An empty vec emits the HELP/TYPE header only, so a
 // family's presence on the scrape page does not depend on traffic.
 func WriteHistogramVec(w io.Writer, name, help, label string, v *Vec) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	writeHeader(w, name, help)
 	if v == nil {
 		return
 	}
-	bounds := Bounds()
 	for _, lv := range v.Labels() {
-		s := v.Get(lv).Snapshot()
-		for i, b := range bounds {
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, lv, fmtF(b), s.Counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, lv, s.Counts[numBounds])
-		fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", name, label, lv, fmtF(s.Sum.Seconds()))
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, lv, s.Count)
+		writeSeries(w, name, fmt.Sprintf("%s=%q", label, lv), v.Get(lv).Snapshot())
 	}
 }
 
 // WriteHistogram emits one unlabeled latency histogram family (bounds
 // in seconds). A nil histogram emits the HELP/TYPE header only.
 func WriteHistogram(w io.Writer, name, help string, h *Histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	if h == nil {
-		return
+	writeHeader(w, name, help)
+	if h != nil {
+		writeSeries(w, name, "", h.Snapshot())
 	}
-	s := h.Snapshot()
-	for i, b := range Bounds() {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmtF(b), s.Counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Counts[numBounds])
-	fmt.Fprintf(w, "%s_sum %s\n", name, fmtF(s.Sum.Seconds()))
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 }
 
 // WriteCountHistogram emits one unlabeled value histogram family
 // (bounds are raw powers of two, not seconds). A nil histogram emits
 // the HELP/TYPE header only.
 func WriteCountHistogram(w io.Writer, name, help string, h *CountHist) {
+	writeHeader(w, name, help)
+	if h != nil {
+		writeSeries(w, name, "", h.Snapshot())
+	}
+}
+
+func writeHeader(w io.Writer, name, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	if h == nil {
-		return
+}
+
+// writeSeries emits one histogram series: its cumulative buckets, the
+// +Inf bucket, _sum and _count. pair is the series' label pair
+// (`op="topk"`), or empty for an unlabeled family. Durations export in
+// seconds.
+func writeSeries[T unit](w io.Writer, name, pair string, s View[T]) {
+	sep, sel := "", ""
+	if pair != "" {
+		sep, sel = pair+",", "{"+pair+"}"
 	}
-	s := h.Snapshot()
-	for i, b := range CountBounds() {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmtF(b), s.Counts[i])
+	for i := range numBounds {
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, fmtF(seconds(bound[T](i))), s.Counts[i])
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Counts[numBounds])
-	fmt.Fprintf(w, "%s_sum %s\n", name, fmtF(s.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, sep, s.Counts[numBounds])
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, sel, fmtF(seconds(s.Sum)))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, s.Count)
+}
+
+// seconds converts a duration to the seconds Prometheus expects and
+// leaves a raw value as it is.
+func seconds[T unit](v T) float64 {
+	if d, ok := any(v).(time.Duration); ok {
+		return d.Seconds()
+	}
+	return float64(v)
 }
 
 // WriteRuntimeMetrics emits the Go runtime gauges: goroutines, heap

@@ -49,20 +49,12 @@ func (p P) Finite() bool {
 		!math.IsNaN(p.Score) && !math.IsInf(p.Score, 0)
 }
 
-// Less orders by X, breaking ties by score (ties in X can occur; ties in
-// score are excluded by the distinct-score assumption).
-func Less(a, b P) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Score < b.Score
-}
-
 // In reports whether p lies in the closed interval [x1, x2].
 func (p P) In(x1, x2 float64) bool { return x1 <= p.X && p.X <= x2 }
 
-// SortByX sorts ps ascending by X (score tiebreak), the order of Less,
-// comparing each field once per step.
+// SortByX sorts ps ascending by X, breaking ties by score (ties in X
+// can occur; ties in score are excluded by the distinct-score
+// assumption), comparing each field once per step.
 //
 // Both sorts use slices.SortFunc: sort.Slice swaps through reflection,
 // which made it the engine's largest CPU cost on wide reads.

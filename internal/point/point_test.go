@@ -4,28 +4,9 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
-
-func TestLess(t *testing.T) {
-	cases := []struct {
-		a, b P
-		want bool
-	}{
-		{P{1, 5}, P{2, 3}, true},
-		{P{2, 3}, P{1, 5}, false},
-		{P{1, 3}, P{1, 5}, true},
-		{P{1, 5}, P{1, 3}, false},
-		{P{1, 5}, P{1, 5}, false},
-	}
-	for _, c := range cases {
-		if got := Less(c.a, c.b); got != c.want {
-			t.Errorf("Less(%v,%v)=%v", c.a, c.b, got)
-		}
-	}
-}
 
 func TestIn(t *testing.T) {
 	p := P{X: 5}
@@ -49,7 +30,7 @@ func TestSorts(t *testing.T) {
 		ps[i] = P{X: rng.Float64(), Score: rng.Float64()}
 	}
 	SortByX(ps)
-	if !sort.SliceIsSorted(ps, func(i, j int) bool { return Less(ps[i], ps[j]) }) {
+	if !slices.IsSortedFunc(ps, func(a, b P) int { return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Score, b.Score)) }) {
 		t.Fatal("SortByX")
 	}
 	SortByScoreDesc(ps)

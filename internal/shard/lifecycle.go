@@ -24,6 +24,7 @@ package shard
 // querying the same shard concurrently.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -98,29 +99,12 @@ func (r *Router) splitOverloaded() {
 	for {
 		t := r.snapshot()
 		total := r.n.Load()
-		split := false
-		for i, s := range t.shards {
-			if !r.overloaded(t, s.size(), total) {
-				continue
-			}
-			pts := s.live()
-			point.SortByX(pts)
-			mid := len(pts) / 2
-			// Positions are distinct, so pts[mid-1].X < pts[mid].X and
-			// the median is a valid cut strictly inside (lo, hi).
-			cut := pts[mid].X
-			halves := buildShards(r.opt, r.opt.diskFor(len(t.shards)+1),
-				[]part{{lo: s.lo, hi: cut, pts: pts[:mid]}, {lo: cut, hi: s.hi, pts: pts[mid:]}})
-			shards := append(t.shards[:i:i], append(halves, t.shards[i+1:]...)...)
-			r.publish(shards, addStats(t.retired, transfers(s.meter())))
-			r.splits.Add(1)
-			r.observeFleetPeak()
-			split = true
-			break
-		}
-		if !split {
+		i := slices.IndexFunc(t.shards, func(s *shard) bool { return r.overloaded(t, s.size(), total) })
+		if i < 0 {
 			return
 		}
+		r.repartition(t, i, i, 2)
+		r.splits.Add(1)
 	}
 }
 
@@ -168,27 +152,33 @@ func (r *Router) mergeOnce() bool {
 		if j < i {
 			i, j = j, i
 		}
-		r.coalesce(t, i, j)
+		r.repartition(t, i, j, 1)
+		r.merges.Add(1)
 		return true
 	}
 	return false
 }
 
-// coalesce replaces adjacent shards lo and lo+1 of topology t with one
-// shard over their union range, rebuilt with core.Bulk on a fresh disk
-// sized for the shrunken fleet, and publishes the new snapshot. The
-// rebuild cost is amortized against the deletions that underloaded the
-// shard — the same argument as the paper's global rebuilding. Caller
-// holds mu in write mode; t is the current snapshot.
-func (r *Router) coalesce(t *topology, lo, hi int) {
-	a, b := t.shards[lo], t.shards[hi]
-	pts := append(a.live(), b.live()...)
+// repartition replaces shards i..j of snapshot t with want
+// equal-quantile shards over their union range, built from their live
+// points on pools sized for the fleet it leaves, and publishes the new
+// snapshot with the replaced disks' transfer counters retired. A split
+// replaces one shard with two, a merge two with one, Rebalance all of
+// them with want. The rebuild is paid for by the updates that
+// unbalanced the fleet, the same amortization as the paper's global
+// rebuilding. It builds before it publishes, so a build that panics
+// leaves the old snapshot and meters in place. Caller holds mu in
+// write mode; t is the current snapshot.
+func (r *Router) repartition(t *topology, i, j, want int) {
+	var pts []point.P
+	retired := t.retired
+	for _, s := range t.shards[i : j+1] {
+		pts = append(pts, s.live()...)
+		retired = addStats(retired, transfers(s.meter()))
+	}
 	point.SortByX(pts)
-	merged := newShard(r.opt, r.opt.diskFor(len(t.shards)-1), a.lo, b.hi, pts)
-	retired := addStats(t.retired, addStats(transfers(a.meter()), transfers(b.meter())))
-	shards := append(t.shards[:lo:lo], append([]*shard{merged}, t.shards[hi+1:]...)...)
-	r.publish(shards, retired)
-	r.merges.Add(1)
+	built := partition(r.opt, t.shards[i].lo, t.shards[j].hi, pts, want, len(t.shards)-(j-i+1))
+	r.publish(slices.Concat(t.shards[:i], built, t.shards[j+1:]), retired)
 	r.observeFleetPeak()
 }
 
@@ -208,20 +198,7 @@ func (r *Router) Rebalance(target int) {
 		target = r.opt.MaxShards
 	}
 	t := r.snapshot()
-	var all []point.P
-	retired := t.retired
-	for _, s := range t.shards {
-		all = append(all, s.live()...)
-		retired = addStats(retired, transfers(s.meter()))
-	}
-	point.SortByX(all)
-	// Build first, publish after: if the rebuild panics (e.g. a
-	// contract violation that slipped into the data), the router keeps
-	// its old snapshot and meters instead of double-counting retired
-	// stats on a retry.
-	shards := partition(r.opt, all, target)
-	r.publish(shards, retired)
-	r.observeFleetPeak()
+	r.repartition(t, 0, len(t.shards)-1, target)
 }
 
 // Maintain runs one synchronous maintenance pass over the whole fleet:

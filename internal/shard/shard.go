@@ -91,7 +91,7 @@ type Options struct {
 	// cap; Bulk never creates more than this many shards.
 	MaxShards int
 	// MinSplit is the smallest shard size eligible for splitting
-	// (default 512), so tiny indexes stay on one machine.
+	// (default 512, at least 2), so tiny indexes stay on one machine.
 	MinSplit int
 	// MinMerge is the merge floor: a shard holding fewer points is
 	// unconditionally considered underloaded and eligible for merging
@@ -127,6 +127,7 @@ func (o Options) withDefaults() Options {
 	if o.MinSplit <= 0 {
 		o.MinSplit = 512
 	}
+	o.MinSplit = max(o.MinSplit, 2) // a split needs two points
 	if o.MinMerge == 0 {
 		o.MinMerge = max(o.MinSplit/2, 1)
 	}
@@ -305,10 +306,7 @@ func (r *Router) release(p point.P) {
 // positive the background maintenance loop starts immediately; stop
 // it with Close.
 func New(opt Options) *Router {
-	r := newRouter(opt)
-	r.publish([]*shard{newShard(r.opt, r.opt.diskFor(1), math.Inf(-1), math.Inf(1), nil)}, em.Stats{})
-	r.observeFleetPeak()
-	r.startMaintenance()
+	r, _ := Bulk(opt, nil, 1)
 	return r
 }
 
@@ -328,7 +326,7 @@ func Bulk(opt Options, pts []point.P, shards int) (*Router, error) {
 	}
 	sorted := slices.Clone(pts)
 	point.SortByX(sorted)
-	r.publish(partition(r.opt, sorted, shards), em.Stats{})
+	r.publish(partition(r.opt, math.Inf(-1), math.Inf(1), sorted, shards, 0), em.Stats{})
 	r.n.Store(int64(len(pts)))
 	r.observeFleetPeak()
 	r.startMaintenance()

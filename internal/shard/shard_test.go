@@ -432,7 +432,7 @@ func TestBuildPanicReachesCaller(t *testing.T) {
 	pts := workload.NewGen(45).Uniform(2000, 1e6)
 	point.SortByX(pts)
 	pts[1001].X = pts[1000].X
-	mustPanic("partition", func() { partition(testOptions(8), pts, 8) })
+	mustPanic("partition", func() { partition(testOptions(8), math.Inf(-1), math.Inf(1), pts, 8, 0) })
 
 	// Poison a live router: rebuild its last shard with a copy of the
 	// first shard's leftmost position, so Rebalance gathers a

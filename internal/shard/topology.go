@@ -25,7 +25,6 @@ package shard
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -118,80 +117,38 @@ func (r *Router) Boundaries() []float64 {
 	return cuts
 }
 
-// partition cuts sorted (by X) points into up to want contiguous
-// shards of near-equal size and builds them with buildShards. Cut
-// positions must fall strictly between distinct X values, so fewer
-// shards may result when points repeat a prefix... positions are
-// distinct by assumption, but defensively any zero-width range is
-// merged left.
-func partition(opt Options, sorted []point.P, want int) []*shard {
-	if want < 1 {
-		want = 1
-	}
-	if want > len(sorted) {
-		want = len(sorted)
-	}
-	if want <= 1 {
-		return []*shard{newShard(opt, opt.diskFor(1), math.Inf(-1), math.Inf(1), sorted)}
-	}
-	var parts []part
-	lo := math.Inf(-1)
-	start := 0
-	for i := 0; i < want; i++ {
-		end := (i + 1) * len(sorted) / want
-		if i == want-1 {
-			end = len(sorted)
-		}
-		if end <= start {
-			continue
-		}
-		hi := math.Inf(1)
-		if end < len(sorted) {
-			hi = sorted[end].X
-			// Distinct positions guarantee sorted[end-1].X < hi; if the
-			// chunk boundary repeats a position, extend the chunk.
-			for end < len(sorted) && sorted[end-1].X >= hi {
-				end++
-				if end < len(sorted) {
-					hi = sorted[end].X
-				} else {
-					hi = math.Inf(1)
-				}
-			}
-		}
-		parts = append(parts, part{lo: lo, hi: hi, pts: sorted[start:end]})
-		lo = hi
-		start = end
-		if end == len(sorted) {
-			break
-		}
-	}
-	return buildShards(opt, opt.diskFor(want), parts)
-}
-
-// part is one shard to build: its range [lo, hi) and its x-sorted
-// points.
-type part struct {
-	lo, hi float64
-	pts    []point.P
-}
-
-// buildShards builds one shard per part, each on its own disk, with at
-// most GOMAXPROCS builds running at once. A shard's PST and §3.3
-// builds share its disk, so they run one after the other inside its
-// build. merge.Parallel re-raises a panicking build on the caller's
-// goroutine once every build has finished, so a caller that publishes
-// only after building publishes nothing.
-func buildShards(opt Options, disk em.Config, parts []part) []*shard {
-	out := make([]*shard, len(parts))
+// partition builds want equal-quantile shards over [lo, hi) from the
+// x-sorted points, on pools sized for a fleet of others+want shards;
+// want is clamped to [1, len(sorted)]. Each cut is the position of the
+// next shard's first point. Every point passed a Guard, so positions
+// are distinct and each cut falls strictly inside the range.
+//
+// Each shard builds on its own disk, with at most GOMAXPROCS builds
+// running at once. A shard's PST and §3.3 builds share its disk, so
+// they run one after the other inside its build. merge.Parallel
+// re-raises a panicking build on the caller's goroutine once every
+// build has finished, so a caller that publishes only after building
+// publishes nothing.
+func partition(opt Options, lo, hi float64, sorted []point.P, want, others int) []*shard {
+	want = max(1, min(want, len(sorted)))
+	disk := opt.diskFor(others + want)
+	out := make([]*shard, want)
 	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	fns := make([]func(), len(parts))
-	for i, pt := range parts {
+	fns := make([]func(), want)
+	start := 0
+	for i := range fns {
+		end := (i + 1) * len(sorted) / want
+		from, to := lo, hi
+		if end < len(sorted) {
+			to = sorted[end].X
+		}
+		pts := sorted[start:end]
 		fns[i] = func() {
 			slots <- struct{}{}
 			defer func() { <-slots }()
-			out[i] = newShard(opt, disk, pt.lo, pt.hi, pt.pts)
+			out[i] = newShard(opt, disk, from, to, pts)
 		}
+		lo, start = to, end
 	}
 	merge.Parallel(fns)
 	return out

@@ -72,17 +72,3 @@ func RunConcurrent(goroutines, totalOps int, qs []point.Query, do func(point.Que
 	wg.Wait()
 	return Throughput{Goroutines: goroutines, Ops: totalOps, Elapsed: time.Since(start)}
 }
-
-// SweepConcurrency runs RunConcurrent once per level and returns the
-// per-level results, the table behind the serving-layer scaling
-// numbers (queries/sec at 1–64 goroutines).
-func SweepConcurrency(levels []int, opsPerLevel int, qs []point.Query, do func(point.Query)) []Throughput {
-	if len(levels) == 0 {
-		levels = DefaultLevels
-	}
-	out := make([]Throughput, 0, len(levels))
-	for _, g := range levels {
-		out = append(out, RunConcurrent(g, opsPerLevel, qs, do))
-	}
-	return out
-}

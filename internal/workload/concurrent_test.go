@@ -49,26 +49,3 @@ func TestRunConcurrentDegenerate(t *testing.T) {
 		t.Fatal("QPS of zero-op run")
 	}
 }
-
-func TestSweepConcurrencyLevels(t *testing.T) {
-	qs := NewGen(3).Queries(8, 1e6, 0.01, 0.3, 20)
-	var total atomic.Int64
-	rs := SweepConcurrency([]int{1, 2, 4}, 200, qs, func(point.Query) { total.Add(1) })
-	if len(rs) != 3 {
-		t.Fatalf("%d results", len(rs))
-	}
-	for i, g := range []int{1, 2, 4} {
-		if rs[i].Goroutines != g || rs[i].Ops != 200 {
-			t.Fatalf("level %d: %+v", i, rs[i])
-		}
-		if rs[i].String() == "" {
-			t.Fatal("empty String")
-		}
-	}
-	if total.Load() != 600 {
-		t.Fatalf("total calls %d, want 600", total.Load())
-	}
-	if def := SweepConcurrency(nil, 10, qs, func(point.Query) {}); len(def) != len(DefaultLevels) {
-		t.Fatalf("default sweep ran %d levels", len(def))
-	}
-}

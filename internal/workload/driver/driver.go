@@ -15,25 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ApplyUpdates drives an update stream through st.ApplyBatch in
-// chunks of batchSize (≤ 0 means one batch), returning the per-op
-// errors aligned with ops. Chunks are applied in order, so a Mix
-// stream that deletes points it inserted earlier stays valid.
-func ApplyUpdates(st topk.Store, ops []topk.BatchOp, batchSize int) []error {
-	if batchSize <= 0 || batchSize > len(ops) {
-		batchSize = len(ops)
-	}
-	res := make([]error, 0, len(ops))
-	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
-		}
-		res = append(res, st.ApplyBatch(ops[start:end])...)
-	}
-	return res
-}
-
 // RunTopK measures per-call read throughput: totalOps TopK calls drawn
 // round-robin from qs, issued from the given number of goroutines
 // (goroutines > 1 requires a concurrency-safe Store — Sharded or

@@ -21,17 +21,19 @@ func backends(t *testing.T) map[string]topk.Store {
 	return map[string]topk.Store{"index": idx, "sharded": sh}
 }
 
-// TestApplyUpdatesAndRunBatched drives the same Mix stream through
-// both backends in chunks and then measures a batched query sweep —
-// the driver layer must work identically against any Store.
+// TestApplyUpdatesAndRunBatched applies the same Mix stream to both
+// backends in ApplyBatch chunks and then measures a batched query
+// sweep — the driver layer must work identically against any Store.
 func TestApplyUpdatesAndRunBatched(t *testing.T) {
 	for name, st := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			gen := workload.NewGen(71)
 			ups := gen.Mix(2000, 1200, 0.3, 1e6)
-			for i, err := range ApplyUpdates(st, ups, 128) {
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
+			for start := 0; start < len(ups); start += 128 {
+				for i, err := range st.ApplyBatch(ups[start:min(start+128, len(ups))]) {
+					if err != nil {
+						t.Fatalf("op %d: %v", start+i, err)
+					}
 				}
 			}
 			wantLen := 0

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Negative test of the //topk:nomalloc and atomics gates: copy the
-# tree into a scratch dir, plant one violation per gate, and assert
+# Negative test of the //topk:nomalloc, atomics and label gates: copy
+# the tree into a scratch dir, plant one violation per gate, and assert
 # the gate FAILS with findings (exit 1 exactly — an exit 2 would mean
 # the plant broke the build, which proves nothing). A gate that
 # cannot be shown to fail is not a gate.
@@ -75,13 +75,27 @@ expect_findings "planted make in //topk:nomalloc pool hit (allocfree)" \
 	"$topkvet" ./internal/em/
 
 # 4. By-value copy of an atomic-bearing struct: atomicfield must flag
-#    the planted accessor returning a histogram stripe by value.
+#    the planted accessor returning a stripe of the histogram core by
+#    value.
 copy_tree
 cat >>"$scratch/repo/internal/obs/hist.go" <<'EOF'
 
-func gateCopyStripe(h *Histogram) stripe { return h.stripes[0] }
+func gateCopyStripe(h *hist) stripe { return h.stripes[0] }
 EOF
 expect_findings "planted stripe copy in obs (atomicfield)" \
 	"$topkvet" ./internal/obs/
+
+# 5. Request-derived op label on the op timer serve runs around every
+#    Store call: boundedlabel must flag the planted path label.
+serve_go="$scratch/repo/internal/serve/serve.go"
+count_marker='t.TimeOpCtx(r.Context(), "count")'
+copy_tree
+grep -qF "$count_marker" "$serve_go" || {
+	echo "gate-negative: /v1/count op timer marker not found; update this script" >&2
+	exit 1
+}
+sed -i 's/t\.TimeOpCtx(r\.Context(), "count")/t.TimeOpCtx(r.Context(), r.URL.Path)/' "$serve_go"
+expect_findings "planted request-derived TimeOpCtx label in /v1/count (boundedlabel)" \
+	"$topkvet" ./internal/serve/
 
 echo "gate-negative: all planted violations were caught"

@@ -12,7 +12,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/point"
-	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -100,11 +99,9 @@ func TestLoadMatchesOracle(t *testing.T) {
 	gen := workload.NewGen(1)
 	pts := gen.Uniform(2500, 1e5)
 	idx := mustLoad(t, smallCfg(), pts)
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(120, 1e5, 0.05, 0.6, 40) {
-		got := idx.TopK(q.X1, q.X2, q.K)
-		if err := verify.DiffTopK(got, oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-			t.Fatalf("query %+v: %v", q, err)
+		if got, want := idx.TopK(q.X1, q.X2, q.K), point.TopK(pts, q.X1, q.X2, q.K); !slices.Equal(got, want) {
+			t.Fatalf("query %+v:\n got %v\nwant %v", q, got, want)
 		}
 	}
 }
@@ -257,11 +254,9 @@ func TestReinsertionCycle(t *testing.T) {
 		}
 		insertAll(t, idx, pts)
 	}
-	oracle := verify.NewOracle(pts)
 	for _, q := range gen.Queries(40, 1e4, 0.1, 0.6, 12) {
-		got := idx.TopK(q.X1, q.X2, q.K)
-		if err := verify.DiffTopK(got, oracle.TopK(q.X1, q.X2, q.K)); err != nil {
-			t.Fatalf("after cycles: %v", err)
+		if got, want := idx.TopK(q.X1, q.X2, q.K), point.TopK(pts, q.X1, q.X2, q.K); !slices.Equal(got, want) {
+			t.Fatalf("after cycles, query %+v:\n got %v\nwant %v", q, got, want)
 		}
 	}
 }
@@ -273,10 +268,10 @@ func TestQuickPublicAPI(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		idx := mustNew(t, Config{BlockWords: 8, ForcePolylog: true, PolylogF: 3, PolylogLeafCap: 16})
-		oracle := verify.NewOracle(nil)
+		var live []point.P
 		usedX := map[float64]bool{}
 		for _, op := range ops {
-			if op%4 != 0 || oracle.Len() == 0 {
+			if op%4 != 0 || len(live) == 0 {
 				p := point.P{X: float64(op) + rng.Float64(), Score: rng.Float64() * 1e6}
 				if usedX[p.X] {
 					continue
@@ -285,15 +280,15 @@ func TestQuickPublicAPI(t *testing.T) {
 				if err := idx.Insert(p.X, p.Score); err != nil {
 					return false
 				}
-				oracle.Insert(p)
+				live = append(live, p)
 			} else {
-				live := oracle.Live()
-				p := live[int(op/4)%len(live)]
+				i := int(op/4) % len(live)
+				p := live[i]
 				delete(usedX, p.X)
 				if !idx.Delete(p.X, p.Score) {
 					return false
 				}
-				oracle.Delete(p)
+				live = slices.Delete(live, i, i+1)
 			}
 		}
 		abs := seed
@@ -303,7 +298,7 @@ func TestQuickPublicAPI(t *testing.T) {
 		x1 := float64(abs % 30000)
 		k := int(abs%9) + 1
 		got := idx.TopK(x1, x1+25000, k)
-		return verify.DiffTopK(got, oracle.TopK(x1, x1+25000, k)) == nil
+		return slices.Equal(got, point.TopK(live, x1, x1+25000, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
