@@ -15,8 +15,9 @@ import (
 // with the same points, each op through Insert/Delete or ApplyBatch as
 // the stream says. Every op must return the error a model of the live
 // set predicts, so the two backends' guards agree op by op, and every
-// 64 ops and at the end both must answer TopK and Count exactly as
-// point.TopK does, with each guard holding exactly the live set.
+// 64 ops and at the end both must answer TopK, Count and a QueryBatch
+// of the same ranges and k's exactly as point.TopK does, with each
+// guard holding exactly the live set.
 func FuzzStores(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(workload.FuzzSeed(12, 1, []byte{1, 7, 0, 0, 3, 0, 2, 9, 9, 1, 7, 0, 5, 7, 0, 2, 9, 1}))
@@ -50,6 +51,7 @@ func FuzzStores(f *testing.F) {
 				if st.Len() != len(live) {
 					t.Fatalf("%s: %T.Len = %d, want %d", stage, st, st.Len(), len(live))
 				}
+				var qs []Query
 				for _, r := range ranges {
 					if got, want := st.Count(r[0], r[1]), len(point.TopK(live, r[0], r[1], len(live))); got != want {
 						t.Fatalf("%s: %T.Count(%v, %v) = %d, want %d", stage, st, r[0], r[1], got, want)
@@ -58,6 +60,13 @@ func FuzzStores(f *testing.F) {
 						if got, want := st.TopK(r[0], r[1], k), point.TopK(live, r[0], r[1], k); !slices.Equal(got, want) {
 							t.Fatalf("%s: %T.TopK(%v, %v, %d) = %v, want %v", stage, st, r[0], r[1], k, got, want)
 						}
+						qs = append(qs, Query{X1: r[0], X2: r[1], K: k})
+					}
+				}
+				for i, got := range st.QueryBatch(qs) {
+					q := qs[i]
+					if want := point.TopK(live, q.X1, q.X2, q.K); !slices.Equal(got, want) {
+						t.Fatalf("%s: %T.QueryBatch query %d %+v = %v, want %v", stage, st, i, q, got, want)
 					}
 				}
 			}

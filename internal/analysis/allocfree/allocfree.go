@@ -1,10 +1,10 @@
 // Package allocfree enforces the static half of the //topk:nomalloc
 // contract. A function annotated with the directive is a hot-path
-// promise — merge's k-way cursor loop, the histogram Observe path, the
-// shard router's snapshot reads — and the promise is "zero allocations
-// per call, every call". This analyzer rejects every construct that is
-// an allocation site BY SHAPE, before the compiler's escape analysis
-// even gets a vote:
+// promise — the sort kernel's scatter pass, the histogram Observe
+// path, the shard router's snapshot reads — and the promise is "zero
+// allocations per call, every call". This analyzer rejects every
+// construct that is an allocation site BY SHAPE, before the compiler's
+// escape analysis even gets a vote:
 //
 //   - make, new, append — append is banned even when capacity would
 //     suffice at runtime, because "usually doesn't grow" is exactly the

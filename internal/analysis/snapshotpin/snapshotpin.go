@@ -14,8 +14,8 @@
 //     arriving after it; a read that skips the pin races lifecycle
 //     passes.
 //
-//  2. No function in the package may call the fan-out/merge machinery
-//     (Router.fanOut, Router.fanOutTopo or merge.TopK) while holding
+//  2. No function in the package may call the read fan-out machinery
+//     (Router.fanOut, or a frame's read or scatter) while holding
 //     Router.mu. Holding the topology lock across a fan-out blocks
 //     every lifecycle pass for the duration of the slowest shard —
 //     update paths that hold the read lock coordinate through
@@ -32,7 +32,7 @@ import (
 // Analyzer is the snapshotpin rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotpin",
-	Doc:  "internal/shard: read methods pin the topology snapshot and take no topology lock; never fan out or merge under Router.mu",
+	Doc:  "internal/shard: read methods pin the topology snapshot and take no topology lock; never fan out a read under Router.mu",
 	Run:  run,
 }
 
@@ -86,17 +86,24 @@ func pinsOrFans(pass *analysis.Pass, fn *types.Func) bool {
 	return fn.Name() == "snapshot" || fn.Name() == "fanOut"
 }
 
-// isFanOutOrMerge reports whether the callee is banned under the
-// topology lock: the package's fan-out entry points or the shared
-// merge layer itself.
-func isFanOutOrMerge(pass *analysis.Pass, fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+// isFanOut reports whether the callee is banned under the topology
+// lock: one of the package's read fan-out entry points, Router.fanOut
+// or a frame's read or scatter.
+func isFanOut(pass *analysis.Pass, fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pass.Pkg.Path() {
 		return false
 	}
-	if fn.Pkg().Path() == pass.Pkg.Path() && (fn.Name() == "fanOut" || fn.Name() == "fanOutTopo") {
-		return true
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
 	}
-	return analysis.PathHasSuffix(fn.Pkg().Path(), "internal/merge") && fn.Name() == "TopK"
+	switch _, name := analysis.NamedType(recv.Type()); name {
+	case "Router":
+		return fn.Name() == "fanOut"
+	case "frame":
+		return fn.Name() == "read" || fn.Name() == "scatter"
+	}
+	return false
 }
 
 // checkReadMethod applies rule 1 to one read method: whole-body scan,
@@ -146,7 +153,7 @@ func checkNoFanOutUnderLock(pass *analysis.Pass, sc analysis.FuncScope) {
 			return
 		}
 		if held > 0 {
-			if fn := analysis.CalleeFunc(pass.TypesInfo, call); isFanOutOrMerge(pass, fn) {
+			if fn := analysis.CalleeFunc(pass.TypesInfo, call); isFanOut(pass, fn) {
 				pass.Reportf(call.Pos(), "%s calls %s while holding the topology lock; pin a snapshot and release the lock before fanning out", sc.Name(), fn.Name())
 			}
 		}

@@ -1,6 +1,10 @@
 // Testdata stand-in for the real internal/merge layer.
 package merge
 
-// TopK is the shared merge entry point the analyzer bans under the
-// topology lock.
-func TopK(a, b []int) []int { return append(a, b...) }
+// Parallel is the shared parallel runner, legal under the topology
+// lock.
+func Parallel(fns []func()) {
+	for _, f := range fns {
+		f()
+	}
+}

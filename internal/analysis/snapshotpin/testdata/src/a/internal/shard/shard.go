@@ -50,26 +50,51 @@ func (r *Router) QueryBatch() int {
 	return n
 }
 
-// rebalance fans into the merge machinery while holding the topology
-// write lock.
+// frame is a read's working memory; read and scatter fan it out.
+type frame struct{ t *topo }
+
+func (f *frame) read() []int { f.scatter(); return f.t.shards }
+
+func (f *frame) scatter() {}
+
+// rebalance fans a read out while holding the topology write lock.
 func (r *Router) rebalance() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cur.shards = merge.TopK(r.cur.shards, nil) // want "rebalance calls TopK while holding the topology lock"
+	f := &frame{t: r.cur}
+	r.cur.shards = f.read() // want "rebalance calls read while holding the topology lock"
 }
 
-// badMerge reaches the shared merge layer directly under the read lock.
-func (r *Router) badMerge() []int {
+// badScatter reaches the frame's scatter directly under the read lock.
+func (r *Router) badScatter() {
 	r.mu.RLock()
-	out := merge.TopK(r.cur.shards, nil) // want "badMerge calls TopK while holding the topology lock"
+	f := &frame{t: r.cur}
+	f.scatter() // want "badScatter calls scatter while holding the topology lock"
 	r.mu.RUnlock()
-	return out
 }
 
-// goodRebuild releases the lock before merging: pin, unlock, merge.
+// badCount fans out through fanOut under the read lock.
+func (r *Router) badCount() int {
+	n := 0
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	r.fanOut(func(s int) { n += s }) // want "badCount calls fanOut while holding the topology lock"
+	return n
+}
+
+// goodRebuild releases the lock before fanning out: pin, unlock, read.
 func (r *Router) goodRebuild() []int {
 	r.mu.RLock()
 	t := r.cur
 	r.mu.RUnlock()
-	return merge.TopK(t.shards, nil)
+	f := &frame{t: t}
+	return f.read()
+}
+
+// applyBatch runs update workers under the read lock through the
+// parallel runner, which stays legal.
+func (r *Router) applyBatch() {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	merge.Parallel([]func(){func() {}})
 }

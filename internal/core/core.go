@@ -198,6 +198,8 @@ type Index struct {
 	poly   *polylog.Tree  // small-k component in the polylog regime
 	base   *shengtao.Tree // small-k component in the baseline regime
 	regime Regime         // resolved regime for the current build
+
+	sortBuf []point.P // Query's sort scratch
 }
 
 // New returns an empty index on d.
@@ -348,13 +350,26 @@ func (ix *Index) Delete(p point.P) bool {
 
 // Query returns the k highest-scoring points with x ∈ [x1, x2], sorted
 // by descending score (all of them if fewer qualify), in
-// O(log_B n + k/B) I/Os. A k at or above the threshold goes to the §2
-// tree. A smaller k goes to the small-k component's selection, whose
-// boundary leaves answer a range that covers no subtree whole; any
-// other range takes the reduction through a three-sided report.
+// O(log_B n + k/B) I/Os: AppendQuery into a fresh slice the caller
+// owns, plus one sort.
 func (ix *Index) Query(x1, x2 float64, k int) []point.P {
+	out := ix.AppendQuery(nil, x1, x2, k)
+	ix.sortBuf = point.SortByScoreDescBuf(out, ix.sortBuf)
+	return out
+}
+
+// AppendQuery appends to dst the points Query reports, in no
+// particular order, with the same block reads. A k at or above the
+// threshold goes to the §2 tree. A smaller k goes to the small-k
+// component's selection, whose boundary leaves answer a range that
+// covers no subtree whole; any other range takes the reduction through
+// a three-sided report. Every path works in the structures' query
+// scratch and copies only the answer out, so the shard layer, which
+// hands the answer on after releasing the shard, can append several
+// shards' answers into one buffer and select and sort once.
+func (ix *Index) AppendQuery(dst []point.P, x1, x2 float64, k int) []point.P {
 	if k <= 0 || x1 > x2 || ix.n == 0 {
-		return nil
+		return dst
 	}
 	if k > ix.n {
 		// Clamp before anything sizes a buffer by k: no query can
@@ -367,19 +382,18 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 	if k >= ix.KThreshold() {
 		// Regime 1: k ≥ B·lg n — the §2 structure's O(lg n + k/B) is
 		// O(k/B) here.
-		return ix.tree.Query(x1, x2, k)
+		return ix.tree.AppendQuery(dst, x1, x2, k)
 	}
 	top, exact, tau, ok := ix.smallSelect(x1, x2, k)
 	if exact {
 		// The range meets no subtree whole: the boundary leaves that
 		// the selection read hold the answer.
-		return clone(top)
+		return append(dst, top...)
 	}
 	if !ok {
 		// Fewer than k points in range: report them all. The three-
 		// sided query with τ = −∞ reads exactly the in-range points.
-		out := ix.tree.Report3Sided(x1, x2, math.Inf(-1))
-		return clone(point.SelectTop(out, len(out)))
+		return append(dst, ix.tree.Report3Sided(x1, x2, math.Inf(-1))...)
 	}
 	// Reduction: τ has between k and O(k) in-range points at or above
 	// it; fetch them with a three-sided query and keep the top k.
@@ -388,20 +402,9 @@ func (ix *Index) Query(x1, x2 float64, k int) []point.P {
 		// Defensive: approximate selection under-delivered (cannot
 		// happen for in-regime parameters; see polylog docs). Degrade
 		// to the exact path.
-		return ix.tree.Query(x1, x2, k)
+		return ix.tree.AppendQuery(dst, x1, x2, k)
 	}
-	return clone(point.SelectTop(out, k))
-}
-
-// clone returns a copy of an answer built in a structure's query
-// scratch (a three-sided report, or the boundary leaves' points), nil
-// when it is empty. The shard layer hands an answer to its caller after
-// releasing the shard, so the answer must not alias the scratch.
-func clone(ps []point.P) []point.P {
-	if len(ps) == 0 {
-		return nil
-	}
-	return append(make([]point.P, 0, len(ps)), ps...)
+	return append(dst, point.Select(out, k)...)
 }
 
 // smallSelect runs the selection step of the active small-k component:

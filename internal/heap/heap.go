@@ -14,9 +14,9 @@
 //
 // One concrete binary max-heap over []Entry (Init, Down, Push, Pop)
 // backs everything here: SelectTop's frontier, External's make-heap,
-// the serving stack's k-way merge (internal/merge) and the PST's
-// early-terminating selection, so no caller goes through
-// container/heap's interface boxing.
+// and the PST's early-terminating selection, whose frontier, bounds
+// and k best candidate scores are all such heaps, so no caller goes
+// through container/heap's interface boxing.
 //
 // The package also provides External, a concrete array-embedded binary
 // max-heap stored in disk blocks with Floyd's linear-time make-heap, the

@@ -5,13 +5,13 @@
 // internal/serve's middleware and internal/cluster's RPC client.
 //
 // The design budget is the hot path: a histogram observation is one
-// cheap per-thread random draw, two atomic adds and one atomic
-// increment on a striped shard — no locks, no allocation — so the
-// serving layer can record every request and every member RPC without
-// moving the needle on the benchmarks it is measuring (e15 reports the
-// on-vs-off delta). Tracing allocates, so it is sampled: a request is
-// traced when it carries an X-Topkd-Trace header (propagated from an
-// upstream gateway) or when the local sample rate fires.
+// cheap per-thread random draw and two atomic adds on a striped shard
+// — no locks, no allocation — so the serving layer can record every
+// request and every member RPC without moving the needle on the
+// benchmarks it is measuring (e15 reports the on-vs-off delta).
+// Tracing allocates, so it is sampled: a request is traced when it
+// carries an X-Topkd-Trace header (propagated from an upstream
+// gateway) or when the local sample rate fires.
 package obs
 
 import (
@@ -33,14 +33,15 @@ const (
 	numStripes = 8 // power of two; stripes spread hot-bucket contention
 )
 
-// stripe is one shard of a histogram. Each stripe spans several cache
-// lines already (26 counters); the trailing pad keeps the sum/count
-// words of adjacent stripes from sharing a line.
+// stripe is one shard of a histogram: 26 bucket counters and the sum
+// (the count is the +Inf bucket's, at snapshot time). The trailing pad
+// puts 64 bytes between a stripe's sum word and the next stripe's first
+// counter, so no cache line holds both whatever the histogram's
+// alignment, and adjacent stripes' sums sit on separate lines.
 type stripe struct {
 	counts [numBounds + 1]atomic.Uint64 // last = overflow (+Inf)
 	sum    atomic.Int64
-	n      atomic.Uint64
-	_      [6]uint64
+	_      [7]uint64
 }
 
 // hist is the striped log₂ core of both histogram views.
@@ -65,7 +66,6 @@ func (h *hist) observe(raw uint64, sum int64) {
 	s := &h.stripes[rand.Uint32()&(numStripes-1)]
 	s.counts[idx].Add(1)
 	s.sum.Add(sum)
-	s.n.Add(1)
 }
 
 // Histogram is a lock-free, striped, log-scaled latency histogram:

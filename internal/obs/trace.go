@@ -2,14 +2,14 @@ package obs
 
 // Request tracing. A Trace is a bounded span tree rooted at the
 // serving-layer request; the cluster client hangs one child span per
-// member RPC (and one for the merge) off the root, so a gateway query
-// yields gateway → per-band member RPC → merge. The trace ID travels
-// in the X-Topkd-Trace header: the gateway's client stamps it on every
-// member request, the member's middleware adopts it, and both ends
-// keep their finished traces in a fixed-size ring served by
-// GET /v1/trace/{id}. Traces are sampled (tracing allocates; the
-// always-on histograms do not) — a request traces when it arrives with
-// the header or when the local sample rate fires.
+// member RPC off the root, so a gateway query yields gateway →
+// per-band member RPC. The trace ID travels in the X-Topkd-Trace
+// header: the gateway's client stamps it on every member request, the
+// member's middleware adopts it, and both ends keep their finished
+// traces in a fixed-size ring served by GET /v1/trace/{id}. Traces
+// are sampled (tracing allocates; the always-on histograms do not) —
+// a request traces when it arrives with the header or when the local
+// sample rate fires.
 
 import (
 	"context"

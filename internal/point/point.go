@@ -56,8 +56,8 @@ func (p P) In(x1, x2 float64) bool { return x1 <= p.X && p.X <= x2 }
 // can occur; ties in score are excluded by the distinct-score
 // assumption), comparing each field once per step.
 //
-// Both sorts use slices.SortFunc: sort.Slice swaps through reflection,
-// which made it the engine's largest CPU cost on wide reads.
+// It uses slices.SortFunc: sort.Slice swaps through reflection, which
+// made it the engine's largest CPU cost on wide reads.
 func SortByX(ps []P) {
 	slices.SortFunc(ps, func(a, b P) int {
 		switch {
@@ -74,32 +74,123 @@ func SortByX(ps []P) {
 	})
 }
 
-// SortByScoreDesc sorts ps by descending score.
-func SortByScoreDesc(ps []P) {
-	slices.SortFunc(ps, func(a, b P) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		}
-		return 0
-	})
+// radixCutoff is the length from which SortByScoreDesc radix-sorts.
+// BenchmarkSortByScoreDesc on a 2-vCPU Xeon, uniform scores: the
+// kernel ties slices.SortFunc at 256 points (16 µs), is 1.4× slower at
+// 64, where its fixed cost of eight 256-entry histograms dominates, and
+// is 4–5× faster at read-wide's answer sizes (92 against 382 µs at
+// 2,600 points, 142 against 658 µs at 4,096).
+const radixCutoff = 256
+
+// SortByScoreDesc sorts ps by descending score. From radixCutoff
+// points on it radix-sorts through a scratch buffer of len(ps) points
+// that it allocates and drops; a caller that sorts repeatedly keeps
+// one with SortByScoreDescBuf instead.
+func SortByScoreDesc(ps []P) { SortByScoreDescBuf(ps, nil) }
+
+// SortByScoreDescBuf is SortByScoreDesc with the radix kernel's
+// scratch taken from buf, which is grown when it holds fewer than
+// len(ps) points. It returns the scratch for the caller to keep.
+//
+// Below radixCutoff points it is a comparison sort. From the cutoff
+// on it is an LSD radix sort over scoreKey's eight bytes: one pass
+// over ps counts all eight byte histograms, a byte that is the same in
+// every key is skipped, and each other byte is one stable scatter
+// between ps and the scratch. Scores are distinct (one of ±0 at most),
+// so both sorts give the one order.
+func SortByScoreDescBuf(ps, buf []P) []P {
+	if len(ps) < radixCutoff {
+		slices.SortFunc(ps, func(a, b P) int {
+			switch {
+			case a.Score > b.Score:
+				return -1
+			case a.Score < b.Score:
+				return 1
+			}
+			return 0
+		})
+		return buf
+	}
+	if cap(buf) < len(ps) {
+		buf = make([]P, len(ps))
+	}
+	radixScoreDesc(ps, buf[:len(ps)])
+	return buf
 }
 
-// SelectTop moves the k highest-scoring points of ps to its front,
-// sorts them by descending score and returns them: ps[:k], or all of
-// ps sorted when k ≥ len(ps). Selection is a quickselect on random
-// pivots, expected O(len(ps)) comparisons, so only the k points kept
-// pay for a sort; the rest of ps is left in an unspecified order.
-func SelectTop(ps []P, k int) []P {
+// radixScoreDesc is the radix kernel of SortByScoreDescBuf: it sorts
+// ps, len(ps) > 0, by descending score through tmp, len(tmp) ==
+// len(ps).
+func radixScoreDesc(ps, tmp []P) {
+	var counts [8][256]uint32
+	for _, p := range ps {
+		k := scoreKey(p.Score)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	first := scoreKey(ps[0].Score)
+	src, dst := ps, tmp
+	for b := range counts {
+		c := &counts[b]
+		if int(c[byte(first>>(8*b))]) == len(ps) {
+			continue
+		}
+		var off uint32
+		for d, n := range c {
+			c[d], off = off, off+n
+		}
+		scatter(dst, src, c, uint(8*b))
+		src, dst = dst, src
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
+	}
+}
+
+// scoreKey maps a score to a key whose ascending order is the scores'
+// descending order: the IEEE bits of a non-negative score with the
+// sign clear and the rest flipped, those of a negative score as they
+// are. Non-negative scores therefore come first, largest first, and
+// negative ones follow, nearest zero first.
+func scoreKey(s float64) uint64 {
+	b := math.Float64bits(s)
+	return b ^ ^(uint64(int64(b)>>63) | 1<<63)
+}
+
+// scatter is one radix pass: it moves every point of src to dst at the
+// next offset of its key's byte at shift, off holding each byte
+// value's first free index.
+//
+//topk:nomalloc
+func scatter(dst, src []P, off *[256]uint32, shift uint) {
+	for _, p := range src {
+		d := byte(scoreKey(p.Score) >> shift)
+		dst[off[d]] = p
+		off[d]++
+	}
+}
+
+// Select moves the k highest-scoring points of ps to its front and
+// returns them, ps[:k] in no particular order, or all of ps when
+// k ≥ len(ps). It is a quickselect on random pivots, expected
+// O(len(ps)) comparisons; the rest of ps is left in an unspecified
+// order.
+func Select(ps []P, k int) []P {
 	switch {
 	case k <= 0:
 		return ps[:0]
 	case k < len(ps):
 		selectScoreDesc(ps, k)
-		ps = ps[:k]
+		return ps[:k]
 	}
+	return ps
+}
+
+// SelectTop is Select with the k points it keeps sorted by descending
+// score, so only they pay for a sort.
+func SelectTop(ps []P, k int) []P {
+	ps = Select(ps, k)
 	SortByScoreDesc(ps)
 	return ps
 }

@@ -2,6 +2,9 @@ package point
 
 import (
 	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -153,5 +156,168 @@ func TestSelectTop(t *testing.T) {
 				t.Fatalf("%s, k=%d: the slice lost or changed points", name, k)
 			}
 		}
+	}
+}
+
+// byScoreDescCmp is the comparison sort SortByScoreDesc keeps below
+// radixCutoff, the reference the radix kernel must match.
+func byScoreDescCmp(ps []P) {
+	slices.SortFunc(ps, func(a, b P) int { return cmp.Compare(b.Score, a.Score) })
+}
+
+// distinctScores returns n distinct finite scores over every range
+// the radix kernel's key must order: both signs across many
+// magnitudes, subnormals, ±MaxFloat64, and one zero, -0 when neg0.
+func distinctScores(rng *rand.Rand, n int, neg0 bool) []float64 {
+	zero := 0.0
+	if neg0 {
+		zero = math.Copysign(0, -1)
+	}
+	out := []float64{zero, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	seen := map[float64]bool{} // == folds -0 into +0, as the guard does
+	for _, s := range out {
+		seen[s] = true
+	}
+	for len(out) < n {
+		var s float64
+		switch rng.Intn(4) {
+		case 0: // subnormal
+			s = math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+		case 1: // any magnitude
+			s = math.Ldexp(rng.Float64(), rng.Intn(2000)-1000)
+		default: // the benchmark's shape: uniform in [0, 1)
+			s = rng.Float64()
+		}
+		if rng.Intn(2) == 0 {
+			s = -s
+		}
+		if !seen[s] && !math.IsInf(s, 0) {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out[:n]
+}
+
+// TestSortByScoreDesc checks SortByScoreDesc against the comparison
+// sort on both sides of the radix cutoff and well above it, over
+// distinct scores of both signs, subnormals, ±MaxFloat64 and one of
+// ±0, in random, sorted, reversed and organ-pipe order, through a
+// fresh scratch and through a reused one that starts short.
+func TestSortByScoreDesc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var buf []P
+	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 4096, 65536} {
+		scores := distinctScores(rng, n, n%2 == 0)
+		ps := make([]P, n)
+		for i, s := range scores {
+			ps[i] = P{X: float64(i), Score: s}
+		}
+		want := slices.Clone(ps)
+		byScoreDescCmp(want)
+		// Organ-pipe: the even ranks ascending, then the odd ranks
+		// descending.
+		var rise, fall []P
+		for i, p := range want {
+			if i%2 == 0 {
+				rise = append(rise, p)
+			} else {
+				fall = append(fall, p)
+			}
+		}
+		slices.Reverse(rise)
+		reversed := slices.Clone(want)
+		slices.Reverse(reversed)
+		orders := map[string][]P{
+			"random":     ps,
+			"sorted":     want,
+			"reversed":   reversed,
+			"organ-pipe": append(rise, fall...),
+		}
+		for name, in := range orders {
+			got := slices.Clone(in)
+			SortByScoreDesc(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: SortByScoreDesc differs from slices.SortFunc", n, name)
+			}
+			got = slices.Clone(in)
+			buf = SortByScoreDescBuf(got, buf)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: SortByScoreDescBuf differs from slices.SortFunc", n, name)
+			}
+		}
+	}
+	if cap(buf) < 65536 {
+		t.Fatalf("the returned scratch holds %d points; want it grown to the largest sort", cap(buf))
+	}
+}
+
+// FuzzSortByScoreDesc runs the radix kernel itself, at every length,
+// and SortByScoreDesc against the comparison sort over the input read
+// as little-endian float64s; non-finite values and repeats (±0
+// folded) are dropped.
+func FuzzSortByScoreDesc(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(-1.5)))
+	for i, n := range []int{3, 40, radixCutoff + 3} {
+		var seed []byte
+		for _, s := range distinctScores(rand.New(rand.NewSource(int64(i))), n, i == 1) {
+			seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(s))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ps []P
+		seen := map[float64]bool{}
+		for ; len(data) >= 8; data = data[8:] {
+			s := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			if !math.IsNaN(s) && !math.IsInf(s, 0) && !seen[s] {
+				seen[s] = true
+				ps = append(ps, P{X: float64(len(ps)), Score: s})
+			}
+		}
+		want := slices.Clone(ps)
+		byScoreDescCmp(want)
+		got := slices.Clone(ps)
+		SortByScoreDesc(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("SortByScoreDesc(%v) = %v, want %v", ps, got, want)
+		}
+		if len(ps) > 0 {
+			got = slices.Clone(ps)
+			radixScoreDesc(got, make([]P, len(got)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("radixScoreDesc(%v) = %v, want %v", ps, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkSortByScoreDesc times the radix kernel against the
+// comparison sort on uniform scores in [0, 1), the benchmark fleet's,
+// around the cutoff and at read-wide's answer sizes; radixCutoff is
+// where the two cross.
+func BenchmarkSortByScoreDesc(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512, 1024, 2600, 4096} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ps := make([]P, n)
+		for i := range ps {
+			ps[i] = P{X: float64(i), Score: rng.Float64()}
+		}
+		work := make([]P, n)
+		tmp := make([]P, n)
+		b.Run(fmt.Sprintf("radix/n=%d", n), func(b *testing.B) {
+			for range b.N {
+				copy(work, ps)
+				radixScoreDesc(work, tmp)
+			}
+		})
+		b.Run(fmt.Sprintf("cmp/n=%d", n), func(b *testing.B) {
+			for range b.N {
+				copy(work, ps)
+				byScoreDescCmp(work)
+			}
+		})
 	}
 }

@@ -103,20 +103,28 @@ func (p *PST) covered(v vid, x1, x2 float64) bool {
 //  5. report the k highest points of Q1 ∪ Q2 ∪ Q3 in q.
 //
 // Lemma 2 (φ = 16) guarantees Q1 ∪ Q2 ∪ Q3 contains the true top k.
-// The work happens in the structure's query scratch; the answer is a
-// fresh slice the caller owns.
+// Query is AppendQuery into a fresh slice the caller owns, plus one
+// sort, whose scratch is the structure's.
 func (p *PST) Query(x1, x2 float64, k int) []point.P {
-	if p.root == em.NilHandle || k <= 0 || x1 > x2 {
-		return nil
-	}
-	top := p.query(x1, x2, k)
-	if len(top) == 0 {
-		return nil
-	}
-	return append(make([]point.P, 0, len(top)), top...)
+	out := p.AppendQuery(nil, x1, x2, k)
+	p.qs.sortBuf = point.SortByScoreDescBuf(out, p.qs.sortBuf)
+	return out
 }
 
-// query is Query into scratch: the result aliases p.qs.cands.
+// AppendQuery appends to dst the points Query reports, in no
+// particular order, with the same block reads. The work happens in the
+// structure's query scratch, so into a dst with room it allocates
+// nothing; a caller that merges several structures' answers selects
+// and sorts once over their union.
+func (p *PST) AppendQuery(dst []point.P, x1, x2 float64, k int) []point.P {
+	if p.root == em.NilHandle || k <= 0 || x1 > x2 {
+		return dst
+	}
+	return append(dst, p.query(x1, x2, k)...)
+}
+
+// query is AppendQuery into scratch: the result, in no particular
+// order, aliases p.qs.cands.
 func (p *PST) query(x1, x2 float64, k int) []point.P {
 	s := &p.qs
 	s.marks.reset()
@@ -169,7 +177,7 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 		// Early termination proved every unexplored subtree (and
 		// hence every would-be Q3 candidate) is dominated by the k-th
 		// best candidate already collected.
-		return point.SelectTop(s.cands, k)
+		return point.Select(s.cands, k)
 	}
 
 	// Q2: pilots of the selected nodes. Q3: pilots of their in-range
@@ -199,8 +207,8 @@ func (p *PST) query(x1, x2 float64, k int) []point.P {
 
 	// Report the k highest candidates. The candidate pool has size
 	// O(B lg n + k); selecting within it is CPU work on blocks already
-	// read, and only the k kept are sorted.
-	return point.SelectTop(s.cands, k)
+	// read, and sorting is left to the caller.
+	return point.Select(s.cands, k)
 }
 
 // selectEarly is the default selection: heap.SelectTop into
@@ -285,13 +293,21 @@ func (s *queryScratch) push(e heap.Entry, b int32) {
 
 // offer feeds the candidates from index n on into the k best scores:
 // kbest is a min-heap of scores, kept as heap's max-heap of negated
-// keys, so kbest[0] is the k-th best once it holds k.
+// keys, so kbest[0] is the k-th best once it holds k. Until it holds k
+// it is a plain list, made a heap once when it fills: pilots deliver
+// their points in near-descending score, so pushing each would sift
+// nearly every one to the root. Only selectEarly's termination check
+// reads kbest[0], and only once kbest is full.
 func (s *queryScratch) offer(n, k int) {
 	for _, q := range s.cands[n:] {
 		e := heap.Entry{Key: -q.Score}
-		if len(s.kbest) < k {
-			s.kbest = heap.Push(s.kbest, e)
-		} else if e.Key < s.kbest[0].Key {
+		switch {
+		case len(s.kbest) < k:
+			s.kbest = append(s.kbest, e)
+			if len(s.kbest) == k {
+				heap.Init(s.kbest)
+			}
+		case e.Key < s.kbest[0].Key:
 			s.kbest[0] = e
 			heap.Down(s.kbest, 0)
 		}

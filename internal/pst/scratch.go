@@ -10,7 +10,8 @@ import (
 // pool's LRU state), and every query resets the scratch before use, so
 // the buffers grow to the largest query the structure has answered and
 // are reused after that: a warm Query allocates only the answer it
-// returns. Nothing here is charged to the I/O meter; like the meter
+// returns, and a warm AppendQuery into a dst with room allocates
+// nothing. Nothing here is charged to the I/O meter; like the meter
 // itself, it is CPU-side bookkeeping, and it is bounded by the
 // structure's own size.
 type queryScratch struct {
@@ -19,6 +20,7 @@ type queryScratch struct {
 	pi           []vid     // Π: the query's covered hanging children
 	piBound      []float64 // each Π node's path parent's representative
 	cands        []point.P // Q1 ∪ Q2 ∪ Q3, or a three-sided report
+	sortBuf      []point.P // Query's sort scratch
 	selected     []heap.Entry
 	sel          heap.Selector
 	src          heapSrc

@@ -22,13 +22,13 @@
 //     topology lock; observability (Boundaries, NumShards, Stats,
 //     String) is served the same way, so it never contends with
 //     writers.
-//   - execution (execute.go): the parallel fan-out and k-way
-//     heap-merge machinery answering TopK/Count/QueryBatch over one
-//     pinned snapshot. Per-shard answers — already sorted by
-//     descending score — are merged with internal/heap's best-first
-//     selection, which preserves the exact descending-score semantics
-//     of the unsharded structure (scores are distinct by the paper's
-//     standing assumption, so the merged order is unique).
+//   - execution (execute.go): the parallel fan-out answering
+//     TopK/Count/QueryBatch over one pinned snapshot. A read's shards
+//     append their answers, unsorted, into a pooled frame; the router
+//     selects the k highest of their union once (point.Select) and
+//     sorts only those, which gives exactly the unsharded structure's
+//     descending-score answer (scores are distinct by the paper's
+//     standing assumption, so the order is unique).
 //   - lifecycle (lifecycle.go): the split/merge/rebalance policy, the
 //     passes that execute it under the topology write lock, and the
 //     background maintenance loop (Options.MaintenanceInterval /

@@ -453,6 +453,47 @@ func TestBuildPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// TestReadPanicReachesCaller: a shard that panics mid-read (an
+// internal invariant violation; a nil Index stands in for one) must
+// surface on the reader's goroutine, whether the shard ran there or on
+// a fan-out goroutine, and every shard mutex must be released so the
+// router keeps serving.
+func TestReadPanicReachesCaller(t *testing.T) {
+	pts := workload.NewGen(47).Uniform(4000, 1e6)
+	r := mustBulk(t, testOptions(4), pts, 4)
+	topo := r.snapshot()
+	broken := topo.shards[2]
+	ix := broken.ix
+	broken.ix = nil
+	reads := map[string]func(){
+		"TopK on the broken shard alone": func() { r.TopK(broken.lo, broken.lo+1, 10) },
+		"TopK over every shard":          func() { r.TopK(math.Inf(-1), math.Inf(1), 10) },
+		"QueryBatch": func() {
+			r.QueryBatch([]point.Query{{X1: 0, X2: 1, K: 3}, {X1: math.Inf(-1), X2: math.Inf(1), K: 10}})
+		},
+	}
+	for name, read := range reads {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: the shard's panic did not reach the caller", name)
+				}
+			}()
+			read()
+		}()
+		for i, s := range topo.shards {
+			if !s.mu.TryLock() {
+				t.Fatalf("%s: shard %d is still locked", name, i)
+			}
+			s.mu.Unlock()
+		}
+	}
+	broken.ix = ix
+	if got, want := r.TopK(math.Inf(-1), math.Inf(1), 10), point.TopK(pts, math.Inf(-1), math.Inf(1), 10); !slices.Equal(got, want) {
+		t.Fatalf("TopK after the panics = %v, want %v", got, want)
+	}
+}
+
 // TestContractViolationsReturnErrors: duplicate positions, duplicate
 // scores (including on a DIFFERENT shard) and non-finite coordinates
 // are sentinel errors, nothing panics, nothing is mutated, and —
@@ -892,5 +933,40 @@ func TestRouterTopKAddsNoAllocs(t *testing.T) {
 	})
 	if routed > direct {
 		t.Fatalf("routed TopK allocates %.1f/op vs %.1f/op for the bare Index.Query; the router layer must add zero", routed, direct)
+	}
+}
+
+// TestRouterFanOutAllocs holds the multi-shard read path to its
+// budget: a warm TopK over s shards at k ≥ the §2 threshold, where
+// every shard answers through the PST's scratch, allocates at most s
+// times — its answer, plus whatever starting s−1 goroutines costs.
+// Selection, sort and the per-shard buffers come from a pooled frame.
+func TestRouterFanOutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of a pooled path are not meaningful under the race detector")
+	}
+	pts := workload.NewGen(37).Uniform(8000, 1e6)
+	r := mustBulk(t, testOptions(4), pts, 4)
+	topo := r.snapshot()
+	if len(topo.shards) != 4 {
+		t.Fatalf("bulk load produced %d shards; want 4", len(topo.shards))
+	}
+	k := 0
+	for _, s := range topo.shards {
+		k = max(k, s.ix.KThreshold())
+	}
+	for _, s := range []int{2, 4} {
+		x1, x2 := 0.0, topo.shards[s-1].lo+1000
+		if lo, hi := topo.locate(x1), topo.locate(x2); lo != 0 || hi != s-1 {
+			t.Fatalf("interval [%g,%g] spans shards %d..%d; want 0..%d", x1, x2, lo, hi, s-1)
+		}
+		want := point.TopK(pts, x1, x2, k)
+		if got := r.TopK(x1, x2, k); !slices.Equal(got, want) {
+			t.Fatalf("s=%d: TopK differs from point.TopK", s)
+		}
+		allocs := testing.AllocsPerRun(50, func() { r.TopK(x1, x2, k) })
+		if allocs > float64(s) {
+			t.Fatalf("s=%d, k=%d: TopK allocates %.1f times per read; want at most %d", s, k, allocs, s)
+		}
 	}
 }

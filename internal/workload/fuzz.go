@@ -21,12 +21,13 @@ type FuzzOp struct {
 // DecodeFuzz splits fuzz input into a bulk-load set of at most 512
 // points with distinct positions and distinct scores, and the op
 // stream that follows it. The layout is a little-endian uint16 point
-// count (mod 513), then four bytes per point (int16 x, uint16 score; a
-// point repeating an earlier x or score is skipped), then three bytes
-// per op, at most 512 ops: a kind byte and a uint16 operand v. Kinds
-// 0 mod 4 delete; the others insert (int16(v)+0.5, kind·65536+v+0.5).
-// Half-integer coordinates never collide with the loaded points, but
-// inserts can collide with each other.
+// count (mod 513), then four bytes per point (int16 x, int16 score,
+// so that loaded scores take both signs and zero; a point repeating
+// an earlier x or score is skipped), then three bytes per op, at most
+// 512 ops: a kind byte and a uint16 operand v. Kinds 0 mod 4 delete;
+// the others insert (int16(v)+0.5, kind·65536+v+0.5). Half-integer
+// coordinates never collide with the loaded points, but inserts can
+// collide with each other.
 func DecodeFuzz(data []byte) (pts []point.P, ops []FuzzOp) {
 	if len(data) < 2 {
 		return nil, nil
@@ -37,7 +38,7 @@ func DecodeFuzz(data []byte) (pts []point.P, ops []FuzzOp) {
 	for ; n > 0 && len(data) >= 4; n, data = n-1, data[4:] {
 		p := point.P{
 			X:     float64(int16(binary.LittleEndian.Uint16(data))),
-			Score: float64(binary.LittleEndian.Uint16(data[2:])),
+			Score: float64(int16(binary.LittleEndian.Uint16(data[2:]))),
 		}
 		if !xs[p.X] && !scores[p.Score] {
 			xs[p.X], scores[p.Score] = true, true

@@ -86,8 +86,9 @@ func TestCallerOwnsSlices(t *testing.T) {
 // scratch, so this is what pins that every tier copies the answer out
 // of it: on an Index in both regimes (§2 for k at or above the
 // threshold, the §3.3 reduction below it), and on a Sharded for an
-// interval one shard covers (the single-shard path hands the Index's
-// answer through) and for one every shard covers (the fan-out merge).
+// interval one shard covers and for one every shard covers (the
+// router selects its answer from the shards' answers in a pooled
+// frame that the next read reuses).
 func TestHeldAnswerSurvivesNextQuery(t *testing.T) {
 	pts := uniformResults(97, 6000, 1e6)
 	cfg := topk.Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 512}

@@ -39,27 +39,28 @@ expect_findings() {
 	echo "gate-negative: $desc: correctly failed the gate"
 }
 
-merge_go="$scratch/repo/internal/merge/merge.go"
-marker='	h := m.heap\[:0\]'
+point_go="$scratch/repo/internal/point/point.go"
+marker='	for _, p := range src {'
 
 # 1. Static allocation site inside an annotated function: the
-#    allocfree analyzer must flag the planted make.
+#    allocfree analyzer must flag the planted make in the sort kernel's
+#    scatter pass, which every wide read's final sort runs.
 copy_tree
-grep -q "^$marker\$" "$merge_go" || {
-	echo "gate-negative: mergeLoop marker line not found; update this script" >&2
+grep -qF "$marker" "$point_go" || {
+	echo "gate-negative: scatter marker line not found; update this script" >&2
 	exit 1
 }
-sed -i "s/^$marker\$/\t_ = make([]int, 1)\n\th := m.heap[:0]/" "$merge_go"
-expect_findings "planted make in //topk:nomalloc mergeLoop (allocfree)" \
-	"$topkvet" ./internal/merge/
+sed -i "s/^$marker\$/\t_ = make([]int, 1)\n$marker/" "$point_go"
+expect_findings "planted make in //topk:nomalloc scatter (allocfree)" \
+	"$topkvet" ./internal/point/
 
 # 2. Compiler-visible escape, invisible to shape analysis: only
 #    escapecheck (-gcflags=-m) can see the moved-to-heap local.
 copy_tree
-sed -i 's/^var mergerPool/var gateLeak *int\n\nvar mergerPool/' "$merge_go"
-sed -i "s/^$marker\$/\tvar leak int\n\tgateLeak = \\&leak\n\th := m.heap[:0]/" "$merge_go"
-expect_findings "planted heap escape in //topk:nomalloc mergeLoop (escapecheck)" \
-	"$topkvet" escapecheck ./internal/merge/
+sed -i 's/^const radixCutoff/var gateLeak *int\n\nconst radixCutoff/' "$point_go"
+sed -i "s/^$marker\$/\tvar leak int\n\tgateLeak = \\&leak\n$marker/" "$point_go"
+expect_findings "planted heap escape in //topk:nomalloc scatter (escapecheck)" \
+	"$topkvet" escapecheck ./internal/point/
 
 # 3. Static allocation site in the buffer pool's annotated hit path:
 #    every block read of the engine goes through it.

@@ -61,8 +61,9 @@ func (cfg ShardedConfig) options() shard.Options {
 // sequential EM machine with its own simulated disk. Unlike Index, a
 // Sharded is safe for concurrent use — queries and updates on
 // different shards proceed in parallel, and queries that straddle
-// shard boundaries fan out and heap-merge, returning exactly what a
-// single Index would. See internal/shard and DESIGN.md for the
+// shard boundaries fan out and select once over the shards' answers,
+// returning exactly what a single Index would. See internal/shard and
+// DESIGN.md for the
 // architecture.
 type Sharded struct {
 	r *shard.Router

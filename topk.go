@@ -34,8 +34,9 @@
 //
 // An Index is a single sequential EM machine. For concurrent serving,
 // Sharded range-partitions the line across several independent EM
-// machines, fans queries out in parallel and heap-merges the answers,
-// returning exactly what a single Index would; cmd/topkd serves it
+// machines, fans queries out in parallel and selects and sorts once
+// over the shards' answers, returning exactly what a single Index
+// would; cmd/topkd serves it
 // over HTTP. See DESIGN.md for the architecture.
 package topk
 
