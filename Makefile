@@ -68,7 +68,8 @@ analysis: fmt-check vet topkvet escapecheck
 
 # Negative test of the gates: copy the tree to a scratch dir, plant
 # one violation per gate (static alloc, heap escape, atomic-struct
-# copy), and assert each gate fails with findings.
+# copy, request-derived label, an encoding/json round trip on the
+# /v1/batch member hop), and assert each gate fails.
 gate-negative:
 	sh scripts/gate_negative.sh
 
@@ -119,6 +120,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzBatchJSON -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzParseTopK -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzAppendTopK -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz=FuzzParseOps -fuzztime=$(FUZZTIME) ./internal/wire
+	go test -run='^$$' -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzGuard -fuzztime=$(FUZZTIME) ./internal/core
 	go test -run='^$$' -fuzz=FuzzSortByScoreDesc -fuzztime=$(FUZZTIME) ./internal/point
 	go test -run='^$$' -fuzz=FuzzBulkBuild -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core

@@ -2,8 +2,8 @@ package topk_test
 
 // Cluster correctness suite. Members are real HTTP servers (httptest)
 // mounting internal/serve over local Sharded stores, so every test
-// exercises the full wire path: gateway routing -> JSON -> member
-// store -> JSON -> gateway merge. The oracle is always a single
+// exercises the full wire path: gateway routing -> the binary member
+// hop -> member store -> binary answer -> gateway merge. The oracle is always a single
 // sequential Index over the same point set — the differential bar is
 // byte-identical answers (reflect.DeepEqual), exactly like the
 // Sharded ≡ Index suite.
@@ -11,7 +11,6 @@ package topk_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -404,15 +403,16 @@ func (l *callLog) RoundTrip(r *http.Request) (*http.Response, error) {
 		c.ks = []int{k}
 	case "/v1/batch":
 		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
 		if err != nil {
 			return nil, err
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		var req struct{ Ops []struct{ K int } }
-		if err := json.Unmarshal(body, &req); err != nil {
+		ops, err := wire.ParseOps(body, nil)
+		if err != nil {
 			return nil, err
 		}
-		for _, op := range req.Ops {
+		for _, op := range ops {
 			c.ks = append(c.ks, op.K)
 		}
 	}
@@ -569,19 +569,22 @@ func TestClusterScoreOrderedWalk(t *testing.T) {
 	}
 }
 
-// tearTopK is a RoundTripper in the style of callLog that keeps one
-// member's 200 status but rewrites every /v1/topk response it sends
-// with tear, counting the bodies it tore.
-type tearTopK struct {
+// tearBody is a RoundTripper in the style of callLog that keeps one
+// member's 200 status but rewrites every response to path it sends
+// with tear, counting the bodies it tore. It tears nothing while off is
+// set.
+type tearBody struct {
 	base   *http.Transport
 	member string // the member's base URL
+	path   string
 	tear   func(h http.Header, body []byte) []byte
 	torn   atomic.Int64
+	off    atomic.Bool
 }
 
-func (tt *tearTopK) RoundTrip(r *http.Request) (*http.Response, error) {
+func (tt *tearBody) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := tt.base.RoundTrip(r)
-	if err != nil || resp.StatusCode != http.StatusOK || r.URL.Path != "/v1/topk" || r.URL.Scheme+"://"+r.URL.Host != tt.member {
+	if err != nil || resp.StatusCode != http.StatusOK || r.URL.Path != tt.path || r.URL.Scheme+"://"+r.URL.Host != tt.member || tt.off.Load() {
 		return resp, err
 	}
 	body, err := io.ReadAll(resp.Body)
@@ -655,8 +658,8 @@ func TestClusterTornTopKBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gateway := func(t *testing.T, fleet *testFleet, tear func(http.Header, []byte) []byte) (*topk.Cluster, *tearTopK) {
-		tt := &tearTopK{base: &http.Transport{}, member: fleet.servers[1][0].URL, tear: tear}
+	gateway := func(t *testing.T, fleet *testFleet, tear func(http.Header, []byte) []byte) (*topk.Cluster, *tearBody) {
+		tt := &tearBody{base: &http.Transport{}, member: fleet.servers[1][0].URL, path: "/v1/topk", tear: tear}
 		t.Cleanup(tt.base.CloseIdleConnections)
 		cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second, Transport: tt})
 		if err != nil {
@@ -690,6 +693,157 @@ func TestClusterTornTopKBody(t *testing.T) {
 				t.Fatalf("single replica: %d bodies torn, want one per read (%d)", n, len(ks))
 			}
 		})
+	}
+}
+
+// tornBatchBodies are the ways a 200 /v1/batch answer arrives broken.
+// Each applies to an items body (a little-endian uint64 count, then per
+// item a code byte and a uint64 length) of at least two applied
+// inserts, each a code 0 and a zero point count.
+var tornBatchBodies = []struct {
+	name string
+	tear func(h http.Header, body []byte) []byte
+}{
+	{"cut inside the count", func(_ http.Header, b []byte) []byte { return b[:4] }},
+	{"cut inside an item", func(_ http.Header, b []byte) []byte { return b[:8+9+4] }},
+	{"cut after the first item", func(_ http.Header, b []byte) []byte { return b[:8+9] }},
+	{"count larger than the body", func(_ http.Header, b []byte) []byte {
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
+		return b
+	}},
+	{"count smaller than the body", func(_ http.Header, b []byte) []byte {
+		binary.LittleEndian.PutUint64(b, 1)
+		return b
+	}},
+	{"trailing bytes", func(_ http.Header, b []byte) []byte { return append(b, "garbage"...) }},
+	// The right items, but not in the media type the gateway asked for.
+	{"items labelled as JSON", func(h http.Header, b []byte) []byte {
+		h.Set("Content-Type", "application/json")
+		return b
+	}},
+}
+
+// TestClusterTornBatchBody is TestClusterTornTopKBody's twin on the
+// write path: a member's broken 200 answer to /v1/batch fails every op
+// the band was sent with ErrNodeDown, and none of them counts as
+// applied, a whole first item included. The gateway's duplicate
+// registries roll back. The member did apply the inserts its torn
+// answer reported, so the test deletes them at the member, as a reload
+// would, and then the same inserts succeed through the gateway.
+func TestClusterTornBatchBody(t *testing.T) {
+	pts := uniformResults(109, 200, 1e6)
+	fleet := bootFleet(t, pts, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	member := fleet.servers[1][0].URL
+	for i, tb := range tornBatchBodies {
+		t.Run(tb.name, func(t *testing.T) {
+			tt := &tearBody{base: &http.Transport{}, member: member, path: "/v1/batch", tear: tb.tear}
+			t.Cleanup(tt.base.CloseIdleConnections)
+			cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second, Transport: tt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cl.Close() })
+			// Two inserts for the torn upper band, one for the lower.
+			x := 2e6 + float64(10*i)
+			ops := []topk.BatchOp{{X: x, Score: 0.75 + float64(i)/1e3}, {X: x + 1, Score: 0.85 + float64(i)/1e3}, {X: x + 2, Score: 0.25 + float64(i)/1e3}}
+			n := cl.Len()
+			errs := cl.ApplyBatch(ops)
+			if !errors.Is(errs[0], topk.ErrNodeDown) || !errors.Is(errs[1], topk.ErrNodeDown) || errs[2] != nil {
+				t.Fatalf("ApplyBatch = %v, want ErrNodeDown twice, then nil", errs)
+			}
+			if tt.torn.Load() != 1 || cl.Len() != n+1 {
+				t.Fatalf("%d bodies torn, Len %d; want 1 torn and Len %d", tt.torn.Load(), cl.Len(), n+1)
+			}
+			for _, op := range ops[:2] {
+				body := fmt.Sprintf(`{"x":%v,"score":%v}`, op.X, op.Score)
+				resp, err := http.Post(member+"/v1/delete", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ack, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if !strings.Contains(string(ack), `"found":true`) {
+					t.Fatalf("the member did not apply %s: %s", body, ack)
+				}
+			}
+			tt.off.Store(true)
+			if errs := cl.ApplyBatch(ops[:2]); errs[0] != nil || errs[1] != nil {
+				t.Fatalf("the same inserts on a healthy member: %v, want nil twice", errs)
+			}
+		})
+	}
+}
+
+// recodeBatch is a fake replica: it serves its member's handler, but
+// rewrites the code of every rejection in its /v1/batch answers to
+// code.
+type recodeBatch struct {
+	h    http.Handler
+	code string
+}
+
+func (rb recodeBatch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/batch" {
+		rb.h.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	rb.h.ServeHTTP(rec, r)
+	items, err := wire.ParseItems(rec.Body.Bytes(), nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	for _, it := range items {
+		if it.Error != nil {
+			it.Error.Code = rb.code
+		}
+	}
+	w.Header().Set("Content-Type", wire.BatchType)
+	w.Write(wire.AppendItems(nil, items))
+}
+
+// TestClusterReplicasDisagreeOnCode: replicas that both reject an op,
+// but with different codes, have diverged as surely as replicas of
+// which one applies it, and the write reports ErrNodeDown rather than
+// the first replica's rejection. Replicas that agree on the code report
+// it.
+func TestClusterReplicasDisagreeOnCode(t *testing.T) {
+	pts := []topk.Result{{X: 10, Score: 0.5}, {X: 20, Score: 0.25}}
+	for _, c := range []struct {
+		code string
+		want error
+	}{
+		{"duplicate_score", topk.ErrDuplicateScore},
+		{"not_found", topk.ErrNodeDown},
+	} {
+		var addrs []string
+		for _, fake := range []bool{false, true} {
+			st, err := topk.LoadSharded(topk.ShardedConfig{Config: testClusterCfg(), Shards: 2}, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var h http.Handler = serve.New(st, serve.Options{})
+			if fake {
+				h = recodeBatch{h: h, code: c.code}
+			}
+			srv := httptest.NewServer(h)
+			t.Cleanup(srv.Close)
+			addrs = append(addrs, srv.URL)
+		}
+		cl, err := topk.NewCluster(topk.ClusterConfig{Members: addrs, Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		// The gateway has not seen the preloaded score 0.5, so both
+		// replicas answer: the real one with duplicate_score.
+		if err := cl.Insert(30, 0.5); !errors.Is(err, c.want) {
+			t.Fatalf("fake replica answering %s: Insert = %v, want %v", c.code, err, c.want)
+		}
+		if err := cl.Insert(40, 0.75); err != nil {
+			t.Fatalf("fake replica answering %s: an insert both apply: %v", c.code, err)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -47,20 +48,13 @@ func (n *node) get(ctx context.Context, path string, read func(io.Reader) error)
 	return n.do(req, read)
 }
 
-// post issues a POST with a JSON body and hands the 200 body to read.
-func (n *node) post(ctx context.Context, path string, body any, read func(io.Reader) error) error {
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			return fmt.Errorf("%s: encode: %w", n.addr, err)
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+path, &buf)
+// post issues a POST without a body and ignores the 200 body.
+func (n *node) post(ctx context.Context, path string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+path, nil)
 	if err != nil {
 		return fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return n.do(req, read)
+	return n.do(req, nil)
 }
 
 // jsonInto reads a body as one JSON value into out.
@@ -143,17 +137,37 @@ func (n *node) probe(ctx context.Context) error {
 	return n.get(ctx, "/v1/epoch", jsonInto(&e))
 }
 
-// bodyPool holds the buffers topk reads member bodies into. Only
-// buffers up to bodyPoolMax go back, so one giant answer does not pin
-// its buffer for the life of the process.
+// bodyPool holds the buffers readPooled reads member bodies into.
+// Only buffers up to bodyPoolMax go back, to it and to opsPool, so one
+// giant body does not pin its buffer for the life of the process.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const bodyPoolMax = 1 << 20
 
-// acceptPoints is the Accept header of every member TopK, one slice
-// shared by all of them so the header costs a read no allocation of
-// its own; nothing writes to it.
-var acceptPoints = []string{wire.PointsType}
+// readPooled reads body whole into a pooled buffer and hands the bytes
+// to parse, which must keep no reference to them.
+func readPooled(body io.Reader, parse func([]byte) error) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= bodyPoolMax {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	return parse(buf.Bytes())
+}
+
+// acceptPoints is the Accept header of every member TopK, and
+// batchType the Content-Type and Accept of every member /v1/batch: one
+// slice each, shared by every request so the headers cost no
+// allocation of their own; nothing writes to them.
+var (
+	acceptPoints = []string{wire.PointsType}
+	batchType    = []string{wire.BatchType}
+)
 
 // appendRange appends path and the query parameters x1 and x2 to u.
 // Bounds travel as URL query parameters, so ±Inf survives (strconv
@@ -197,19 +211,10 @@ func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) (
 	req.Header["Accept"] = acceptPoints
 	out := dst
 	err = n.do(req, func(body io.Reader) error {
-		buf := bodyPool.Get().(*bytes.Buffer)
-		defer func() {
-			if buf.Cap() <= bodyPoolMax {
-				bodyPool.Put(buf)
-			}
-		}()
-		buf.Reset()
-		if _, err := buf.ReadFrom(body); err != nil {
+		return readPooled(body, func(b []byte) (err error) {
+			out, err = wire.ParsePoints(b, dst)
 			return err
-		}
-		var err error
-		out, err = wire.ParsePoints(buf.Bytes(), dst)
-		return err
+		})
 	})
 	if err != nil {
 		return dst, err
@@ -227,17 +232,81 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 	return r.Count, nil
 }
 
-// batch runs one remote /v1/batch, returning the per-op items aligned
-// with ops.
-func (n *node) batch(ctx context.Context, ops []wire.Op) ([]wire.Item, error) {
-	var r batchResp
-	if err := n.post(ctx, "/v1/batch", batchReq{Ops: ops}, jsonInto(&r)); err != nil {
+// opsBody is the ops body (wire.BatchType) of one band's /v1/batch,
+// appended into a pooled buffer and sent to every replica the band
+// asks. net/http may close a request body after Client.Do returns, so
+// each request holds a reference until its body is closed, as does the
+// caller while it builds and sends, and the buffer goes back to
+// opsPool when the last reference is dropped.
+type opsBody struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+var opsPool = sync.Pool{New: func() any { return new(opsBody) }}
+
+// newOpsBody takes a body from the pool that holds the count nops and
+// no op yet, held by its caller until it calls release.
+func newOpsBody(nops int) *opsBody {
+	o := opsPool.Get().(*opsBody)
+	o.b = wire.AppendCount(o.b[:0], nops)
+	o.refs.Store(1)
+	return o
+}
+
+// release drops one reference to o.
+func (o *opsBody) release() {
+	if o.refs.Add(-1) == 0 && cap(o.b) <= bodyPoolMax {
+		opsPool.Put(o)
+	}
+}
+
+// opsReader is one request's body over an opsBody. Its first Close
+// drops the request's reference; later ones do nothing.
+type opsReader struct {
+	bytes.Reader
+	ops    *opsBody
+	closed atomic.Bool
+}
+
+func (r *opsReader) Close() error {
+	if !r.closed.Swap(true) {
+		r.ops.release()
+	}
+	return nil
+}
+
+// batch runs one remote /v1/batch of ops, whose count is nops, and
+// returns the member's items, aligned with the ops. Like topk it has
+// no JSON fallback: a 200 that is not an items body (wire.BatchType)
+// of exactly nops items is a failed member, and no prefix of it
+// becomes an outcome.
+func (n *node) batch(ctx context.Context, ops *opsBody, nops int) ([]wire.Item, error) {
+	ops.refs.Add(1)
+	body := &opsReader{ops: ops}
+	body.Reset(ops.b)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+"/v1/batch", body)
+	if err != nil {
+		body.Close()
+		return nil, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
+	}
+	req.ContentLength = int64(len(ops.b))
+	req.Header["Content-Type"] = batchType
+	req.Header["Accept"] = batchType
+	var items []wire.Item
+	err = n.do(req, func(body io.Reader) error {
+		return readPooled(body, func(b []byte) (err error) {
+			items, err = wire.ParseItems(b, nil)
+			return err
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(r.Results) != len(ops) {
-		return nil, fmt.Errorf("%s: %w: batch returned %d items for %d ops", n.addr, ErrNodeDown, len(r.Results), len(ops))
+	if len(items) != nops {
+		return nil, fmt.Errorf("%s: %w: batch returned %d items for %d ops", n.addr, ErrNodeDown, len(items), nops)
 	}
-	return r.Results, nil
+	return items, nil
 }
 
 // stats fetches the member's meter snapshot.
@@ -249,11 +318,11 @@ func (n *node) stats(ctx context.Context) (statsResp, error) {
 
 // resetStats and dropCache are the administrative fan-out legs.
 func (n *node) resetStats(ctx context.Context) error {
-	return n.post(ctx, "/v1/stats/reset", nil, nil)
+	return n.post(ctx, "/v1/stats/reset")
 }
 
 func (n *node) dropCache(ctx context.Context) error {
-	return n.post(ctx, "/v1/cache/drop", nil, nil)
+	return n.post(ctx, "/v1/cache/drop")
 }
 
 // getRaw issues a GET and returns the raw 200 body — the metrics

@@ -404,19 +404,16 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P 
 			open = append(open, qi)
 		}
 	}
-	reqs := make([]wire.Op, 0, len(open))
 	asked := 0
 	for gi := len(c.groups) - 1; gi >= 0 && len(open) > 0; gi-- {
 		asked++
-		reqs = reqs[:0]
+		ops := newOpsBody(len(open))
 		for _, qi := range open {
 			q := qs[qi]
-			// JSON cannot carry ±Inf; the widest finite bounds select the
-			// same (finite) points.
-			reqs = append(reqs, wire.Op{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K - len(out[qi])})
+			ops.b = wire.AppendOp(ops.b, wire.Op{Op: "query", X1: q.X1, X2: q.X2, K: q.K - len(out[qi])})
 		}
 		_ = c.readFrom(ctx, c.groups[gi], func(cctx context.Context, n *node) error {
-			items, err := n.batch(cctx, reqs)
+			items, err := n.batch(cctx, ops, len(open))
 			if err != nil {
 				return err
 			}
@@ -425,6 +422,7 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P 
 			}
 			return nil
 		})
+		ops.release()
 		short := open[:0]
 		for _, qi := range open {
 			if gi > 0 && len(out[qi]) < qs[qi].K {
@@ -521,7 +519,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 	}
 	res := make([]error, len(ops))
 	perGroup := make([][]pending, len(c.groups))
-	perWire := make([][]wire.Op, len(c.groups))
 
 	// Gateway-side pass, in batch order under one registry lock:
 	// reject inserts duplicating anything this gateway knows, and
@@ -535,8 +532,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 			if op.Delete {
 				// A non-finite point can never be live (inserts reject
 				// them), so the exact-match answer is known without a
-				// network hop — and JSON could not carry the coordinates
-				// anyway. Matches Index/Sharded: ErrNotFound.
+				// network hop. Matches Index/Sharded: ErrNotFound.
 				res[i] = core.ErrNotFound
 			} else {
 				res[i] = core.ErrInvalidPoint
@@ -547,7 +543,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		if op.Delete {
 			hp, hs := c.positions.Remove(p.X), c.scores.Remove(p.Score)
 			perGroup[gi] = append(perGroup[gi], pending{op: i, p: p, hadPos: hp, hadScore: hs})
-			perWire[gi] = append(perWire[gi], wire.Op{Op: "delete", X: p.X, Score: p.Score})
 			continue
 		}
 		if !c.positions.Add(p.X) {
@@ -560,7 +555,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 			continue
 		}
 		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: p})
-		perWire[gi] = append(perWire[gi], wire.Op{Op: "insert", X: p.X, Score: p.Score})
 	}
 	c.dupMu.Unlock()
 
@@ -569,7 +563,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		if len(perGroup[gi]) == 0 {
 			continue
 		}
-		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], perWire[gi], res) })
+		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], res) })
 	}
 	if len(fns) > 0 {
 		merge.Parallel(fns)
@@ -577,12 +571,14 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 	return res
 }
 
-// applyGroup ships one band's sub-batch to every replica of g and
-// reconciles outcomes into res. Writes are consistency-first: any
-// ejected replica fails the whole sub-batch up front (writing around a
-// downed replica would silently diverge the group), and any transport
-// failure or cross-replica disagreement reports ErrNodeDown.
-func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs []wire.Op, res []error) {
+// applyGroup ships one band's sub-batch to every replica of g, as one
+// ops body appended straight from pds, and reconciles outcomes into
+// res. Writes are consistency-first: any ejected replica fails the
+// whole sub-batch up front (writing around a downed replica would
+// silently diverge the group), and any transport failure or
+// cross-replica disagreement — on whether an op applied, or on the
+// code it was rejected with — reports ErrNodeDown.
+func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res []error) {
 	fail := func(err error) {
 		c.rollback(pds, res)
 		for _, pd := range pds {
@@ -595,6 +591,15 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs 
 			return
 		}
 	}
+	ops := newOpsBody(len(pds))
+	defer ops.release()
+	for _, pd := range pds {
+		op := wire.Op{Op: "insert", X: pd.p.X, Score: pd.p.Score}
+		if !pd.insert {
+			op.Op = "delete"
+		}
+		ops.b = wire.AppendOp(ops.b, op)
+	}
 	items := make([][]wire.Item, len(g.nodes))
 	errs := make([]error, len(g.nodes))
 	fns := make([]func(), len(g.nodes))
@@ -602,7 +607,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs 
 		fns[ri] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
-			items[ri], errs[ri] = n.batch(cctx, reqs)
+			items[ri], errs[ri] = n.batch(cctx, ops, len(pds))
 			if errs[ri] != nil && errors.Is(errs[ri], ErrNodeDown) {
 				c.markFailed(n)
 			} else {
@@ -617,11 +622,12 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs 
 			return
 		}
 	}
-	// All replicas answered; they must agree op by op (they hold
-	// identical data under the single-writer regime).
+	// All replicas answered; they must agree op by op on the outcome
+	// code, so on whether the op applied and on why it was rejected
+	// (they hold identical data under the single-writer regime).
 	for j := range pds {
 		for ri := 1; ri < len(items); ri++ {
-			if items[ri][j].OK != items[0][j].OK {
+			if code(items[ri][j]) != code(items[0][j]) {
 				fail(fmt.Errorf("cluster: band [%g, %g): replicas disagree on op %d — group diverged, reload required: %w",
 					g.lo, g.hi, pds[j].op, ErrNodeDown))
 				return
@@ -639,16 +645,21 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, reqs 
 			}
 			continue
 		}
-		if item.Error != nil {
-			res[pd.op] = errFromCode(item.Error.Code, item.Error.Message)
-		} else {
-			res[pd.op] = fmt.Errorf("cluster: band [%g, %g): op %d rejected without a code", g.lo, g.hi, pd.op)
-		}
+		res[pd.op] = errFromCode(item.Error.Code, item.Error.Message)
 		undo = append(undo, pd)
 	}
 	if len(undo) > 0 {
 		c.rollback(undo, nil)
 	}
+}
+
+// code is the outcome code of item: "" for an applied op, which is
+// the only kind of item wire.ParseItems returns without an Error.
+func code(item wire.Item) string {
+	if item.Error == nil {
+		return ""
+	}
+	return item.Error.Code
 }
 
 // rollback undoes the optimistic registry effects of pending ops whose

@@ -1,14 +1,15 @@
 package cluster
 
-// This file is the wire half of the client tier: the decoders for
-// internal/serve's /v1 responses that only the client reads, and the
-// mapping from the structured error envelope back to the library's
-// sentinel errors, so a rejection that crossed the network is
-// indistinguishable (via errors.Is) from one raised by a local
-// backend. The shapes both ends speak live in internal/wire: the
-// /v1/batch op and item, and the binary /v1/topk points body that
-// node.topk asks members for, because a wide read carries thousands of
-// points and decimal text was the largest cost of the hop.
+// This file is the wire half of the client tier: the JSON decoders for
+// internal/serve's /v1 responses that only the client reads (count,
+// stats, range, epoch and the error envelope), and the mapping from an
+// outcome code back to the library's sentinel errors, so a rejection
+// that crossed the network is indistinguishable (via errors.Is) from
+// one raised by a local backend. The bodies of the two hops every read
+// and write takes live in internal/wire, both fixed-width binary: the
+// points body node.topk asks members for, and the ops and items bodies
+// of node.batch. Floats, ±Inf query bounds included, cross both bit
+// for bit.
 
 import (
 	"errors"
@@ -26,7 +27,8 @@ import (
 var ErrNodeDown = errors.New("cluster: node down")
 
 // countResp is GET /v1/count. (GET /v1/topk is the points body, read
-// by wire.ParsePoints; single-point /v1/insert and /v1/delete have no
+// by wire.ParsePoints, and POST /v1/batch the items body, read by
+// wire.ParseItems; single-point /v1/insert and /v1/delete have no
 // decoders here: every gateway update travels through /v1/batch, one
 // request per band sub-batch.)
 type countResp struct {
@@ -64,15 +66,6 @@ type epochResp struct {
 	Epoch int64 `json:"epoch"`
 }
 
-type batchReq struct {
-	Ops []wire.Op `json:"ops"`
-}
-
-type batchResp struct {
-	Results []wire.Item `json:"results"`
-	N       int         `json:"n"`
-}
-
 // errBody is the structured error envelope.
 type errBody struct {
 	Error wire.Error `json:"error"`
@@ -80,36 +73,20 @@ type errBody struct {
 
 // errFromCode maps a structured error code back to the sentinel the
 // member's local store raised, preserving errors.Is across the wire.
-// Unknown codes surface as plain errors (a member running newer code
-// than the gateway), never as ErrNodeDown — the node answered, the
-// request was just rejected.
+// Codes without a sentinel (out_of_range, internal, an envelope's
+// bad_request) surface as plain errors, never as ErrNodeDown — the
+// node answered, the request was just rejected.
 func errFromCode(code, msg string) error {
 	switch code {
-	case "duplicate_position":
+	case wire.CodeDuplicatePosition:
 		return fmt.Errorf("%w (remote: %s)", core.ErrDuplicatePosition, msg)
-	case "duplicate_score":
+	case wire.CodeDuplicateScore:
 		return fmt.Errorf("%w (remote: %s)", core.ErrDuplicateScore, msg)
-	case "invalid_point":
+	case wire.CodeInvalidPoint:
 		return fmt.Errorf("%w (remote: %s)", core.ErrInvalidPoint, msg)
-	case "not_found":
+	case wire.CodeNotFound:
 		return fmt.Errorf("%w (remote: %s)", core.ErrNotFound, msg)
 	default:
 		return fmt.Errorf("cluster: member rejected request: %s (%s)", msg, code)
 	}
-}
-
-// sanitizeBound maps an infinite query bound to the widest finite
-// float64. JSON cannot carry ±Inf, and every stored position is finite
-// by the input contract, so [-MaxFloat64, +MaxFloat64] selects exactly
-// the same points as (-Inf, +Inf) — the substitution is invisible in
-// answers. NaN never reaches here (invalid queries are answered nil
-// locally).
-func sanitizeBound(x float64) float64 {
-	if math.IsInf(x, -1) {
-		return -math.MaxFloat64
-	}
-	if math.IsInf(x, 1) {
-		return math.MaxFloat64
-	}
-	return x
 }

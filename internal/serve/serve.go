@@ -16,9 +16,11 @@
 // invalid_point and malformed requests to 400, out-of-band member
 // inserts to 400 out_of_range).
 //
-// Every body is JSON but one: GET /v1/topk with Accept:
-// application/x-topk-points answers in internal/wire's fixed-width
-// binary points body, the form a gateway asks its members for.
+// Every body is JSON but the two a gateway speaks to its members, both
+// internal/wire's fixed-width binary: GET /v1/topk with Accept:
+// application/x-topk-points answers a points body, and POST /v1/batch
+// with Content-Type: application/x-topk-batch takes an ops body and
+// answers an items body.
 package serve
 
 import (
@@ -159,7 +161,8 @@ func New(st topk.Store, opt Options) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true, "n": st.Len()})
+		bp := pagePool.Get().(*[]byte)
+		writePooled(w, jsonContentType, bp, appendInsertAck((*bp)[:0], st.Len()), t.Log)
 	})
 
 	handle("POST", "/delete", func(w http.ResponseWriter, r *http.Request) {
@@ -179,10 +182,15 @@ func New(st topk.Store, opt Options) http.Handler {
 		}
 		st := bindStore(st, r)
 		found := func() bool { defer t.TimeOpCtx(r.Context(), "delete").End(); return st.Delete(req.X, req.Score) }()
-		writeJSON(w, map[string]any{"found": found, "n": st.Len()})
+		bp := pagePool.Get().(*[]byte)
+		writePooled(w, jsonContentType, bp, appendDeleteAck((*bp)[:0], found, st.Len()), t.Log)
 	})
 
 	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") == wire.BatchType {
+			serveBinaryBatch(w, r, bindStore(st, r), opt, t)
+			return
+		}
 		var req struct {
 			Ops []wire.Op `json:"ops"`
 		}
@@ -654,7 +662,7 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		switch op.Op {
 		case "insert":
 			if !opt.inBand(op.Score) {
-				bandErr[i] = &wire.Error{Code: "out_of_range",
+				bandErr[i] = &wire.Error{Code: wire.CodeOutOfRange,
 					Message: fmt.Sprintf("score %v outside this member's band [%v, %v)", op.Score, opt.Lo, opt.Hi)}
 				continue
 			}
@@ -714,6 +722,31 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		items[queryAt[j]] = wire.Item{OK: true, Results: res}
 	}
 	return items, nil
+}
+
+// serveBinaryBatch answers a /v1/batch whose body is a wire.BatchType
+// ops body with an items body, through one pooled buffer that holds
+// the request and then the answer: the parsed ops keep no reference to
+// it. A body wire.ParseOps refuses is a 400, as malformed JSON is.
+func serveBinaryBatch(w http.ResponseWriter, r *http.Request, st topk.Store, opt Options, t *obs.Telemetry) {
+	bp := pagePool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(r.Body)
+	body := buf.Bytes()
+	var ops []wire.Op
+	if err == nil {
+		ops, err = wire.ParseOps(body, nil)
+	}
+	var items []wire.Item
+	if err == nil {
+		items, err = runBatch(r.Context(), st, opt, t, ops)
+	}
+	if err != nil {
+		pagePool.Put(bp)
+		httpError(w, http.StatusBadRequest, "bad_request", "%v", err)
+		return
+	}
+	writePooled(w, batchContentType, bp, wire.AppendItems(body[:0], items), t.Log)
 }
 
 // ClampPage sizes the fetch for a paginated read: the offset points
@@ -870,11 +903,13 @@ var pagePool = sync.Pool{New: func() any { return new([]byte) }}
 
 const pagePoolMax = 1 << 20
 
-// pointsContentType and jsonContentType are the Content-Types of
-// writePage's two bodies, each one slice shared by every response so
-// the header costs no allocation of its own; nothing writes to them.
+// pointsContentType, batchContentType and jsonContentType are the
+// Content-Types of the bodies writePooled writes, each one slice shared
+// by every response so the header costs no allocation of its own;
+// nothing writes to them.
 var (
 	pointsContentType = []string{wire.PointsType}
+	batchContentType  = []string{wire.BatchType}
 	jsonContentType   = []string{"application/json"}
 )
 
@@ -882,14 +917,17 @@ var (
 // binary points body when points is set, else as JSON.
 func writePage(w http.ResponseWriter, points bool, off int, res []topk.Result, log *slog.Logger) {
 	bp := pagePool.Get().(*[]byte)
-	var b []byte
 	if points {
-		b = wire.AppendPoints((*bp)[:0], res)
-		w.Header()["Content-Type"] = pointsContentType
+		writePooled(w, pointsContentType, bp, wire.AppendPoints((*bp)[:0], res), log)
 	} else {
-		b = wire.AppendTopK((*bp)[:0], off, res)
-		w.Header()["Content-Type"] = jsonContentType
+		writePooled(w, jsonContentType, bp, wire.AppendTopK((*bp)[:0], off, res), log)
 	}
+}
+
+// writePooled writes b, a body appended into the pooled buffer bp,
+// under contentType, and returns the buffer to pagePool.
+func writePooled(w http.ResponseWriter, contentType []string, bp *[]byte, b []byte, log *slog.Logger) {
+	w.Header()["Content-Type"] = contentType
 	if _, err := w.Write(b); err != nil {
 		log.Error("response write failed", slog.String("err", err.Error()))
 	}
@@ -899,24 +937,39 @@ func writePage(w http.ResponseWriter, points bool, off int, res []topk.Result, l
 	}
 }
 
+// appendInsertAck and appendDeleteAck append the 200 bodies of a
+// synchronous /v1/insert and /v1/delete: the bytes encoding/json writes
+// for the maps {"ok": true, "n": n} and {"found": found, "n": n}, keys
+// sorted and a newline after, as TestGoldenBytes pins them.
+func appendInsertAck(dst []byte, n int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"n":`...), int64(n), 10)
+	return append(dst, `,"ok":true}`+"\n"...)
+}
+
+func appendDeleteAck(dst []byte, found bool, n int) []byte {
+	dst = strconv.AppendBool(append(dst, `{"found":`...), found)
+	dst = strconv.AppendInt(append(dst, `,"n":`...), int64(n), 10)
+	return append(dst, "}\n"...)
+}
+
 // errCode maps a topk sentinel error to an HTTP status and a stable
 // machine-readable code.
 func errCode(err error) (int, string) {
 	switch {
 	case errors.Is(err, topk.ErrDuplicatePosition):
-		return http.StatusConflict, "duplicate_position"
+		return http.StatusConflict, wire.CodeDuplicatePosition
 	case errors.Is(err, topk.ErrDuplicateScore):
-		return http.StatusConflict, "duplicate_score"
+		return http.StatusConflict, wire.CodeDuplicateScore
 	case errors.Is(err, topk.ErrInvalidPoint):
-		return http.StatusBadRequest, "invalid_point"
+		return http.StatusBadRequest, wire.CodeInvalidPoint
 	case errors.Is(err, topk.ErrNotFound):
-		return http.StatusNotFound, "not_found"
+		return http.StatusNotFound, wire.CodeNotFound
 	case errors.Is(err, topk.ErrNodeDown):
 		// A gateway whose member fleet cannot take the write reports
 		// the outage instead of masking it as an internal error.
-		return http.StatusServiceUnavailable, "node_down"
+		return http.StatusServiceUnavailable, wire.CodeNodeDown
 	default:
-		return http.StatusInternalServerError, "internal"
+		return http.StatusInternalServerError, wire.CodeInternal
 	}
 }
 

@@ -264,3 +264,50 @@ func TestBandEnforcement(t *testing.T) {
 		t.Fatalf("n = %d, want the 2 in-band inserts", idx.Len())
 	}
 }
+
+// applyOnly is a member store that applies every update and holds
+// nothing, so a member's allocations are the serving stack's alone.
+type applyOnly struct {
+	topk.Store
+	n int
+}
+
+func (s *applyOnly) Len() int { return s.n }
+
+func (s *applyOnly) ApplyBatch(ops []topk.BatchOp) []error {
+	s.n += len(ops)
+	return make([]error, len(ops))
+}
+
+// TestClusterInsertAllocs pins the allocations of one warm single-op
+// Cluster.Insert against an in-process member, counted across the whole
+// process: the gateway's ops body, the HTTP round trip both ways, the
+// member's handler and its items body. It measured 110 on go1.24 (147
+// when the hop spoke JSON through encoding/json); the ceiling leaves 2
+// for the runtime, and an encoding/json round trip put back on the hop
+// (make gate-negative) fails it.
+func TestClusterInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled paths are not meaningful under the race detector")
+	}
+	srv := httptest.NewServer(New(&applyOnly{}, Options{}))
+	defer srv.Close()
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	i := 0
+	insert := func() {
+		i++
+		if err := cl.Insert(float64(i), float64(i)+0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 100 {
+		insert()
+	}
+	if allocs := testing.AllocsPerRun(200, insert); allocs > 112 {
+		t.Fatalf("a warm single-op Cluster.Insert allocates %.1f times, want at most 112", allocs)
+	}
+}

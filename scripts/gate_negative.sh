@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Negative test of the //topk:nomalloc, atomics and label gates: copy
-# the tree into a scratch dir, plant one violation per gate, and assert
-# the gate FAILS with findings (exit 1 exactly — an exit 2 would mean
-# the plant broke the build, which proves nothing). A gate that
-# cannot be shown to fail is not a gate.
+# Negative test of the //topk:nomalloc, atomics and label gates and of
+# the member hop's allocation pin: copy the tree into a scratch dir,
+# plant one violation per gate, and assert the gate FAILS with findings
+# (exit 1 exactly — an exit 2 would mean the plant broke the build,
+# which proves nothing). A gate that cannot be shown to fail is not a
+# gate.
 set -eu
 
 root=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
@@ -98,5 +99,22 @@ grep -qF "$count_marker" "$serve_go" || {
 sed -i 's/t\.TimeOpCtx(r\.Context(), "count")/t.TimeOpCtx(r.Context(), r.URL.Path)/' "$serve_go"
 expect_findings "planted request-derived TimeOpCtx label in /v1/count (boundedlabel)" \
 	"$topkvet" ./internal/serve/
+
+# 6. An encoding/json round trip put back on the gateway's /v1/batch
+#    hop: TestClusterInsertAllocs pins the allocations of a warm
+#    single-op Cluster.Insert and must fail. The test binary is built
+#    before it runs, so a plant that broke the build stops the script
+#    here rather than passing as a failed test.
+client_go="$scratch/repo/internal/cluster/client.go"
+items_marker='	if len(items) != nops {'
+copy_tree
+grep -qxF "$items_marker" "$client_go" || {
+	echo "gate-negative: /v1/batch items marker line not found; update this script" >&2
+	exit 1
+}
+sed -i "s/^$items_marker\$/\tif b, err := json.Marshal(items); err == nil {\n\t\t_ = json.Unmarshal(b, \&items)\n\t}\n$items_marker/" "$client_go"
+(cd "$scratch/repo" && go test -c -o "$scratch/serve.test" ./internal/serve/)
+expect_findings "planted encoding/json round trip on the /v1/batch hop (TestClusterInsertAllocs)" \
+	"$scratch/serve.test" -test.run '^TestClusterInsertAllocs$' -test.count=1
 
 echo "gate-negative: all planted violations were caught"
