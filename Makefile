@@ -69,7 +69,8 @@ analysis: fmt-check vet topkvet escapecheck
 # Negative test of the gates: copy the tree to a scratch dir, plant
 # one violation per gate (static alloc, heap escape, atomic-struct
 # copy, request-derived label, an encoding/json round trip on the
-# /v1/batch member hop), and assert each gate fails.
+# /v1/batch member hop, an http.Client on the member hop), and assert
+# each gate fails.
 gate-negative:
 	sh scripts/gate_negative.sh
 
@@ -118,6 +119,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzTopKQuery -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzReadRangeQuery -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzBatchJSON -fuzztime=$(FUZZTIME) ./internal/serve
+	go test -run='^$$' -fuzz=FuzzDecodePoint -fuzztime=$(FUZZTIME) ./internal/serve
 	go test -run='^$$' -fuzz=FuzzParseTopK -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzAppendTopK -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzParseOps -fuzztime=$(FUZZTIME) ./internal/wire

@@ -41,7 +41,9 @@ type ClusterConfig struct {
 	// to the member's band fail fast with ErrNodeDown.
 	EjectAfter int
 	EjectFor   time.Duration
-	// Transport overrides the pooled HTTP transport (tests).
+	// Transport overrides the pooled HTTP transport (tests). Like any
+	// http.RoundTripper it must not modify the requests it is given:
+	// member requests of one kind share their header map.
 	Transport http.RoundTripper
 	// Logger receives structured health events — member ejected /
 	// recovered, with node address, consecutive failures and the eject

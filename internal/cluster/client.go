@@ -6,6 +6,15 @@ package cluster
 // that already carries the per-request deadline (Cluster.callCtx), so
 // cancellation and timeouts thread end-to-end from the gateway's
 // caller down to the member's socket.
+//
+// A member RPC pays for the transport and little else: requests go
+// straight to the http.RoundTripper, with no http.Client and so no
+// redirect machinery (members never redirect; a 3xx is a failed
+// member like any other non-200); TopK and /v1/batch requests share
+// one immutable header per kind, which sends no User-Agent; and the
+// transport the cluster builds for itself asks for no gzip, which no
+// member sends. What remains per RPC is the per-call timeout context
+// and net/http's own request and response parsing.
 
 import (
 	"bytes"
@@ -27,7 +36,7 @@ import (
 // node is one member process of the cluster.
 type node struct {
 	addr string // normalized base URL, e.g. http://host:port
-	hc   *http.Client
+	rt   http.RoundTripper
 	// rpc is the cluster-shared per-member latency vec; do records
 	// every request under this node's address.
 	rpc *obs.Vec
@@ -63,27 +72,30 @@ func jsonInto(out any) func(io.Reader) error {
 }
 
 // do executes the request and hands a 200 body to read (nil: ignore
-// it). Transport failures and 5xx responses wrap ErrNodeDown (the
-// member is unreachable or broken), and so does a 200 that is not of
-// the media type the request's Accept header asked for, or whose body
-// read rejects; structured non-2xx envelopes map back to the library
-// sentinels (the member answered and rejected — not a node failure).
+// it). Transport failures, redirects (never followed) and 5xx
+// responses wrap ErrNodeDown (the member is unreachable or broken),
+// and so does a 200 that is not of the media type the request's Accept
+// header asked for, or whose body read rejects; structured non-2xx
+// envelopes map back to the library sentinels (the member answered and
+// rejected — not a node failure).
 //
 // Telemetry rides along here, on the one choke point every member
 // request passes through: the duration lands in the per-member latency
 // vec, and when the context carries a trace the ID is stamped on the
 // outgoing request (the member's middleware adopts it, so both ends
 // retain the same trace) with one child span per RPC hung off the
-// gateway's root.
+// gateway's root. A traced request stamps a copy of its header, which
+// may be one of the shared ones (topkHeader, batchHeader); an untraced
+// one pays for neither the copy nor the span's name.
 func (n *node) do(req *http.Request, read func(io.Reader) error) (err error) {
+	var sp *obs.Span
 	if tr := obs.FromContext(req.Context()); tr != nil {
+		sp = tr.StartSpan(req.Method+" "+req.URL.Path, n.addr)
+		req.Header = req.Header.Clone()
 		req.Header.Set(obs.TraceHeader, tr.ID)
-	}
-	sp := obs.StartSpan(req.Context(), req.Method+" "+req.URL.Path, n.addr)
-	if id := sp.ID(); id != "" {
 		// The member records this span as its trace's parent, and the
 		// gateway's stitcher splices the member tree back under it.
-		req.Header.Set(obs.ParentSpanHeader, id)
+		req.Header.Set(obs.ParentSpanHeader, sp.ID())
 	}
 	start := time.Now()
 	defer func() {
@@ -92,7 +104,7 @@ func (n *node) do(req *http.Request, read func(io.Reader) error) (err error) {
 		}
 		sp.End(err)
 	}()
-	resp, err := n.hc.Do(req)
+	resp, err := n.rt.RoundTrip(req)
 	if err != nil {
 		return fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
@@ -160,13 +172,14 @@ func readPooled(body io.Reader, parse func([]byte) error) error {
 	return parse(buf.Bytes())
 }
 
-// acceptPoints is the Accept header of every member TopK, and
-// batchType the Content-Type and Accept of every member /v1/batch: one
-// slice each, shared by every request so the headers cost no
-// allocation of their own; nothing writes to them.
+// topkHeader is the header of every member TopK, and batchHeader that
+// of every member /v1/batch: one map each, shared by every request of
+// its kind, so a request's header costs no allocation; nothing writes
+// to them (do stamps a traced request's copy). The empty User-Agent
+// keeps net/http from sending its default one, which no member reads.
 var (
-	acceptPoints = []string{wire.PointsType}
-	batchType    = []string{wire.BatchType}
+	topkHeader  = http.Header{"Accept": {wire.PointsType}, "User-Agent": {""}}
+	batchHeader = http.Header{"Accept": {wire.BatchType}, "Content-Type": {wire.BatchType}, "User-Agent": {""}}
 )
 
 // appendRange appends path and the query parameters x1 and x2 to u.
@@ -208,7 +221,7 @@ func (n *node) topk(ctx context.Context, dst []point.P, x1, x2 float64, k int) (
 	if err != nil {
 		return dst, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
-	req.Header["Accept"] = acceptPoints
+	req.Header = topkHeader
 	out := dst
 	err = n.do(req, func(body io.Reader) error {
 		return readPooled(body, func(b []byte) (err error) {
@@ -234,7 +247,7 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 
 // opsBody is the ops body (wire.BatchType) of one band's /v1/batch,
 // appended into a pooled buffer and sent to every replica the band
-// asks. net/http may close a request body after Client.Do returns, so
+// asks. net/http may close a request body after RoundTrip returns, so
 // each request holds a reference until its body is closed, as does the
 // caller while it builds and sends, and the buffer goes back to
 // opsPool when the last reference is dropped.
@@ -291,8 +304,7 @@ func (n *node) batch(ctx context.Context, ops *opsBody, nops int) ([]wire.Item, 
 		return nil, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
 	req.ContentLength = int64(len(ops.b))
-	req.Header["Content-Type"] = batchType
-	req.Header["Accept"] = batchType
+	req.Header = batchHeader
 	var items []wire.Item
 	err = n.do(req, func(body io.Reader) error {
 		return readPooled(body, func(b []byte) (err error) {
@@ -333,7 +345,7 @@ func (n *node) getRaw(ctx context.Context, path string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
-	resp, err := n.hc.Do(req)
+	resp, err := n.rt.RoundTrip(req)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}

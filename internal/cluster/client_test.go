@@ -37,7 +37,7 @@ func TestRangeBoundsRoundTrip(t *testing.T) {
 		w.Write(wire.AppendPoints(nil, nil))
 	}))
 	defer srv.Close()
-	n := &node{addr: srv.URL, hc: srv.Client()}
+	n := &node{addr: srv.URL, rt: srv.Client().Transport}
 	ctx := context.Background()
 	bounds := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, 5e-324, 1e+300, -1e-300, 123.25}
 	for _, lo := range bounds {

@@ -42,6 +42,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,6 +77,9 @@ type Config struct {
 	EjectFor time.Duration
 	// Transport overrides the pooled HTTP transport (tests; nil = a
 	// dedicated pooled transport owned — and closed — by the cluster).
+	// It gets every member request directly, no http.Client between,
+	// and requests of one kind share their header map, so like any
+	// http.RoundTripper it must not modify the requests it is given.
 	Transport http.RoundTripper
 	// Logger receives structured health events (member ejected /
 	// recovered). Nil discards.
@@ -174,13 +178,15 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	transport := cfg.Transport
 	if transport == nil {
+		// Members never compress, so asking for gzip would only cost a
+		// header on every request.
 		transport = &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     90 * time.Second,
+			DisableCompression:  true,
 		}
 	}
-	hc := &http.Client{Transport: transport}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -204,7 +210,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: duplicate member %s", addr)
 		}
 		seen[addr] = true
-		c.nodes = append(c.nodes, &node{addr: addr, hc: hc, rpc: c.rpc})
+		c.nodes = append(c.nodes, &node{addr: addr, rt: transport, rpc: c.rpc})
 	}
 
 	// Discover each member's band, in parallel.
@@ -326,8 +332,9 @@ func (c *Cluster) Boundaries() []float64 {
 // failed.
 func (c *Cluster) readFrom(ctx context.Context, g *group, call func(ctx context.Context, n *node) error) error {
 	start := int(g.next.Add(1))
-	order := make([]*node, 0, len(g.nodes))
-	var ejected []*node
+	// The order lives on the stack for up to 8 replicas.
+	var orderBuf, ejectedBuf [8]*node
+	order, ejected := orderBuf[:0], ejectedBuf[:0]
 	for i := 0; i < len(g.nodes); i++ {
 		n := g.nodes[(start+i)%len(g.nodes)]
 		if n.isEjected() {
@@ -488,6 +495,7 @@ func (c *Cluster) Delete(ctx context.Context, p point.P) bool {
 // its optimistic effects if the member rejects it.
 type pending struct {
 	op     int
+	band   int // the index of the owning group
 	insert bool
 	p      point.P
 	// For deletes: whether the gateway registries contained the
@@ -518,7 +526,10 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		return nil
 	}
 	res := make([]error, len(ops))
-	perGroup := make([][]pending, len(c.groups))
+	// The ops headed for the wire; a batch of up to 16 keeps them on
+	// the stack.
+	var pdBuf [16]pending
+	pds := pdBuf[:0]
 
 	// Gateway-side pass, in batch order under one registry lock:
 	// reject inserts duplicating anything this gateway knows, and
@@ -542,7 +553,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		gi := c.locate(p.Score)
 		if op.Delete {
 			hp, hs := c.positions.Remove(p.X), c.scores.Remove(p.Score)
-			perGroup[gi] = append(perGroup[gi], pending{op: i, p: p, hadPos: hp, hadScore: hs})
+			pds = append(pds, pending{op: i, band: gi, p: p, hadPos: hp, hadScore: hs})
 			continue
 		}
 		if !c.positions.Add(p.X) {
@@ -554,20 +565,33 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 			res[i] = core.ErrDuplicateScore
 			continue
 		}
-		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: p})
+		pds = append(pds, pending{op: i, band: gi, insert: true, p: p})
 	}
 	c.dupMu.Unlock()
+	if len(pds) == 0 {
+		return res
+	}
 
+	// Each band's sub-batch is one run of pds, in batch order. A batch
+	// on one band, as every single-op write is, ships inline from this
+	// stack; the bands of a wider batch ship in parallel, from a copy
+	// their goroutines share.
+	slices.SortStableFunc(pds, func(a, b pending) int { return a.band - b.band })
+	if pds[0].band == pds[len(pds)-1].band {
+		c.applyGroup(ctx, c.groups[pds[0].band], pds, res)
+		return res
+	}
 	var fns []func()
-	for gi := range perGroup {
-		if len(perGroup[gi]) == 0 {
-			continue
+	for rest := slices.Clone(pds); len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].band == rest[0].band {
+			n++
 		}
-		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], res) })
+		run := rest[:n]
+		fns = append(fns, func() { c.applyGroup(ctx, c.groups[run[0].band], run, res) })
+		rest = rest[n:]
 	}
-	if len(fns) > 0 {
-		merge.Parallel(fns)
-	}
+	merge.Parallel(fns)
 	return res
 }
 
@@ -600,22 +624,23 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 		}
 		ops.b = wire.AppendOp(ops.b, op)
 	}
-	items := make([][]wire.Item, len(g.nodes))
-	errs := make([]error, len(g.nodes))
-	fns := make([]func(), len(g.nodes))
-	for ri, n := range g.nodes {
-		fns[ri] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			items[ri], errs[ri] = n.batch(cctx, ops, len(pds))
-			if errs[ri] != nil && errors.Is(errs[ri], ErrNodeDown) {
-				c.markFailed(n)
-			} else {
-				c.markUp(n)
-			}
+	// A group of one writes inline, its outcome on this stack; the
+	// replicas of a larger group write in parallel.
+	nops := len(pds)
+	var items1 [1][]wire.Item
+	var errs1 [1]error
+	items, errs := items1[:], errs1[:]
+	if len(g.nodes) == 1 {
+		items[0], errs[0] = c.writeReplica(ctx, g.nodes[0], ops, nops)
+	} else {
+		itemsN, errsN := make([][]wire.Item, len(g.nodes)), make([]error, len(g.nodes))
+		fns := make([]func(), len(g.nodes))
+		for ri, n := range g.nodes {
+			fns[ri] = func() { itemsN[ri], errsN[ri] = c.writeReplica(ctx, n, ops, nops) }
 		}
+		merge.Parallel(fns)
+		items, errs = itemsN, errsN
 	}
-	merge.Parallel(fns)
 	for _, err := range errs {
 		if err != nil {
 			fail(fmt.Errorf("cluster: band [%g, %g) write failed (replicas may need reload): %w", g.lo, g.hi, err))
@@ -651,6 +676,22 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 	if len(undo) > 0 {
 		c.rollback(undo, nil)
 	}
+}
+
+// writeReplica sends one band's ops body, of nops ops, to the replica
+// n under its own deadline, and feeds the outcome into the health
+// accounting: a node-level failure marks n failed, and anything else,
+// a rejection included, marks it up.
+func (c *Cluster) writeReplica(ctx context.Context, n *node, ops *opsBody, nops int) ([]wire.Item, error) {
+	cctx, cancel := c.callCtx(ctx)
+	defer cancel()
+	items, err := n.batch(cctx, ops, nops)
+	if err != nil && errors.Is(err, ErrNodeDown) {
+		c.markFailed(n)
+	} else {
+		c.markUp(n)
+	}
+	return items, err
 }
 
 // code is the outcome code of item: "" for an applied op, which is

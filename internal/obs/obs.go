@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -100,11 +101,15 @@ func EndpointLabel(path string) string {
 }
 
 // statusWriter captures the response status for the request log and
-// the trace.
+// the trace. Middleware takes one from statusPool per request and puts
+// it back once the handler has returned, so a request costs no wrapper
+// allocation; a handler may not use its ResponseWriter after returning.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 }
+
+var statusPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
@@ -132,13 +137,17 @@ func (t *Telemetry) Middleware(next http.Handler) http.Handler {
 			r = r.WithContext(WithTrace(r.Context(), tr))
 		}
 
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := statusPool.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)
+		status := sw.status
+		*sw = statusWriter{}
+		statusPool.Put(sw)
 
 		d := time.Since(start)
 		endpoint := EndpointLabel(r.URL.Path)
 		t.HTTP.Observe(endpoint, d)
-		t.Tracer.Finish(tr, sw.status)
+		t.Tracer.Finish(tr, status)
 
 		lvl := slog.LevelDebug
 		msg := "request"
@@ -156,7 +165,7 @@ func (t *Telemetry) Middleware(next http.Handler) http.Handler {
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.String("op", endpoint),
-				slog.Int("status", sw.status),
+				slog.Int("status", status),
 				slog.Duration("dur", d),
 			)
 		}

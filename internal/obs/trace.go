@@ -218,12 +218,6 @@ func FromContext(ctx context.Context) *Trace {
 	return t
 }
 
-// StartSpan opens a child span under ctx's trace, or returns nil (End
-// is nil-safe) when the request is not being traced.
-func StartSpan(ctx context.Context, name, addr string) *Span {
-	return FromContext(ctx).StartSpan(name, addr)
-}
-
 // Ring is a bounded in-memory store addressed by ID: fixed capacity,
 // oldest evicted first. The tracer keeps finished traces in one, and
 // the serving layer keeps async-ack write outcomes in another.

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	topk "repro"
 )
@@ -135,6 +139,49 @@ func FuzzReadRangeQuery(f *testing.F) {
 		} {
 			if c.got != want.Get(c.key) {
 				t.Fatalf("readRangeQuery(%q).%s = %q, url.ParseQuery gives %q", raw, c.key, c.got, want.Get(c.key))
+			}
+		}
+	})
+}
+
+// FuzzDecodePoint holds decodePoint, the /v1/insert and /v1/delete body
+// reader, to json.NewDecoder(...).Decode on every body: the same value,
+// bit for bit, and the same error or none, read whole or a byte at a
+// time.
+func FuzzDecodePoint(f *testing.F) {
+	for _, s := range []string{
+		`{"x":150000.5,"score":2}`,
+		`{"x":-0,"score":1e-400}` + "\n",
+		`{"x":1E+2,"score":-0.5e-3} ` + "\t\r\n",
+		`{"x":0.30000000000000004,"score":-1.7976931348623157e+308}`,
+		`{"score":2,"x":1}`,
+		`{"X":1,"score":2}`,
+		`{"x":1,"score":2,"y":3}`,
+		`{"x":null,"score":2}`,
+		`{"x":1e400,"score":2}`,
+		`{"x":01,"score":2}`,
+		`{"x":1.,"score":2}`,
+		`{"x":-,"score":2}`,
+		`{"x":1,"score":2}garbage`,
+		`{"x":1,"score":2} {"x":3}`,
+		`{"x":"1","score":2}`,
+		` {"x":1,"score":2}`,
+		`{"x":1,"score":2`,
+		`{"x":1,"score":` + strings.Repeat("9", 200) + `}`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want topk.Result
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		for _, r := range []io.Reader{bytes.NewReader(body), iotest.OneByteReader(bytes.NewReader(body))} {
+			got, err := decodePoint(r)
+			if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+				t.Fatalf("%q: decodePoint read %v, encoding/json %v", body, got, want)
+			}
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%q: decodePoint erred %v, encoding/json %v", body, err, wantErr)
 			}
 		}
 	})

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"math"
@@ -129,8 +130,8 @@ func New(st topk.Store, opt Options) http.Handler {
 	}
 
 	handle("POST", "/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req topk.Result
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := decodePoint(r.Body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
 		}
@@ -156,7 +157,7 @@ func New(st topk.Store, opt Options) http.Handler {
 		// concurrent duplicates race to one 200 and one 409 — and a
 		// duplicate score anywhere in the fleet is a 409 too.
 		st := bindStore(st, r)
-		err := func() error { defer t.TimeOpCtx(r.Context(), "insert").End(); return st.Insert(req.X, req.Score) }()
+		err = func() error { defer t.TimeOpCtx(r.Context(), "insert").End(); return st.Insert(req.X, req.Score) }()
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -166,8 +167,8 @@ func New(st topk.Store, opt Options) http.Handler {
 	})
 
 	handle("POST", "/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req topk.Result
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := decodePoint(r.Body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
 		}
@@ -842,6 +843,102 @@ func unescapeQuery(s string) (string, bool) {
 	}
 	u, err := url.QueryUnescape(s)
 	return u, err == nil
+}
+
+// pointPrefix is how much of a /v1/insert or /v1/delete body
+// decodePoint reads before it decides how to decode it: a canonical body
+// of two float64s in their longest shortest spellings takes 63 bytes.
+const pointPrefix = 128
+
+var prefixPool = sync.Pool{New: func() any { return new([pointPrefix]byte) }}
+
+// decodePoint reads the point of a /v1/insert or /v1/delete body, as
+// json.NewDecoder(body).Decode would, with the same value or the same
+// error. A body that ends within pointPrefix bytes and has the
+// canonical form {"x":<number>,"score":<number>}, then optional
+// whitespace, is parsed without reflection. Any other body goes to
+// encoding/json, over the bytes already read and the rest: other key
+// order or case, unknown keys, null, an out-of-range number, trailing
+// bytes and a longer body among them.
+func decodePoint(body io.Reader) (topk.Result, error) {
+	buf := prefixPool.Get().(*[pointPrefix]byte)
+	defer prefixPool.Put(buf)
+	n, err := io.ReadFull(body, buf[:])
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		if p, ok := parsePoint(buf[:n]); ok {
+			return p, nil
+		}
+	}
+	var p topk.Result
+	err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&p)
+	return p, err
+}
+
+// parsePoint parses b if it is a canonical point body: exactly
+// {"x":<number>,"score":<number>} and optional JSON whitespace, both
+// numbers of the JSON grammar and in float64's range.
+func parsePoint(b []byte) (p topk.Result, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte(`{"x":`)); !ok {
+		return p, false
+	}
+	if p.X, b, ok = cutNumber(b); !ok {
+		return p, false
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"score":`)); !ok {
+		return p, false
+	}
+	if p.Score, b, ok = cutNumber(b); !ok {
+		return p, false
+	}
+	if b, ok = bytes.CutPrefix(b, []byte("}")); !ok {
+		return p, false
+	}
+	return p, len(bytes.TrimLeft(b, " \t\r\n")) == 0
+}
+
+// cutNumber parses the JSON number b opens with, as encoding/json
+// would, and returns the bytes after it; ok is false when b opens with
+// no number of the JSON grammar, or with one out of float64's range.
+func cutNumber(b []byte) (f float64, rest []byte, ok bool) {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i)
+	default:
+		return 0, nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		start := i + 1
+		if i = skipDigits(b, start); i == start {
+			return 0, nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start := i
+		if i = skipDigits(b, i); i == start {
+			return 0, nil, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[:i]), 64)
+	return f, b[i:], err == nil
+}
+
+// skipDigits returns the index of the first byte of b at or after i
+// that is not an ASCII digit.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // encBuf is a pooled response-encode buffer with a json.Encoder bound

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Negative test of the //topk:nomalloc, atomics and label gates and of
-# the member hop's allocation pin: copy the tree into a scratch dir,
+# the member hop's allocation pins: copy the tree into a scratch dir,
 # plant one violation per gate, and assert the gate FAILS with findings
 # (exit 1 exactly — an exit 2 would mean the plant broke the build,
 # which proves nothing). A gate that cannot be shown to fail is not a
@@ -116,5 +116,20 @@ sed -i "s/^$items_marker\$/\tif b, err := json.Marshal(items); err == nil {\n\t\
 (cd "$scratch/repo" && go test -c -o "$scratch/serve.test" ./internal/serve/)
 expect_findings "planted encoding/json round trip on the /v1/batch hop (TestClusterInsertAllocs)" \
 	"$scratch/serve.test" -test.run '^TestClusterInsertAllocs$' -test.count=1
+
+# 7. An http.Client put back on the member hop, in node.do, which every
+#    TopK takes: its redirect machinery costs allocations a member RPC
+#    never uses, so TestClusterTopKAllocs, which pins the allocations of
+#    a warm single-member Cluster.TopK, must fail. Built as in plant 6.
+rt_marker='	resp, err := n.rt.RoundTrip(req)'
+copy_tree
+grep -qxF "$rt_marker" "$client_go" || {
+	echo "gate-negative: member hop RoundTrip marker line not found; update this script" >&2
+	exit 1
+}
+sed -i "0,/^$rt_marker\$/s//\tresp, err := (\&http.Client{Transport: n.rt}).Do(req)/" "$client_go"
+(cd "$scratch/repo" && go test -c -o "$scratch/serve.test" ./internal/serve/)
+expect_findings "planted http.Client on the member hop (TestClusterTopKAllocs)" \
+	"$scratch/serve.test" -test.run '^TestClusterTopKAllocs$' -test.count=1
 
 echo "gate-negative: all planted violations were caught"
