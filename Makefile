@@ -69,8 +69,9 @@ analysis: fmt-check vet topkvet escapecheck
 # Negative test of the gates: copy the tree to a scratch dir, plant
 # one violation per gate (static alloc, heap escape, atomic-struct
 # copy, request-derived label, an encoding/json round trip on the
-# /v1/batch member hop, an http.Client on the member hop), and assert
-# each gate fails.
+# /v1/batch member hop, an http.Client on the member hop, a map
+# grouping on the router's one-shard write path), and assert each gate
+# fails.
 gate-negative:
 	sh scripts/gate_negative.sh
 

@@ -93,12 +93,9 @@ type Batched struct {
 	b     *ingest.Batcher
 }
 
-// Batched is a Store; compile-time assertion (works over any Store:
-// Index must be wrapped in a concurrency-safe guard first — e.g.
-// serve.LockedIndex — since the batcher is called concurrently).
-var _ Store = (*Batched)(nil)
-
-// NewBatched wraps st with the group-commit write path.
+// NewBatched wraps st with the group-commit write path. st may be any
+// Store, but an Index must be wrapped in a concurrency-safe guard first
+// (e.g. serve.LockedIndex), since the batcher calls it concurrently.
 func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 	if st == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrConfig)
@@ -213,34 +210,17 @@ func (bt *Batched) Close() error {
 	return nil
 }
 
-// WithContext returns a view whose reads and explicit ApplyBatch are
-// bound to ctx (when the inner store supports binding — the cluster
-// tier does); single-op writes keep flowing through the shared
-// batcher, whose flushes are not per-caller and so cannot carry one
-// caller's context.
+// WithContext returns the store with its reads and explicit ApplyBatch
+// bound to ctx, when the inner store can bind one (the cluster tier
+// can): a *Batched over the inner store's WithContext view, sharing
+// this one's batcher. Single-op writes keep flowing through that
+// shared batcher, whose flushes are not per-caller and so cannot carry
+// one caller's context. Over an inner store that cannot bind, it
+// returns bt.
 func (bt *Batched) WithContext(ctx context.Context) Store {
 	in, ok := bt.inner.(interface{ WithContext(context.Context) Store })
 	if !ok {
 		return bt
 	}
-	return &boundBatched{Batched: bt, view: in.WithContext(ctx)}
-}
-
-// boundBatched is the ctx-bound view of a Batched store: reads go to
-// the bound inner view, writes to the shared batcher.
-type boundBatched struct {
-	*Batched
-	view Store
-}
-
-func (bb *boundBatched) TopK(x1, x2 float64, k int) []Result { return bb.view.TopK(x1, x2, k) }
-func (bb *boundBatched) QueryBatch(qs []Query) [][]Result    { return bb.view.QueryBatch(qs) }
-func (bb *boundBatched) Count(x1, x2 float64) int            { return bb.view.Count(x1, x2) }
-func (bb *boundBatched) ApplyBatch(ops []BatchOp) []error {
-	bb.b.Commit()
-	return bb.view.ApplyBatch(ops)
-}
-func (bb *boundBatched) Len() int {
-	bb.b.Commit()
-	return bb.view.Len()
+	return &Batched{inner: in.WithContext(ctx), b: bt.b}
 }

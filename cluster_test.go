@@ -10,6 +10,7 @@ package topk_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -1201,4 +1202,108 @@ func TestClusterRegistryRollback(t *testing.T) {
 	// An insert to a dark band fails and releases its position.
 	insert(40, 0.45, topk.ErrNodeDown)
 	insert(40, 0.95, nil)
+}
+
+// TestClusterDuplicateScoreBatch: the gateway's score registry keeps
+// a batch's outcomes equal to an Index's. It rejects a duplicate of a
+// score written through this gateway before the insert reserves its
+// position, so a later insert at that position in the same batch
+// applies; a group-commit Batched puts concurrent single-op writes into
+// one such batch. A preloaded duplicate score is left to its member,
+// and while that band is dark only the registry can tell it from a
+// fresh one.
+func TestClusterDuplicateScoreBatch(t *testing.T) {
+	// (10, 0.3) is preloaded, so the gateway has never seen it.
+	fleet := bootFleet(t, []topk.Result{{X: 10, Score: 0.3}}, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ops := []topk.BatchOp{{X: 30, Score: 0.4}, {X: 31, Score: 0.4}, {X: 31, Score: 0.41}, {X: 32, Score: 0.42}}
+	oracle, err := topk.New(testClusterCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []topk.Store{cl, oracle} {
+		res := st.ApplyBatch(ops)
+		for i, want := range []error{nil, topk.ErrDuplicateScore, nil, nil} {
+			if !errors.Is(res[i], want) {
+				t.Fatalf("%T: batch op %d: %v, want %v", st, i, res[i], want)
+			}
+		}
+	}
+	if got, want := cl.TopK(0, 100, 5), oracle.TopK(0, 100, 5); len(got) != 4 || !reflect.DeepEqual(got[:3], want) {
+		t.Fatalf("TopK = %v, want (10, 0.3) and %v", got, want)
+	}
+
+	fleet.servers[0][0].Close()
+	insert := func(x, score float64, want error) {
+		t.Helper()
+		if err := cl.Insert(x, score); !errors.Is(err, want) {
+			t.Fatalf("Insert(%v, %v) = %v, want %v", x, score, err, want)
+		}
+	}
+	insert(40, 0.4, topk.ErrDuplicateScore) // written through the gateway
+	insert(40, 0.3, topk.ErrNodeDown)       // preloaded
+	insert(40, 0.75, nil)
+}
+
+// TestClusterCallerHangUp: a caller that hangs up is not a failed
+// member. Reads and a write through a view bound to a cancelled
+// context fail their member RPCs, more of them than EjectAfter, yet
+// the member stays in and the next write through the cluster lands. An
+// expired per-call Timeout still counts against the member.
+func TestClusterCallerHangUp(t *testing.T) {
+	pts := uniformResults(99, 500, 1e6)
+	st, err := topk.LoadSharded(topk.ShardedConfig{Config: testClusterCfg(), Shards: 2}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := serve.New(st, serve.Options{})
+	var stall atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if stall.Load() {
+			<-r.Context().Done() // until the gateway gives up
+			return
+		}
+		member.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: []string{srv.URL}, Timeout: 200 * time.Millisecond, EjectAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	view := cl.WithContext(ctx)
+	for range 3 {
+		if got := view.TopK(0, 1e6, 5); got != nil {
+			t.Fatalf("TopK through a hung-up caller answered %v", got)
+		}
+	}
+	if err := view.Insert(2e6, 5); !errors.Is(err, topk.ErrNodeDown) {
+		t.Fatalf("Insert through a hung-up caller: %v, want ErrNodeDown", err)
+	}
+	if n, e := cl.Ejected(), cl.Ejections(); n != 0 || e != 0 {
+		t.Fatalf("after hung-up callers: Ejected = %d, Ejections = %d; want 0 and 0", n, e)
+	}
+	if err := cl.Insert(2e6, 5); err != nil {
+		t.Fatalf("Insert after hung-up callers: %v", err)
+	}
+	if got := cl.TopK(0, 3e6, 1); len(got) != 1 || got[0] != (topk.Result{X: 2e6, Score: 5}) {
+		t.Fatalf("TopK after the insert = %v", got)
+	}
+
+	// A member that outlasts the per-call timeout is a failed member.
+	stall.Store(true)
+	for range 3 {
+		cl.TopK(0, 1e6, 5)
+	}
+	if n, e := cl.Ejected(), cl.Ejections(); n != 1 || e != 1 {
+		t.Fatalf("after three timed-out reads: Ejected = %d, Ejections = %d; want 1 and 1", n, e)
+	}
+	stall.Store(false)
 }

@@ -66,11 +66,10 @@ func main() {
 	shards := flag.Int("shards", 8, "maximum shard count (sharded backend)")
 	b := flag.Int("B", 64, "block size in words per shard disk")
 	m := flag.Int("M", 0, "buffer-pool words (fleet total when sharded; 0 = default)")
-	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = min-split/2; negative disables merging)")
+	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = 256, half the smallest shard that splits; negative disables merging)")
 	maintenance := flag.Duration("maintenance", 0, "background maintenance interval for the sharded backend (merge/split sweeps while idle; 0 disables)")
 	n := flag.Int("n", 0, "synthetic points to generate for the preload (a -range member keeps those in its band)")
 	seed := flag.Int64("seed", 1, "preload workload seed")
-	forcePolylog := flag.Bool("force-polylog", true, "pin the §3.3 small-k component instead of the automatic regime test")
 	polylogF := flag.Int("polylog-f", 8, "§3.3 tree fanout f (0 = the paper's √(B·lg n))")
 	polylogLeafCap := flag.Int("polylog-leaf-cap", 2048, "§3.3 leaf capacity (0 = the paper's f·l·B)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout of gateway->member calls")
@@ -103,7 +102,6 @@ func main() {
 		Config: topk.Config{
 			BlockWords:     *b,
 			MemoryWords:    *m,
-			ForcePolylog:   *forcePolylog,
 			PolylogF:       *polylogF,
 			PolylogLeafCap: *polylogLeafCap,
 		},

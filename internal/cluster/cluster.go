@@ -216,8 +216,9 @@ func New(cfg Config) (*Cluster, error) {
 	// Discover each member's band, in parallel.
 	ranges := make([]rangeResp, len(c.nodes))
 	errs := make([]error, len(c.nodes))
-	c.eachMember(context.Background(), func(ctx context.Context, i int, n *node) {
+	c.eachMember(context.Background(), func(ctx context.Context, i int, n *node) error {
 		ranges[i], errs[i] = n.fetchRange(ctx)
+		return errs[i]
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -280,15 +281,15 @@ func (c *Cluster) callCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // eachMember calls call once for every member, all in parallel, each
-// under its own callCtx deadline derived from ctx, and returns when
-// every call has.
-func (c *Cluster) eachMember(ctx context.Context, call func(ctx context.Context, i int, n *node)) {
+// under its own callCtx deadline derived from ctx, feeds each outcome
+// into the health accounting, and returns when every call has.
+func (c *Cluster) eachMember(ctx context.Context, call func(ctx context.Context, i int, n *node) error) {
 	fns := make([]func(), len(c.nodes))
 	for i, n := range c.nodes {
 		fns[i] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
-			call(cctx, i, n)
+			c.mark(ctx, n, call(cctx, i, n))
 		}
 	}
 	merge.Parallel(fns)
@@ -327,8 +328,11 @@ func (c *Cluster) Boundaries() []float64 {
 // resort. A replica that fails with a node-level error is marked
 // (feeding the ejection accounting) and the next is tried; a
 // rejection-type error aborts immediately — the member answered, and
-// an alternate would answer the same. Returns nil on success, the
-// rejection, or an ErrNodeDown-wrapped error when every replica
+// an alternate would answer the same. So does a failure once the
+// caller's own context is done: the caller hung up, no replica can
+// answer it, and the failure is not held against the member. Returns
+// nil on success, the rejection, the failed call's error when the
+// caller hung up, or an ErrNodeDown-wrapped error when every replica
 // failed.
 func (c *Cluster) readFrom(ctx context.Context, g *group, call func(ctx context.Context, n *node) error) error {
 	start := int(g.next.Add(1))
@@ -349,17 +353,18 @@ func (c *Cluster) readFrom(ctx context.Context, g *group, call func(ctx context.
 		cctx, cancel := c.callCtx(ctx)
 		err := call(cctx, n)
 		cancel()
-		if err == nil {
-			c.markUp(n)
+		if err != nil && !errors.Is(err, ErrNodeDown) {
+			return err
+		}
+		if c.mark(ctx, n, err) {
 			if attempts > 0 {
 				c.failovers.Add(1)
 			}
 			return nil
 		}
-		if !errors.Is(err, ErrNodeDown) {
+		if ctx.Err() != nil {
 			return err
 		}
-		c.markFailed(n)
 		attempts++
 	}
 	return fmt.Errorf("cluster: band [%g, %g): %w: all %d replicas failed", g.lo, g.hi, ErrNodeDown, len(g.nodes))
@@ -680,14 +685,14 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 
 // writeReplica sends one band's ops body, of nops ops, to the replica
 // n under its own deadline, and feeds the outcome into the health
-// accounting: a node-level failure marks n failed, and anything else,
-// a rejection included, marks it up.
+// accounting: a node-level failure marks n failed unless the caller
+// hung up, and anything else, a rejection included, marks it up.
 func (c *Cluster) writeReplica(ctx context.Context, n *node, ops *opsBody, nops int) ([]wire.Item, error) {
 	cctx, cancel := c.callCtx(ctx)
 	defer cancel()
 	items, err := n.batch(cctx, ops, nops)
-	if err != nil && errors.Is(err, ErrNodeDown) {
-		c.markFailed(n)
+	if errors.Is(err, ErrNodeDown) {
+		c.mark(ctx, n, err)
 	} else {
 		c.markUp(n)
 	}
@@ -744,9 +749,10 @@ type Stats struct {
 func (c *Cluster) Stats(ctx context.Context) Stats {
 	per := make([]statsResp, len(c.nodes))
 	ok := make([]bool, len(c.nodes))
-	c.eachMember(ctx, func(ctx context.Context, i int, n *node) {
+	c.eachMember(ctx, func(ctx context.Context, i int, n *node) error {
 		s, err := n.stats(ctx)
-		per[i], ok[i] = s, c.mark(n, err)
+		per[i], ok[i] = s, err == nil
+		return err
 	})
 	var out Stats
 	for i := range per {
@@ -776,8 +782,8 @@ func (c *Cluster) DropCache(ctx context.Context) {
 }
 
 func (c *Cluster) adminFanOut(ctx context.Context, call func(*node, context.Context) error) {
-	c.eachMember(ctx, func(ctx context.Context, _ int, n *node) {
-		c.mark(n, call(n, ctx))
+	c.eachMember(ctx, func(ctx context.Context, _ int, n *node) error {
+		return call(n, ctx)
 	})
 }
 
@@ -798,11 +804,12 @@ func (c *Cluster) ReadBands() *obs.CountHist { return &c.readBands }
 // member count so the caller can report fleet coverage.
 func (c *Cluster) ScrapeMetrics(ctx context.Context) ([]obs.MetricsPage, int) {
 	pages := make([]*obs.MetricsPage, len(c.nodes))
-	c.eachMember(ctx, func(ctx context.Context, i int, n *node) {
+	c.eachMember(ctx, func(ctx context.Context, i int, n *node) error {
 		body, err := n.getRaw(ctx, "/v1/metrics")
-		if c.mark(n, err) {
+		if err == nil {
 			pages[i] = &obs.MetricsPage{Node: n.addr, Body: body}
 		}
+		return err
 	})
 	out := make([]obs.MetricsPage, 0, len(pages))
 	for _, p := range pages {

@@ -54,15 +54,20 @@ func (c *Cluster) markFailed(n *node) {
 }
 
 // mark feeds the outcome of one member call into the health
-// accounting — markFailed on err, markUp on success — and reports
-// whether the call succeeded.
-func (c *Cluster) mark(n *node, err error) bool {
-	if err != nil {
+// accounting — markUp on success, markFailed on err — and reports
+// whether the call succeeded. ctx is the caller's own context, not the
+// call's: a call that failed once its caller hung up says nothing about
+// the member and counts neither way, while an expired per-call
+// Config.Timeout leaves ctx live and counts against the member.
+func (c *Cluster) mark(ctx context.Context, n *node, err error) bool {
+	switch {
+	case err == nil:
+		c.markUp(n)
+		return true
+	case ctx.Err() == nil:
 		c.markFailed(n)
-		return false
 	}
-	c.markUp(n)
-	return true
+	return false
 }
 
 // markUp records one successful interaction, clearing failure state.
@@ -143,8 +148,8 @@ func (c *Cluster) startProber() {
 // probeAll health-checks every node once, in parallel, each under the
 // configured request timeout.
 func (c *Cluster) probeAll() {
-	c.eachMember(context.Background(), func(ctx context.Context, _ int, n *node) {
-		c.mark(n, n.probe(ctx))
+	c.eachMember(context.Background(), func(ctx context.Context, _ int, n *node) error {
+		return n.probe(ctx)
 	})
 }
 

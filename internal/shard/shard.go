@@ -38,8 +38,11 @@
 //     hooks.
 //
 // This file holds what the layers share: Options, the shard and
-// Router types, the constructors, and the update paths (Insert,
-// Delete, ApplyBatch) with the fleet-wide duplicate guard they share.
+// Router types, the constructors, the fleet-wide duplicate guard, and
+// the one write path. Insert and Delete are one-op batches held on the
+// stack, and they and ApplyBatch all run through apply: it groups the
+// ops by shard, applies a one-shard batch on the caller's goroutine
+// under that shard's mutex, and fans a wider batch out in parallel.
 //
 // Shards split when insertion skew concentrates too large a share of
 // the live set in one of them (see skew): the overloaded
@@ -340,49 +343,18 @@ func (r *Router) Len() int { return int(r.n.Load()) }
 // the fleet guard's sentinel errors before anything is mutated, in
 // core.Guard's fixed order: core.ErrInvalidPoint, then
 // core.ErrDuplicatePosition, then core.ErrDuplicateScore, which
-// catches an equal score on a DIFFERENT shard too.
+// catches an equal score on a DIFFERENT shard too. An applied insert
+// re-checks its shard for overload and splits it.
 //
 // All router methods unlock with defer, so even an internal invariant
 // panic cannot wedge a shard for future requests.
 func (r *Router) Insert(p point.P) error {
-	overloaded, err := r.insertLocked(p)
-	if err != nil {
-		return err
-	}
-	if overloaded {
+	ops := [1]point.Op{{X: p.X, Score: p.Score}}
+	var res [1]error
+	if over, _ := r.apply(ops[:], res[:]); res[0] == nil && over {
 		r.splitOverloaded()
 	}
-	return nil
-}
-
-// insertLocked performs the insert under the topology read lock and
-// reports whether the target shard came out overloaded.
-func (r *Router) insertLocked(p point.P) (bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t := r.snapshot()
-	s := t.shards[t.locate(p.X)]
-	ln, err := func() (int, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return r.insertShard(s, p)
-	}()
-	if err != nil {
-		return false, err
-	}
-	return r.overloaded(t, ln, r.n.Add(1)), nil
-}
-
-// insertShard claims p in the fleet guard and inserts it into s. The
-// caller holds the topology read lock and s.mu. The claim is atomic
-// on the guard's mutex, so concurrent inserts of one position or one
-// score race to exactly one success, whichever shards they land on.
-func (r *Router) insertShard(s *shard, p point.P) (int, error) {
-	if err := r.reserve(p); err != nil {
-		return 0, err
-	}
-	s.ix.Insert(p)
-	return s.ix.Len(), nil
+	return res[0]
 }
 
 // Delete removes p, reporting whether it was present. Deletions are
@@ -390,34 +362,12 @@ func (r *Router) insertShard(s *shard, p point.P) (int, error) {
 // overloaded shard and splits, Delete re-checks for an underloaded one
 // and merges it away.
 func (r *Router) Delete(p point.P) bool {
-	found, under := r.deleteLocked(p)
-	if under {
+	ops := [1]point.Op{{Delete: true, X: p.X, Score: p.Score}}
+	var res [1]error
+	if _, under := r.apply(ops[:], res[:]); res[0] == nil && under {
 		r.mergeUnderloaded()
 	}
-	return found
-}
-
-// deleteLocked performs the delete under the topology read lock and
-// reports whether the target shard came out mergeable.
-func (r *Router) deleteLocked(p point.P) (found, under bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t := r.snapshot()
-	si := t.locate(p.X)
-	s := t.shards[si]
-	ln, ok := func() (int, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.ix.Delete(p) {
-			return 0, false
-		}
-		return s.ix.Len(), true
-	}()
-	if !ok {
-		return false, false
-	}
-	r.release(p)
-	return true, r.mergeable(t, si, ln, r.n.Add(-1))
+	return res[0] == nil
 }
 
 // ApplyBatch applies ops concurrently, grouping them by target shard
@@ -428,7 +378,10 @@ func (r *Router) deleteLocked(p point.P) (found, under bool) {
 // ranges). Note the interleaving is not chosen: an insert that reuses
 // a score deleted on a DIFFERENT shard in the same batch races the
 // delete and may be rejected — issue the deletes in their own batch
-// first when recycling scores.
+// first when recycling scores. Every shard the batch touched is
+// re-checked for overload and for underload, and splits run before
+// merges; hysteresis in the merge pass guarantees the two cannot undo
+// each other.
 //
 // The result reports one error per op: nil for an applied insert or a
 // delete that found its point; core.ErrNotFound for a delete of an
@@ -440,7 +393,7 @@ func (r *Router) ApplyBatch(ops []point.Op) []error {
 		return nil
 	}
 	res := make([]error, len(ops))
-	over, under := r.applyBatchLocked(ops, res)
+	over, under := r.apply(ops, res)
 	if over {
 		r.splitOverloaded()
 	}
@@ -450,69 +403,133 @@ func (r *Router) ApplyBatch(ops []point.Op) []error {
 	return res
 }
 
-// applyBatchLocked runs the batch under the topology read lock and
-// reports whether any touched shard came out overloaded or
-// underloaded (splits run before merges; hysteresis in the merge pass
-// guarantees the two cannot undo each other). The live counter is
-// maintained per op so it stays accurate even if a worker panics
-// mid-batch (internal invariant violations only; contract violations
-// are rejected per op).
-func (r *Router) applyBatchLocked(ops []point.Op, res []error) (over, under bool) {
+// task is one op of a batch on its way to its shard.
+type task struct {
+	op    point.Op
+	i     int   // the op's index in the batch
+	shard int   // the topology index of its shard
+	err   error // its outcome
+	size  int   // on a shard's first task: the shard's size after its ops
+}
+
+// apply is the one write path: it applies ops, at least one, under the
+// topology read lock, writes one outcome per op into res, and reports
+// whether any shard it touched came out overloaded or mergeable. A
+// batch on one shard, as every single-op write is, runs on the
+// caller's goroutine from a small stack array; a wider batch is
+// grouped by shard in batch order (byShard) and its shards run in
+// parallel. The live counter is maintained per op, so it stays
+// accurate even if a shard panics mid-batch (internal invariant
+// violations only; contract violations are rejected per op).
+func (r *Router) apply(ops []point.Op, res []error) (over, under bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t := r.snapshot()
-	groups := make(map[int][]int, len(t.shards))
-	for i, op := range ops {
-		// locate clamps NaN/±Inf to a shard, whose worker rejects a
-		// non-finite insert in the guard and reports a non-finite delete
-		// as ErrNotFound, matching Index.ApplyBatch.
-		si := t.locate(op.X)
-		groups[si] = append(groups[si], i)
+	// locate clamps NaN/±Inf to a shard, which rejects a non-finite
+	// insert in the guard and reports a non-finite delete as
+	// ErrNotFound, matching Index.ApplyBatch.
+	one := t.locate(ops[0].X)
+	for _, op := range ops[1:] {
+		if t.locate(op.X) != one {
+			one = -1
+			break
+		}
 	}
-	lens := make([]int, len(groups)) // final sizes of touched shards
-	sis := make([]int, len(groups))  // their topology indexes
-	fns := make([]func(), 0, len(groups))
-	nextSlot := 0
-	for si, idxs := range groups {
-		s, idxs, slot := t.shards[si], idxs, nextSlot
-		sis[slot] = si
-		nextSlot++
-		fns = append(fns, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for _, i := range idxs {
-				p := ops[i].Point()
-				if ops[i].Delete {
-					if s.ix.Delete(p) {
-						r.release(p)
-						r.n.Add(-1)
-					} else {
-						res[i] = core.ErrNotFound
-					}
-					continue
-				}
-				if _, err := r.insertShard(s, p); err != nil {
-					res[i] = err
-				} else {
-					r.n.Add(1)
-				}
-			}
-			lens[slot] = s.ix.Len()
-		})
+	var done []task
+	if one >= 0 {
+		var buf [16]task
+		tasks := buf[:0]
+		if len(ops) > len(buf) {
+			tasks = make([]task, 0, len(ops))
+		}
+		for i, op := range ops {
+			tasks = append(tasks, task{op: op, i: i, shard: one})
+		}
+		r.applyShard(t.shards[tasks[0].shard], tasks)
+		done = tasks
+	} else {
+		work := byShard(t, ops)
+		var fns []func()
+		for rest := work; len(rest) > 0; {
+			run := rest[:runLen(rest)]
+			fns = append(fns, func() { r.applyShard(t.shards[run[0].shard], run) })
+			rest = rest[len(run):]
+		}
+		merge.Parallel(fns)
+		done = work
 	}
-	merge.Parallel(fns)
 	total := r.n.Load()
-	for slot, ln := range lens {
-		if r.overloaded(t, ln, total) {
-			over = true
-		}
-		// All workers are done, so no shard mutex is held and
-		// mergeable may probe neighbor sizes.
-		if !under && r.mergeable(t, sis[slot], ln, total) {
-			under = true
-		}
+	for rest := done; len(rest) > 0; rest = rest[runLen(rest):] {
+		first := rest[0]
+		over = over || r.overloaded(t, first.size, total)
+		// No shard mutex is held now, so mergeable may probe the
+		// neighbors' sizes.
+		under = under || r.mergeable(t, first.shard, first.size, total)
+	}
+	for _, tk := range done {
+		res[tk.i] = tk.err
 	}
 	return over, under
+}
+
+// byShard returns ops as tasks grouped by shard, the shards in
+// topology order and each shard's ops in batch order: a counting sort
+// over t's shards, linear in the batch, which writes each task once.
+func byShard(t *topology, ops []point.Op) []task {
+	next := make([]int, len(t.shards)+1)
+	for _, op := range ops {
+		next[t.locate(op.X)+1]++
+	}
+	for si := 1; si < len(t.shards); si++ {
+		next[si] += next[si-1]
+	}
+	out := make([]task, len(ops))
+	for i, op := range ops {
+		si := t.locate(op.X)
+		out[next[si]] = task{op: op, i: i, shard: si}
+		next[si]++
+	}
+	return out
+}
+
+// runLen returns how many tasks at the head of tasks share its first
+// task's shard.
+func runLen(tasks []task) int {
+	n := 1
+	for n < len(tasks) && tasks[n].shard == tasks[0].shard {
+		n++
+	}
+	return n
+}
+
+// applyShard applies run, the ops of one batch on shard s, in order
+// under s's mutex, recording each op's outcome and, on run[0], the
+// shard's size after them. The caller holds the topology read lock.
+// An insert claims its position and score in the fleet guard before it
+// touches s; the claim is atomic on the guard's mutex, so concurrent
+// inserts of one position or one score race to exactly one success,
+// whichever shards they land on. A delete releases its claim once s
+// found the point.
+func (r *Router) applyShard(s *shard, run []task) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for j := range run {
+		tk := &run[j]
+		p := tk.op.Point()
+		switch {
+		case !tk.op.Delete:
+			if tk.err = r.reserve(p); tk.err == nil {
+				s.ix.Insert(p)
+				r.n.Add(1)
+			}
+		case s.ix.Delete(p):
+			r.release(p)
+			r.n.Add(-1)
+		default:
+			tk.err = core.ErrNotFound
+		}
+	}
+	run[0].size = s.ix.Len()
 }
 
 // CheckInvariants validates the topology (a contiguous cover of the

@@ -970,3 +970,63 @@ func TestRouterFanOutAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterWriteAllocs holds the router's one write path to its
+// budget: Insert and Delete pass a one-op batch from the stack, so a
+// warm single-op Insert plus Delete allocates exactly what the shard's
+// core.Index.Insert and Delete do, and a warm one-op ApplyBatch adds
+// only the result slice it returns.
+func TestRouterWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	pts := workload.NewGen(41).Uniform(16000, 1e6)
+	r := mustBulk(t, testOptions(4), pts, 4)
+	s := r.snapshot().shards[1]
+	// A fresh point inside shard 1: scores are uniform in [0, 1).
+	p := point.P{X: s.lo + (s.hi-s.lo)/3, Score: 2}
+	if i := r.snapshot().locate(p.X); i != 1 {
+		t.Fatalf("x=%g lands on shard %d; want 1", p.X, i)
+	}
+	ins := []point.Op{{X: p.X, Score: p.Score}}
+	del := []point.Op{{Delete: true, X: p.X, Score: p.Score}}
+
+	// A warm insert and delete of one point allocate a fixed few times,
+	// except that every few dozen updates one of the shard's §3.3
+	// structures rebuilds and allocates a few hundred times. The fewest
+	// allocations over ten pairs is the steady state, which a rebuild
+	// cannot reach.
+	fewest := func(pair func()) float64 {
+		least := math.Inf(1)
+		for range 10 {
+			least = min(least, testing.AllocsPerRun(1, pair))
+		}
+		return least
+	}
+	direct := fewest(func() {
+		s.mu.Lock()
+		s.ix.Insert(p)
+		s.ix.Delete(p)
+		s.mu.Unlock()
+	})
+	single := fewest(func() {
+		if r.Insert(p) != nil || !r.Delete(p) {
+			panic("single-op write failed")
+		}
+	})
+	batch := fewest(func() {
+		if r.ApplyBatch(ins)[0] != nil || r.ApplyBatch(del)[0] != nil {
+			panic("one-op batch failed")
+		}
+	})
+	t.Logf("allocations of a warm insert and delete: core %.0f, Insert+Delete %.0f, two one-op ApplyBatch calls %.0f", direct, single, batch)
+	if single > direct {
+		t.Errorf("Insert+Delete allocate %.0f times; core's own Insert+Delete %.0f: the router must add none", single, direct)
+	}
+	if batch > direct+2 {
+		t.Errorf("two one-op ApplyBatch calls allocate %.0f times; core's own %.0f plus the two result slices is %.0f", batch, direct, direct+2)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

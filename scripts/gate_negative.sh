@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Negative test of the //topk:nomalloc, atomics and label gates and of
-# the member hop's allocation pins: copy the tree into a scratch dir,
-# plant one violation per gate, and assert the gate FAILS with findings
-# (exit 1 exactly — an exit 2 would mean the plant broke the build,
-# which proves nothing). A gate that cannot be shown to fail is not a
-# gate.
+# the allocation pins of the member hop and the router's write path:
+# copy the tree into a scratch dir, plant one violation per gate, and
+# assert the gate FAILS with findings (exit 1 exactly — an exit 2 would
+# mean the plant broke the build, which proves nothing). A gate that
+# cannot be shown to fail is not a gate.
 set -eu
 
 root=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
@@ -131,5 +131,22 @@ sed -i "0,/^$rt_marker\$/s//\tresp, err := (\&http.Client{Transport: n.rt}).Do(r
 (cd "$scratch/repo" && go test -c -o "$scratch/serve.test" ./internal/serve/)
 expect_findings "planted http.Client on the member hop (TestClusterTopKAllocs)" \
 	"$scratch/serve.test" -test.run '^TestClusterTopKAllocs$' -test.count=1
+
+# 8. The map grouping put back on the router's one-shard write path,
+#    which every single-op Insert and Delete and every one-op ApplyBatch
+#    takes: TestRouterWriteAllocs, which pins the allocations of a warm
+#    Insert plus Delete and of two one-op ApplyBatch calls, must fail.
+#    Built as in plant 6.
+shard_go="$scratch/repo/internal/shard/shard.go"
+one_marker='		r.applyShard(t.shards[tasks[0].shard], tasks)'
+copy_tree
+grep -qxF "$one_marker" "$shard_go" || {
+	echo "gate-negative: one-shard write path marker line not found; update this script" >&2
+	exit 1
+}
+sed -i 's/^\t\tr\.applyShard(t\.shards\[tasks\[0\]\.shard\], tasks)$/\t\tgroups := make(map[int][]int, len(t.shards))\n\t\tfor i, tk := range tasks {\n\t\t\tgroups[tk.shard] = append(groups[tk.shard], i)\n\t\t}\n\t\t_ = groups\n&/' "$shard_go"
+(cd "$scratch/repo" && go test -c -o "$scratch/shard.test" ./internal/shard/)
+expect_findings "planted map grouping on the one-shard write path (TestRouterWriteAllocs)" \
+	"$scratch/shard.test" -test.run '^TestRouterWriteAllocs$' -test.count=1
 
 echo "gate-negative: all planted violations were caught"

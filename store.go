@@ -7,7 +7,7 @@ import (
 	"repro/internal/point"
 )
 
-// This file is the v1 API surface shared by both backends: the Store
+// This file is the v1 API surface shared by every tier: the Store
 // interface, the batched-read Query type, and the sentinel errors of
 // the error-returning update path. See DESIGN.md ("API v1") for the
 // error-semantics table.
@@ -38,17 +38,19 @@ var (
 // with position in [X1, X2].
 type Query = point.Query
 
-// Store is the serving interface implemented by both *Index (one
-// sequential EM machine) and *Sharded (a concurrent fleet of them).
-// Callers written against Store — cmd/topkd, internal/workload, the
-// examples — run unchanged on either backend, and any future backend
-// (merged shards, remote shards) drops in behind it.
+// Store is the serving interface, implemented by four tiers: *Index
+// (one sequential EM machine), *Sharded (a concurrent fleet of them
+// in one process), *Cluster (a gateway over remote topkd members, each
+// owning a score band) and *Batched (group commit over any other
+// Store). Callers written against Store — cmd/topkd, internal/workload,
+// the examples — run unchanged on any of them.
 //
 // Semantics are identical across implementations: TopK and QueryBatch
 // return byte-identical answers on the same point set, updates obey
 // the same error contract, and no method panics on caller input. The
-// difference is operational — *Index is not safe for concurrent use
-// (even queries mutate the buffer pool's LRU state), *Sharded is.
+// differences are operational — *Index is not safe for concurrent use
+// (even queries mutate the buffer pool's LRU state), the others are;
+// *Cluster adds ErrNodeDown for a band it cannot reach.
 //
 // Backend-specific surface stays off the interface and is probed with
 // type assertions where needed: *Sharded additionally offers shard
@@ -92,10 +94,12 @@ type Store interface {
 	DropCache()
 }
 
-// Both backends implement Store; compile-time assertion.
+// Every tier implements Store; compile-time assertion.
 var (
 	_ Store = (*Index)(nil)
 	_ Store = (*Sharded)(nil)
+	_ Store = (*Cluster)(nil)
+	_ Store = (*Batched)(nil)
 )
 
 // BatchOp is one operation of an ApplyBatch call: an insert of

@@ -1,10 +1,10 @@
 package topk
 
-// Tests of the v1 Store contract shared by both backends: the
-// sentinel-error paths of Insert/ApplyBatch and the differential
-// guarantee QueryBatch ≡ k sequential TopK calls (byte-identical,
-// boundary-straddling batches included, raced by concurrent writers
-// under -race).
+// Tests of the in-process backends' side of the v1 Store contract: the
+// fleet-wide score guard, batched reads raced by concurrent writers
+// under -race, ApplyBatch ≡ the op-by-op loop on Index, and the
+// lifecycle differential. The contract every tier shares is tested in
+// store_tiers_test.go.
 
 import (
 	"errors"
@@ -16,77 +16,6 @@ import (
 
 	"repro/internal/workload"
 )
-
-// storeBackends builds one instance of every Store implementation
-// over the same point set.
-func storeBackends(t *testing.T, pts []Result) map[string]Store {
-	t.Helper()
-	return map[string]Store{
-		"index":   mustLoad(t, Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}, pts),
-		"sharded": mustLoadSharded(t, testShardedConfig(4), pts),
-	}
-}
-
-// TestStoreErrorPaths: every sentinel error, on every backend, and
-// the guarantee that a rejected op mutates nothing.
-func TestStoreErrorPaths(t *testing.T) {
-	gen := workload.NewGen(61)
-	pts := gen.Uniform(2000, 1e6)
-	for name, st := range storeBackends(t, pts) {
-		t.Run(name, func(t *testing.T) {
-			n := st.Len()
-			live := st.TopK(math.Inf(-1), math.Inf(1), 1)[0]
-
-			for _, c := range []struct {
-				name       string
-				pos, score float64
-				want       error
-			}{
-				{"nan position", math.NaN(), 5e9, ErrInvalidPoint},
-				{"inf position", math.Inf(1), 5e9, ErrInvalidPoint},
-				{"nan score", 5e9, math.NaN(), ErrInvalidPoint},
-				{"-inf score", 5e9, math.Inf(-1), ErrInvalidPoint},
-				{"occupied position", live.X, 5e9, ErrDuplicatePosition},
-				{"occupied position, same score", live.X, live.Score, ErrDuplicatePosition},
-				{"live score elsewhere", 5e9, live.Score, ErrDuplicateScore},
-			} {
-				if err := st.Insert(c.pos, c.score); !errors.Is(err, c.want) {
-					t.Errorf("%s: Insert = %v, want %v", c.name, err, c.want)
-				}
-			}
-			if st.Len() != n {
-				t.Fatalf("rejected inserts changed Len: %d -> %d", n, st.Len())
-			}
-
-			// The same sentinels flow through ApplyBatch, plus
-			// ErrNotFound for absent deletes; valid ops in the same
-			// batch still apply.
-			res := st.ApplyBatch([]BatchOp{
-				{X: 5e9, Score: math.NaN()},
-				{X: live.X, Score: 6e9},
-				{X: 6e9, Score: live.Score},
-				{Delete: true, X: -5e9, Score: 1},
-				{Delete: true, X: math.NaN(), Score: 1}, // non-finite delete: not found, same as Index
-				{X: 7e9, Score: 7e9},
-				{Delete: true, X: 7e9, Score: 7e9},
-			})
-			want := []error{ErrInvalidPoint, ErrDuplicatePosition, ErrDuplicateScore, ErrNotFound, ErrNotFound, nil, nil}
-			for i, err := range res {
-				if !errors.Is(err, want[i]) {
-					t.Errorf("batch op %d: %v, want %v", i, err, want[i])
-				}
-			}
-			if st.Len() != n {
-				t.Fatalf("batch left Len %d, want %d", st.Len(), n)
-			}
-
-			// After every rejection the store still serves correctly.
-			if got := st.TopK(math.Inf(-1), math.Inf(1), 1)[0]; got != live {
-				t.Fatalf("top after rejections = %v, want %v", got, live)
-			}
-		})
-	}
-}
 
 // TestShardedCrossShardDuplicateScore pins the fleet-wide score
 // guard: the duplicate lives on a different shard than the insert
@@ -114,67 +43,6 @@ func TestShardedCrossShardDuplicateScore(t *testing.T) {
 	if got := idx.TopK(target, target, 1); len(got) != 1 || got[0].Score != victim.Score {
 		t.Fatalf("reinserted score not served: %v", got)
 	}
-}
-
-// TestQueryBatchDifferential: QueryBatch must equal k sequential TopK
-// calls byte-for-byte on both backends, including batches whose
-// queries straddle shard boundaries and degenerate queries.
-func TestQueryBatchDifferential(t *testing.T) {
-	gen := workload.NewGen(63)
-	pts := gen.Clustered(5000, 4, 1e6)
-	backends := storeBackends(t, pts)
-
-	qs := workloadQueries(gen, backends["sharded"].(*Sharded))
-	for name, st := range backends {
-		t.Run(name, func(t *testing.T) {
-			got := st.QueryBatch(qs)
-			if len(got) != len(qs) {
-				t.Fatalf("got %d answers for %d queries", len(got), len(qs))
-			}
-			for i, q := range qs {
-				want := st.TopK(q.X1, q.X2, q.K)
-				if !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("query %d (%+v):\n got %v\nwant %v", i, q, got[i], want)
-				}
-			}
-		})
-	}
-
-	// And across backends: batched answers agree between Index and
-	// Sharded.
-	a := backends["index"].QueryBatch(qs)
-	b := backends["sharded"].QueryBatch(qs)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("QueryBatch diverged between backends")
-	}
-
-	// Empty and nil batches.
-	for name, st := range backends {
-		if got := st.QueryBatch(nil); got != nil {
-			t.Fatalf("%s: QueryBatch(nil) = %v", name, got)
-		}
-	}
-}
-
-// workloadQueries builds a batch mixing random queries, queries
-// pinned to every shard boundary, degenerate and NaN queries.
-func workloadQueries(gen *workload.Gen, sharded *Sharded) []Query {
-	qs := gen.Queries(40, 1e6, 0.001, 0.9, 200)
-	for _, cut := range sharded.Boundaries() {
-		qs = append(qs,
-			Query{X1: cut - 1e4, X2: cut + 1e4, K: 17},
-			Query{X1: cut, X2: cut + 1e4, K: 5},
-			Query{X1: cut - 1e4, X2: cut, K: 5},
-		)
-	}
-	qs = append(qs,
-		Query{X1: math.Inf(-1), X2: math.Inf(1), K: 1 << 20}, // all shards, huge k
-		Query{X1: 10, X2: 5, K: 3},                           // inverted
-		Query{X1: 0, X2: 1e6, K: 0},                          // k = 0
-		Query{X1: math.NaN(), X2: 1e6, K: 3},                 // NaN bound
-		Query{X1: 2e6, X2: 3e6, K: 3},                        // empty range
-	)
-	return qs
 }
 
 // TestQueryBatchConcurrent is the -race workhorse for the batched
@@ -265,33 +133,6 @@ func TestIndexApplyBatchMatchesSequential(t *testing.T) {
 	for _, q := range gen.Queries(40, 1e6, 0.01, 0.7, 60) {
 		if !reflect.DeepEqual(batched.TopK(q.X1, q.X2, q.K), looped.TopK(q.X1, q.X2, q.K)) {
 			t.Fatalf("divergence on %+v", q)
-		}
-	}
-}
-
-// TestOversizedKClamped: the library read path must clamp a
-// caller-supplied k to the points actually available before anything
-// allocates — a direct Store user issuing k = MaxInt must get every
-// qualifying point back, not an OOM (topkd clamps over HTTP; the
-// library has to hold the same line on its own).
-func TestOversizedKClamped(t *testing.T) {
-	gen := workload.NewGen(81)
-	pts := gen.Uniform(500, 1e6)
-	for name, st := range storeBackends(t, pts) {
-		for _, k := range []int{501, 1 << 40, math.MaxInt} {
-			got := st.TopK(math.Inf(-1), math.Inf(1), k)
-			if len(got) != len(pts) {
-				t.Fatalf("%s: TopK(k=%d) returned %d points, want %d", name, k, len(got), len(pts))
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i].Score > got[i-1].Score {
-					t.Fatalf("%s: TopK(k=%d) out of order", name, k)
-				}
-			}
-			batch := st.QueryBatch([]Query{{X1: math.Inf(-1), X2: math.Inf(1), K: k}})
-			if !reflect.DeepEqual(batch[0], got) {
-				t.Fatalf("%s: QueryBatch(k=%d) diverged from TopK", name, k)
-			}
 		}
 	}
 }

@@ -25,7 +25,8 @@
 //
 // Misuse returns sentinel errors (ErrDuplicatePosition,
 // ErrDuplicateScore, ErrInvalidPoint) instead of panicking; see
-// store.go for the Store interface both backends implement.
+// store.go for the Store interface that all four tiers implement:
+// Index, Sharded, Cluster and Batched.
 //
 // The disk is simulated (DESIGN.md, substitution 1): I/Os are counted
 // through an LRU buffer pool exactly as the Aggarwal–Vitter model
