@@ -127,6 +127,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/wire
 	go test -run='^$$' -fuzz=FuzzGuard -fuzztime=$(FUZZTIME) ./internal/core
 	go test -run='^$$' -fuzz=FuzzSortByScoreDesc -fuzztime=$(FUZZTIME) ./internal/point
+	go test -run='^$$' -fuzz=FuzzSortByX -fuzztime=$(FUZZTIME) ./internal/point
 	go test -run='^$$' -fuzz=FuzzBulkBuild -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/core
 	go test -run='^$$' -fuzz=FuzzStores -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x .
 

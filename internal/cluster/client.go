@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -150,8 +149,8 @@ func (n *node) probe(ctx context.Context) error {
 }
 
 // bodyPool holds the buffers readPooled reads member bodies into.
-// Only buffers up to bodyPoolMax go back, to it and to opsPool, so one
-// giant body does not pin its buffer for the life of the process.
+// Only buffers up to bodyPoolMax go back, so one giant body does not
+// pin its buffer for the life of the process.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const bodyPoolMax = 1 << 20
@@ -245,65 +244,26 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 	return r.Count, nil
 }
 
-// opsBody is the ops body (wire.BatchType) of one band's /v1/batch,
-// appended into a pooled buffer and sent to every replica the band
-// asks. net/http may close a request body after RoundTrip returns, so
-// each request holds a reference until its body is closed, as does the
-// caller while it builds and sends, and the buffer goes back to
-// opsPool when the last reference is dropped.
-type opsBody struct {
-	b    []byte
-	refs atomic.Int32
-}
-
-var opsPool = sync.Pool{New: func() any { return new(opsBody) }}
-
-// newOpsBody takes a body from the pool that holds the count nops and
-// no op yet, held by its caller until it calls release.
-func newOpsBody(nops int) *opsBody {
-	o := opsPool.Get().(*opsBody)
-	o.b = wire.AppendCount(o.b[:0], nops)
-	o.refs.Store(1)
-	return o
-}
-
-// release drops one reference to o.
-func (o *opsBody) release() {
-	if o.refs.Add(-1) == 0 && cap(o.b) <= bodyPoolMax {
-		opsPool.Put(o)
-	}
-}
-
-// opsReader is one request's body over an opsBody. Its first Close
-// drops the request's reference; later ones do nothing.
-type opsReader struct {
-	bytes.Reader
-	ops    *opsBody
-	closed atomic.Bool
-}
-
-func (r *opsReader) Close() error {
-	if !r.closed.Swap(true) {
-		r.ops.release()
-	}
-	return nil
-}
-
-// batch runs one remote /v1/batch of ops, whose count is nops, and
-// returns the member's items, aligned with the ops. Like topk it has
-// no JSON fallback: a 200 that is not an items body (wire.BatchType)
+// batch runs one remote /v1/batch of ops, an ops body (wire.BatchType)
+// of nops ops, and returns the member's items, aligned with the ops.
+// Like topk it has no JSON fallback: a 200 that is not an items body
 // of exactly nops items is a failed member, and no prefix of it
 // becomes an outcome.
-func (n *node) batch(ctx context.Context, ops *opsBody, nops int) ([]wire.Item, error) {
-	ops.refs.Add(1)
-	body := &opsReader{ops: ops}
-	body.Reset(ops.b)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+"/v1/batch", body)
+//
+// The body goes out as a *bytes.Reader, which net/http knows to be in
+// memory, so it writes the request's headers and body to the
+// connection together rather than flushing the headers alone first.
+// net/http may still read a body after RoundTrip returns, so ops
+// belongs to no pool and is never written again; every replica of a
+// band reads the same ops through its own reader. The transport never
+// retries a POST, so the request has no GetBody to rewind the body.
+func (n *node) batch(ctx context.Context, ops []byte, nops int) ([]wire.Item, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.addr+"/v1/batch", nil)
 	if err != nil {
-		body.Close()
 		return nil, fmt.Errorf("%s: %w: %v", n.addr, ErrNodeDown, err)
 	}
-	req.ContentLength = int64(len(ops.b))
+	req.Body = io.NopCloser(bytes.NewReader(ops))
+	req.ContentLength = int64(len(ops))
 	req.Header = batchHeader
 	var items []wire.Item
 	err = n.do(req, func(body io.Reader) error {

@@ -419,10 +419,10 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P 
 	asked := 0
 	for gi := len(c.groups) - 1; gi >= 0 && len(open) > 0; gi-- {
 		asked++
-		ops := newOpsBody(len(open))
+		ops := wire.AppendCount(make([]byte, 0, wire.OpsLen(len(open))), len(open))
 		for _, qi := range open {
 			q := qs[qi]
-			ops.b = wire.AppendOp(ops.b, wire.Op{Op: "query", X1: q.X1, X2: q.X2, K: q.K - len(out[qi])})
+			ops = wire.AppendOp(ops, wire.Op{Op: "query", X1: q.X1, X2: q.X2, K: q.K - len(out[qi])})
 		}
 		_ = c.readFrom(ctx, c.groups[gi], func(cctx context.Context, n *node) error {
 			items, err := n.batch(cctx, ops, len(open))
@@ -434,7 +434,6 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P 
 			}
 			return nil
 		})
-		ops.release()
 		short := open[:0]
 		for _, qi := range open {
 			if gi > 0 && len(out[qi]) < qs[qi].K {
@@ -620,14 +619,13 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 			return
 		}
 	}
-	ops := newOpsBody(len(pds))
-	defer ops.release()
+	ops := wire.AppendCount(make([]byte, 0, wire.OpsLen(len(pds))), len(pds))
 	for _, pd := range pds {
 		op := wire.Op{Op: "insert", X: pd.p.X, Score: pd.p.Score}
 		if !pd.insert {
 			op.Op = "delete"
 		}
-		ops.b = wire.AppendOp(ops.b, op)
+		ops = wire.AppendOp(ops, op)
 	}
 	// A group of one writes inline, its outcome on this stack; the
 	// replicas of a larger group write in parallel.
@@ -687,7 +685,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 // n under its own deadline, and feeds the outcome into the health
 // accounting: a node-level failure marks n failed unless the caller
 // hung up, and anything else, a rejection included, marks it up.
-func (c *Cluster) writeReplica(ctx context.Context, n *node, ops *opsBody, nops int) ([]wire.Item, error) {
+func (c *Cluster) writeReplica(ctx context.Context, n *node, ops []byte, nops int) ([]wire.Item, error) {
 	cctx, cancel := c.callCtx(ctx)
 	defer cancel()
 	items, err := n.batch(cctx, ops, nops)

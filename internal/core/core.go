@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/em"
 	"repro/internal/point"
@@ -209,7 +210,7 @@ func New(d *em.Disk, opt Options) *Index {
 	return ix
 }
 
-// Bulk builds an index over pts.
+// Bulk builds an index over pts, which it does not modify.
 func Bulk(d *em.Disk, opt Options, pts []point.P) *Index {
 	ix := &Index{d: d, opt: opt}
 	ix.build(pts)
@@ -247,9 +248,13 @@ func (ix *Index) resolveRegime() Regime {
 	return RegimePolylog
 }
 
-// build (re)constructs everything over pts with N := max(2·|pts|, 16).
-// It sorts one copy of pts by descending score, which both the §2 tree
-// and the §3.3 leaves build from.
+// build (re)constructs everything over pts with N := max(2·|pts|, 16),
+// leaving pts as it is. It sorts one copy of pts by descending score,
+// which both the §2 tree and the §3.3 leaves build from, and one by
+// position unless pts is already in that order, which serves both the
+// §2 tree's slabs and the §3.3 leaves; the [14] structure takes pts in
+// the order given. One buffer of 3·|pts| points holds the score order
+// and the scratch of the sorts and of the §2 tree's pilot fill.
 func (ix *Index) build(pts []point.P) {
 	if ix.tree != nil {
 		// Free the previous build's blocks.
@@ -261,8 +266,16 @@ func (ix *Index) build(pts []point.P) {
 		ix.N = 16
 	}
 	ix.regime = ix.resolveRegime()
-	byScore := point.ByScoreDesc(pts)
-	ix.tree = pst.BulkSorted(ix.d, ix.opt.PST, pts, byScore)
+	buf := make([]point.P, 3*len(pts))
+	byScore, scratch := buf[:len(pts)], buf[len(pts):]
+	byX := pts
+	if !point.IsSortedByX(byX) {
+		byX = slices.Clone(pts)
+		point.SortByXBuf(byX, scratch)
+	}
+	copy(byScore, pts)
+	point.SortByScoreDescBuf(byScore, scratch)
+	ix.tree = pst.BulkSorted(ix.d, ix.opt.PST, byX, byScore, scratch)
 	switch ix.regime {
 	case RegimeBaseline:
 		ix.base = shengtao.Bulk(ix.d, shengtao.Options{K: ix.KThreshold()}, pts)
@@ -273,7 +286,7 @@ func (ix *Index) build(pts []point.P) {
 			N:       ix.N,
 			F:       ix.opt.PolylogF,
 			LeafCap: ix.opt.PolylogLeafCap,
-		}, pts, byScore)
+		}, byX, byScore)
 		ix.base = nil
 	}
 }

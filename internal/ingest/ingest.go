@@ -19,9 +19,9 @@
 //
 // Asynchronous producers (Submit without Wait) rely on the background
 // flusher instead: it commits a pending group once it has waited
-// Window (the latency bound when traffic is sparse) or immediately
-// when MaxBatch ops are already pending (the memory bound when it is
-// not). When pending ops exceed MaxPending, producers lend a hand by
+// Window (the latency bound when traffic is sparse) or as soon as
+// MaxBatch ops are pending, within the window too (the memory bound
+// when it is not). When pending ops exceed MaxPending, producers lend a hand by
 // trying the commit slot themselves — backpressure by making the
 // writers pay, rather than an unbounded queue.
 //
@@ -398,18 +398,33 @@ func (b *Batcher) run() {
 		case <-b.wake:
 		}
 		// Let a sparse group gather company for up to Window; a group
-		// already at MaxBatch commits immediately.
+		// at MaxBatch commits at once, also when it gets there within
+		// the window: every Submit wakes the flusher after it counts
+		// its op as pending, so the wake that follows the op that
+		// fills the group finds it full.
 		reason := ReasonSize
 		if b.pending.Load() < int64(b.opt.MaxBatch) {
 			reason = ReasonDeadline
 			timer.Reset(b.opt.Window)
-			select {
-			case <-b.stop:
-				if !timer.Stop() {
-					<-timer.C
+		window:
+			for {
+				select {
+				case <-b.stop:
+					if !timer.Stop() {
+						<-timer.C
+					}
+					return // Close performs the final drain after we exit
+				case <-timer.C:
+					break window
+				case <-b.wake:
+					if b.pending.Load() >= int64(b.opt.MaxBatch) {
+						if !timer.Stop() {
+							<-timer.C
+						}
+						reason = ReasonSize
+						break window
+					}
 				}
-				return // Close performs the final drain after we exit
-			case <-timer.C:
 			}
 		}
 		b.commit(reason)

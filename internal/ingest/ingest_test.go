@@ -127,20 +127,36 @@ func TestWindowTriggerCommitsAsyncOps(t *testing.T) {
 	}
 }
 
-// Filling MaxBatch must commit without waiting out a long window.
+// Filling MaxBatch must commit without waiting out a long window: each
+// of two rounds of MaxBatch async submits commits as one group on the
+// size trigger. The first round pauses between submits, so the flusher
+// wakes before its group is full; the second submits back to back. A
+// round is exactly MaxBatch ops because a group takes every op pending
+// when it commits, so ops submitted past a full group may hold fewer
+// than MaxBatch and rightly wait for the window.
 func TestSizeTriggerBeatsWindow(t *testing.T) {
+	const maxBatch = 8
 	c := &collectFlush{}
-	b := New(Options{Flush: c.flush, Window: time.Hour, MaxBatch: 8})
+	b := New(Options{Flush: c.flush, Window: time.Hour, MaxBatch: maxBatch})
 	defer b.Close()
-	futs := make([]*Future, 16)
-	for i := range futs {
-		futs[i] = b.Submit(point.Op{X: float64(i)})
-	}
-	for i, f := range futs {
-		select {
-		case <-f.Done():
-		case <-time.After(2 * time.Second):
-			t.Fatalf("op %d never committed (size trigger dead)", i)
+	for round, pause := range []time.Duration{time.Millisecond, 0} {
+		futs := make([]*Future, maxBatch)
+		for i := range futs {
+			futs[i] = b.Submit(point.Op{X: float64(round*maxBatch + i)})
+			time.Sleep(pause)
+		}
+		for i, f := range futs {
+			select {
+			case <-f.Done():
+			case <-time.After(2 * time.Second):
+				t.Fatalf("round %d: op %d never committed (size trigger dead)", round, i)
+			}
+		}
+		if s := b.Stats(); s.Flushes != int64(round+1) || s.MaxGroup != maxBatch {
+			t.Fatalf("round %d: stats = %+v, want %d flushes of %d ops", round, s, round+1, maxBatch)
+		}
+		if n := b.Telemetry().ReasonCounts()[ReasonSize].N; n != int64(round+1) {
+			t.Fatalf("round %d: %d size-triggered flushes, want %d", round, n, round+1)
 		}
 	}
 }

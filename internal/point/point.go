@@ -52,35 +52,98 @@ func (p P) Finite() bool {
 // In reports whether p lies in the closed interval [x1, x2].
 func (p P) In(x1, x2 float64) bool { return x1 <= p.X && p.X <= x2 }
 
-// SortByX sorts ps ascending by X, breaking ties by score (ties in X
-// can occur; ties in score are excluded by the distinct-score
-// assumption), comparing each field once per step.
-//
-// It uses slices.SortFunc: sort.Slice swaps through reflection, which
-// made it the engine's largest CPU cost on wide reads.
-func SortByX(ps []P) {
-	slices.SortFunc(ps, func(a, b P) int {
-		switch {
-		case a.X < b.X:
-			return -1
-		case a.X > b.X:
-			return 1
-		case a.Score < b.Score:
-			return -1
-		case a.Score > b.Score:
-			return 1
+// radixCutoff is the length from which SortByX and SortByScoreDesc
+// radix-sort; both cross the comparison sort there. On a 2-vCPU Xeon,
+// uniform values:
+//   - BenchmarkSortByScoreDesc: the kernel ties slices.SortFunc at 256
+//     points (16 µs), is 1.4× slower at 64, where its fixed cost of
+//     eight 256-entry histograms dominates, and is 4–5× faster at
+//     read-wide's answer sizes (92 against 382 µs at 2,600 points, 142
+//     against 658 µs at 4,096);
+//   - BenchmarkSortByX, fastest of six runs: the radix path beats
+//     slices.SortFunc at 256 points (12 against 15 µs), is 2× slower
+//     at 64 and 2.9× faster at 2,048 (83 against 242 µs), and sorts
+//     one benchmark member's 21,845 points 3.8× faster (1.0 against
+//     3.8 ms).
+const radixCutoff = 256
+
+// SortByX sorts ps ascending by X, breaking ties by ascending score
+// (ties in X can occur, −0 and +0 among them; ties in score are
+// excluded by the distinct-score assumption). Input already in that
+// order costs it one pass. Below radixCutoff points it is a comparison
+// sort; from the cutoff on it radix-sorts through a scratch buffer of
+// len(ps) points that it allocates and drops, and a caller that sorts
+// repeatedly keeps one with SortByXBuf instead.
+func SortByX(ps []P) { SortByXBuf(ps, nil) }
+
+// SortByXBuf is SortByX with the radix kernel's scratch taken from
+// buf, which is grown when it holds fewer than len(ps) points. It
+// returns the scratch for the caller to keep.
+func SortByXBuf(ps, buf []P) []P {
+	switch {
+	case IsSortedByX(ps):
+	case len(ps) < radixCutoff:
+		slices.SortFunc(ps, compareX)
+	default:
+		if cap(buf) < len(ps) {
+			buf = make([]P, len(ps))
 		}
-		return 0
-	})
+		radixByX(ps, buf[:len(ps)])
+	}
+	return buf
 }
 
-// radixCutoff is the length from which SortByScoreDesc radix-sorts.
-// BenchmarkSortByScoreDesc on a 2-vCPU Xeon, uniform scores: the
-// kernel ties slices.SortFunc at 256 points (16 µs), is 1.4× slower at
-// 64, where its fixed cost of eight 256-entry histograms dominates, and
-// is 4–5× faster at read-wide's answer sizes (92 against 382 µs at
-// 2,600 points, 142 against 658 µs at 4,096).
-const radixCutoff = 256
+// IsSortedByX reports whether ps is in SortByX's order.
+func IsSortedByX(ps []P) bool {
+	for i := 1; i < len(ps); i++ {
+		if compareX(ps[i], ps[i-1]) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareX is SortByX's order.
+func compareX(a, b P) int {
+	switch {
+	case a.X < b.X:
+		return -1
+	case a.X > b.X:
+		return 1
+	case a.Score < b.Score:
+		return -1
+	case a.Score > b.Score:
+		return 1
+	}
+	return 0
+}
+
+// radixByX is the radix path of SortByXBuf: it sorts ps, len(ps) > 0,
+// in SortByX's order through tmp, len(tmp) == len(ps). It runs the
+// score sort's kernel with −X in each point's score: scoreKey(−x) is
+// the complement of scoreKey(x), so descending −X is ascending X. The
+// kernel keeps input order among equal keys, and the points of one X,
+// −0 and +0 together (their keys are adjacent), end up side by side;
+// a last pass sorts each such run by score.
+func radixByX(ps, tmp []P) {
+	for i, p := range ps {
+		ps[i] = P{X: p.Score, Score: -p.X}
+	}
+	radixScoreDesc(ps, tmp)
+	for i, p := range ps {
+		ps[i] = P{X: -p.Score, Score: p.X}
+	}
+	for i := 0; i < len(ps); {
+		j := i + 1
+		for j < len(ps) && ps[j].X == ps[i].X {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ps[i:j], compareX)
+		}
+		i = j
+	}
+}
 
 // SortByScoreDesc sorts ps by descending score. From radixCutoff
 // points on it radix-sorts through a scratch buffer of len(ps) points
@@ -118,8 +181,8 @@ func SortByScoreDescBuf(ps, buf []P) []P {
 	return buf
 }
 
-// radixScoreDesc is the radix kernel of SortByScoreDescBuf: it sorts
-// ps, len(ps) > 0, by descending score through tmp, len(tmp) ==
+// radixScoreDesc is the radix kernel of both sorts: it sorts ps,
+// len(ps) > 0, stably by descending score through tmp, len(tmp) ==
 // len(ps).
 func radixScoreDesc(ps, tmp []P) {
 	var counts [8][256]uint32
@@ -152,7 +215,8 @@ func radixScoreDesc(ps, tmp []P) {
 // descending order: the IEEE bits of a non-negative score with the
 // sign clear and the rest flipped, those of a negative score as they
 // are. Non-negative scores therefore come first, largest first, and
-// negative ones follow, nearest zero first.
+// negative ones follow, nearest zero first. −0 and +0 get adjacent
+// keys, and the key of −s is the complement of that of s.
 func scoreKey(s float64) uint64 {
 	b := math.Float64bits(s)
 	return b ^ ^(uint64(int64(b)>>63) | 1<<63)

@@ -321,3 +321,178 @@ func BenchmarkSortByScoreDesc(b *testing.B) {
 		})
 	}
 }
+
+// byXCmp is the comparison sort SortByX keeps below radixCutoff, the
+// reference the radix path must match.
+func byXCmp(ps []P) { slices.SortFunc(ps, compareX) }
+
+// xInput returns n points in the shapes the radix path must order like
+// the comparison sort: positions that tie (±0 among them, with
+// different scores), negatives, subnormals and ±MaxFloat64, each with
+// a distinct score, laid out in random, sorted, reversed or nearly
+// sorted order by shape.
+func xInput(rng *rand.Rand, n int, shape string) []P {
+	scores := distinctScores(rng, n, rng.Intn(2) == 0)
+	pos := []float64{0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	ps := make([]P, n)
+	for i := range ps {
+		var x float64
+		switch rng.Intn(5) {
+		case 0: // a tie with an earlier position, or an edge value
+			if i > 0 && rng.Intn(2) == 0 {
+				x = ps[rng.Intn(i)].X
+			} else {
+				x = pos[rng.Intn(len(pos))]
+			}
+		case 1: // subnormal
+			x = math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+		case 2: // any magnitude
+			x = math.Ldexp(rng.Float64(), rng.Intn(2000)-1000)
+		default: // the benchmark's shape: uniform in [0, 10⁶)
+			x = rng.Float64() * 1e6
+		}
+		if rng.Intn(4) == 0 {
+			x = -x
+		}
+		ps[i] = P{X: x, Score: scores[i]}
+	}
+	switch shape {
+	case "sorted":
+		byXCmp(ps)
+	case "reversed":
+		byXCmp(ps)
+		slices.Reverse(ps)
+	case "nearly sorted":
+		byXCmp(ps)
+		for range 1 + n/64 {
+			i, j := rng.Intn(n), rng.Intn(n)
+			ps[i], ps[j] = ps[j], ps[i]
+		}
+	}
+	return ps
+}
+
+// TestSortByX checks SortByX against the comparison sort on both sides
+// of the radix cutoff and well above it, through a fresh scratch and a
+// reused one that starts short, and that x-sorted input is left as it
+// is.
+func TestSortByX(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var buf []P
+	for _, n := range []int{1, radixCutoff - 1, radixCutoff, radixCutoff + 1, 4096, 65536} {
+		for _, shape := range []string{"random", "sorted", "reversed", "nearly sorted"} {
+			in := xInput(rng, n, shape)
+			want := slices.Clone(in)
+			byXCmp(want)
+			got := slices.Clone(in)
+			SortByX(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: SortByX differs from slices.SortFunc", n, shape)
+			}
+			got = slices.Clone(in)
+			buf = SortByXBuf(got, buf)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: SortByXBuf differs from slices.SortFunc", n, shape)
+			}
+			if IsSortedByX(in) != (shape == "sorted") && n > 1 {
+				t.Fatalf("n=%d %s: IsSortedByX = %v", n, shape, IsSortedByX(in))
+			}
+		}
+	}
+	if cap(buf) < 65536 {
+		t.Fatalf("the returned scratch holds %d points; want it grown to the largest sort", cap(buf))
+	}
+	sorted := xInput(rng, 4096, "sorted")
+	if buf := SortByXBuf(slices.Clone(sorted), nil); buf != nil {
+		t.Fatal("SortByXBuf took scratch for x-sorted input")
+	}
+}
+
+// FuzzSortByX runs the radix path itself, at every length, and SortByX
+// against the comparison sort over the input read as pairs of
+// little-endian float64s, position then score; non-finite values are
+// dropped, and repeated scores (±0 folded) keep their first point, so
+// positions tie freely but scores do not.
+func FuzzSortByX(f *testing.F) {
+	f.Add([]byte{})
+	var pair []byte
+	pair = binary.LittleEndian.AppendUint64(pair, math.Float64bits(math.Copysign(0, -1)))
+	pair = binary.LittleEndian.AppendUint64(pair, math.Float64bits(2))
+	pair = binary.LittleEndian.AppendUint64(pair, 0)
+	pair = binary.LittleEndian.AppendUint64(pair, math.Float64bits(1))
+	f.Add(pair)
+	for i, n := range []int{3, 40, radixCutoff + 3} {
+		for _, shape := range []string{"random", "reversed", "nearly sorted"} {
+			var seed []byte
+			for _, p := range xInput(rand.New(rand.NewSource(int64(i))), n, shape) {
+				seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(p.X))
+				seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(p.Score))
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ps []P
+		seen := map[float64]bool{}
+		for ; len(data) >= 16; data = data[16:] {
+			p := P{
+				X:     math.Float64frombits(binary.LittleEndian.Uint64(data)),
+				Score: math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+			}
+			if p.Finite() && !seen[p.Score] {
+				seen[p.Score] = true
+				ps = append(ps, p)
+			}
+		}
+		want := slices.Clone(ps)
+		byXCmp(want)
+		got := slices.Clone(ps)
+		SortByX(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("SortByX(%v) = %v, want %v", ps, got, want)
+		}
+		if len(ps) > 0 {
+			got = slices.Clone(ps)
+			radixByX(got, make([]P, len(got)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("radixByX(%v) = %v, want %v", ps, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkSortByX times the radix path against the comparison sort on
+// uniform positions in [0, 10⁶), the benchmark fleet's, from a PST
+// leaf's size to one benchmark member's 21,845 points; radixCutoff is
+// where the two cross. sorted/ is SortByX on input already in order,
+// as a §3.3 leaf split hands it.
+func BenchmarkSortByX(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512, 2048, 21845} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ps := make([]P, n)
+		for i := range ps {
+			ps[i] = P{X: rng.Float64() * 1e6, Score: float64(i)}
+		}
+		work := make([]P, n)
+		tmp := make([]P, n)
+		b.Run(fmt.Sprintf("radix/n=%d", n), func(b *testing.B) {
+			for range b.N {
+				copy(work, ps)
+				radixByX(work, tmp)
+			}
+		})
+		b.Run(fmt.Sprintf("cmp/n=%d", n), func(b *testing.B) {
+			for range b.N {
+				copy(work, ps)
+				byXCmp(work)
+			}
+		})
+		byXCmp(work)
+		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {
+			for range b.N {
+				tmp = SortByXBuf(work, tmp)
+			}
+		})
+	}
+}

@@ -21,9 +21,12 @@ func height(t *Tree) int {
 	return h
 }
 
-// bulk is Bulk over pts with the score order the caller provides.
+// bulk is Bulk over pts in any order: it hands Bulk a copy sorted by
+// X and the score order.
 func bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
-	return Bulk(d, opt, pts, point.ByScoreDesc(pts))
+	byX := slices.Clone(pts)
+	point.SortByX(byX)
+	return Bulk(d, opt, byX, point.ByScoreDesc(pts))
 }
 
 // TestBulk builds trees at least three levels deep and checks their

@@ -144,9 +144,11 @@ func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil, nil) }
 // dropped. Each level keeps a quarter of its capacity as slack for the
 // splits that updates cause.
 //
-// byScore holds the points of pts sorted by descending score. One walk
-// of it, lowest score first, deals every leaf its scores in ascending
-// order, so no leaf sorts its own. Neither slice is modified or kept.
+// pts must be sorted by X (as point.SortByX sorts), and byScore holds
+// the same points sorted by descending score. One walk of byScore,
+// lowest score first, deals every leaf its scores in ascending order,
+// so no leaf sorts its own, and the build sorts nothing. Neither slice
+// is modified or kept.
 func Bulk(d *em.Disk, opt Options, pts, byScore []point.P) *Tree {
 	opt = opt.withDefaults(d)
 	t := &Tree{
@@ -156,11 +158,9 @@ func Bulk(d *em.Disk, opt Options, pts, byScore []point.P) *Tree {
 		chunks: em.NewStore(d, "pl.chunk", func(ps []point.P) int { return 1 + point.WordSize*len(ps) }),
 		n:      len(pts),
 	}
-	pts = slices.Clone(pts)
-	point.SortByX(pts)
 	for i := 1; i < len(pts); i++ {
-		if pts[i-1].X == pts[i].X {
-			panic(fmt.Sprintf("polylog: duplicate x %v", pts[i].X))
+		if !(pts[i-1].X < pts[i].X) {
+			panic(fmt.Sprintf("polylog: duplicate or unsorted x %v after %v", pts[i].X, pts[i-1].X))
 		}
 	}
 	m := max(1, ceilDiv(len(pts), 3*opt.LeafCap/4))

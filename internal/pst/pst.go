@@ -192,20 +192,24 @@ func New(d *em.Disk, opts Options) *PST {
 }
 
 // Bulk builds a PST over pts (bulk loading = the paper's reconstruction
-// algorithm applied to the whole input).
+// algorithm applied to the whole input), which it does not modify.
 func Bulk(d *em.Disk, opts Options, pts []point.P) *PST {
 	p := New(d, opts)
-	p.rebuildAll(pts)
+	p.rebuildAll(slices.Clone(pts))
 	return p
 }
 
-// BulkSorted is Bulk for a caller that already holds byScore, the
-// points of pts sorted by descending score: the build sorts only the
-// x-coordinates, in pts' order, so x-sorted pts cost it no sort at
-// all. Neither slice is modified or kept.
-func BulkSorted(d *em.Disk, opts Options, pts, byScore []point.P) *PST {
+// BulkSorted is Bulk for a caller that holds pts sorted by X (as
+// point.SortByX sorts) and byScore, the same points sorted by
+// descending score: the build sorts nothing. Neither slice is modified
+// or kept. scratch, of at least 2·len(pts) points, is overwritten: it
+// holds the pilot fill's copy of byScore and its partition buffer.
+func BulkSorted(d *em.Disk, opts Options, pts, byScore, scratch []point.P) *PST {
 	p := New(d, opts)
-	p.rebuildSorted(pts, slices.Clone(byScore))
+	n := len(byScore)
+	fill := scratch[:n]
+	copy(fill, byScore)
+	p.rebuildSorted(pts, fill, scratch[n:2*n])
 	return p
 }
 

@@ -113,7 +113,7 @@ func (p *PST) buildSub(xs []float64, level int, lo, hi float64) em.Handle {
 // boundary, so each child's list stays in descending score order and
 // the whole fill costs one score sort plus O(n) per T̂ level. fill
 // reorders pts in place and uses scratch, of capacity at least
-// len(pts), as the partition's buffer.
+// len(pts), as the partition's buffer and a leaf's sort scratch.
 func (p *PST) fill(v vid, pts, scratch []point.P) {
 	if len(pts) == 0 {
 		return
@@ -121,7 +121,7 @@ func (p *PST) fill(v vid, pts, scratch []point.P) {
 	nd := p.tstore.Read(v.t)
 	if nd.level == 0 {
 		leaf := slices.Clone(pts)
-		point.SortByX(leaf)
+		point.SortByXBuf(leaf, scratch)
 		p.writePilot(nd, v.idx, leaf)
 		p.tstore.Write(v.t, nd)
 		return
@@ -232,13 +232,21 @@ func (p *PST) rebuildSubtree(uhat em.Handle) {
 }
 
 // rebuildAll reconstructs the entire structure over the live points
-// (global rebuilding: resets stale x-coordinates and the height).
-func (p *PST) rebuildAll(pts []point.P) { p.rebuildSorted(pts, point.ByScoreDesc(pts)) }
+// (global rebuilding: resets stale x-coordinates and the height). It
+// sorts pts by X in place and a copy by descending score, both through
+// the scratch the pilot fill then uses.
+func (p *PST) rebuildAll(pts []point.P) {
+	scratch := make([]point.P, len(pts))
+	point.SortByXBuf(pts, scratch)
+	byScore := slices.Clone(pts)
+	point.SortByScoreDescBuf(byScore, scratch)
+	p.rebuildSorted(pts, byScore, scratch)
+}
 
-// rebuildSorted is rebuildAll given byScore, the points of pts sorted
-// by descending score, which the pilot fill consumes. It sorts the
-// x-coordinates in pts' order, so x-sorted input costs it no sort.
-func (p *PST) rebuildSorted(pts, byScore []point.P) {
+// rebuildSorted is rebuildAll given pts sorted by X and byScore, the
+// same points sorted by descending score, which the pilot fill
+// reorders through scratch, of capacity at least len(pts).
+func (p *PST) rebuildSorted(pts, byScore, scratch []point.P) {
 	if p.root != em.NilHandle {
 		p.freeSubtree(p.root)
 		p.root = em.NilHandle
@@ -251,13 +259,10 @@ func (p *PST) rebuildSorted(pts, byScore []point.P) {
 	}
 	xs := make([]float64, len(pts))
 	for i, q := range pts {
-		xs[i] = q.X
-	}
-	slices.Sort(xs)
-	for i := 1; i < len(xs); i++ {
-		if xs[i] == xs[i-1] {
-			panic("pst: duplicate x-coordinates (input must be a set of reals)")
+		if i > 0 && !(xs[i-1] < q.X) {
+			panic("pst: duplicate or unsorted x-coordinates (input must be a set of reals, sorted by X)")
 		}
+		xs[i] = q.X
 	}
 	// Smallest root level whose cap leaves at least 2× slack.
 	level := 0
@@ -265,7 +270,7 @@ func (p *PST) rebuildSorted(pts, byScore []point.P) {
 		level++
 	}
 	p.root = p.buildSub(xs, level, math.Inf(-1), math.Inf(1))
-	p.fill(vid{p.root, 0}, byScore, make([]point.P, len(byScore)))
+	p.fill(vid{p.root, 0}, byScore, scratch)
 }
 
 // FreeAll releases every block of the structure, leaving it empty.

@@ -316,19 +316,23 @@ func New(opt Options) *Router {
 // Bulk builds a Router over pts, pre-partitioned into min(shards,
 // MaxShards) equal quantile ranges (at least one point per shard).
 // shards < 1 means "use the (defaulted) MaxShards". It checks the
-// input contract as it fills the fleet guard, before it builds any
-// shard, and returns core.Guard.Load's error, which wraps the sentinel
-// and names the first offending point of pts.
+// input contract as it fills the fleet guard, which a second goroutine
+// does while this one copies pts and sorts the copy by position; it
+// waits for both before it builds any shard, and returns
+// core.Guard.Load's error, which wraps the sentinel and names the
+// first offending point of pts.
 func Bulk(opt Options, pts []point.P, shards int) (*Router, error) {
 	r := newRouter(opt)
 	if shards < 1 || shards > r.opt.MaxShards {
 		shards = r.opt.MaxShards
 	}
-	if err := r.guard.Load(pts); err != nil {
-		return nil, err
-	}
+	loaded := make(chan error, 1)
+	go func() { loaded <- r.guard.Load(pts) }()
 	sorted := slices.Clone(pts)
 	point.SortByX(sorted)
+	if err := <-loaded; err != nil {
+		return nil, err
+	}
 	r.publish(partition(r.opt, math.Inf(-1), math.Inf(1), sorted, shards, 0), em.Stats{})
 	r.n.Store(int64(len(pts)))
 	r.observeFleetPeak()

@@ -100,10 +100,14 @@ func AppendOp(dst []byte, op Op) []byte {
 	return append(dst, 0)
 }
 
+// OpsLen returns the most bytes an ops body of n ops takes, all of
+// them queries.
+func OpsLen(n int) int { return 8 + querySize*n }
+
 // AppendOps appends the ops body of ops to dst: their count, then each
 // op as AppendOp writes it.
 func AppendOps(dst []byte, ops []Op) []byte {
-	dst = slices.Grow(dst, 8+querySize*len(ops))
+	dst = slices.Grow(dst, OpsLen(len(ops)))
 	dst = AppendCount(dst, len(ops))
 	for _, op := range ops {
 		dst = AppendOp(dst, op)

@@ -44,8 +44,9 @@ point_go="$scratch/repo/internal/point/point.go"
 marker='	for _, p := range src {'
 
 # 1. Static allocation site inside an annotated function: the
-#    allocfree analyzer must flag the planted make in the sort kernel's
-#    scatter pass, which every wide read's final sort runs.
+#    allocfree analyzer must flag the planted make in the radix
+#    kernel's scatter pass, which both sorts run: every wide read's
+#    final sort by score and every load's sort by position.
 copy_tree
 grep -qF "$marker" "$point_go" || {
 	echo "gate-negative: scatter marker line not found; update this script" >&2
