@@ -70,8 +70,8 @@ analysis: fmt-check vet topkvet escapecheck
 # one violation per gate (static alloc, heap escape, atomic-struct
 # copy, request-derived label, an encoding/json round trip on the
 # /v1/batch member hop, an http.Client on the member hop, a map
-# grouping on the router's one-shard write path), and assert each gate
-# fails.
+# grouping on the router's one-shard write path, a static alloc in the
+# batcher's enqueue), and assert each gate fails.
 gate-negative:
 	sh scripts/gate_negative.sh
 

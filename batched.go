@@ -16,7 +16,7 @@ import (
 // across the group. See DESIGN.md ("Write path: group commit").
 
 // BatchedConfig tunes the group-commit layer. The zero value gives
-// serving defaults (256-op size trigger, 1ms window, 8 stripes).
+// serving defaults (256-op size trigger, 1ms window).
 type BatchedConfig struct {
 	// Window bounds how long an async op waits for company before the
 	// background flusher commits its group. Sync callers (Insert,
@@ -28,50 +28,27 @@ type BatchedConfig struct {
 	// MaxBatch is the size trigger: a pending group this large commits
 	// immediately instead of waiting out the window. 0 means 256.
 	MaxBatch int
-	// Stripes is the enqueue-buffer stripe count (rounded up to a
-	// power of two). 0 means 8.
-	Stripes int
 }
 
-// BatcherStats snapshots the group-commit counters of a Batched store.
-type BatcherStats struct {
-	// Flushes is the number of non-empty groups committed.
-	Flushes int64
-	// Ops is the total ops committed across all groups.
-	Ops int64
-	// MaxGroup is the largest single group committed.
-	MaxGroup int64
-	// Pending is the ops currently enqueued and not yet committed.
-	Pending int64
-}
+// BatcherStats snapshots the group-commit counters of a Batched store:
+// groups committed, ops committed, the largest group and the ops
+// pending. It is the batcher's own snapshot, so it is read without a
+// copy.
+type BatcherStats = ingest.Stats
 
 // Future is the outcome handle of an asynchronous SubmitInsert or
 // SubmitDelete: resolved when the op's group commits, carrying exactly
-// the error the equivalent direct call would have returned.
-type Future struct {
-	f *ingest.Future
-}
-
-// Done returns a channel closed when the op's group has committed.
-func (f Future) Done() <-chan struct{} { return f.f.Done() }
-
-// Ready reports whether the op's group has committed.
-func (f Future) Ready() bool { return f.f.Ready() }
-
-// Err returns the op's outcome once Ready — nil for applied, else the
-// same sentinel the direct call would have returned (errors.Is
-// compatible). Before the group commits it returns nil; check Ready,
-// or use Wait for the blocking form.
-func (f Future) Err() error { return f.f.Err() }
-
-// Wait parks until the op's group commits and returns its outcome.
-func (f Future) Wait() error { return f.f.Wait() }
+// the error the equivalent direct call would have returned (errors.Is
+// compatible). It is the batcher's own future, so it reaches the
+// caller without a wrapper.
+type Future = *ingest.Future
 
 // Batched wraps a Store with write-path group commit: concurrent
 // Insert/Delete calls coalesce into grouped ApplyBatch flushes against
-// the inner store. Reads pass through untouched. Error semantics are
-// exact — a batched Insert returns the same sentinel an unbatched one
-// would have (ErrInvalidPoint, ErrDuplicatePosition,
+// the inner store. Batched touches writes only: reads, Len and Stats
+// pass through untouched and never wait for a commit. Error semantics
+// are exact — a batched Insert returns the same sentinel an unbatched
+// one would have (ErrInvalidPoint, ErrDuplicatePosition,
 // ErrDuplicateScore; ErrNotFound for deletes via SubmitDelete).
 //
 // Two write modes share one batcher. The synchronous mode (Insert,
@@ -100,7 +77,7 @@ func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 	if st == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrConfig)
 	}
-	if cfg.MaxBatch < 0 || cfg.Stripes < 0 {
+	if cfg.MaxBatch < 0 {
 		return nil, fmt.Errorf("%w: negative batcher bound", ErrConfig)
 	}
 	// Each group commits as one inner ApplyBatch over the batcher's own
@@ -109,7 +86,6 @@ func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 		Flush:    st.ApplyBatch,
 		MaxBatch: cfg.MaxBatch,
 		Window:   cfg.Window,
-		Stripes:  cfg.Stripes,
 	})}, nil
 }
 
@@ -130,13 +106,13 @@ func (bt *Batched) Delete(pos, score float64) bool {
 // SubmitInsert enqueues an insert and returns immediately; the Future
 // resolves when the op's group commits.
 func (bt *Batched) SubmitInsert(pos, score float64) Future {
-	return Future{f: bt.b.Submit(BatchOp{X: pos, Score: score})}
+	return bt.b.Submit(BatchOp{X: pos, Score: score})
 }
 
 // SubmitDelete enqueues a delete and returns immediately; the Future
 // resolves to nil if the point was present, ErrNotFound otherwise.
 func (bt *Batched) SubmitDelete(pos, score float64) Future {
-	return Future{f: bt.b.Submit(BatchOp{Delete: true, X: pos, Score: score})}
+	return bt.b.Submit(BatchOp{Delete: true, X: pos, Score: score})
 }
 
 // Flush drives one group commit now, draining every pending op. Useful
@@ -151,16 +127,13 @@ func (bt *Batched) ApplyBatch(ops []BatchOp) []error {
 	return bt.inner.ApplyBatch(ops)
 }
 
-// Len reports the live size after flushing pending writes.
-func (bt *Batched) Len() int {
-	bt.b.Commit()
-	return bt.inner.Len()
-}
-
 // Reads pass through to the inner store. They do NOT flush pending
-// async ops — an op acknowledged with 202 is readable only once its
-// group commits (bounded by Window); call Flush first for
-// read-your-writes.
+// async ops — an op acknowledged with 202 is readable, and counted by
+// Len, only once its group commits (bounded by Window); call Flush
+// first for read-your-writes.
+
+// Len passes through to the inner store.
+func (bt *Batched) Len() int { return bt.inner.Len() }
 
 // TopK passes through to the inner store.
 func (bt *Batched) TopK(x1, x2 float64, k int) []Result { return bt.inner.TopK(x1, x2, k) }
@@ -181,10 +154,7 @@ func (bt *Batched) ResetStats() { bt.inner.ResetStats() }
 func (bt *Batched) DropCache() { bt.inner.DropCache() }
 
 // BatcherStats snapshots the group-commit counters.
-func (bt *Batched) BatcherStats() BatcherStats {
-	s := bt.b.Stats()
-	return BatcherStats{Flushes: s.Flushes, Ops: s.Ops, MaxGroup: s.MaxGroup, Pending: s.Pending}
-}
+func (bt *Batched) BatcherStats() BatcherStats { return bt.b.Stats() }
 
 // IngestTelemetry returns the batcher's write-path telemetry — group
 // sizes, flush latency, flush-reason counters, backpressure waits;

@@ -312,3 +312,58 @@ func TestBatchedUnwrapAndViews(t *testing.T) {
 		t.Fatal("QueryBatch mismatch through wrapper")
 	}
 }
+
+// blockedFlush is a store whose ApplyBatch parks until release is
+// closed, announcing on entered that a group reached it.
+type blockedFlush struct {
+	Store
+	entered, release chan struct{}
+}
+
+func (s *blockedFlush) ApplyBatch(ops []BatchOp) []error {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.Store.ApplyBatch(ops)
+}
+
+// TestBatchedReadsSkipCommit: Batched touches writes only. While a sync
+// Insert's group holds the commit slot inside a blocked flush, Len,
+// TopK, QueryBatch, Count and Stats through the Batched return, and Len
+// counts the insert only once its group commits.
+func TestBatchedReadsSkipCommit(t *testing.T) {
+	inner := &blockedFlush{Store: mustNewSharded(t, testShardedConfig(2)),
+		entered: make(chan struct{}, 1), release: make(chan struct{})}
+	bt, err := NewBatched(inner, BatchedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	inserted := make(chan error, 1)
+	go func() { inserted <- bt.Insert(1, 2) }()
+	<-inner.entered
+
+	lens := make(chan int, 1)
+	go func() {
+		n := bt.Len()
+		bt.TopK(0, 10, 1)
+		bt.QueryBatch([]Query{{X1: 0, X2: 10, K: 1}})
+		bt.Count(0, 10)
+		bt.Stats()
+		lens <- n
+	}()
+	select {
+	case n := <-lens:
+		if n != 0 {
+			t.Errorf("Len = %d while the insert's group is uncommitted, want 0", n)
+		}
+	case <-time.After(3 * time.Second):
+		t.Error("reads through Batched waited for the blocked flush")
+	}
+	close(inner.release)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if n := bt.Len(); n != 1 {
+		t.Fatalf("Len = %d after the insert committed, want 1", n)
+	}
+}

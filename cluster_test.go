@@ -1249,6 +1249,54 @@ func TestClusterDuplicateScoreBatch(t *testing.T) {
 	insert(40, 0.75, nil)
 }
 
+// TestClusterBatchRounds: an op that reuses the position or score of
+// an earlier op in its batch gets the outcome it would get after that
+// op alone, as on an Index, whichever band either routes to. An insert
+// whose preloaded duplicate score only its member can see frees the
+// position it reserved for the next op, and a delete that finds
+// nothing frees no position for an insert in another band.
+func TestClusterBatchRounds(t *testing.T) {
+	// (10, 0.3) is preloaded, so the gateway has never seen it.
+	fleet := bootFleet(t, []topk.Result{{X: 10, Score: 0.3}}, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	oracle, err := topk.New(testClusterCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Insert(10, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []topk.BatchOp
+		want []error
+	}{
+		{"preloaded score, then its position", []topk.BatchOp{{X: 31, Score: 0.3}, {X: 31, Score: 0.31}},
+			[]error{topk.ErrDuplicateScore, nil}},
+		{"a point in the low band", []topk.BatchOp{{X: 42, Score: 0.25}}, []error{nil}},
+		{"missed delete, then its position in the high band", []topk.BatchOp{{Delete: true, X: 42, Score: 0.26}, {X: 42, Score: 0.75}},
+			[]error{topk.ErrNotFound, topk.ErrDuplicatePosition}},
+		{"delete, then its position in the high band", []topk.BatchOp{{Delete: true, X: 42, Score: 0.25}, {X: 42, Score: 0.75}},
+			[]error{nil, nil}},
+	} {
+		for _, st := range []topk.Store{cl, oracle} {
+			res := st.ApplyBatch(tc.ops)
+			for i, want := range tc.want {
+				if !errors.Is(res[i], want) {
+					t.Fatalf("%T: %s: op %d: %v, want %v", st, tc.name, i, res[i], want)
+				}
+			}
+		}
+	}
+	if got, want := cl.TopK(0, 100, 10), oracle.TopK(0, 100, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TopK = %v, oracle %v", got, want)
+	}
+}
+
 // TestClusterCallerHangUp: a caller that hangs up is not a failed
 // member. Reads and a write through a view bound to a cancelled
 // context fail their member RPCs, more of them than EjectAfter, yet

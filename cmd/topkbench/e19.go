@@ -216,7 +216,7 @@ func e19(quick bool) {
 				}, nil
 			}),
 			mk("batched-sync", func(cl *topk.Cluster) (func(int) workload.Throughput, func()) {
-				bt, err := topk.NewBatched(cl, topk.BatchedConfig{Window: time.Millisecond, MaxBatch: 256, Stripes: 32})
+				bt, err := topk.NewBatched(cl, topk.BatchedConfig{Window: time.Millisecond, MaxBatch: 256})
 				if err != nil {
 					panic(err)
 				}
@@ -232,7 +232,7 @@ func e19(quick bool) {
 				// rows' 256): pipelined submitters keep that many ops
 				// pending without any extra writer parked, and the
 				// bigger group amortizes the member round trip further.
-				bt, err := topk.NewBatched(cl, topk.BatchedConfig{Window: time.Millisecond, MaxBatch: 1024, Stripes: 32})
+				bt, err := topk.NewBatched(cl, topk.BatchedConfig{Window: time.Millisecond, MaxBatch: 1024})
 				if err != nil {
 					panic(err)
 				}

@@ -867,7 +867,7 @@ func TestShutdownFlushesAcceptedWrites(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- serveLoop(ctx, &http.Server{Handler: h}, ln, 5*time.Second, nil, nil) }()
 
-	// Part-fill the stripes: a handful of accepted writes, nowhere near
+	// Part-fill the queue: a handful of accepted writes, nowhere near
 	// either flush trigger.
 	const writes = 7
 	base := "http://" + ln.Addr().String()
@@ -896,7 +896,7 @@ func TestShutdownFlushesAcceptedWrites(t *testing.T) {
 		t.Fatal("serveLoop did not drain")
 	}
 	// main closes the store after the drain; Batched.Close flushes the
-	// part-filled stripes into the inner store first.
+	// part-filled queue into the inner store first.
 	if err := bt.Close(); err != nil {
 		t.Fatal(err)
 	}

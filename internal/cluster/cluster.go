@@ -159,6 +159,9 @@ type Cluster struct {
 	dupMu     sync.Mutex
 	positions core.FloatSet
 	scores    core.FloatSet
+	// roundPos and roundScores hold the keys of the batch round that
+	// ApplyBatch is admitting; they are empty between rounds.
+	roundPos, roundScores core.FloatSet
 
 	// Background prober state (health.go).
 	probeStop chan struct{}
@@ -495,27 +498,25 @@ func (c *Cluster) Delete(ctx context.Context, p point.P) bool {
 }
 
 // pending is one batch op that passed the gateway-side checks and is
-// headed for the wire, with the registry bookkeeping needed to undo
-// its optimistic effects if the member rejects it.
+// headed for the wire.
 type pending struct {
 	op     int
 	band   int // the index of the owning group
 	insert bool
 	p      point.P
-	// For deletes: whether the gateway registries contained the
-	// position/score (removed optimistically, restored on not-found).
-	hadPos, hadScore bool
 }
 
-// ApplyBatch applies a mixed batch: ops route by score to their owning
-// band, each band's sub-batch ships as one /v1/batch applied to EVERY
-// replica of the group, and per-op outcomes are stitched back into
-// batch order. In-band order follows batch order; ops on different
-// bands ship in parallel and commute only when they touch different
-// points — like Sharded.ApplyBatch, the interleaving across partitions
-// is not chosen, so an insert reusing the score of a same-batch delete
-// is safe (same band, ordered) but one reusing a same-batch deleted
-// POSITION from a different band may race it at the gateway registry.
+// ApplyBatch applies a mixed batch in rounds. A round ends before the
+// first op whose position or score an earlier op of the round
+// touched, so no two ops of a round share a key, and a batch with no
+// repeated key is one round. Each round's ops route by score to their
+// owning band, each band's sub-batch ships as one /v1/batch applied to
+// EVERY replica of the group, and per-op outcomes are stitched back
+// into batch order; ops on different bands ship in parallel, which is
+// safe because they touch different points. The next round checks the
+// gateway registries only after this round's members have answered,
+// so an op that reuses a same-batch key, on any band, gets the outcome
+// it would get after the earlier op alone — as on an Index.
 //
 // Per-op outcomes: nil for applied ops; ErrNotFound for absent
 // deletes; ErrInvalidPoint / ErrDuplicatePosition / ErrDuplicateScore
@@ -530,60 +531,93 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		return nil
 	}
 	res := make([]error, len(ops))
-	// The ops headed for the wire; a batch of up to 16 keeps them on
-	// the stack.
+	// The ops of a round headed for the wire; a round of up to 16
+	// keeps them on the stack.
 	var pdBuf [16]pending
-	pds := pdBuf[:0]
+	for start := 0; start < len(ops); {
+		var pds []pending
+		pds, start = c.admit(ops, start, pdBuf[:0], res)
+		c.ship(ctx, pds, res)
+	}
+	return res
+}
 
-	// Gateway-side pass, in batch order under one registry lock:
-	// reject inserts duplicating anything this gateway knows, and
-	// optimistically apply the batch's own effects so a later insert
-	// can reuse an earlier delete's identity (the member applies the
-	// same order authoritatively).
+// admit runs the gateway pass over the round that opens at ops[start],
+// in batch order under one registry lock, appending the round's ops
+// headed for the wire to pds; it returns them and the index where the
+// next round opens. It rejects an insert that duplicates a key this
+// gateway knows and reserves the keys of every other insert. A delete
+// touches no registry here: its keys are released once its member
+// finds the point (release).
+func (c *Cluster) admit(ops []point.Op, start int, pds []pending, res []error) ([]pending, int) {
+	// A lone op is a round by itself and needs no round keys.
+	multi := len(ops) > 1
 	c.dupMu.Lock()
-	for i, op := range ops {
+	defer c.dupMu.Unlock()
+	end := start
+	for ; end < len(ops); end++ {
+		op := ops[end]
 		p := op.Point()
 		if !p.Finite() {
 			if op.Delete {
 				// A non-finite point can never be live (inserts reject
 				// them), so the exact-match answer is known without a
 				// network hop. Matches Index/Sharded: ErrNotFound.
-				res[i] = core.ErrNotFound
+				res[end] = core.ErrNotFound
 			} else {
-				res[i] = core.ErrInvalidPoint
+				res[end] = core.ErrInvalidPoint
 			}
 			continue
 		}
+		if multi {
+			if !c.roundPos.Add(p.X) {
+				break
+			}
+			if !c.roundScores.Add(p.Score) {
+				c.roundPos.Remove(p.X)
+				break
+			}
+		}
 		gi := c.locate(p.Score)
 		if op.Delete {
-			hp, hs := c.positions.Remove(p.X), c.scores.Remove(p.Score)
-			pds = append(pds, pending{op: i, band: gi, p: p, hadPos: hp, hadScore: hs})
+			pds = append(pds, pending{op: end, band: gi, p: p})
 			continue
 		}
 		if !c.positions.Add(p.X) {
-			res[i] = core.ErrDuplicatePosition
+			res[end] = core.ErrDuplicatePosition
 			continue
 		}
 		if !c.scores.Add(p.Score) {
 			c.positions.Remove(p.X)
-			res[i] = core.ErrDuplicateScore
+			res[end] = core.ErrDuplicateScore
 			continue
 		}
-		pds = append(pds, pending{op: i, band: gi, insert: true, p: p})
+		pds = append(pds, pending{op: end, band: gi, insert: true, p: p})
 	}
-	c.dupMu.Unlock()
-	if len(pds) == 0 {
-		return res
+	if multi {
+		for _, op := range ops[start:end] {
+			if p := op.Point(); p.Finite() {
+				c.roundPos.Remove(p.X)
+				c.roundScores.Remove(p.Score)
+			}
+		}
 	}
+	return pds, end
+}
 
-	// Each band's sub-batch is one run of pds, in batch order. A batch
-	// on one band, as every single-op write is, ships inline from this
-	// stack; the bands of a wider batch ship in parallel, from a copy
-	// their goroutines share.
+// ship sends one round's ops to their bands and reconciles the
+// outcomes into res. Each band's sub-batch is one run of pds, in batch
+// order. A round on one band, as every single-op write is, ships
+// inline from the caller's stack; the bands of a wider round ship in
+// parallel, from a copy their goroutines share.
+func (c *Cluster) ship(ctx context.Context, pds []pending, res []error) {
+	if len(pds) == 0 {
+		return
+	}
 	slices.SortStableFunc(pds, func(a, b pending) int { return a.band - b.band })
 	if pds[0].band == pds[len(pds)-1].band {
 		c.applyGroup(ctx, c.groups[pds[0].band], pds, res)
-		return res
+		return
 	}
 	var fns []func()
 	for rest := slices.Clone(pds); len(rest) > 0; {
@@ -596,7 +630,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 		rest = rest[n:]
 	}
 	merge.Parallel(fns)
-	return res
 }
 
 // applyGroup ships one band's sub-batch to every replica of g, as one
@@ -608,10 +641,10 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 // code it was rejected with — reports ErrNodeDown.
 func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res []error) {
 	fail := func(err error) {
-		c.rollback(pds, res)
 		for _, pd := range pds {
 			res[pd.op] = err
 		}
+		c.release(pds, res)
 	}
 	for _, n := range g.nodes {
 		if n.isEjected() {
@@ -662,23 +695,17 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, res [
 			}
 		}
 	}
-	var undo []pending
 	for j, pd := range pds {
-		item := items[0][j]
-		if item.OK {
-			if pd.insert {
-				c.n.Add(1)
-			} else {
-				c.n.Add(-1)
-			}
-			continue
+		switch item := items[0][j]; {
+		case !item.OK:
+			res[pd.op] = errFromCode(item.Error.Code, item.Error.Message)
+		case pd.insert:
+			c.n.Add(1)
+		default:
+			c.n.Add(-1)
 		}
-		res[pd.op] = errFromCode(item.Error.Code, item.Error.Message)
-		undo = append(undo, pd)
 	}
-	if len(undo) > 0 {
-		c.rollback(undo, nil)
-	}
+	c.release(pds, res)
 }
 
 // writeReplica sends one band's ops body, of nops ops, to the replica
@@ -706,28 +733,17 @@ func code(item wire.Item) string {
 	return item.Error.Code
 }
 
-// rollback undoes the optimistic registry effects of pending ops whose
-// writes did not land: failed inserts release their reservations,
-// failed deletes restore what they removed. When res is non-nil only
-// ops without an outcome yet are rolled back (group-level failure);
-// with res nil the caller passes exactly the ops to undo.
-func (c *Cluster) rollback(pds []pending, res []error) {
+// release drops from the gateway registries the keys of every op in
+// pds that leaves its point absent, by its outcome in res: an insert
+// that did not land gives back its reservation, and a delete that did
+// frees its point's keys. No other op of the round holds those keys.
+func (c *Cluster) release(pds []pending, res []error) {
 	c.dupMu.Lock()
 	defer c.dupMu.Unlock()
 	for _, pd := range pds {
-		if res != nil && res[pd.op] != nil {
-			continue
-		}
-		if pd.insert {
+		if pd.insert == (res[pd.op] != nil) {
 			c.positions.Remove(pd.p.X)
 			c.scores.Remove(pd.p.Score)
-			continue
-		}
-		if pd.hadPos {
-			c.positions.Add(pd.p.X)
-		}
-		if pd.hadScore {
-			c.scores.Add(pd.p.Score)
 		}
 	}
 }

@@ -3,19 +3,17 @@
 // coordination cost — an HTTP request on the cluster tier, a topology
 // RLock plus a shard mutex in process — amortizes across the group.
 //
-// The design is classic leader-based group commit. Producers append
-// ops to per-P striped buffers (the stripe pick mirrors the obs
-// histogram trick: a per-thread cheap random source indexes a
-// power-of-two stripe array, so concurrent producers rarely share a
-// stripe mutex). A single commit slot — a one-token channel —
-// serializes flushes. A synchronous caller parks on its op's future
-// AND races for the slot: whichever parked caller wins becomes the
-// leader, drains every stripe into one group, flushes it with a single
-// backend call, delivers each op's own error to its future, and
-// releases the slot to the next leader. Group size is therefore
-// self-clocking — it grows exactly with how many writers overlapped
-// one commit — and a lone writer degenerates to a direct call plus a
-// channel handoff, not to a deadline wait.
+// The design is classic leader-based group commit: one leader drains
+// one log. Producers append ops to one mutex-guarded queue, and a
+// single commit slot — a one-token channel — serializes flushes. A
+// synchronous caller parks on its op's future AND races for the slot:
+// whichever parked caller wins becomes the leader, swaps the queue for
+// a spare buffer, flushes the group it took with a single backend
+// call, delivers each op's own error to its future, and releases the
+// slot to the next leader. Group size is therefore self-clocking — it
+// grows exactly with how many writers overlapped one commit — and a
+// lone writer degenerates to a direct call plus a channel handoff, not
+// to a deadline wait.
 //
 // Asynchronous producers (Submit without Wait) rely on the background
 // flusher instead: it commits a pending group once it has waited
@@ -33,7 +31,7 @@ package ingest
 
 import (
 	"fmt"
-	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +84,7 @@ func (f *Future) Wait() error {
 			return f.err
 		case <-b.slot:
 			// Leader: commit the current group. Our op was enqueued
-			// before Wait, and the drain sweeps every stripe, so after
+			// before Wait, and a commit takes the whole queue, so after
 			// this commit f is resolved (by us, or by a previous leader
 			// that beat us to it) and the next select returns. The token
 			// goes back via defer so a panicking flush cannot strand it.
@@ -119,9 +117,6 @@ type Options struct {
 	// the slot and never wait it. Default 1ms; negative disables the
 	// background flusher entirely (sync-only operation).
 	Window time.Duration
-	// Stripes is the enqueue-buffer stripe count, rounded up to a
-	// power of two. Default 8.
-	Stripes int
 	// MaxPending is the backpressure bound: a producer that observes
 	// more pending ops tries to drive a commit itself instead of
 	// queueing further. Default 4×MaxBatch.
@@ -135,31 +130,14 @@ func (o Options) withDefaults() Options {
 	if o.Window == 0 {
 		o.Window = time.Millisecond
 	}
-	if o.Stripes <= 0 {
-		o.Stripes = 8
-	}
-	n := 1
-	for n < o.Stripes {
-		n <<= 1
-	}
-	o.Stripes = n
 	if o.MaxPending <= 0 {
 		o.MaxPending = 4 * o.MaxBatch
 	}
 	return o
 }
 
-// stripe is one enqueue buffer. The padding keeps neighboring stripes
-// off one cache line, the same layout trick as the obs histogram
-// stripes — contention is the whole reason the buffers are striped.
-type stripe struct {
-	mu   sync.Mutex
-	ops  []point.Op
-	futs []*Future
-	_    [8]uint64
-}
-
-// Stats is a snapshot of the batcher's lifetime counters.
+// Stats is a snapshot of the batcher's lifetime counters. Flushes and
+// Ops are the count and sum of the telemetry's group-size histogram.
 type Stats struct {
 	// Flushes is the number of non-empty groups committed.
 	Flushes int64
@@ -175,9 +153,13 @@ type Stats struct {
 // New; the zero value is not usable. A Batcher must not be copied
 // after first use (it owns mutexes and atomics).
 type Batcher struct {
-	opt  Options
-	mask uint32
-	strs []stripe
+	opt Options
+
+	// mu guards the queue: the pending ops and their futures, in
+	// enqueue order.
+	mu   sync.Mutex
+	ops  []point.Op
+	futs []*Future
 
 	// slot is the commit slot: a one-token channel. Holding the token
 	// grants the exclusive right to drain-and-flush; parked sync
@@ -191,17 +173,14 @@ type Batcher struct {
 	stop chan struct{}
 	fin  chan struct{}
 
-	closed  atomic.Bool
-	pending atomic.Int64
-
-	flushes  atomic.Int64
-	flushed  atomic.Int64
+	closed   atomic.Bool
+	pending  atomic.Int64
 	maxGroup atomic.Int64
 
-	// Group assembly buffers, reused across commits; guarded by slot
-	// ownership, not a mutex.
-	gops  []point.Op
-	gfuts []*Future
+	// The spare queue buffers a commit swaps in for the ones it takes;
+	// guarded by slot ownership, not by mu.
+	spareOps  []point.Op
+	spareFuts []*Future
 
 	tel Telemetry
 }
@@ -214,8 +193,6 @@ func New(opt Options) *Batcher {
 	opt = opt.withDefaults()
 	b := &Batcher{
 		opt:  opt,
-		mask: uint32(opt.Stripes - 1),
-		strs: make([]stripe, opt.Stripes),
 		slot: make(chan struct{}, 1),
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -239,9 +216,9 @@ func (b *Batcher) Submit(op point.Op) *Future {
 	n := b.enqueue(op, f)
 	if b.closed.Load() {
 		// Late submit racing Close: the final drain may already have
-		// swept this stripe, and the flusher is gone — commit here so
+		// taken the queue, and the flusher is gone — commit here so
 		// the op passes straight through instead of stranding. (The
-		// stripe mutex orders us after the final drain, which the
+		// queue mutex orders us after the final drain, which the
 		// closed store precedes, so this branch is reached exactly
 		// when it must be.)
 		b.commit(ReasonDirect)
@@ -259,35 +236,34 @@ func (b *Batcher) Submit(op point.Op) *Future {
 	return f
 }
 
-// enqueue appends (op, f) to a random stripe and returns the new
-// pending depth. This is the warm write path — steady state the
-// stripe's backing arrays already have capacity (commitSlotHeld
-// truncates them in place), so the append is two stores under a
-// striped mutex with no allocation; growth is split into the cold
-// unannotated method below.
+// enqueue appends (op, f) to the queue and returns the new pending
+// depth. This is the warm write path — steady state the queue's
+// backing arrays already have capacity (a commit swaps in spares at
+// least as large as the buffers it takes), so the append is two stores
+// under the queue mutex with no allocation; growth is split into the
+// cold unannotated method below.
 //
 //topk:nomalloc
 func (b *Batcher) enqueue(op point.Op, f *Future) int64 {
-	s := &b.strs[rand.Uint32()&b.mask]
-	s.mu.Lock()
-	i := len(s.ops)
-	if i < cap(s.ops) && i < cap(s.futs) {
-		s.ops = s.ops[:i+1]
-		s.ops[i] = op
-		s.futs = s.futs[:i+1]
-		s.futs[i] = f
+	b.mu.Lock()
+	i := len(b.ops)
+	if i < cap(b.ops) && i < cap(b.futs) {
+		b.ops = b.ops[:i+1]
+		b.ops[i] = op
+		b.futs = b.futs[:i+1]
+		b.futs[i] = f
 	} else {
-		s.grow(op, f)
+		b.grow(op, f)
 	}
-	s.mu.Unlock()
+	b.mu.Unlock()
 	return b.pending.Add(1)
 }
 
-// grow is the cold append path, taken while a stripe's buffers are
+// grow is the cold append path, taken while the queue's buffers are
 // still warming up to the process's steady-state group size.
-func (s *stripe) grow(op point.Op, f *Future) {
-	s.ops = append(s.ops, op)
-	s.futs = append(s.futs, f)
+func (b *Batcher) grow(op point.Op, f *Future) {
+	b.ops = append(b.ops, op)
+	b.futs = append(b.futs, f)
 }
 
 // Do submits op and waits for its group to commit — the synchronous
@@ -295,8 +271,8 @@ func (s *stripe) grow(op point.Op, f *Future) {
 // have: nil, or the backend's sentinel for this op.
 func (b *Batcher) Do(op point.Op) error { return b.Submit(op).Wait() }
 
-// Commit drives one group commit now: acquire the slot, drain every
-// stripe, flush, deliver. A no-op when nothing is pending.
+// Commit drives one group commit now: acquire the slot, take the
+// queue, flush, deliver. A no-op when nothing is pending.
 func (b *Batcher) Commit() { b.commit(ReasonExplicit) }
 
 // commit is Commit with the flush-reason attribution threaded through.
@@ -318,27 +294,23 @@ func (b *Batcher) tryCommit(reason FlushReason) {
 	b.commitSlotHeld(reason)
 }
 
-// commitSlotHeld drains all stripes into one group and flushes it.
-// The caller holds the commit slot token.
+// commitSlotHeld swaps the queue for the spare buffers and flushes the
+// group it took. The caller holds the commit slot token.
 func (b *Batcher) commitSlotHeld(reason FlushReason) {
-	ops := b.gops[:0]
-	futs := b.gfuts[:0]
-	for i := range b.strs {
-		s := &b.strs[i]
-		s.mu.Lock()
-		ops = append(ops, s.ops...)
-		futs = append(futs, s.futs...)
-		s.ops = s.ops[:0]
-		for j := range s.futs {
-			s.futs[j] = nil // don't retain futures past delivery
-		}
-		s.futs = s.futs[:0]
-		s.mu.Unlock()
-	}
-	b.gops, b.gfuts = ops, futs
+	b.mu.Lock()
+	ops, futs := b.ops, b.futs
 	if len(ops) == 0 {
+		b.mu.Unlock()
 		return
 	}
+	// A spare grows to the capacity of the buffer it replaces, so once
+	// both have warmed up the producers never regrow either.
+	b.ops, b.futs = slices.Grow(b.spareOps, cap(ops)), slices.Grow(b.spareFuts, cap(futs))
+	b.mu.Unlock()
+	defer func() {
+		clear(futs) // don't retain futures past delivery
+		b.spareOps, b.spareFuts = ops[:0], futs[:0]
+	}()
 	b.pending.Add(-int64(len(ops)))
 
 	flushStart := time.Now()
@@ -370,8 +342,6 @@ func (b *Batcher) commitSlotHeld(reason FlushReason) {
 	}
 	// Count the group before waking its callers, so a caller that
 	// reads Stats or Telemetry after its op completes sees the flush.
-	b.flushes.Add(1)
-	b.flushed.Add(int64(len(ops)))
 	if g := int64(len(ops)); g > b.maxGroup.Load() {
 		b.maxGroup.Store(g) // serialized by the slot; no CAS loop needed
 	}
@@ -440,7 +410,7 @@ func (b *Batcher) run() {
 }
 
 // Close stops the background flusher, commits every pending op — a
-// part-filled stripe included — and returns. Accepted ops are never
+// part-filled group included — and returns. Accepted ops are never
 // dropped: anything enqueued before Close commits here, and a Submit
 // racing Close commits itself (see Submit). After Close the Batcher
 // keeps working in pass-through mode: each Submit flushes promptly via
@@ -459,9 +429,10 @@ func (b *Batcher) Telemetry() *Telemetry { return &b.tel }
 
 // Stats snapshots the lifetime counters.
 func (b *Batcher) Stats() Stats {
+	gs := b.tel.GroupSize.Snapshot()
 	return Stats{
-		Flushes:  b.flushes.Load(),
-		Ops:      b.flushed.Load(),
+		Flushes:  int64(gs.Count),
+		Ops:      int64(gs.Sum),
 		MaxGroup: b.maxGroup.Load(),
 		Pending:  b.pending.Load(),
 	}

@@ -161,8 +161,8 @@ func TestSizeTriggerBeatsWindow(t *testing.T) {
 	}
 }
 
-// Close with a part-filled stripe must flush the pending group: no
-// accepted-then-dropped writes.
+// Close with a part-filled group must flush it: no accepted-then-dropped
+// writes.
 func TestCloseFlushesPartFilledStripe(t *testing.T) {
 	c := &collectFlush{}
 	b := New(Options{Flush: c.flush, Window: time.Hour, MaxBatch: 1 << 20})
@@ -335,12 +335,8 @@ func TestSyncPathIgnoresWindow(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	// Smoke: Options defaults round stripes up to a power of two.
-	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) }, Stripes: 5, Window: -1})
+	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) }, Window: -1})
 	defer b.Close()
-	if got := len(b.strs); got != 8 {
-		t.Fatalf("stripes = %d, want 8", got)
-	}
 	for i := 0; i < 3; i++ {
 		if err := b.Do(point.Op{X: float64(i)}); err != nil {
 			t.Fatal(err)
@@ -351,4 +347,25 @@ func TestStatsString(t *testing.T) {
 		t.Fatalf("stats ops = %d, want 3", s.Ops)
 	}
 	_ = fmt.Sprintf("%+v", s)
+}
+
+// Stats counts flushes and ops from the group-size histogram, so the
+// two views of a commit cannot drift apart.
+func TestStatsReadGroupSizeHistogram(t *testing.T) {
+	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) }, Window: -1})
+	defer b.Close()
+	for g := 1; g <= 4; g++ {
+		for i := 0; i < g; i++ {
+			b.Submit(point.Op{X: float64(10*g + i)})
+		}
+		b.Commit()
+	}
+	gs := b.Telemetry().GroupSize.Snapshot()
+	s := b.Stats()
+	if s.Flushes != 4 || s.Ops != 10 || s.MaxGroup != 4 || s.Pending != 0 {
+		t.Fatalf("stats = %+v, want 4 flushes of 10 ops, max group 4, none pending", s)
+	}
+	if uint64(s.Flushes) != gs.Count || float64(s.Ops) != gs.Sum {
+		t.Fatalf("stats = %+v, group-size histogram count %d sum %v", s, gs.Count, gs.Sum)
+	}
 }

@@ -153,16 +153,16 @@ func TestReasonString(t *testing.T) {
 }
 
 // TestEnqueueZeroAllocs is the testing leg of the //topk:nomalloc
-// contract on the warm enqueue path: once a stripe's buffers have
+// contract on the warm enqueue path: once the queue's buffers have
 // reached steady-state capacity, enqueue performs no allocation —
 // telemetry is always on, but none of it sits on this path.
 func TestEnqueueZeroAllocs(t *testing.T) {
 	b := New(Options{Flush: func(ops []point.Op) []error { return make([]error, len(ops)) },
-		Window: -1, Stripes: 1, MaxPending: 1 << 20})
+		Window: -1, MaxPending: 1 << 20})
 	defer b.Close()
 
-	// Warm the stripe past any size this test reaches, then drain it:
-	// commitSlotHeld truncates in place, so capacity is retained.
+	// Warm the queue past any size this test reaches, then commit it:
+	// the spare the commit swaps in grows to the queue's capacity.
 	for i := 0; i < 1024; i++ {
 		b.Submit(point.Op{X: float64(i), Score: float64(i)})
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -418,5 +420,27 @@ func TestWriteRuntimeMetrics(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRuntimeMetricsNoStopTheWorld: a scrape reads the runtime without
+// stopping the world, so ten of them add none of the runtime's own
+// non-GC stop-the-world pauses (runtime.ReadMemStats adds one a call).
+func TestRuntimeMetricsNoStopTheWorld(t *testing.T) {
+	pauses := func() uint64 {
+		s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+		metrics.Read(s)
+		var n uint64
+		for _, c := range s[0].Value.Float64Histogram().Counts {
+			n += c
+		}
+		return n
+	}
+	before := pauses()
+	for range 10 {
+		WriteRuntimeMetrics(io.Discard)
+	}
+	if n := pauses() - before; n != 0 {
+		t.Fatalf("ten scrapes stopped the world %d times, want 0", n)
 	}
 }

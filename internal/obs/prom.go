@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 )
@@ -81,20 +82,30 @@ func seconds[T unit](v T) float64 {
 }
 
 // WriteRuntimeMetrics emits the Go runtime gauges: goroutines, heap
-// occupancy and GC activity. ReadMemStats stops the world briefly;
-// that is fine at scrape frequency.
+// occupancy and GC activity. It reads them through runtime/metrics,
+// which never stops the world, so a scrape does not pause the server
+// it measures.
 func WriteRuntimeMetrics(w io.Writer) {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
+	s := []metrics.Sample{
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/objects:objects"},
+		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(s)
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtF(v))
 	}
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, fmtF(v))
 	}
-	gauge("topkd_go_goroutines", "Live goroutines.", float64(runtime.NumGoroutine()))
-	gauge("topkd_go_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(m.HeapAlloc))
-	gauge("topkd_go_heap_objects", "Live heap objects.", float64(m.HeapObjects))
-	counter("topkd_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", float64(m.PauseTotalNs)/1e9)
-	counter("topkd_go_gc_cycles_total", "Completed GC cycles.", float64(m.NumGC))
+	gauge("topkd_go_goroutines", "Live goroutines.", float64(s[0].Value.Uint64()))
+	gauge("topkd_go_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(s[1].Value.Uint64()))
+	gauge("topkd_go_heap_objects", "Live heap objects.", float64(s[2].Value.Uint64()))
+	// The runtime charges each GC pause as GOMAXPROCS times its length.
+	counter("topkd_go_gc_pause_seconds_total",
+		"Cumulative stop-the-world GC pause time, estimated as the runtime's GC pause CPU time over GOMAXPROCS.",
+		s[3].Value.Float64()/float64(runtime.GOMAXPROCS(0)))
+	counter("topkd_go_gc_cycles_total", "Completed GC cycles.", float64(s[4].Value.Uint64()))
 }

@@ -150,4 +150,18 @@ sed -i 's/^\t\tr\.applyShard(t\.shards\[tasks\[0\]\.shard\], tasks)$/\t\tgroups 
 expect_findings "planted map grouping on the one-shard write path (TestRouterWriteAllocs)" \
 	"$scratch/shard.test" -test.run '^TestRouterWriteAllocs$' -test.count=1
 
+# 9. Static allocation site in the group-commit batcher's annotated
+#    enqueue, which every write through a Batched takes: allocfree must
+#    flag the planted make, as plant 1 does in the radix scatter.
+ingest_go="$scratch/repo/internal/ingest/ingest.go"
+enqueue_marker='	i := len(b.ops)'
+copy_tree
+grep -qxF "$enqueue_marker" "$ingest_go" || {
+	echo "gate-negative: batcher enqueue marker line not found; update this script" >&2
+	exit 1
+}
+sed -i "s/^$enqueue_marker\$/\t_ = make([]int, 1)\n$enqueue_marker/" "$ingest_go"
+expect_findings "planted make in //topk:nomalloc batcher enqueue (allocfree)" \
+	"$topkvet" ./internal/ingest/
+
 echo "gate-negative: all planted violations were caught"

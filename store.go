@@ -42,8 +42,9 @@ type Query = point.Query
 // (one sequential EM machine), *Sharded (a concurrent fleet of them
 // in one process), *Cluster (a gateway over remote topkd members, each
 // owning a score band) and *Batched (group commit over any other
-// Store). Callers written against Store — cmd/topkd, internal/workload,
-// the examples — run unchanged on any of them.
+// Store). Callers written against Store — internal/serve, which
+// cmd/topkd mounts, internal/workload and the examples — run unchanged
+// on any of them.
 //
 // Semantics are identical across implementations: TopK and QueryBatch
 // return byte-identical answers on the same point set, updates obey
@@ -56,7 +57,8 @@ type Query = point.Query
 // type assertions where needed: *Sharded additionally offers shard
 // introspection (NumShards, Boundaries, Epoch, Splits, Merges,
 // CheckInvariants) and the lifecycle controls (Rebalance, Maintain,
-// Close) — cmd/topkd does exactly this for /v1/stats and /v1/metrics.
+// Close) — internal/serve does exactly this for /v1/stats and
+// /v1/metrics.
 type Store interface {
 	// Len returns the number of live points.
 	Len() int
